@@ -9,7 +9,7 @@
 //! actually went out is kept as the generator's lateness.
 
 use crate::trace::Recorder;
-use crate::workload::{EvalCase, Plan, ReadOp, SlotSpec, Workload};
+use crate::workload::{EvalCase, Plan, SlotSpec, Workload};
 use qhorn_bench::load::Population;
 use qhorn_core::query::equiv::equivalent;
 use qhorn_core::{Obj, Response};
@@ -246,8 +246,8 @@ enum Slot {
         queue: VecDeque<Plan>,
         current: Option<Box<Dialogue>>,
     },
-    Reads {
-        ops: Vec<ReadOp>,
+    Evals {
+        order: Vec<usize>,
         cursor: usize,
     },
 }
@@ -338,8 +338,6 @@ pub struct Conn {
     slots: Vec<Slot>,
     order: Vec<usize>,
     cursor: usize,
-    reference: Option<u64>,
-    eval_workers: usize,
     evals: Vec<EvalCase>,
     epoch: Instant,
     next_request: u64,
@@ -374,8 +372,8 @@ impl Conn {
                     queue: plans.clone(),
                     current: None,
                 },
-                SlotSpec::Reads(ops) => Slot::Reads {
-                    ops: ops.clone(),
+                SlotSpec::Evals(order) => Slot::Evals {
+                    order: order.clone(),
                     cursor: 0,
                 },
             })
@@ -385,8 +383,6 @@ impl Conn {
             slots,
             order: workload.order[index].clone(),
             cursor: 0,
-            reference: None,
-            eval_workers: workload.eval_workers,
             evals: workload.evals.clone(),
             epoch,
             next_request: 0,
@@ -395,21 +391,6 @@ impl Conn {
             spans,
             record: false,
         }
-    }
-
-    /// Runs `plan` to its end, closed loop, and keeps its session open as
-    /// the one this connection's reads inspect.
-    pub fn open_reference(&mut self, plan: Plan) -> Result<(), String> {
-        let mut d = Dialogue::new(plan);
-        while !matches!(d.next, Next::Close | Next::Done) {
-            let req = d.request();
-            let reply = self.client.request(&req);
-            d.on_reply(reply, &mut self.checks);
-        }
-        self.reference = d.session;
-        self.reference
-            .map(|_| ())
-            .ok_or_else(|| "reference dialogue did not open a session".to_string())
     }
 
     /// Turns recording of dialogues, exchanges and spans on or off.
@@ -423,8 +404,6 @@ impl Conn {
         for _ in 0..self.order.len() {
             let i = self.order[self.cursor % self.order.len()];
             self.cursor += 1;
-            let reference = self.reference;
-            let workers = self.eval_workers;
             match &mut self.slots[i] {
                 Slot::Dialogues { queue, current } => {
                     if current
@@ -437,27 +416,15 @@ impl Conn {
                         return Some((i, d.request()));
                     }
                 }
-                Slot::Reads { ops, cursor } => {
-                    let op = ops[*cursor % ops.len()];
+                Slot::Evals { order, cursor } => {
+                    let case = &self.evals[order[*cursor % order.len()]];
                     *cursor += 1;
-                    let req = match (op, reference) {
-                        (ReadOp::Eval(e), _) => {
-                            let case = &self.evals[e];
-                            Request::EvaluateBatch {
-                                session: None,
-                                dataset: Some(case.dataset.clone()),
-                                size: case.size,
-                                query: Some(case.query.clone()),
-                                workers,
-                            }
-                        }
-                        (ReadOp::Export, Some(session)) => Request::ExportQuery {
-                            session,
-                            format: "ascii".into(),
-                        },
-                        (ReadOp::Resources, Some(session)) => Request::SessionResources { session },
-                        (ReadOp::Metrics, _) => Request::Metrics,
-                        (ReadOp::Stats | ReadOp::Export | ReadOp::Resources, _) => Request::Stats,
+                    let req = Request::EvaluateBatch {
+                        session: None,
+                        dataset: Some(case.dataset.clone()),
+                        size: case.size,
+                        query: Some(case.query.clone()),
+                        workers: 1,
                     };
                     return Some((i, req));
                 }
@@ -472,22 +439,17 @@ impl Conn {
                 let d = current.as_mut().expect("a request was sent for it");
                 d.on_reply(reply, &mut self.checks);
             }
-            Slot::Reads { ops, cursor } => {
-                let op = ops[(*cursor - 1) % ops.len()];
-                match (op, reply) {
-                    (ReadOp::Eval(e), Ok(Reply::Batch { answers, .. })) => {
+            Slot::Evals { order, cursor } => {
+                let case = order[(*cursor - 1) % order.len()];
+                match reply {
+                    Ok(Reply::Batch { answers, .. }) => {
                         let h = crate::stats::fnv1a(answers.iter().flat_map(|a| a.to_le_bytes()));
-                        self.checks.batch_replies.push((e, h));
+                        self.checks.batch_replies.push((case, h));
                     }
-                    (_, Ok(Reply::Error { message })) => {
-                        self.checks.fail(format!("{}: {message}", req.kind()));
-                    }
-                    (_, Err(e)) => self.checks.fail(format!("{}: {e}", req.kind())),
-                    (ReadOp::Eval(_), Ok(other)) => {
-                        self.checks
-                            .fail(format!("evaluate_batch: unexpected reply {other:?}"));
-                    }
-                    (_, Ok(_)) => {}
+                    Ok(other) => self
+                        .checks
+                        .fail(format!("{}: unexpected reply {other:?}", req.kind())),
+                    Err(e) => self.checks.fail(format!("{}: {e}", req.kind())),
                 }
             }
         }
@@ -565,11 +527,11 @@ impl Conn {
         samples
     }
 
-    /// Closes every session still open (the reference one included);
-    /// returns the number of requests that failed.
+    /// Closes every session still open; returns the number of requests
+    /// that failed.
     pub fn close_all(&mut self) -> u64 {
         let mut failed = 0;
-        let mut open: Vec<u64> = self.reference.take().into_iter().collect();
+        let mut open: Vec<u64> = Vec::new();
         for slot in &mut self.slots {
             if let Slot::Dialogues {
                 current: Some(d), ..

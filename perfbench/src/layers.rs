@@ -53,7 +53,7 @@ fn script_plans(w: &Workload) -> Vec<&Plan> {
             .iter()
             .filter_map(|s| match s {
                 SlotSpec::Dialogues(plans) => plans.front(),
-                SlotSpec::Reads(_) => None,
+                SlotSpec::Evals(_) => None,
             })
             .collect()
     }
@@ -339,7 +339,7 @@ pub fn measure(
     for (r, questions) in replayed.iter().zip(&asked) {
         let (store, hints) = stores
             .entry(r.plan.dataset.clone())
-            .or_insert_with(|| w.build_store(&r.plan.dataset, r.plan.size));
+            .or_insert_with(|| w.build_store(&r.plan.dataset));
         let session = Session::new(store, hints.clone());
         let end = questions.len().min(r.exchanges.len() + 1);
         for (k, q) in questions[..end].iter().enumerate().skip(1) {
@@ -415,21 +415,18 @@ pub fn measure(
         reply_bytes.push(text.len() as f64);
     }
 
-    // Kernel: every evaluation case, with the workload's workers.
+    // Kernel: every evaluation case, with the one worker the workload's
+    // requests ask for.
     let mut objects = 0usize;
     for (i, e) in w.evals.iter().enumerate() {
         let (store, _) = stores
             .entry(e.dataset.clone())
-            .or_insert_with(|| w.build_store(&e.dataset, e.size));
+            .or_insert_with(|| w.build_store(&e.dataset));
         let query = qhorn_lang::parse_with_arity(&e.query, store.bridge().n())
             .map_err(|err| err.to_string())?;
         let plan = CompiledQuery::compile(&query);
         let (_, st) = spans.time("exec.batch", root, i as u64, || {
-            qhorn_service::batch::execute_parallel_with_stats(
-                &plan,
-                store.boolean(),
-                w.eval_workers,
-            )
+            qhorn_service::batch::execute_parallel_with_stats(&plan, store.boolean(), 1)
         });
         objects += st.objects;
     }

@@ -8,9 +8,9 @@
 //! `Registry` behind `Server` and `HttpServer`) in a child process,
 //! uploads the datasets, and drives it from two client threads: one TCP
 //! and one HTTP connection. After a warm-up, `--trace 0` measures an open
-//! loop at the workload's fixed rate and then a closed loop over the same
-//! connections; `--trace 1` alternates untraced and traced one-second
-//! stretches of the open loop, and afterwards times each layer's public
+//! loop at the workload's fixed rate; `--trace 1` alternates untraced and
+//! traced one-second stretches of the open loop, then runs a closed loop
+//! over the same connections, and afterwards times each layer's public
 //! functions on the workload's inputs. Outputs are checked; the last line
 //! of standard output is one JSON object with the metrics.
 
@@ -38,14 +38,37 @@ use workload::Workload;
 /// directory the benchmark is started from.
 const WORK_DIR: &str = ".bench_work";
 /// Set-ups per run; `setup_s` is their median.
-const SETUP_REPEATS: usize = 3;
+const SETUP_REPEATS: usize = 9;
 /// Untimed open-loop traffic before measuring.
 const WARMUP: Duration = Duration::from_secs(2);
 /// Fewest samples a reported p99 may rest on.
 const MIN_P99_SAMPLES: usize = 1_000;
-/// The p99s: measured on every run, but reported as per-layer metrics of
-/// the traced run, because this class of machine moves them by more than
-/// any bound an end-to-end metric may have.
+/// The open loop must complete at least this share of its offered rate;
+/// otherwise the service cannot keep up with it, and latencies timed from
+/// the due times would measure a backlog that grows with the run.
+const MIN_ACHIEVED_FRAC: f64 = 0.98;
+/// A run whose generator sent 1% of its requests more than this many
+/// request intervals late is flagged: the machine stalled it, and its
+/// latencies include the stalls.
+const MAX_LATE_P99_INTERVALS: f64 = 4.0;
+/// Open-loop share of a traced run; a closed loop measures `peak_rps` in
+/// the rest.
+const TRACED_OPEN_FRAC: f64 = 0.75;
+/// Sample sets: open loop without spans, open loop with spans (traced
+/// runs only), closed loop (traced runs only).
+const UNTRACED: usize = 0;
+const TRACED: usize = 1;
+const CLOSED: usize = 2;
+/// The latency p50s: measured on every run, but reported as per-layer
+/// metrics of the traced run, because on a shared virtual machine the
+/// host's steal of processor time moves them by more than any bound an
+/// end-to-end metric may have.
+const MEDIANS: [(&str, &str); 3] = [
+    ("answer_p50_us", "answer"),
+    ("create_p50_us", "create_session"),
+    ("evaluate_p50_us", "evaluate_batch"),
+];
+/// The p99s, reported like the p50s.
 const TAILS: [(&str, Option<&str>); 3] = [
     ("tail.answer_p99_us", Some("answer")),
     ("tail.evaluate_p99_us", Some("evaluate_batch")),
@@ -194,11 +217,10 @@ fn json_number(v: f64) -> String {
     }
 }
 
-/// Builds the inputs, starts the server, uploads the datasets and warms
-/// the built-in stores; the set-up connection is closed on return.
+/// Builds the inputs, starts the server and uploads the datasets; the
+/// set-up connection is closed on return.
 fn set_up(args: &Args, store_dir: &Path) -> Result<(Workload, ServerProc), String> {
-    let w = Workload::build(&args.workload, args.seed, stats::nproc())
-        .expect("workload names were checked");
+    let w = Workload::build(&args.workload, args.seed).expect("workload names were checked");
     let server = ServerProc::start(w.durable.then_some(store_dir))?;
     let mut client = Client::connect(server.tcp).map_err(|e| e.to_string())?;
     for def in &w.uploads {
@@ -207,26 +229,12 @@ fn set_up(args: &Args, store_dir: &Path) -> Result<(Workload, ServerProc), Strin
             other => return Err(format!("upload {}: {other:?}", def.name)),
         }
     }
-    for &(name, size) in &w.builtins {
-        let warm = Request::EvaluateBatch {
-            session: None,
-            dataset: Some(name.to_string()),
-            size,
-            query: Some("all x1".into()),
-            workers: 1,
-        };
-        match client.request(&warm) {
-            Ok(Reply::Batch { .. }) => {}
-            other => return Err(format!("warm {name}/{size}: {other:?}")),
-        }
-    }
     Ok((w, server))
 }
 
 /// A measured stretch of traffic after warm-up: whether it is paced
 /// (open loop) or closed loop, whether spans are recorded, when it starts
-/// after warm-up, how long it lasts, and which of the two sample sets it
-/// feeds.
+/// after warm-up, how long it lasts, and which sample set it feeds.
 struct Phase {
     open: bool,
     traced: bool,
@@ -235,41 +243,41 @@ struct Phase {
     bucket: usize,
 }
 
-/// Untraced runs measure the open loop (set 0) and then the closed loop
-/// (set 1). Traced runs alternate one-second open-loop segments without
-/// (set 0) and with (set 1) spans, so both sets see the same conditions
-/// and their difference is the tracing overhead.
+/// Untraced runs measure the open loop only, for the whole run, so that
+/// the server's CPU time covers a fixed mix and count of requests.
+/// Traced runs alternate one-second open-loop segments without and with
+/// spans, so both sets see the same conditions and their difference is the
+/// tracing overhead, and end with a closed loop.
 fn phases(args: &Args) -> Vec<Phase> {
     let total = Duration::from_secs(args.seconds);
-    if args.trace {
-        (0..args.seconds)
-            .map(|i| Phase {
-                open: true,
-                traced: i % 2 == 1,
-                start: Duration::from_secs(i),
-                length: Duration::from_secs(1),
-                bucket: (i % 2) as usize,
-            })
-            .collect()
-    } else {
-        let open = total * 7 / 10;
-        vec![
-            Phase {
-                open: true,
-                traced: false,
-                start: Duration::ZERO,
-                length: open,
-                bucket: 0,
-            },
-            Phase {
-                open: false,
-                traced: false,
-                start: open,
-                length: total - open,
-                bucket: 1,
-            },
-        ]
+    if !args.trace {
+        return vec![Phase {
+            open: true,
+            traced: false,
+            start: Duration::ZERO,
+            length: total,
+            bucket: UNTRACED,
+        }];
     }
+    let open_secs = ((args.seconds as f64 * TRACED_OPEN_FRAC) as u64).max(2);
+    let mut phases: Vec<Phase> = (0..open_secs)
+        .map(|i| Phase {
+            open: true,
+            traced: i % 2 == 1,
+            start: Duration::from_secs(i),
+            length: Duration::from_secs(1),
+            bucket: if i % 2 == 1 { TRACED } else { UNTRACED },
+        })
+        .collect();
+    let open = Duration::from_secs(open_secs);
+    phases.push(Phase {
+        open: false,
+        traced: false,
+        start: open,
+        length: total.saturating_sub(open).max(Duration::from_secs(1)),
+        bucket: CLOSED,
+    });
+    phases
 }
 
 /// Sets up [`SETUP_REPEATS`] times, keeping the last server running;
@@ -294,9 +302,10 @@ fn set_up_repeated(args: &Args, work: &Path) -> Result<(Workload, ServerProc, Ve
 struct Driven {
     conns: Vec<Conn>,
     /// Per sample set (see [`Phase::bucket`]), both connections merged.
-    samples: [Samples; 2],
-    /// Requests per second of set 1, summed over the connections.
-    set1_rps: f64,
+    samples: [Samples; 3],
+    /// Requests per second of each sample set, summed over the
+    /// connections.
+    rps: [f64; 3],
     /// Server CPU seconds over the first measured phase.
     server_cpu_s: f64,
     threads_peak: usize,
@@ -319,11 +328,13 @@ fn drive_load(
     .enumerate()
     {
         let client = client.map_err(|e| e.to_string())?;
-        let mut conn = Conn::new(client, w, c, epoch, trace::Recorder::new(epoch, c, false));
-        if let Some(plan) = &w.reference[c] {
-            conn.open_reference(plan.clone())?;
-        }
-        conns.push(conn);
+        conns.push(Conn::new(
+            client,
+            w,
+            c,
+            epoch,
+            trace::Recorder::new(epoch, c, false),
+        ));
     }
 
     let pid = server.pid();
@@ -334,7 +345,7 @@ fn drive_load(
     let measured_from = t0 + WARMUP;
     let interval = Duration::from_secs_f64(1.0 / w.rate_per_conn);
     let mut cpu = [0.0f64; 2];
-    let results: Vec<(Conn, [Samples; 2])> = std::thread::scope(|scope| {
+    let results: Vec<(Conn, [Samples; 3])> = std::thread::scope(|scope| {
         scope.spawn(|| {
             // Only the traced run reports the thread count.
             while args.trace && !stop_monitor.load(Ordering::Relaxed) {
@@ -354,7 +365,7 @@ fn drive_load(
                     let offset = interval * c as u32 / 2;
                     let open = Pace::Open { rate, offset };
                     conn.run(open, t0, WARMUP);
-                    let mut samples = [Samples::default(), Samples::default()];
+                    let mut samples: [Samples; 3] = Default::default();
                     for p in phases {
                         conn.set_record(p.traced);
                         let pace = if p.open { open } else { Pace::Closed };
@@ -365,8 +376,7 @@ fn drive_load(
                 })
             })
             .collect();
-        // CPU over the first phase only: its mix and count of requests
-        // are fixed, where the closed loop's depend on the machine.
+        // CPU over the first phase, all of an untraced run.
         sleep_until(measured_from);
         cpu[0] = stats::process_cpu_seconds(pid).unwrap_or(0.0);
         sleep_until(measured_from + phases[0].length);
@@ -381,13 +391,17 @@ fn drive_load(
 
     let mut driven = Driven {
         conns: Vec::new(),
-        samples: [Samples::default(), Samples::default()],
-        set1_rps: 0.0,
+        samples: Default::default(),
+        rps: [0.0; 3],
         server_cpu_s: cpu[1] - cpu[0],
         threads_peak: threads_peak.load(Ordering::Relaxed),
     };
     for (conn, samples) in results {
-        driven.set1_rps += samples[1].attempted as f64 / samples[1].wall.as_secs_f64();
+        for (i, s) in samples.iter().enumerate() {
+            if !s.wall.is_zero() {
+                driven.rps[i] += s.attempted as f64 / s.wall.as_secs_f64();
+            }
+        }
         for (acc, s) in driven.samples.iter_mut().zip(samples) {
             acc.merge(s);
         }
@@ -404,7 +418,7 @@ fn close_and_inspect(
     checks: &mut drive::Checks,
 ) -> Result<(u64, usize), String> {
     for conn in &mut driven.conns {
-        driven.samples[1].failed += conn.close_all();
+        driven.samples[UNTRACED].failed += conn.close_all();
         checks.merge(std::mem::take(&mut conn.checks));
     }
     let client = driven.conns[0].client();
@@ -447,7 +461,14 @@ fn run(args: &Args, work: &Path) -> Result<Report, String> {
         stats::nproc()
     );
     let epoch = Instant::now();
+    let steal_before = stats::host_steal_ticks();
     let mut driven = drive_load(args, &w, &server, epoch)?;
+    if let (Some((s0, t0)), Some((s1, t1))) = (steal_before, stats::host_steal_ticks()) {
+        println!(
+            "host: {:.1}% of processor time was stolen by the hypervisor during the load",
+            100.0 * (s1 - s0) as f64 / (t1 - t0).max(1) as f64
+        );
+    }
     let mut checks = drive::Checks::default();
     let (pool_queue_peak, pools) = close_and_inspect(&mut driven, &mut checks)?;
     let rss = stats::peak_rss_mib(server.pid()).unwrap_or(0.0);
@@ -477,19 +498,23 @@ fn run(args: &Args, work: &Path) -> Result<Report, String> {
             .push("no compliant dialogue finished learning".into());
     }
 
-    let [a, b] = &driven.samples;
-    let attempted = a.attempted + b.attempted;
-    let failed = a.failed + b.failed;
+    let [a, b, closed] = &driven.samples;
+    let attempted = a.attempted + b.attempted + closed.attempted;
+    let failed = a.failed + b.failed + closed.failed;
+    let late = check_schedule(&w, &driven, &mut checks.failures);
     let mut metrics = Vec::new();
+    let medians: Vec<Metric> = MEDIANS
+        .iter()
+        .map(|&(name, kind)| {
+            let v = a.sorted(Some(kind));
+            Metric::new(name, quantile(&v, 0.5), "us", v.len())
+        })
+        .collect();
     if args.trace {
-        let answer_untraced = quantile(&a.sorted(Some("answer")), 0.5);
         let answer_traced = quantile(&b.sorted(Some("answer")), 0.5);
-        let mut late = a.late.clone();
-        late.extend(&b.late);
-        late.sort_by(f64::total_cmp);
         metrics.push(Metric::new(
             "trace.overhead_frac",
-            answer_traced / answer_untraced - 1.0,
+            answer_traced / medians[0].value - 1.0,
             "ratio",
             b.by_kind.get("answer").map_or(0, Vec::len),
         ));
@@ -499,6 +524,7 @@ fn run(args: &Args, work: &Path) -> Result<Report, String> {
             "us",
             late.len(),
         ));
+        metrics.extend(medians);
         for (name, kind) in TAILS {
             let mut v = a.in_time_order(kind);
             v.extend(b.in_time_order(kind));
@@ -513,6 +539,12 @@ fn run(args: &Args, work: &Path) -> Result<Report, String> {
             metrics.push(Metric::new(name, p99_of_chunks(&v), "us", v.len()));
         }
         metrics.extend([
+            Metric::new(
+                "peak_rps",
+                driven.rps[CLOSED],
+                "req/s",
+                closed.attempted as usize,
+            ),
             Metric::new(
                 "loadgen.error_frac",
                 failed as f64 / attempted.max(1) as f64,
@@ -550,26 +582,16 @@ fn run(args: &Args, work: &Path) -> Result<Report, String> {
             trace::write_all(&path, &refs).map_err(|e| format!("write {}: {e}", path.display()))?;
         println!("wrote {written} spans to {}", path.display());
     } else {
-        let p50 = |kind| {
-            let v = a.sorted(Some(kind));
-            (quantile(&v, 0.5), v.len())
-        };
-        let (answer_p50, answers) = p50("answer");
-        let (create_p50, creates) = p50("create_session");
-        let (evaluate_p50, evals) = p50("evaluate_batch");
-        let tails: Vec<String> = TAILS
+        let ungated: Vec<String> = medians
             .iter()
-            .map(|(name, kind)| {
+            .map(|m| format!("{} {:.1} us (samples={})", m.name, m.value, m.samples))
+            .chain(TAILS.iter().map(|(name, kind)| {
                 let v = a.in_time_order(*kind);
                 format!("{name} {:.1} us (samples={})", p99_of_chunks(&v), v.len())
-            })
+            }))
             .collect();
-        println!("tails, not gated: {}", tails.join(", "));
+        println!("latencies, not gated: {}", ungated.join(", "));
         metrics.extend([
-            Metric::new("answer_p50_us", answer_p50, "us", answers),
-            Metric::new("create_p50_us", create_p50, "us", creates),
-            Metric::new("evaluate_p50_us", evaluate_p50, "us", evals),
-            Metric::new("peak_rps", driven.set1_rps, "req/s", b.attempted as usize),
             Metric::new(
                 "server_cpu_us_per_req",
                 driven.server_cpu_s * 1e6 / a.attempted.max(1) as f64,
@@ -591,6 +613,39 @@ fn run(args: &Args, work: &Path) -> Result<Report, String> {
         failed,
         metrics,
     })
+}
+
+/// Compares what the open loop achieved with what it offered, prints
+/// both with the generator's lateness, fails the run when the service did
+/// not keep up ([`MIN_ACHIEVED_FRAC`]) and flags it when the generator
+/// ran late ([`MAX_LATE_P99_INTERVALS`]). Returns the lateness of every
+/// open-loop request, ascending, µs.
+fn check_schedule(w: &Workload, driven: &Driven, failures: &mut Vec<String>) -> Vec<f64> {
+    let mut late: Vec<f64> = driven.samples[UNTRACED..=TRACED]
+        .iter()
+        .flat_map(|s| s.late.iter().copied())
+        .collect();
+    late.sort_by(f64::total_cmp);
+    let offered = w.rate_per_conn * w.conns.len() as f64;
+    let achieved = driven.rps[UNTRACED];
+    let interval_us = 1e6 / w.rate_per_conn;
+    let late_p99 = quantile(&late, 0.99);
+    println!(
+        "open loop: offered {offered:.1} req/s, achieved {achieved:.1} req/s; generator late p50 {:.1} us, p99 {late_p99:.1} us (samples={}, request interval {interval_us:.1} us per connection)",
+        quantile(&late, 0.5),
+        late.len()
+    );
+    if achieved < offered * MIN_ACHIEVED_FRAC {
+        failures.push(format!(
+            "the open loop completed {achieved:.1} of {offered:.1} req/s offered"
+        ));
+    }
+    if late_p99 > MAX_LATE_P99_INTERVALS * interval_us {
+        println!(
+            "warning: 1% of requests went out more than {late_p99:.1} us late, over {MAX_LATE_P99_INTERVALS} request intervals"
+        );
+    }
+    late
 }
 
 /// The p99 of each run of [`MIN_P99_SAMPLES`] or more consecutive
@@ -621,13 +676,13 @@ fn sleep_until(t: Instant) {
 /// over a store built here from the same definition.
 fn check_batch(w: &Workload, replies: &[(usize, u64)], failures: &mut Vec<String>) {
     let mut expected: BTreeMap<usize, u64> = BTreeMap::new();
-    let mut stores: BTreeMap<(String, usize), DataStore> = BTreeMap::new();
+    let mut stores: BTreeMap<String, DataStore> = BTreeMap::new();
     for &(case, got) in replies {
         let want = *expected.entry(case).or_insert_with(|| {
             let e = &w.evals[case];
             let store = stores
-                .entry((e.dataset.clone(), e.size))
-                .or_insert_with(|| w.build_store(&e.dataset, e.size).0);
+                .entry(e.dataset.clone())
+                .or_insert_with(|| w.build_store(&e.dataset).0);
             let query = qhorn_lang::parse_with_arity(&e.query, store.bridge().n())
                 .expect("generated queries parse");
             let ids = qhorn_engine::exec::execute(&CompiledQuery::compile(&query), store.boolean());

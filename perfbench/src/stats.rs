@@ -73,6 +73,22 @@ pub fn thread_count(pid: u32) -> Option<usize> {
     Some(std::fs::read_dir(format!("/proc/{pid}/task")).ok()?.count())
 }
 
+/// `(steal, total)` ticks of every processor since boot, from the `cpu`
+/// line of `/proc/stat`: how much time a virtual machine's processors were
+/// runnable but not run by the host.
+pub fn host_steal_ticks() -> Option<(u64, u64)> {
+    let stat = std::fs::read_to_string("/proc/stat").ok()?;
+    let ticks: Vec<u64> = stat
+        .lines()
+        .next()?
+        .split_whitespace()
+        .skip(1)
+        .map(|f| f.parse().ok())
+        .collect::<Option<_>>()?;
+    // user nice system idle iowait irq softirq steal ...
+    Some((*ticks.get(7)?, ticks.iter().take(8).sum()))
+}
+
 /// Processors this process may run on.
 pub fn nproc() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
@@ -97,5 +113,7 @@ mod tests {
         assert!(process_cpu_seconds(pid).is_some());
         assert!(peak_rss_mib(pid).unwrap() > 0.0);
         assert!(thread_count(pid).unwrap() >= 1);
+        let (steal, total) = host_steal_ticks().unwrap();
+        assert!(steal <= total && total > 0);
     }
 }

@@ -1,6 +1,5 @@
-//! The three workloads: their datasets, the dialogues each connection
-//! runs, the read traffic of `batch_eval_inspect`, and the fixed open-loop
-//! rate each is offered.
+//! The two workloads: their datasets, the dialogues and evaluations each
+//! connection runs, and the fixed open-loop rate each is offered.
 //!
 //! Everything here is a pure function of the seed. [`Workload::script_hash`]
 //! fingerprints the generated inputs so two runs can show they drove the
@@ -12,7 +11,7 @@ use qhorn_core::Query;
 use qhorn_engine::session::LearnerKind;
 use qhorn_engine::DataStore;
 use qhorn_json::{Json, ToJson};
-use qhorn_relation::generate::{generate_dataset, sweep, verify_dataset, GenParams};
+use qhorn_relation::generate::{generate_dataset, sweep, verify_dataset};
 use qhorn_relation::synthesize::DomainHints;
 use qhorn_relation::DatasetDef;
 use qhorn_sim::genquery::{random_qhorn1, random_role_preserving, RolePreservingParams};
@@ -21,11 +20,7 @@ use rand::SeedableRng;
 use std::collections::VecDeque;
 
 /// Workload names, in the order `BENCHMARK.json` lists them.
-pub const NAMES: [&str; 3] = [
-    "many_users_qhorn1",
-    "wide_role_preserving_durable",
-    "batch_eval_inspect",
-];
+pub const NAMES: [&str; 2] = ["many_users_qhorn1", "wide_role_preserving_durable"];
 
 /// One scripted user's dialogue.
 #[derive(Clone, Debug)]
@@ -57,30 +52,15 @@ impl ToJson for Plan {
     }
 }
 
-/// One `evaluate_batch` input: a catalog dataset and a query over it.
+/// One `evaluate_batch` input: an uploaded dataset and a query over it.
 #[derive(Clone, Debug)]
 pub struct EvalCase {
-    /// Catalog name (built-in or uploaded).
+    /// Catalog name of the upload.
     pub dataset: String,
-    /// `size` for built-ins (ignored for uploads).
+    /// `size` field of the request (ignored for uploads).
     pub size: usize,
     /// Query shorthand as sent on the wire.
     pub query: String,
-}
-
-/// A read request of `batch_eval_inspect`.
-#[derive(Clone, Copy, Debug)]
-pub enum ReadOp {
-    /// `evaluate_batch` of this [`EvalCase`].
-    Eval(usize),
-    /// `export_query` of the connection's reference session.
-    Export,
-    /// `stats`.
-    Stats,
-    /// `metrics`.
-    Metrics,
-    /// `session_resources` of the connection's reference session.
-    Resources,
 }
 
 /// What one round-robin slot of a connection does.
@@ -88,8 +68,9 @@ pub enum ReadOp {
 pub enum SlotSpec {
     /// Runs these dialogues one after another.
     Dialogues(VecDeque<Plan>),
-    /// Cycles through these reads forever.
-    Reads(Vec<ReadOp>),
+    /// Cycles forever through `evaluate_batch` of these
+    /// [`Workload::evals`] indices.
+    Evals(Vec<usize>),
 }
 
 /// The generated inputs of one workload.
@@ -98,8 +79,6 @@ pub struct Workload {
     pub name: &'static str,
     /// Datasets uploaded to the catalog during set-up.
     pub uploads: Vec<DatasetDef>,
-    /// Built-in `(name, size)` stores warmed during set-up.
-    pub builtins: Vec<(&'static str, usize)>,
     /// Whether the registry logs to a durable store (`FsyncPolicy::Always`).
     pub durable: bool,
     /// Open-loop offered rate per connection, requests per second.
@@ -108,13 +87,8 @@ pub struct Workload {
     pub conns: [Vec<SlotSpec>; 2],
     /// The order each connection visits its slots in, repeated.
     pub order: [Vec<usize>; 2],
-    /// Per connection, a dialogue run to completion before timing whose
-    /// session the reads inspect (`batch_eval_inspect` only).
-    pub reference: [Option<Plan>; 2],
-    /// The `evaluate_batch` inputs [`ReadOp::Eval`] indexes.
+    /// The `evaluate_batch` inputs [`SlotSpec::Evals`] indexes.
     pub evals: Vec<EvalCase>,
-    /// `workers` of every `evaluate_batch`.
-    pub eval_workers: usize,
 }
 
 fn verified(def: DatasetDef) -> DatasetDef {
@@ -198,28 +172,19 @@ fn eval_cases(seed: u64, defs: &[&DatasetDef], per_def: usize) -> Vec<EvalCase> 
     cases
 }
 
-/// Every evaluation case once, in a seeded order, with one of `extras`
-/// after every third evaluation (when `extras` is not empty).
-fn read_ops(rng: &mut SmallRng, evals: usize, extras: &[ReadOp]) -> SlotSpec {
+/// Every evaluation case once, in a seeded order.
+fn eval_order(rng: &mut SmallRng, evals: usize) -> SlotSpec {
     let mut order: Vec<usize> = (0..evals).collect();
     rand::seq::SliceRandom::shuffle(order.as_mut_slice(), rng);
-    let mut ops = Vec::new();
-    for (k, &e) in order.iter().enumerate() {
-        ops.push(ReadOp::Eval(e));
-        if k % 3 == 2 && !extras.is_empty() {
-            ops.push(extras[(k / 3) % extras.len()]);
-        }
-    }
-    SlotSpec::Reads(ops)
+    SlotSpec::Evals(order)
 }
 
 impl Workload {
     /// Builds the named workload's inputs from `seed`.
-    pub fn build(name: &str, seed: u64, nproc: usize) -> Option<Workload> {
+    pub fn build(name: &str, seed: u64) -> Option<Workload> {
         match name {
             "many_users_qhorn1" => Some(Self::many_users(seed)),
             "wide_role_preserving_durable" => Some(Self::wide(seed)),
-            "batch_eval_inspect" => Some(Self::batch(seed, nproc)),
             _ => None,
         }
     }
@@ -256,11 +221,7 @@ impl Workload {
         let conns = std::array::from_fn(|c| {
             let queues = std::mem::take(&mut queues[c]);
             let mut slots: Vec<SlotSpec> = queues.into_iter().map(SlotSpec::Dialogues).collect();
-            slots.push(read_ops(
-                &mut sub_rng(seed, 11, c as u64, 0),
-                evals.len(),
-                &[],
-            ));
+            slots.push(eval_order(&mut sub_rng(seed, 11, c as u64, 0), evals.len()));
             slots
         });
         let order = std::array::from_fn(|_| {
@@ -276,14 +237,11 @@ impl Workload {
         Workload {
             name: "many_users_qhorn1",
             uploads: script.datasets,
-            builtins: Vec::new(),
             durable: false,
             rate_per_conn: 1_000.0,
             conns,
             order,
-            reference: [None, None],
             evals,
-            eval_workers: 1,
         }
     }
 
@@ -329,136 +287,33 @@ impl Workload {
                     2_048,
                 ),
                 slot(3, LearnerKind::Qhorn1, Population::Compliant, &all, 256),
-                read_ops(&mut sub_rng(seed, 11, c64, 0), evals.len(), &[]),
+                eval_order(&mut sub_rng(seed, 11, c64, 0), evals.len()),
             ]
         });
         Workload {
             name: "wide_role_preserving_durable",
             uploads,
-            builtins: Vec::new(),
             durable: true,
             rate_per_conn: 120.0,
             conns,
             // Per 12 turns: 4 long role-preserving answers, one qhorn1
             // step, one step of a user who walks away, six evaluations.
             order: std::array::from_fn(|_| vec![0, 4, 1, 4, 3, 4, 0, 4, 1, 4, 2, 4]),
-            reference: [None, None],
             evals,
-            eval_workers: 1,
         }
     }
 
-    /// Mostly `evaluate_batch` over large built-in and wide uploaded datasets,
-    /// interleaved with `export_query`, `stats`, `metrics` and
-    /// `session_resources` reads, beside two dialogue slots per
-    /// connection.
-    fn batch(seed: u64, nproc: usize) -> Workload {
-        let wide_upload = |propositions: usize, objects: usize, tag: u64| {
-            let mut p = GenParams::small(seed ^ (tag << 40));
-            p.objects = objects;
-            p.propositions = propositions;
-            p.bool_attrs = propositions / 3 + 1;
-            p.int_attrs = propositions / 3 + 1;
-            p.str_attrs = propositions / 3 + 1;
-            verified(generate_dataset(&p))
-        };
-        // Three uploads of each wide arity rather than one large one, so
-        // that no single seed's data sets the cost of the reads.
-        let mut uploads: Vec<DatasetDef> = sweep(seed, &[24], &[3, 6, 9, 12])
+    /// Builds, here, the store the service builds for an uploaded dataset.
+    pub fn build_store(&self, name: &str) -> (DataStore, DomainHints) {
+        let def = self
+            .uploads
             .iter()
-            .map(|p| verified(generate_dataset(p)))
-            .collect();
-        let dialogue_sets = uploads.len();
-        for tag in 1..=3 {
-            uploads.push(wide_upload(32, 600, tag));
-            uploads.push(wide_upload(64, 300, tag + 3));
-        }
-        let builtins = vec![
-            ("chocolates", 100_000),
-            ("cellars", 50_000),
-            ("chocolates", 20_000),
-        ];
-        // The seed changes the uploaded data and the dialogues; the
-        // queries and the order of the reads stay fixed, so the cost of a
-        // turn does not swing with the seed: the built-in stores are the
-        // same on every seed and so are their reply sizes.
-        let mut evals = Vec::new();
-        for (i, &(name, size)) in builtins.iter().enumerate() {
-            let mut rng = sub_rng(0, 9, i as u64, 0);
-            for _ in 0..6 {
-                evals.push(EvalCase {
-                    dataset: name.to_string(),
-                    size,
-                    query: qhorn_lang::printer::to_ascii(&random_qhorn1(3, &mut rng)),
-                });
-            }
-        }
-        evals.extend(eval_cases(
-            0,
-            &uploads[dialogue_sets..].iter().collect::<Vec<_>>(),
-            2,
-        ));
-
-        let dialogues: Vec<&DatasetDef> = uploads[..dialogue_sets].iter().collect();
-        let extras = [
-            ReadOp::Export,
-            ReadOp::Stats,
-            ReadOp::Metrics,
-            ReadOp::Resources,
-        ];
-        let conns = std::array::from_fn(|c| {
-            let c64 = c as u64;
-            let mut slots: Vec<SlotSpec> = (0..3)
-                .map(|slot| read_ops(&mut sub_rng(0, 11, c64, slot), evals.len(), &extras))
-                .collect();
-            for slot in 3..5 {
-                slots.push(SlotSpec::Dialogues(plans(
-                    seed,
-                    (c64, slot),
-                    LearnerKind::Qhorn1,
-                    Population::Compliant,
-                    &dialogues,
-                    1_024,
-                )));
-            }
-            slots
-        });
-        let reference = std::array::from_fn(|c| {
-            plans(
-                seed,
-                (c as u64, 5),
-                LearnerKind::Qhorn1,
-                Population::Compliant,
-                &dialogues,
-                1,
-            )
-            .pop_front()
-        });
-        Workload {
-            name: "batch_eval_inspect",
-            uploads,
-            builtins,
-            durable: false,
-            rate_per_conn: 80.0,
-            conns,
-            order: std::array::from_fn(|_| vec![0, 3, 1, 4, 2, 3, 0, 4, 1, 3, 2, 4]),
-            reference,
-            evals,
-            eval_workers: nproc,
-        }
-    }
-
-    /// Builds, here, the store the service builds for a catalog dataset.
-    pub fn build_store(&self, name: &str, size: usize) -> (DataStore, DomainHints) {
-        match self.uploads.iter().find(|d| d.name == name) {
-            Some(def) => {
-                let bridge = def.validate().expect("generated datasets validate");
-                let store = DataStore::from_relation(def.relation.clone(), bridge)
-                    .expect("generated datasets build");
-                (store, def.hints.clone())
-            }
-            None => qhorn_service::dataset::build(name, size).expect("built-in datasets build"),
-        }
+            .find(|d| d.name == name)
+            .expect("every dataset the script names is uploaded");
+        let bridge = def.validate().expect("generated datasets validate");
+        let store = DataStore::from_relation(def.relation.clone(), bridge)
+            .expect("generated datasets build");
+        (store, def.hints.clone())
     }
 
     /// Fingerprint of every generated input: datasets, dialogue plans,
@@ -467,9 +322,6 @@ impl Workload {
         let mut text = String::new();
         for def in &self.uploads {
             text.push_str(&qhorn_json::to_string(def));
-        }
-        for (name, size) in &self.builtins {
-            text.push_str(&format!("{name}/{size};"));
         }
         for (c, slots) in self.conns.iter().enumerate() {
             for (s, slot) in slots.iter().enumerate() {
@@ -480,19 +332,16 @@ impl Workload {
                             text.push_str(&qhorn_json::to_string(p));
                         }
                     }
-                    SlotSpec::Reads(ops) => text.push_str(&format!("{ops:?}")),
+                    SlotSpec::Evals(order) => text.push_str(&format!("{order:?}")),
                 }
             }
-        }
-        for p in self.reference.iter().flatten() {
-            text.push_str(&qhorn_json::to_string(p));
         }
         for e in &self.evals {
             text.push_str(&format!("{}/{}:{};", e.dataset, e.size, e.query));
         }
         text.push_str(&format!(
-            "order={:?};rate={};workers={}",
-            self.order, self.rate_per_conn, self.eval_workers
+            "order={:?};rate={}",
+            self.order, self.rate_per_conn
         ));
         fnv1a(text.bytes())
     }
@@ -505,9 +354,9 @@ mod tests {
     #[test]
     fn same_seed_same_script() {
         for name in NAMES {
-            let a = Workload::build(name, 7, 2).unwrap().script_hash();
-            let b = Workload::build(name, 7, 2).unwrap().script_hash();
-            let c = Workload::build(name, 8, 2).unwrap().script_hash();
+            let a = Workload::build(name, 7).unwrap().script_hash();
+            let b = Workload::build(name, 7).unwrap().script_hash();
+            let c = Workload::build(name, 8).unwrap().script_hash();
             assert_eq!(a, b, "{name}");
             assert_ne!(a, c, "{name}");
         }
@@ -516,14 +365,11 @@ mod tests {
     #[test]
     fn eval_queries_parse_at_their_arity() {
         for name in NAMES {
-            let w = Workload::build(name, 3, 2).unwrap();
+            let w = Workload::build(name, 3).unwrap();
             assert!(!w.evals.is_empty(), "{name}");
             for e in &w.evals {
-                let n = match w.uploads.iter().find(|d| d.name == e.dataset) {
-                    Some(def) => arity(def),
-                    None => 3,
-                };
-                qhorn_lang::parse_with_arity(&e.query, n).unwrap();
+                let def = w.uploads.iter().find(|d| d.name == e.dataset).unwrap();
+                qhorn_lang::parse_with_arity(&e.query, arity(def)).unwrap();
             }
         }
     }
@@ -532,7 +378,7 @@ mod tests {
     fn uploads_fit_one_request_line() {
         for name in NAMES {
             for seed in [1, 2] {
-                for def in Workload::build(name, seed, 2).unwrap().uploads {
+                for def in Workload::build(name, seed).unwrap().uploads {
                     assert!(
                         qhorn_json::to_string(&def).len() < 900 << 10,
                         "{}",
