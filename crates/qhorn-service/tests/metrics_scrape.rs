@@ -128,12 +128,6 @@ fn exposition_stays_consistent_under_concurrent_mutation() {
     let addr = server.addr();
     let stop = Arc::new(AtomicBool::new(false));
 
-    // A worker serves one keep-alive connection until it closes, and the
-    // mutators keep theirs open until `stop`. Connect the scraper first so
-    // it holds one of the four workers; connected after the mutators it
-    // could queue behind four of them forever.
-    let mut scraper = qhorn_service::http::HttpClient::connect(addr).expect("connect scraper");
-
     // Eight mutators: each opens its own session, answers to completion,
     // then hammers batch evaluation until told to stop.
     let goal: Query = qhorn_lang::parse_with_arity("all x1; some x2 x3", 3).unwrap();
@@ -183,6 +177,7 @@ fn exposition_stays_consistent_under_concurrent_mutation() {
     // Scrape while the mutators run: every exposition parses, buckets are
     // cumulative within a scrape, counters never move backwards between
     // scrapes.
+    let mut scraper = qhorn_service::http::HttpClient::connect(addr).expect("connect scraper");
     let mut last: Vec<(String, f64)> = Vec::new();
     for i in 0..25 {
         let text = scraper.scrape_metrics().expect("scrape");
