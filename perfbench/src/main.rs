@@ -37,8 +37,11 @@ use workload::Workload;
 /// Where runs keep their durable stores and span files, relative to the
 /// directory the benchmark is started from.
 const WORK_DIR: &str = ".bench_work";
-/// Set-ups per run; `setup_s` is their median.
-const SETUP_REPEATS: usize = 9;
+/// Set-ups per run, half before the load and half after it; `setup_s` is
+/// their median. A set-up takes tens of milliseconds, and the machine's
+/// speed drifts over seconds, so set-ups taken in one burst follow the
+/// drift; spread over the run, they average it out.
+const SETUP_REPEATS: usize = 20;
 /// Untimed open-loop traffic before measuring.
 const WARMUP: Duration = Duration::from_secs(2);
 /// Fewest samples a reported p99 may rest on.
@@ -280,22 +283,29 @@ fn phases(args: &Args) -> Vec<Phase> {
     phases
 }
 
-/// Sets up [`SETUP_REPEATS`] times, keeping the last server running;
-/// returns each set-up's duration.
-fn set_up_repeated(args: &Args, work: &Path) -> Result<(Workload, ServerProc, Vec<f64>), String> {
+/// Sets up `count` times, numbering stores from `first`, and stops every
+/// server but, with `keep_last`, the last; returns it with each set-up's
+/// duration.
+fn set_up_repeated(
+    args: &Args,
+    work: &Path,
+    first: usize,
+    count: usize,
+    keep_last: bool,
+) -> Result<(Option<(Workload, ServerProc)>, Vec<f64>), String> {
     let mut setup_s = Vec::new();
-    for i in 0..SETUP_REPEATS {
+    for i in first..first + count {
         let store_dir = work.join(format!("store-{i}"));
         let started = Instant::now();
         let (w, server) = set_up(args, &store_dir)?;
         setup_s.push(started.elapsed().as_secs_f64());
-        if i + 1 == SETUP_REPEATS {
-            return Ok((w, server, setup_s));
+        if keep_last && i + 1 == first + count {
+            return Ok((Some((w, server)), setup_s));
         }
         server.stop()?;
         let _ = std::fs::remove_dir_all(&store_dir);
     }
-    unreachable!("SETUP_REPEATS is at least one")
+    Ok((None, setup_s))
 }
 
 /// What driving the load left behind.
@@ -451,7 +461,9 @@ fn close_and_inspect(
 
 fn run(args: &Args, work: &Path) -> Result<Report, String> {
     std::fs::create_dir_all(work).map_err(|e| format!("create {}: {e}", work.display()))?;
-    let (w, server, setup_s) = set_up_repeated(args, work)?;
+    let before = SETUP_REPEATS / 2;
+    let (kept, mut setup_s) = set_up_repeated(args, work, 0, before, true)?;
+    let (w, server) = kept.expect("the last set-up is kept");
     println!(
         "workload {} seed {} script_hash {:016x} rate {}/s per connection, nproc {}",
         w.name,
@@ -582,6 +594,8 @@ fn run(args: &Args, work: &Path) -> Result<Report, String> {
             trace::write_all(&path, &refs).map_err(|e| format!("write {}: {e}", path.display()))?;
         println!("wrote {written} spans to {}", path.display());
     } else {
+        let (_, after) = set_up_repeated(args, work, before, SETUP_REPEATS - before, false)?;
+        setup_s.extend(after);
         let ungated: Vec<String> = medians
             .iter()
             .map(|m| format!("{} {:.1} us (samples={})", m.name, m.value, m.samples))
