@@ -157,7 +157,7 @@ impl LogRecord {
     /// Serializes as the framed payload, with the store-assigned `seq`
     /// first so a human scanning the log sees ordering at a glance.
     #[must_use]
-    pub(crate) fn to_payload(&self, seq: u64) -> Vec<u8> {
+    pub fn to_payload(&self, seq: u64) -> Vec<u8> {
         let mut pairs = vec![
             ("seq".to_string(), seq.to_json()),
             ("kind".to_string(), Json::Str(self.kind().into())),
@@ -211,7 +211,10 @@ impl LogRecord {
     }
 
     /// Parses a framed payload back into `(seq, record)`.
-    pub(crate) fn from_payload(bytes: &[u8]) -> Result<(u64, LogRecord), JsonError> {
+    ///
+    /// # Errors
+    /// [`JsonError`] on a payload that is not a well-formed record.
+    pub fn from_payload(bytes: &[u8]) -> Result<(u64, LogRecord), JsonError> {
         let text = std::str::from_utf8(bytes)
             .map_err(|_| JsonError::msg("record payload is not UTF-8"))?;
         let j = Json::parse(text)?;
