@@ -25,6 +25,7 @@
 
 use qhorn_core::{Query, Response};
 use qhorn_engine::session::LearnerKind;
+use qhorn_json::wire::map;
 use qhorn_json::{Json, ToJson};
 use qhorn_lockdep::{LockClass, OrderedMutex};
 use qhorn_relation::generate::{generate_dataset, sweep, verify_dataset};
@@ -90,16 +91,20 @@ pub struct DialoguePlan {
     pub seed: u64,
 }
 
-impl ToJson for DialoguePlan {
+impl ToJson for Population {
     fn to_json(&self) -> Json {
-        Json::object([
-            ("population", Json::Str(self.population.name().to_string())),
-            ("dataset", self.dataset.to_json()),
-            ("size", Json::U64(self.size as u64)),
-            ("max_questions", Json::U64(self.max_questions as u64)),
-            ("target", self.target.to_json()),
-            ("seed", Json::U64(self.seed)),
-        ])
+        Json::Str(self.name().to_string())
+    }
+}
+
+qhorn_json::wire! {
+    encode struct DialoguePlan {
+        population: Population,
+        dataset: String,
+        size: usize,
+        max_questions: usize,
+        target: Query,
+        seed: u64,
     }
 }
 
@@ -360,16 +365,14 @@ pub struct PopulationTally {
     pub questions: u64,
 }
 
-impl ToJson for PopulationTally {
-    fn to_json(&self) -> Json {
-        Json::object([
-            ("dialogues", self.dialogues.to_json()),
-            ("learned", self.learned.to_json()),
-            ("verified", self.verified.to_json()),
-            ("corrected", self.corrected.to_json()),
-            ("abandoned", self.abandoned.to_json()),
-            ("questions", self.questions.to_json()),
-        ])
+qhorn_json::wire! {
+    encode struct PopulationTally {
+        dialogues: u64,
+        learned: u64,
+        verified: u64,
+        corrected: u64,
+        abandoned: u64,
+        questions: u64,
     }
 }
 
@@ -670,51 +673,28 @@ pub fn upload_datasets(client: &mut Client, script: &WorkloadScript) -> u64 {
     fresh
 }
 
-impl ToJson for KindSummary {
-    fn to_json(&self) -> Json {
-        Json::object([
-            ("kind", self.kind.to_json()),
-            ("count", self.count.to_json()),
-            ("p50_us", self.p50_us.to_json()),
-            ("p95_us", self.p95_us.to_json()),
-            ("p99_us", self.p99_us.to_json()),
-            ("max_us", self.max_us.to_json()),
-        ])
+qhorn_json::wire! {
+    encode struct KindSummary {
+        kind: String,
+        count: u64,
+        p50_us: u64,
+        p95_us: u64,
+        p99_us: u64,
+        max_us: u64,
     }
 }
 
-impl ToJson for TransportReport {
-    fn to_json(&self) -> Json {
-        Json::object([
-            ("transport", Json::Str(self.transport.to_string())),
-            ("wall_seconds", Json::F64(self.wall_seconds)),
-            ("requests", self.requests.to_json()),
-            ("target_rps", Json::F64(self.target_rps)),
-            ("achieved_rps", Json::F64(self.achieved_rps)),
-            (
-                "errors_by_class",
-                Json::Obj(
-                    self.errors_by_class
-                        .iter()
-                        .map(|(k, v)| ((*k).to_string(), v.to_json()))
-                        .collect(),
-                ),
-            ),
-            (
-                "kinds",
-                Json::Arr(self.kinds.iter().map(ToJson::to_json).collect()),
-            ),
-            (
-                "populations",
-                Json::Obj(
-                    self.populations
-                        .iter()
-                        .map(|(name, t)| ((*name).to_string(), t.to_json()))
-                        .collect(),
-                ),
-            ),
-            ("overall", self.overall.to_json()),
-        ])
+qhorn_json::wire! {
+    encode struct TransportReport {
+        transport: &'static str,
+        wall_seconds: f64,
+        requests: u64,
+        target_rps: f64,
+        achieved_rps: f64,
+        errors_by_class: BTreeMap<&'static str, u64> [with = map],
+        kinds: Vec<KindSummary>,
+        populations: Vec<(&'static str, PopulationTally)> [with = map],
+        overall: KindSummary,
     }
 }
 

@@ -51,6 +51,10 @@ pub(crate) struct SubspaceOracle<'a, O: MembershipOracle + ?Sized> {
 }
 
 impl<O: MembershipOracle + ?Sized> SubspaceOracle<'_, O> {
+    fn lift(&self, question: &Obj) -> Obj {
+        Obj::new(self.n, question.tuples().iter().map(|t| self.lift_tuple(t)))
+    }
+
     fn lift_tuple(&self, t: &BoolTuple) -> BoolTuple {
         let mut trues = VarSet::full(self.n);
         for (j, &full) in self.map.iter().enumerate() {
@@ -64,8 +68,13 @@ impl<O: MembershipOracle + ?Sized> SubspaceOracle<'_, O> {
 
 impl<O: MembershipOracle + ?Sized> MembershipOracle for SubspaceOracle<'_, O> {
     fn ask(&mut self, question: &Obj) -> Response {
-        let lifted = Obj::new(self.n, question.tuples().iter().map(|t| self.lift_tuple(t)));
+        let lifted = self.lift(question);
         self.inner.ask(&lifted)
+    }
+
+    fn try_ask(&mut self, question: &Obj) -> Option<Response> {
+        let lifted = self.lift(question);
+        self.inner.try_ask(&lifted)
     }
 }
 

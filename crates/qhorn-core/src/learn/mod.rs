@@ -164,6 +164,9 @@ pub enum LearnError {
         /// Human-readable description of the contradiction.
         detail: String,
     },
+    /// The oracle stopped answering ([`MembershipOracle::try_ask`]
+    /// returned `None`), e.g. because its session was closed.
+    Stopped,
 }
 
 impl fmt::Display for LearnError {
@@ -178,6 +181,7 @@ impl fmt::Display for LearnError {
                     "oracle responses inconsistent with the promised query class: {detail}"
                 )
             }
+            LearnError::Stopped => write!(f, "the oracle stopped answering"),
         }
     }
 }
@@ -235,7 +239,7 @@ impl<'a, O: MembershipOracle + ?Sized> Asker<'a, O> {
         self.stats.tuples += q.len();
         self.stats.max_tuples_per_question = self.stats.max_tuples_per_question.max(q.len());
         *self.stats.by_phase.entry(self.phase).or_insert(0) += 1;
-        Ok(self.oracle.ask(q))
+        self.oracle.try_ask(q).ok_or(LearnError::Stopped)
     }
 
     /// `true` iff the oracle labels `q` an answer.

@@ -29,28 +29,23 @@ mod json {
     use crate::tuple::BoolTuple;
     use qhorn_json::{FromJson, Json, JsonError, ToJson};
 
-    impl ToJson for Obj {
-        fn to_json(&self) -> Json {
-            Json::object([("n", self.n.to_json()), ("tuples", self.tuples.to_json())])
-        }
+    qhorn_json::wire! {
+        struct Obj { n: u16, tuples: Vec<BoolTuple> } check canonical
     }
 
-    impl FromJson for Obj {
-        fn from_json(j: &Json) -> Result<Self, JsonError> {
-            let n = u16::from_json(j.field("n")?)?;
-            let tuples = Vec::<BoolTuple>::from_json(j.field("tuples")?)?;
-            for t in &tuples {
-                if t.arity() != n {
-                    return Err(JsonError::msg(format!(
-                        "tuple arity {} inside object of arity {n}",
-                        t.arity()
-                    )));
-                }
+    fn canonical(o: Obj) -> Result<Obj, JsonError> {
+        for t in &o.tuples {
+            if t.arity() != o.n {
+                return Err(JsonError::msg(format!(
+                    "tuple arity {} inside object of arity {}",
+                    t.arity(),
+                    o.n
+                )));
             }
-            // `Obj::new` re-sorts and deduplicates, keeping equality
-            // structural after a round trip.
-            Ok(Obj::new(n, tuples))
         }
+        // `Obj::new` re-sorts and deduplicates, keeping equality
+        // structural after a round trip.
+        Ok(Obj::new(o.n, o.tuples))
     }
 
     impl ToJson for Response {

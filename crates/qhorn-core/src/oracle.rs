@@ -73,17 +73,33 @@ impl MembershipOracle for CompiledOracle {
 pub trait MembershipOracle {
     /// Labels one membership question.
     fn ask(&mut self, question: &Obj) -> Response;
+
+    /// Labels one question, or `None` once the oracle has stopped
+    /// answering (its user went away). Learners and verification then
+    /// end with [`LearnError::Stopped`](crate::learn::LearnError::Stopped)
+    /// instead of asking on. Wrapping oracles forward it.
+    fn try_ask(&mut self, question: &Obj) -> Option<Response> {
+        Some(self.ask(question))
+    }
 }
 
 impl<T: MembershipOracle + ?Sized> MembershipOracle for &mut T {
     fn ask(&mut self, question: &Obj) -> Response {
         (**self).ask(question)
     }
+
+    fn try_ask(&mut self, question: &Obj) -> Option<Response> {
+        (**self).try_ask(question)
+    }
 }
 
 impl MembershipOracle for Box<dyn MembershipOracle + '_> {
     fn ask(&mut self, question: &Obj) -> Response {
         (**self).ask(question)
+    }
+
+    fn try_ask(&mut self, question: &Obj) -> Option<Response> {
+        (**self).try_ask(question)
     }
 }
 
@@ -272,14 +288,18 @@ impl<O: MembershipOracle> ReplayOracle<O> {
 
 impl<O: MembershipOracle> MembershipOracle for ReplayOracle<O> {
     fn ask(&mut self, question: &Obj) -> Response {
+        self.try_ask(question).unwrap_or(Response::NonAnswer)
+    }
+
+    fn try_ask(&mut self, question: &Obj) -> Option<Response> {
         if let Some(&r) = self.cache.get(question) {
             self.replayed += 1;
-            return r;
+            return Some(r);
         }
         self.fresh += 1;
-        let r = self.inner.ask(question);
+        let r = self.inner.try_ask(question)?;
         self.cache.insert(question.clone(), r);
-        r
+        Some(r)
     }
 }
 

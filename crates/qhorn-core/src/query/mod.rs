@@ -33,66 +33,23 @@ pub struct Query {
 mod json {
     use super::{Expr, Query};
     use crate::var::{VarId, VarSet};
-    use qhorn_json::{FromJson, Json, JsonError, ToJson};
+    use qhorn_json::JsonError;
 
-    impl ToJson for Expr {
-        fn to_json(&self) -> Json {
-            // Externally tagged, mirroring a derived enum representation.
-            match self {
-                Expr::UniversalHorn { body, head } => Json::object([(
-                    "UniversalHorn",
-                    Json::object([("body", body.to_json()), ("head", head.to_json())]),
-                )]),
-                Expr::ExistentialHorn { body, head } => Json::object([(
-                    "ExistentialHorn",
-                    Json::object([("body", body.to_json()), ("head", head.to_json())]),
-                )]),
-                Expr::ExistentialConj { vars } => {
-                    Json::object([("ExistentialConj", Json::object([("vars", vars.to_json())]))])
-                }
-            }
+    // Externally tagged, mirroring a derived enum representation.
+    qhorn_json::wire! {
+        enum Expr external "expression" {
+            UniversalHorn { body: VarSet, head: VarId },
+            ExistentialHorn { body: VarSet, head: VarId },
+            ExistentialConj { vars: VarSet },
         }
     }
 
-    impl FromJson for Expr {
-        fn from_json(j: &Json) -> Result<Self, JsonError> {
-            let pairs = j
-                .as_obj()
-                .ok_or_else(|| JsonError::msg("expected expression object"))?;
-            let [(tag, inner)] = pairs else {
-                return Err(JsonError::msg("expected a single-variant expression tag"));
-            };
-            match tag.as_str() {
-                "UniversalHorn" => Ok(Expr::UniversalHorn {
-                    body: VarSet::from_json(inner.field("body")?)?,
-                    head: VarId::from_json(inner.field("head")?)?,
-                }),
-                "ExistentialHorn" => Ok(Expr::ExistentialHorn {
-                    body: VarSet::from_json(inner.field("body")?)?,
-                    head: VarId::from_json(inner.field("head")?)?,
-                }),
-                "ExistentialConj" => Ok(Expr::ExistentialConj {
-                    vars: VarSet::from_json(inner.field("vars")?)?,
-                }),
-                other => Err(JsonError::msg(format!(
-                    "unknown expression variant `{other}`"
-                ))),
-            }
-        }
+    qhorn_json::wire! {
+        struct Query { n: u16, exprs: Vec<Expr> } check validated
     }
 
-    impl ToJson for Query {
-        fn to_json(&self) -> Json {
-            Json::object([("n", self.n.to_json()), ("exprs", self.exprs.to_json())])
-        }
-    }
-
-    impl FromJson for Query {
-        fn from_json(j: &Json) -> Result<Self, JsonError> {
-            let n = u16::from_json(j.field("n")?)?;
-            let exprs = Vec::<Expr>::from_json(j.field("exprs")?)?;
-            Query::new(n, exprs).map_err(|e| JsonError::msg(e.to_string()))
-        }
+    fn validated(q: Query) -> Result<Query, JsonError> {
+        Query::new(q.n, q.exprs).map_err(|e| JsonError::msg(e.to_string()))
     }
 }
 

@@ -23,27 +23,22 @@ pub struct BoolTuple {
 mod json {
     use super::BoolTuple;
     use crate::var::VarSet;
-    use qhorn_json::{FromJson, Json, JsonError, ToJson};
+    use qhorn_json::JsonError;
 
-    impl ToJson for BoolTuple {
-        fn to_json(&self) -> Json {
-            Json::object([("n", self.n.to_json()), ("trues", self.trues.to_json())])
-        }
+    qhorn_json::wire! {
+        struct BoolTuple { n: u16, trues: VarSet } check in_range
     }
 
-    impl FromJson for BoolTuple {
-        fn from_json(j: &Json) -> Result<Self, JsonError> {
-            let n = u16::from_json(j.field("n")?)?;
-            let trues = VarSet::from_json(j.field("trues")?)?;
-            if let Some(max) = trues.iter().last() {
-                if max.index() >= n as usize {
-                    return Err(JsonError::msg(format!(
-                        "variable {max} out of range for arity {n}"
-                    )));
-                }
+    fn in_range(t: BoolTuple) -> Result<BoolTuple, JsonError> {
+        if let Some(max) = t.trues.iter().last() {
+            if max.index() >= t.n as usize {
+                return Err(JsonError::msg(format!(
+                    "variable {max} out of range for arity {}",
+                    t.n
+                )));
             }
-            Ok(BoolTuple { n, trues })
         }
+        Ok(t)
     }
 }
 

@@ -73,6 +73,16 @@ enum Words {
     Spilled(Vec<u64>),
 }
 
+impl Words {
+    fn as_slice(&self) -> &[u64] {
+        match self {
+            Words::Inline(0) => &[],
+            Words::Inline(w) => std::slice::from_ref(w),
+            Words::Spilled(v) => v,
+        }
+    }
+}
+
 /// A set of Boolean variables, stored as a bitset.
 ///
 /// The representation is canonical: two `VarSet`s are `==` iff they
@@ -193,11 +203,7 @@ impl VarSet {
     /// The canonical word sequence (no trailing zero words; empty for the
     /// empty set).
     fn word_slice(&self) -> &[u64] {
-        match &self.words {
-            Words::Inline(0) => &[],
-            Words::Inline(w) => std::slice::from_ref(w),
-            Words::Spilled(v) => v,
-        }
+        self.words.as_slice()
     }
 
     /// Restores the canonical invariant after a mutation that may have
@@ -472,7 +478,7 @@ impl fmt::Debug for VarSet {
 
 #[cfg(feature = "json")]
 mod json {
-    use super::{VarId, VarSet};
+    use super::{VarId, VarSet, Words};
     use qhorn_json::{FromJson, Json, JsonError, ToJson};
 
     impl ToJson for VarId {
@@ -487,18 +493,27 @@ mod json {
         }
     }
 
-    impl ToJson for VarSet {
+    /// The canonical word sequence, as a JSON array of `u64`.
+    impl ToJson for Words {
         fn to_json(&self) -> Json {
-            Json::object([("words", self.word_slice().to_vec().to_json())])
+            self.as_slice().to_vec().to_json()
         }
     }
 
-    impl FromJson for VarSet {
+    impl FromJson for Words {
         fn from_json(j: &Json) -> Result<Self, JsonError> {
-            let words = Vec::<u64>::from_json(j.field("words")?)?;
-            // Re-canonicalize: payloads may carry zero words.
-            Ok(VarSet::from_words(words))
+            Vec::<u64>::from_json(j).map(Words::Spilled)
         }
+    }
+
+    qhorn_json::wire! {
+        struct VarSet { words: Words } check canonical
+    }
+
+    /// Re-canonicalize: payloads may carry zero words.
+    fn canonical(mut s: VarSet) -> Result<VarSet, JsonError> {
+        s.canonicalize();
+        Ok(s)
     }
 }
 

@@ -2,6 +2,7 @@
 //! iff the user agrees with every expected label.
 
 use super::set::{QuestionKind, VerificationQuestion, VerificationSet};
+use crate::learn::LearnError;
 use crate::object::{Obj, Response};
 use crate::oracle::{CompiledOracle, MembershipOracle};
 use crate::query::Query;
@@ -61,19 +62,36 @@ impl VerificationOutcome {
 impl VerificationSet {
     /// Presents the verification questions to `user` in order, stopping at
     /// the first disagreement.
+    ///
+    /// # Panics
+    /// If `user` stops answering; use [`VerificationSet::try_verify`] for
+    /// oracles that can.
     pub fn verify<O: MembershipOracle + ?Sized>(&self, user: &mut O) -> VerificationOutcome {
+        self.try_verify(user)
+            .expect("oracle stopped answering; use try_verify")
+    }
+
+    /// [`VerificationSet::verify`] for an oracle that may stop answering.
+    ///
+    /// # Errors
+    /// [`LearnError::Stopped`] when [`MembershipOracle::try_ask`] returns
+    /// `None`.
+    pub fn try_verify<O: MembershipOracle + ?Sized>(
+        &self,
+        user: &mut O,
+    ) -> Result<VerificationOutcome, LearnError> {
         for (index, item) in self.questions().iter().enumerate() {
-            let got = user.ask(&item.question);
+            let got = user.try_ask(&item.question).ok_or(LearnError::Stopped)?;
             if got != item.expected {
-                return VerificationOutcome::Refuted {
+                return Ok(VerificationOutcome::Refuted {
                     questions: index + 1,
                     discrepancy: discrepancy_of(index, item, got),
-                };
+                });
             }
         }
-        VerificationOutcome::Verified {
+        Ok(VerificationOutcome::Verified {
             questions: self.len(),
-        }
+        })
     }
 
     /// Presents *all* questions regardless of disagreements, returning

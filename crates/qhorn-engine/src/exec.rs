@@ -45,40 +45,13 @@ impl ExecStats {
     }
 }
 
-mod json {
-    use super::ExecStats;
-    use qhorn_json::{FromJson, Json, JsonError, ToJson};
-
-    /// Additive-versioning decode: absent field ⇒ 0 ("not recorded").
-    fn u64_or_zero(j: &Json, key: &str) -> Result<u64, JsonError> {
-        match j.get(key) {
-            None => Ok(0),
-            Some(v) => u64::from_json(v),
-        }
-    }
-
-    impl ToJson for ExecStats {
-        fn to_json(&self) -> Json {
-            Json::object([
-                ("objects", self.objects.to_json()),
-                ("signatures_evaluated", self.signatures_evaluated.to_json()),
-                ("answers", self.answers.to_json()),
-                ("threads_used", self.threads_used.to_json()),
-                ("eval_nanos", self.eval_nanos.to_json()),
-            ])
-        }
-    }
-
-    impl FromJson for ExecStats {
-        fn from_json(j: &Json) -> Result<Self, JsonError> {
-            Ok(ExecStats {
-                objects: usize::from_json(j.field("objects")?)?,
-                signatures_evaluated: usize::from_json(j.field("signatures_evaluated")?)?,
-                answers: usize::from_json(j.field("answers")?)?,
-                threads_used: u64_or_zero(j, "threads_used")? as usize,
-                eval_nanos: u64_or_zero(j, "eval_nanos")?,
-            })
-        }
+qhorn_json::wire! {
+    struct ExecStats {
+        objects: usize,
+        signatures_evaluated: usize,
+        answers: usize,
+        threads_used: usize [default],
+        eval_nanos: u64 [default],
     }
 }
 

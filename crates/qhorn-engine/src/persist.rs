@@ -45,22 +45,8 @@ struct StorePayload {
     objects: Vec<Obj>,
 }
 
-impl ToJson for StorePayload {
-    fn to_json(&self) -> Json {
-        Json::object([
-            ("arity", self.arity.to_json()),
-            ("objects", self.objects.to_json()),
-        ])
-    }
-}
-
-impl FromJson for StorePayload {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(StorePayload {
-            arity: u16::from_json(j.field("arity")?)?,
-            objects: Vec::<Obj>::from_json(j.field("objects")?)?,
-        })
-    }
+qhorn_json::wire! {
+    struct StorePayload { arity: u16, objects: Vec<Obj> }
 }
 
 /// Serializes a store (arity + objects, ids preserved by position).
@@ -135,24 +121,8 @@ impl SessionSnapshot {
     }
 }
 
-impl ToJson for Exchange {
-    fn to_json(&self) -> Json {
-        Json::object([
-            ("question", self.question.to_json()),
-            ("from_store", self.from_store.to_json()),
-            ("response", self.response.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Exchange {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(Exchange {
-            question: Obj::from_json(j.field("question")?)?,
-            from_store: bool::from_json(j.field("from_store")?)?,
-            response: Response::from_json(j.field("response")?)?,
-        })
-    }
+qhorn_json::wire! {
+    struct Exchange { question: Obj, from_store: bool, response: Response }
 }
 
 impl ToJson for LearnerKind {
@@ -169,21 +139,42 @@ impl FromJson for LearnerKind {
     }
 }
 
-impl ToJson for SessionSnapshot {
-    fn to_json(&self) -> Json {
-        Json::object([
-            ("transcript", self.transcript.to_json()),
-            ("learned", self.learned.to_json()),
-        ])
-    }
+qhorn_json::wire! {
+    struct SessionSnapshot { transcript: Vec<Exchange>, learned: Option<Query> }
 }
 
-impl FromJson for SessionSnapshot {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(SessionSnapshot {
-            transcript: Vec::<Exchange>::from_json(j.field("transcript")?)?,
-            learned: Option::<Query>::from_json(j.field("learned")?)?,
-        })
+/// `[with = corrections]`: `(transcript index, corrected label)` pairs as
+/// `[index, response]` arrays (the `correct` request and the store's
+/// `corrected` record).
+pub mod corrections {
+    use qhorn_core::Response;
+    use qhorn_json::{FromJson, Json, JsonError, ToJson};
+
+    /// Encodes each pair as a two-element array.
+    #[must_use]
+    pub fn to_json(pairs: &[(usize, Response)]) -> Json {
+        Json::array(
+            pairs
+                .iter()
+                .map(|(i, r)| Json::array([i.to_json(), r.to_json()])),
+        )
+    }
+
+    /// Decodes `[[index, response], ...]`.
+    ///
+    /// # Errors
+    /// [`JsonError`] when the value is not an array of `[index, response]`.
+    pub fn from_json(j: &Json) -> Result<Vec<(usize, Response)>, JsonError> {
+        let pairs = j
+            .as_arr()
+            .ok_or_else(|| JsonError::msg("corrections must be an array"))?;
+        pairs
+            .iter()
+            .map(|p| match p.as_arr() {
+                Some([i, r]) => Ok((usize::from_json(i)?, Response::from_json(r)?)),
+                _ => Err(JsonError::msg("correction must be [index, response]")),
+            })
+            .collect()
     }
 }
 

@@ -157,20 +157,21 @@ impl<'a> Session<'a> {
     ///
     /// # Errors
     /// [`LearnError`] from the underlying learner.
-    pub fn learn_qhorn1<F>(
+    pub fn learn_qhorn1<F, R>(
         &mut self,
         opts: &LearnOptions,
         mut respond: F,
     ) -> Result<LearnOutcome, LearnError>
     where
-        F: FnMut(&RealizedQuestion) -> Response,
+        F: FnMut(&RealizedQuestion) -> R,
+        R: Into<Option<Response>>,
     {
         let n = self.store.bridge().n();
         let mut oracle = SessionOracle {
             session_store: self.store,
             hints: &self.hints,
             transcript: &mut self.transcript,
-            respond: &mut respond,
+            respond: &mut |r| respond(r).into(),
         };
         learn_qhorn1(n, &mut oracle, opts)
     }
@@ -179,20 +180,21 @@ impl<'a> Session<'a> {
     ///
     /// # Errors
     /// [`LearnError`] from the underlying learner.
-    pub fn learn_role_preserving<F>(
+    pub fn learn_role_preserving<F, R>(
         &mut self,
         opts: &LearnOptions,
         mut respond: F,
     ) -> Result<LearnOutcome, LearnError>
     where
-        F: FnMut(&RealizedQuestion) -> Response,
+        F: FnMut(&RealizedQuestion) -> R,
+        R: Into<Option<Response>>,
     {
         let n = self.store.bridge().n();
         let mut oracle = SessionOracle {
             session_store: self.store,
             hints: &self.hints,
             transcript: &mut self.transcript,
-            respond: &mut respond,
+            respond: &mut |r| respond(r).into(),
         };
         learn_role_preserving(n, &mut oracle, opts)
     }
@@ -200,23 +202,26 @@ impl<'a> Session<'a> {
     /// Verifies a given query against the user (§4).
     ///
     /// # Errors
-    /// [`qhorn_core::query::ClassError`] if `given` is not role-preserving.
-    pub fn verify<F>(
+    /// [`VerifyError::Class`] if `given` is not role-preserving;
+    /// [`VerifyError::Stopped`] if `respond` stopped answering (`None`).
+    pub fn verify<F, R>(
         &mut self,
         given: &Query,
         mut respond: F,
-    ) -> Result<VerificationOutcome, qhorn_core::query::ClassError>
+    ) -> Result<VerificationOutcome, VerifyError>
     where
-        F: FnMut(&RealizedQuestion) -> Response,
+        F: FnMut(&RealizedQuestion) -> R,
+        R: Into<Option<Response>>,
     {
         let set = VerificationSet::build(given)?;
         let mut oracle = SessionOracle {
             session_store: self.store,
             hints: &self.hints,
             transcript: &mut self.transcript,
-            respond: &mut respond,
+            respond: &mut |r| respond(r).into(),
         };
-        Ok(set.verify(&mut oracle))
+        set.try_verify(&mut oracle)
+            .map_err(|_| VerifyError::Stopped)
     }
 
     /// The session transcript (the response history a UI would show).
@@ -234,14 +239,15 @@ impl<'a> Session<'a> {
     ///
     /// # Errors
     /// [`LearnError`] from the underlying learner.
-    pub fn relearn_with_corrections<F>(
+    pub fn relearn_with_corrections<F, R>(
         &mut self,
         corrections: &[(usize, Response)],
         opts: &LearnOptions,
         respond: F,
     ) -> Result<LearnOutcome, LearnError>
     where
-        F: FnMut(&RealizedQuestion) -> Response,
+        F: FnMut(&RealizedQuestion) -> R,
+        R: Into<Option<Response>>,
     {
         self.relearn_with_corrections_as(LearnerKind::RolePreserving, corrections, opts, respond)
     }
@@ -250,7 +256,7 @@ impl<'a> Session<'a> {
     ///
     /// # Errors
     /// [`LearnError`] from the underlying learner.
-    pub fn relearn_with_corrections_as<F>(
+    pub fn relearn_with_corrections_as<F, R>(
         &mut self,
         kind: LearnerKind,
         corrections: &[(usize, Response)],
@@ -258,7 +264,8 @@ impl<'a> Session<'a> {
         mut respond: F,
     ) -> Result<LearnOutcome, LearnError>
     where
-        F: FnMut(&RealizedQuestion) -> Response,
+        F: FnMut(&RealizedQuestion) -> R,
+        R: Into<Option<Response>>,
     {
         // Corrections become part of the authoritative transcript, so a
         // later replay (another correction round, a snapshot restore)
@@ -280,7 +287,7 @@ impl<'a> Session<'a> {
                 session_store: self.store,
                 hints: &self.hints,
                 transcript: &mut fresh_transcript,
-                respond: &mut respond,
+                respond: &mut |r| respond(r).into(),
             };
             let mut replay = ReplayOracle::new(&mut inner, cache);
             match kind {
@@ -293,19 +300,49 @@ impl<'a> Session<'a> {
     }
 }
 
+/// Why [`Session::verify`] produced no outcome.
+#[derive(Debug)]
+pub enum VerifyError {
+    /// The given query is not role-preserving.
+    Class(qhorn_core::query::ClassError),
+    /// The user callback stopped answering.
+    Stopped,
+}
+
+impl From<qhorn_core::query::ClassError> for VerifyError {
+    fn from(e: qhorn_core::query::ClassError) -> Self {
+        VerifyError::Class(e)
+    }
+}
+
+impl std::fmt::Display for VerifyError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            VerifyError::Class(e) => e.fmt(f),
+            VerifyError::Stopped => f.write_str("the user stopped answering"),
+        }
+    }
+}
+
+impl std::error::Error for VerifyError {}
+
 /// Oracle adapter: realize each Boolean question, ask the callback, record
-/// the exchange. Unrealizable patterns (joint proposition interference)
+/// the exchange. A callback answering `None` stops the learner. Unrealizable patterns (joint proposition interference)
 /// are answered `NonAnswer` — no data object can exhibit them, so no
 /// object the user cares about has the pattern.
 struct SessionOracle<'s, 'f> {
     session_store: &'s DataStore,
     hints: &'s DomainHints,
     transcript: &'f mut Vec<Exchange>,
-    respond: &'f mut dyn FnMut(&RealizedQuestion) -> Response,
+    respond: &'f mut dyn FnMut(&RealizedQuestion) -> Option<Response>,
 }
 
 impl MembershipOracle for SessionOracle<'_, '_> {
     fn ask(&mut self, question: &Obj) -> Response {
+        self.try_ask(question).unwrap_or(Response::NonAnswer)
+    }
+
+    fn try_ask(&mut self, question: &Obj) -> Option<Response> {
         let realized = {
             let session = Session {
                 store: self.session_store,
@@ -316,13 +353,13 @@ impl MembershipOracle for SessionOracle<'_, '_> {
         };
         match realized {
             Ok(r) => {
-                let response = (self.respond)(&r);
+                let response = (self.respond)(&r)?;
                 self.transcript.push(Exchange {
                     question: question.clone(),
                     from_store: r.is_stored(),
                     response,
                 });
-                response
+                Some(response)
             }
             Err(_) => {
                 self.transcript.push(Exchange {
@@ -330,7 +367,7 @@ impl MembershipOracle for SessionOracle<'_, '_> {
                     from_store: false,
                     response: Response::NonAnswer,
                 });
-                Response::NonAnswer
+                Some(Response::NonAnswer)
             }
         }
     }
@@ -472,12 +509,11 @@ mod tests {
         // The SessionOracle path converts that into NonAnswer rather than
         // failing the whole session.
         let mut transcript = Vec::new();
-        let mut respond = |_: &RealizedQuestion| Response::Answer;
         let mut oracle = SessionOracle {
             session_store: &ds,
             hints: &DomainHints::none(),
             transcript: &mut transcript,
-            respond: &mut respond,
+            respond: &mut |_| Some(Response::Answer),
         };
         assert_eq!(oracle.ask(&Obj::from_bits("11")), Response::NonAnswer);
         assert_eq!(transcript.len(), 1);

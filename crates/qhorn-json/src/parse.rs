@@ -4,6 +4,7 @@ use crate::{Json, JsonError};
 
 pub(crate) fn parse(s: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        text: s,
         bytes: s.as_bytes(),
         pos: 0,
     };
@@ -19,6 +20,7 @@ pub(crate) fn parse(s: &str) -> Result<Json, JsonError> {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -159,14 +161,17 @@ impl Parser<'_> {
                     return Err(JsonError::at("control character in string", self.pos))
                 }
                 Some(_) => {
-                    // Copy one UTF-8 scalar (input is a &str, so boundaries
-                    // are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| JsonError::at("invalid utf-8", self.pos))?;
-                    let ch = s.chars().next().expect("non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the whole run up to the next quote, escape or
+                    // control byte at once. Those are ASCII, so the run
+                    // ends on a char boundary of the `&str` input.
+                    let start = self.pos;
+                    while self
+                        .peek()
+                        .is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20)
+                    {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }

@@ -15,7 +15,7 @@
 //! | `print-in-lib` | library code logs through `log.rs`, never prints directly (bins exempt) |
 //! | `raw-mutex` | every lock is a class-tagged `OrderedMutex`/`OrderedRwLock`; raw `std::sync` construction is invisible to lockdep |
 //! | `wall-clock-in-reply` | reply-construction paths never read `SystemTime::now` |
-//! | `wire-schema` | wire field sets only grow; deletions/re-types fail against `tests/wire_golden/`, additions require `--bless` |
+//! | `wire-schema` | `wire!`-declared field sets only grow; deletions/re-types fail against `tests/wire_golden/`, additions require `--bless`; hand-written keyed codecs are rejected |
 //!
 //! CI runs the binary as a tier-1 gate, and
 //! `tests/workspace_clean.rs` runs the same analysis under plain
@@ -262,7 +262,8 @@ pub fn run(opts: &Options) -> std::io::Result<Report> {
         let text = std::fs::read_to_string(&path)?;
         let scan = scan::scan_source(&text);
         rules::check_file(&rel, &scan, &mut raw_findings);
-        wire::extract_file(crate_of(&rel), &rel, &scan, &mut observed);
+        wire::extract_file(crate_of(&rel), &rel, &text, &scan, &mut observed);
+        wire::check_handwritten(crate_of(&rel), &rel, &scan, &mut raw_findings);
         for (rule, line) in &scan.allows {
             allows.push((rule.clone(), rel.clone(), *line + 1));
         }

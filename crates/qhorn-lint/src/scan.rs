@@ -15,11 +15,6 @@ pub struct FileScan {
     /// Source lines with comments and literal contents blanked to
     /// spaces (delimiters kept). Same line/column geometry as the input.
     pub masked_lines: Vec<String>,
-    /// Every string literal: `(0-based line of its opening quote,
-    /// unescaped-ish content)`. Content is the raw slice between the
-    /// delimiters — good enough for identifier-shaped keys, which never
-    /// contain escapes.
-    pub strings: Vec<(usize, String)>,
     /// `(rule, 0-based line)` pairs from `qhorn-lint: allow(rule)`
     /// comments. The line is the one the suppression covers: the
     /// comment's own line for trailing comments, the following line for
@@ -33,7 +28,6 @@ pub fn scan_source(src: &str) -> FileScan {
     let chars: Vec<char> = src.chars().collect();
     let n = chars.len();
     let mut masked_lines: Vec<String> = vec![String::new()];
-    let mut strings = Vec::new();
     // (start line, text, had code before it on its line)
     let mut comments: Vec<(usize, String, bool)> = Vec::new();
     let mut line = 0usize;
@@ -115,8 +109,6 @@ pub fn scan_source(src: &str) -> FileScan {
                 while i <= j {
                     mask!();
                 }
-                let start_line = line;
-                let mut content = String::new();
                 'raw: while i < n {
                     if chars[i] == '"' {
                         // Closing requires `"` + `hashes` × `#`.
@@ -133,10 +125,8 @@ pub fn scan_source(src: &str) -> FileScan {
                             break 'raw;
                         }
                     }
-                    content.push(chars[i]);
                     mask!();
                 }
-                strings.push((start_line, content));
                 continue;
             }
             // Not a raw string; fall through to copy the char.
@@ -148,12 +138,8 @@ pub fn scan_source(src: &str) -> FileScan {
             }
             push!('"');
             i += 1;
-            let start_line = line;
-            let mut content = String::new();
             while i < n {
                 if chars[i] == '\\' && i + 1 < n {
-                    content.push(chars[i]);
-                    content.push(chars[i + 1]);
                     mask!();
                     mask!();
                     continue;
@@ -163,10 +149,8 @@ pub fn scan_source(src: &str) -> FileScan {
                     i += 1;
                     break;
                 }
-                content.push(chars[i]);
                 mask!();
             }
-            strings.push((start_line, content));
             continue;
         }
         // Char literal vs lifetime: 'x' / '\n' are literals, 'a (no
@@ -222,7 +206,6 @@ pub fn scan_source(src: &str) -> FileScan {
     let test_lines = mark_test_regions(&masked_lines);
     FileScan {
         masked_lines,
-        strings,
         allows,
         test_lines,
     }
@@ -331,15 +314,11 @@ mod tests {
         for line in &scan.masked_lines {
             assert!(!line.contains(".lock()"), "leaked into mask: {line}");
         }
-        assert_eq!(scan.strings.len(), 1);
-        assert_eq!(scan.strings[0].1, ".lock().unwrap()");
     }
 
     #[test]
     fn raw_strings_and_lifetimes() {
         let scan = scan_source("fn f<'a>(x: &'a str) { let s = r#\"println!(\"hi\")\"#; }");
-        assert_eq!(scan.strings.len(), 1);
-        assert!(scan.strings[0].1.contains("println!"));
         assert!(!scan.masked_lines[0].contains("println!"));
         // The generic parameter survived masking (it is code).
         assert!(scan.masked_lines[0].contains("fn f<'a>"));

@@ -1,8 +1,9 @@
 //! The tier-1 gate: plain `cargo test` runs the full analysis over the
 //! real workspace, so the lint cannot be forgotten even when CI's
 //! explicit `cargo run -p qhorn-lint` step is not wired up. Also covers
-//! the acceptance scenario for the wire rule: a simulated field
-//! deletion against mutated golden fixtures must fail.
+//! the acceptance scenarios for the wire rule: a simulated field
+//! deletion or re-type against mutated golden fixtures, and a field
+//! re-typed in a copied source tree, must fail.
 
 use qhorn_lint::{run, Options, RULE_WIRE_SCHEMA};
 use std::path::PathBuf;
@@ -73,8 +74,8 @@ fn golden_fixture_rule_fails_on_simulated_field_deletion() {
     let engine = scratch.join("qhorn-engine.json");
     let doc = std::fs::read_to_string(&engine).expect("read fixture");
     let mutated = doc.replace(
-        "\"threads_used\": \"json\"",
-        "\"threads_used\": \"json\",\n        \"threads_used_v2\": \"json\"",
+        "\"threads_used\": \"usize [default]\"",
+        "\"threads_used\": \"usize [default]\",\n        \"threads_used_v2\": \"u64\"",
     );
     assert_ne!(doc, mutated, "fixture layout changed; update the test");
     std::fs::write(&engine, mutated).expect("write fixture");
@@ -109,7 +110,10 @@ fn golden_fixture_rule_fails_on_simulated_retype() {
     }
     let engine = scratch.join("qhorn-engine.json");
     let doc = std::fs::read_to_string(&engine).expect("read fixture");
-    let mutated = doc.replace("\"eval_nanos\": \"u64_or_zero\"", "\"eval_nanos\": \"str\"");
+    let mutated = doc.replace(
+        "\"eval_nanos\": \"u64 [default]\"",
+        "\"eval_nanos\": \"String\"",
+    );
     assert_ne!(doc, mutated, "fixture layout changed; update the test");
     std::fs::write(&engine, mutated).expect("write fixture");
 
@@ -121,6 +125,50 @@ fn golden_fixture_rule_fails_on_simulated_retype() {
             .violations
             .iter()
             .any(|f| f.rule == RULE_WIRE_SCHEMA && f.message.contains("re-typed")),
+        "expected a re-type finding, got:\n{}",
+        report.render_text()
+    );
+    let _ = std::fs::remove_dir_all(&scratch);
+}
+
+/// Re-typing an encoded field in the source (`u64` → `String`) must fail
+/// against the committed fixtures. Simulated on a copy of the engine
+/// crate's sources, with the real `qhorn-engine.json` fixture.
+#[test]
+fn golden_fixture_rule_fails_on_source_retype() {
+    let root = workspace_root();
+    let scratch =
+        std::env::temp_dir().join(format!("qhorn-lint-source-retype-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&scratch);
+    let src = scratch.join("crates/qhorn-engine/src");
+    let golden = scratch.join("golden");
+    std::fs::create_dir_all(&src).expect("scratch src dir");
+    std::fs::create_dir_all(&golden).expect("scratch golden dir");
+    for entry in std::fs::read_dir(root.join("crates/qhorn-engine/src")).expect("engine src") {
+        let path = entry.expect("entry").path();
+        std::fs::copy(&path, src.join(path.file_name().expect("name"))).expect("copy");
+    }
+    std::fs::copy(
+        root.join("tests/wire_golden/qhorn-engine.json"),
+        golden.join("qhorn-engine.json"),
+    )
+    .expect("copy fixture");
+    let exec = src.join("exec.rs");
+    let text = std::fs::read_to_string(&exec).expect("read exec.rs");
+    let mutated = text.replace("eval_nanos: u64 [default]", "eval_nanos: String [default]");
+    assert_ne!(
+        text, mutated,
+        "ExecStats declaration changed; update the test"
+    );
+    std::fs::write(&exec, mutated).expect("write exec.rs");
+
+    let mut opts = Options::new(scratch.clone());
+    opts.golden_dir = Some(golden);
+    let report = run(&opts).expect("lint run");
+    assert!(
+        report.violations.iter().any(|f| f.rule == RULE_WIRE_SCHEMA
+            && f.message
+                .contains("`eval_nanos` of `ExecStats` (ToJson) re-typed")),
         "expected a re-type finding, got:\n{}",
         report.render_text()
     );

@@ -26,31 +26,11 @@ use crate::relation::{DataTuple, NestedObject, NestedRelation};
 use crate::schema::{Attr, FlatSchema, NestedSchema};
 use crate::synthesize::DomainHints;
 use crate::value::{AttrType, Value};
+use qhorn_json::wire::map;
 use qhorn_json::{FromJson, Json, JsonError, ToJson};
 
-impl ToJson for AttrType {
-    fn to_json(&self) -> Json {
-        Json::Str(
-            match self {
-                AttrType::Bool => "bool",
-                AttrType::Int => "int",
-                AttrType::Str => "string",
-            }
-            .into(),
-        )
-    }
-}
-
-impl FromJson for AttrType {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        match j.as_str() {
-            Some("bool") => Ok(AttrType::Bool),
-            Some("int") => Ok(AttrType::Int),
-            Some("string") => Ok(AttrType::Str),
-            Some(other) => Err(JsonError::msg(format!("unknown attribute type `{other}`"))),
-            None => Err(JsonError::msg("attribute type must be a string")),
-        }
-    }
+qhorn_json::wire! {
+    enum AttrType string "attribute type" { Bool = "bool", Int = "int", Str = "string" }
 }
 
 impl ToJson for Value {
@@ -76,19 +56,8 @@ impl FromJson for Value {
     }
 }
 
-impl ToJson for Attr {
-    fn to_json(&self) -> Json {
-        Json::object([("name", self.name.to_json()), ("type", self.ty.to_json())])
-    }
-}
-
-impl FromJson for Attr {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(Attr {
-            name: String::from_json(j.field("name")?)?,
-            ty: AttrType::from_json(j.field("type")?)?,
-        })
-    }
+qhorn_json::wire! {
+    struct Attr { name: String, ty as "type": AttrType }
 }
 
 impl ToJson for FlatSchema {
@@ -104,25 +73,12 @@ impl FromJson for FlatSchema {
     }
 }
 
-impl ToJson for NestedSchema {
-    fn to_json(&self) -> Json {
-        Json::object([
-            ("name", self.name.to_json()),
-            ("attrs", self.object_attrs.to_json()),
-            ("embedded_name", self.embedded_name.to_json()),
-            ("embedded", self.embedded.to_json()),
-        ])
-    }
-}
-
-impl FromJson for NestedSchema {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(NestedSchema {
-            name: String::from_json(j.field("name")?)?,
-            object_attrs: FlatSchema::from_json(j.field("attrs")?)?,
-            embedded_name: String::from_json(j.field("embedded_name")?)?,
-            embedded: FlatSchema::from_json(j.field("embedded")?)?,
-        })
+qhorn_json::wire! {
+    struct NestedSchema {
+        name: String,
+        object_attrs as "attrs": FlatSchema,
+        embedded_name: String,
+        embedded: FlatSchema,
     }
 }
 
@@ -157,30 +113,14 @@ impl FromJson for Cmp {
     }
 }
 
-impl ToJson for Proposition {
-    fn to_json(&self) -> Json {
-        Json::object([
-            ("name", self.name.to_json()),
-            ("attr", self.attr.to_json()),
-            ("cmp", self.cmp.to_json()),
-            ("value", self.rhs.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Proposition {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(Proposition {
-            name: String::from_json(j.field("name")?)?,
-            attr: String::from_json(j.field("attr")?)?,
-            // Omitted `cmp` means equality — the overwhelmingly common
-            // case for hand-written uploads (`isDark = true`).
-            cmp: match j.get("cmp") {
-                None => Cmp::Eq,
-                Some(c) => Cmp::from_json(c)?,
-            },
-            rhs: Value::from_json(j.field("value")?)?,
-        })
+// Omitted `cmp` means equality — the overwhelmingly common case for
+// hand-written uploads (`isDark = true`).
+qhorn_json::wire! {
+    struct Proposition {
+        name: String,
+        attr: String,
+        cmp: Cmp [default = Cmp::Eq],
+        rhs as "value": Value,
     }
 }
 
@@ -196,67 +136,42 @@ impl FromJson for DataTuple {
     }
 }
 
-impl ToJson for NestedObject {
-    fn to_json(&self) -> Json {
-        Json::object([
-            ("attrs", self.attrs.to_json()),
-            ("tuples", self.tuples.to_json()),
-        ])
-    }
+qhorn_json::wire! {
+    struct NestedObject { attrs: DataTuple, tuples: Vec<DataTuple> }
 }
 
-impl FromJson for NestedObject {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(NestedObject {
-            attrs: DataTuple::from_json(j.field("attrs")?)?,
-            tuples: Vec::<DataTuple>::from_json(j.field("tuples")?)?,
-        })
-    }
+qhorn_json::wire! {
+    struct NestedRelation { schema: NestedSchema, objects: Vec<NestedObject> } check validated
 }
 
-impl ToJson for NestedRelation {
-    fn to_json(&self) -> Json {
-        Json::object([
-            ("schema", self.schema.to_json()),
-            ("objects", self.objects.to_json()),
-        ])
+/// Schema validation happens here: a type mismatch or arity error in any
+/// tuple rejects the whole relation.
+fn validated(decoded: NestedRelation) -> Result<NestedRelation, JsonError> {
+    let mut rel = NestedRelation::new(decoded.schema);
+    for o in decoded.objects {
+        rel.push(o).map_err(|e| JsonError::msg(e.to_string()))?;
     }
+    Ok(rel)
 }
 
-impl FromJson for NestedRelation {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        let schema = NestedSchema::from_json(j.field("schema")?)?;
-        let objects = Vec::<NestedObject>::from_json(j.field("objects")?)?;
-        let mut rel = NestedRelation::new(schema);
-        for o in objects {
-            // Schema validation happens here: a type mismatch or arity
-            // error in any tuple rejects the whole relation.
-            rel.push(o).map_err(|e| JsonError::msg(e.to_string()))?;
-        }
-        Ok(rel)
-    }
-}
-
+/// An object of `attr → value array`.
 impl ToJson for DomainHints {
     fn to_json(&self) -> Json {
-        Json::Obj(
-            self.entries()
-                .map(|(attr, values)| (attr.to_string(), values.to_vec().to_json()))
-                .collect(),
-        )
+        let entries: Vec<(&str, Vec<Value>)> = self
+            .entries()
+            .map(|(attr, values)| (attr, values.to_vec()))
+            .collect();
+        map::to_json(&entries)
     }
 }
 
 impl FromJson for DomainHints {
     fn from_json(j: &Json) -> Result<Self, JsonError> {
-        let pairs = j
-            .as_obj()
-            .ok_or_else(|| JsonError::msg("hints must be an object of attr → value arrays"))?;
-        let mut hints = DomainHints::none();
-        for (attr, values) in pairs {
-            hints = hints.with(attr, Vec::<Value>::from_json(values)?);
-        }
-        Ok(hints)
+        Ok(map::from_json::<Vec<Value>>(j)?
+            .into_iter()
+            .fold(DomainHints::none(), |hints, (attr, values)| {
+                hints.with(&attr, values)
+            }))
     }
 }
 

@@ -13,7 +13,6 @@ use crate::binding::Booleanizer;
 use crate::proposition::Proposition;
 use crate::relation::NestedRelation;
 use crate::synthesize::DomainHints;
-use qhorn_json::{FromJson, Json, JsonError, ToJson};
 use std::fmt;
 
 /// Longest accepted dataset name (names appear in URLs, log lines, and
@@ -130,37 +129,15 @@ impl DatasetDef {
     }
 }
 
-impl ToJson for DatasetDef {
-    fn to_json(&self) -> Json {
-        Json::object([
-            ("name", self.name.to_json()),
-            ("schema", self.relation.schema.to_json()),
-            ("objects", self.relation.objects.to_json()),
-            ("propositions", self.propositions.to_json()),
-            ("hints", self.hints.to_json()),
-        ])
-    }
-}
-
-impl FromJson for DatasetDef {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        // Reuse NestedRelation's parse (and its schema validation of
-        // every object) by reshaping the flat upload form.
-        let relation = NestedRelation::from_json(&Json::object([
-            ("schema", j.field("schema")?.clone()),
-            ("objects", j.field("objects")?.clone()),
-        ]))?;
-        Ok(DatasetDef {
-            name: String::from_json(j.field("name")?)?,
-            relation,
-            propositions: Vec::<Proposition>::from_json(j.field("propositions")?)?,
-            // Hints are optional on the wire (absent or null = none).
-            hints: match j.get("hints") {
-                None => DomainHints::none(),
-                Some(h) if h.is_null() => DomainHints::none(),
-                Some(h) => DomainHints::from_json(h)?,
-            },
-        })
+// The relation's `schema` and `objects` sit beside the name (decoding
+// runs NestedRelation's schema validation of every object); hints are
+// optional on the wire (absent or null = none).
+qhorn_json::wire! {
+    struct DatasetDef {
+        name: String,
+        relation: NestedRelation [flatten],
+        propositions: Vec<Proposition>,
+        hints: DomainHints [default],
     }
 }
 
@@ -169,6 +146,7 @@ mod tests {
     use super::*;
     use crate::datasets::chocolates;
     use crate::value::Value;
+    use qhorn_json::{Json, ToJson};
 
     fn def() -> DatasetDef {
         DatasetDef {

@@ -13,7 +13,6 @@
 
 use crate::error::ServiceError;
 use qhorn_engine::DataStore;
-use qhorn_json::{FromJson, Json, JsonError, ToJson};
 use qhorn_lockdep::{LockClass, OrderedMutex};
 use qhorn_relation::datasets::{cellars, chocolates};
 use qhorn_relation::synthesize::DomainHints;
@@ -135,28 +134,12 @@ pub struct DatasetInfo {
     pub objects: Option<u64>,
 }
 
-impl ToJson for DatasetInfo {
-    fn to_json(&self) -> Json {
-        Json::object([
-            ("name", self.name.to_json()),
-            ("builtin", self.builtin.to_json()),
-            ("arity", self.arity.to_json()),
-            ("objects", self.objects.to_json()),
-        ])
-    }
-}
-
-impl FromJson for DatasetInfo {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(DatasetInfo {
-            name: String::from_json(j.field("name")?)?,
-            builtin: bool::from_json(j.field("builtin")?)?,
-            arity: u16::from_json(j.field("arity")?)?,
-            objects: match j.get("objects") {
-                None => None,
-                Some(v) => Option::<u64>::from_json(v)?,
-            },
-        })
+qhorn_json::wire! {
+    struct DatasetInfo {
+        name: String,
+        builtin: bool,
+        arity: u16,
+        objects: Option<u64> [default],
     }
 }
 

@@ -8,10 +8,10 @@
 //! registry feeds answers in as protocol requests arrive and receives
 //! questions/results as events.
 //!
-//! If the registry drops its channel ends (session evicted or registry
-//! shut down), the callback feeds `NonAnswer` until the learner
-//! terminates (every learner asks a bounded number of questions), then
-//! the thread exits — no panics, no detached spin.
+//! If the registry drops its channel ends (session closed or evicted, or
+//! registry shut down), the callback stops answering: the learner or
+//! verifier ends at that question with `LearnError::Stopped`, and the
+//! thread exits without realizing any further question.
 
 use crate::metrics::DriverMailbox;
 use qhorn_core::learn::{LearnOptions, LearnOutcome, LearnStats};
@@ -204,31 +204,29 @@ fn run(
 }
 
 /// Builds the oracle callback: ship the realized question out, park until
-/// the answer arrives. On a dead channel (evicted session), answer
-/// `NonAnswer` so the learner terminates on its own bounded schedule.
+/// the answer arrives. On a dead channel (closed or evicted session),
+/// answer `None` so the learner stops at this question.
 fn respond_via<'a>(
     store: &'a Arc<DataStore>,
     ans_rx: &'a mpsc::Receiver<Response>,
     evt_tx: &'a mpsc::Sender<DriverEvent>,
     mail: &'a Arc<DriverMailbox>,
-) -> impl FnMut(&RealizedQuestion) -> Response + 'a {
+) -> impl FnMut(&RealizedQuestion) -> Option<Response> + 'a {
     move |realized: &RealizedQuestion| {
         let question = match store.bridge().booleanize_object(realized.object()) {
             Ok(q) => q,
-            Err(_) => return Response::NonAnswer, // unrealizable; cannot happen for realized objects
+            Err(_) => return Some(Response::NonAnswer), // unrealizable; cannot happen for realized objects
         };
         let out = QuestionOut {
             question,
             rendered: render(realized),
             from_store: realized.is_stored(),
         };
-        if evt_tx.send(DriverEvent::Question(out)).is_err() {
-            return Response::NonAnswer;
-        }
+        evt_tx.send(DriverEvent::Question(out)).ok()?;
         mail.event_sent();
-        let answer = ans_rx.recv().unwrap_or(Response::NonAnswer);
+        let answer = ans_rx.recv().ok()?;
         mail.answer_received();
-        answer
+        Some(answer)
     }
 }
 

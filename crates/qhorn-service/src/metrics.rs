@@ -18,7 +18,7 @@
 //! user's patience.
 
 use qhorn_core::learn::{LearnStats, Phase};
-use qhorn_json::{FromJson, Json, JsonError, ToJson};
+use qhorn_json::wire::map;
 use qhorn_lockdep::{LockClass, OrderedMutex};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -39,29 +39,8 @@ pub fn bucket_bound_nanos(i: usize) -> u64 {
 }
 
 /// The protocol message names latencies are recorded under, in stable
-/// order; [`MetricsSnapshot`] rows use these labels.
-pub const MESSAGE_KINDS: &[&str] = &[
-    "create_session",
-    "upload_dataset",
-    "list_datasets",
-    "drop_dataset",
-    "next_question",
-    "answer",
-    "correct",
-    "verify",
-    "evaluate_batch",
-    "export_query",
-    "close_session",
-    "stats",
-    "metrics",
-    "get_trace",
-    "list_traces",
-    "session_timeline",
-    "health",
-    "profile",
-    "session_resources",
-    "set_trace_config",
-];
+/// order (the request tags); [`MetricsSnapshot`] rows use these labels.
+pub const MESSAGE_KINDS: &[&str] = crate::proto::Request::KINDS;
 
 /// The learner phases exported as question counters, with their stable
 /// Prometheus label values.
@@ -243,60 +222,20 @@ pub struct MetricsSnapshot {
     pub learn_runs: u64,
 }
 
-impl ToJson for HistogramSnapshot {
-    fn to_json(&self) -> Json {
-        Json::object([
-            ("message", self.message.to_json()),
-            ("count", self.count.to_json()),
-            ("sum_nanos", self.sum_nanos.to_json()),
-            ("buckets", self.buckets.to_json()),
-        ])
+qhorn_json::wire! {
+    struct HistogramSnapshot {
+        message: String,
+        count: u64,
+        sum_nanos: u64,
+        buckets: Vec<u64>,
     }
 }
 
-impl FromJson for HistogramSnapshot {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(HistogramSnapshot {
-            message: String::from_json(j.field("message")?)?,
-            count: u64::from_json(j.field("count")?)?,
-            sum_nanos: u64::from_json(j.field("sum_nanos")?)?,
-            buckets: Vec::<u64>::from_json(j.field("buckets")?)?,
-        })
-    }
-}
-
-impl ToJson for MetricsSnapshot {
-    fn to_json(&self) -> Json {
-        Json::object([
-            ("histograms", self.histograms.to_json()),
-            (
-                "phases",
-                Json::Obj(
-                    self.phases
-                        .iter()
-                        .map(|(name, n)| (name.clone(), n.to_json()))
-                        .collect(),
-                ),
-            ),
-            ("learn_runs", self.learn_runs.to_json()),
-        ])
-    }
-}
-
-impl FromJson for MetricsSnapshot {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        let phases = j
-            .field("phases")?
-            .as_obj()
-            .ok_or_else(|| JsonError::msg("phases must be an object"))?
-            .iter()
-            .map(|(name, v)| Ok((name.clone(), u64::from_json(v)?)))
-            .collect::<Result<Vec<_>, JsonError>>()?;
-        Ok(MetricsSnapshot {
-            histograms: Vec::<HistogramSnapshot>::from_json(j.field("histograms")?)?,
-            phases,
-            learn_runs: u64::from_json(j.field("learn_runs")?)?,
-        })
+qhorn_json::wire! {
+    struct MetricsSnapshot {
+        histograms: Vec<HistogramSnapshot>,
+        phases: Vec<(String, u64)> [with = map],
+        learn_runs: u64,
     }
 }
 
@@ -399,33 +338,16 @@ pub struct PoolSnapshot {
     pub queue_wait_nanos: u64,
 }
 
-impl ToJson for PoolSnapshot {
-    fn to_json(&self) -> Json {
-        Json::object([
-            ("name", self.name.to_json()),
-            ("workers", self.workers.to_json()),
-            ("busy", self.busy.to_json()),
-            ("queue_depth", self.queue_depth.to_json()),
-            ("queue_peak", self.queue_peak.to_json()),
-            ("enqueued", self.enqueued.to_json()),
-            ("dequeued", self.dequeued.to_json()),
-            ("queue_wait_nanos", self.queue_wait_nanos.to_json()),
-        ])
-    }
-}
-
-impl FromJson for PoolSnapshot {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(PoolSnapshot {
-            name: String::from_json(j.field("name")?)?,
-            workers: u64::from_json(j.field("workers")?)?,
-            busy: u64::from_json(j.field("busy")?)?,
-            queue_depth: u64::from_json(j.field("queue_depth")?)?,
-            queue_peak: u64::from_json(j.field("queue_peak")?)?,
-            enqueued: u64::from_json(j.field("enqueued")?)?,
-            dequeued: u64::from_json(j.field("dequeued")?)?,
-            queue_wait_nanos: u64::from_json(j.field("queue_wait_nanos")?)?,
-        })
+qhorn_json::wire! {
+    struct PoolSnapshot {
+        name: String,
+        workers: u64,
+        busy: u64,
+        queue_depth: u64,
+        queue_peak: u64,
+        enqueued: u64,
+        dequeued: u64,
+        queue_wait_nanos: u64,
     }
 }
 
@@ -469,7 +391,7 @@ impl DriverMailbox {
         self.answers_sent.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A driver consumed a user answer.
+    /// A driver consumed a user answer (a closed channel is not one).
     pub fn answer_received(&self) {
         self.answers_received.fetch_add(1, Ordering::Relaxed);
     }
@@ -502,33 +424,19 @@ pub struct MailboxSnapshot {
     pub events_received: u64,
     /// User answers forwarded to drivers.
     pub answers_sent: u64,
-    /// User answers drivers consumed.
+    /// User answers drivers consumed (real answers only; a driver that
+    /// finds its session closed stops without counting one).
     pub answers_received: u64,
 }
 
-impl ToJson for MailboxSnapshot {
-    fn to_json(&self) -> Json {
-        Json::object([
-            ("cmds_sent", self.cmds_sent.to_json()),
-            ("cmds_received", self.cmds_received.to_json()),
-            ("events_sent", self.events_sent.to_json()),
-            ("events_received", self.events_received.to_json()),
-            ("answers_sent", self.answers_sent.to_json()),
-            ("answers_received", self.answers_received.to_json()),
-        ])
-    }
-}
-
-impl FromJson for MailboxSnapshot {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(MailboxSnapshot {
-            cmds_sent: u64::from_json(j.field("cmds_sent")?)?,
-            cmds_received: u64::from_json(j.field("cmds_received")?)?,
-            events_sent: u64::from_json(j.field("events_sent")?)?,
-            events_received: u64::from_json(j.field("events_received")?)?,
-            answers_sent: u64::from_json(j.field("answers_sent")?)?,
-            answers_received: u64::from_json(j.field("answers_received")?)?,
-        })
+qhorn_json::wire! {
+    struct MailboxSnapshot {
+        cmds_sent: u64,
+        cmds_received: u64,
+        events_sent: u64,
+        events_received: u64,
+        answers_sent: u64,
+        answers_received: u64,
     }
 }
 
@@ -600,31 +508,15 @@ pub struct StoreOpsSnapshot {
     pub compaction_nanos: u64,
 }
 
-impl ToJson for StoreOpsSnapshot {
-    fn to_json(&self) -> Json {
-        Json::object([
-            ("appends", self.appends.to_json()),
-            ("append_nanos", self.append_nanos.to_json()),
-            ("append_bytes", self.append_bytes.to_json()),
-            ("fsyncs", self.fsyncs.to_json()),
-            ("fsync_nanos", self.fsync_nanos.to_json()),
-            ("compactions", self.compactions.to_json()),
-            ("compaction_nanos", self.compaction_nanos.to_json()),
-        ])
-    }
-}
-
-impl FromJson for StoreOpsSnapshot {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(StoreOpsSnapshot {
-            appends: u64::from_json(j.field("appends")?)?,
-            append_nanos: u64::from_json(j.field("append_nanos")?)?,
-            append_bytes: u64::from_json(j.field("append_bytes")?)?,
-            fsyncs: u64::from_json(j.field("fsyncs")?)?,
-            fsync_nanos: u64::from_json(j.field("fsync_nanos")?)?,
-            compactions: u64::from_json(j.field("compactions")?)?,
-            compaction_nanos: u64::from_json(j.field("compaction_nanos")?)?,
-        })
+qhorn_json::wire! {
+    struct StoreOpsSnapshot {
+        appends: u64,
+        append_nanos: u64,
+        append_bytes: u64,
+        fsyncs: u64,
+        fsync_nanos: u64,
+        compactions: u64,
+        compaction_nanos: u64,
     }
 }
 
@@ -645,36 +537,13 @@ pub struct SaturationSnapshot {
     pub store: Option<StoreOpsSnapshot>,
 }
 
-impl ToJson for SaturationSnapshot {
-    fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("pools".to_string(), self.pools.to_json()),
-            ("lock_waits".to_string(), self.lock_waits.to_json()),
-            (
-                "lock_wait_nanos".to_string(),
-                self.lock_wait_nanos.to_json(),
-            ),
-            ("mailbox".to_string(), self.mailbox.to_json()),
-        ];
-        if let Some(store) = &self.store {
-            pairs.push(("store".to_string(), store.to_json()));
-        }
-        Json::Obj(pairs)
-    }
-}
-
-impl FromJson for SaturationSnapshot {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(SaturationSnapshot {
-            pools: Vec::<PoolSnapshot>::from_json(j.field("pools")?)?,
-            lock_waits: u64::from_json(j.field("lock_waits")?)?,
-            lock_wait_nanos: u64::from_json(j.field("lock_wait_nanos")?)?,
-            mailbox: MailboxSnapshot::from_json(j.field("mailbox")?)?,
-            store: j
-                .get("store")
-                .map(StoreOpsSnapshot::from_json)
-                .transpose()?,
-        })
+qhorn_json::wire! {
+    struct SaturationSnapshot {
+        pools: Vec<PoolSnapshot>,
+        lock_waits: u64,
+        lock_wait_nanos: u64,
+        mailbox: MailboxSnapshot,
+        store: Option<StoreOpsSnapshot> [skip],
     }
 }
 

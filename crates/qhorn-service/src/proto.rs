@@ -18,13 +18,16 @@
 use crate::dataset::{DatasetInfo, DEFAULT_SIZE};
 use crate::error::ServiceError;
 use crate::metrics::MetricsSnapshot;
+use crate::metrics::SaturationSnapshot;
 use crate::registry::{HealthReport, QuestionInfo, RegistryStats, SessionResources, StepOutcome};
-use crate::trace::LayerProfile;
+use crate::trace::{LayerProfile, TimelineEvent, TraceSummary, TraceTree};
 use qhorn_core::{Obj, Query, Response};
 use qhorn_engine::exec::ExecStats;
+use qhorn_engine::persist::corrections;
 use qhorn_engine::session::LearnerKind;
-use qhorn_json::{FromJson, Json, JsonError, ToJson};
+use qhorn_json::wire::map;
 use qhorn_relation::DatasetDef;
+use qhorn_store::StoreStats;
 
 /// The `list_traces` limit applied when the wire field is absent.
 pub const DEFAULT_TRACE_LIMIT: u64 = 50;
@@ -172,34 +175,6 @@ pub enum Request {
 }
 
 impl Request {
-    /// The message kind's stable wire name (also the latency-histogram
-    /// label; see [`crate::metrics::MESSAGE_KINDS`]).
-    #[must_use]
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Request::CreateSession { .. } => "create_session",
-            Request::UploadDataset { .. } => "upload_dataset",
-            Request::ListDatasets => "list_datasets",
-            Request::DropDataset { .. } => "drop_dataset",
-            Request::NextQuestion { .. } => "next_question",
-            Request::Answer { .. } => "answer",
-            Request::Correct { .. } => "correct",
-            Request::Verify { .. } => "verify",
-            Request::EvaluateBatch { .. } => "evaluate_batch",
-            Request::ExportQuery { .. } => "export_query",
-            Request::CloseSession { .. } => "close_session",
-            Request::Stats => "stats",
-            Request::Metrics => "metrics",
-            Request::GetTrace { .. } => "get_trace",
-            Request::ListTraces { .. } => "list_traces",
-            Request::SessionTimeline { .. } => "session_timeline",
-            Request::Health => "health",
-            Request::Profile { .. } => "profile",
-            Request::SessionResources { .. } => "session_resources",
-            Request::SetTraceConfig { .. } => "set_trace_config",
-        }
-    }
-
     /// The session this request targets, when it names one (used to tag
     /// the dispatch root span before the registry is even consulted).
     #[must_use]
@@ -432,32 +407,13 @@ impl Reply {
     }
 
     /// A stable label for what the request produced — the dispatch root
-    /// span's `outcome` attribute (and the timeline's event detail).
+    /// span's `outcome` attribute (and the timeline's event detail): the
+    /// reply's wire tag, or the step's for dialogue steps.
     #[must_use]
     pub fn outcome_label(&self) -> &'static str {
         match self {
-            Reply::Created { step, .. } | Reply::Step { step, .. } => match step {
-                StepReply::Question { .. } => "question",
-                StepReply::Learned { .. } => "learned",
-                StepReply::Failed { .. } => "failed",
-                StepReply::Verified { .. } => "verified",
-            },
-            Reply::Batch { .. } => "batch",
-            Reply::Exported { .. } => "exported",
-            Reply::Closed { .. } => "closed",
-            Reply::DatasetUploaded { .. } => "dataset_uploaded",
-            Reply::Datasets { .. } => "datasets",
-            Reply::DatasetDropped { .. } => "dataset_dropped",
-            Reply::Stats(_) => "stats",
-            Reply::Metrics(_) => "metrics",
-            Reply::Trace(_) => "trace",
-            Reply::Traces { .. } => "traces",
-            Reply::Timeline { .. } => "timeline",
-            Reply::Health(_) => "health",
-            Reply::Profile { .. } => "profile",
-            Reply::SessionResources(_) => "session_resources",
-            Reply::TraceConfig { .. } => "trace_config",
-            Reply::Error { .. } => "error",
+            Reply::Created { step, .. } | Reply::Step { step, .. } => step.kind(),
+            other => other.kind(),
         }
     }
 }
@@ -466,653 +422,146 @@ impl Reply {
 // JSON conversions
 // ---------------------------------------------------------------------------
 
-fn learner_name(k: LearnerKind) -> &'static str {
-    match k {
-        LearnerKind::Qhorn1 => "qhorn1",
-        LearnerKind::RolePreserving => "role_preserving",
+// An absent `size` means [`DEFAULT_SIZE`]; an explicit value (including
+// `0`, which the catalog rejects) passes through untouched. Optional
+// `list_traces` filters, `reset` and the trace-config knobs are omitted
+// when unset, so the bare `GET` bodies are just `{"type":...}`.
+qhorn_json::wire! {
+    enum Request tag "type" "request type" {
+        CreateSession = "create_session" {
+            dataset: String,
+            size: usize [default = DEFAULT_SIZE],
+            learner: LearnerKind,
+            max_questions: Option<usize> [default],
+        },
+        UploadDataset = "upload_dataset" { def: DatasetDef [flatten] },
+        ListDatasets = "list_datasets",
+        DropDataset = "drop_dataset" { name: String },
+        NextQuestion = "next_question" { session: u64 },
+        Answer = "answer" { session: u64, response: Response },
+        Correct = "correct" {
+            session: u64,
+            corrections: Vec<(usize, Response)> [with = corrections],
+        },
+        Verify = "verify" { session: u64, query: Option<String> [default] },
+        EvaluateBatch = "evaluate_batch" {
+            session: Option<u64> [default],
+            dataset: Option<String> [default],
+            size: usize [default = DEFAULT_SIZE],
+            query: Option<String> [default],
+            workers: usize [default = 1],
+        },
+        ExportQuery = "export_query" {
+            session: u64,
+            format: String [default = "unicode".to_string()],
+        },
+        CloseSession = "close_session" { session: u64 },
+        Stats = "stats",
+        Metrics = "metrics",
+        GetTrace = "get_trace" { id: String },
+        ListTraces = "list_traces" {
+            min_duration_nanos: Option<u64> [skip],
+            kind: Option<String> [skip],
+            session: Option<u64> [skip],
+            slow_only: bool [skip],
+            limit: u64 [default = DEFAULT_TRACE_LIMIT],
+        },
+        SessionTimeline = "session_timeline" { session: u64 },
+        Health = "health",
+        Profile = "profile" { reset: bool [skip] },
+        SessionResources = "session_resources" { session: u64 },
+        SetTraceConfig = "set_trace_config" {
+            slow_threshold_ms: Option<u64> [skip],
+            sample_every: Option<u64> [skip],
+        },
     }
 }
 
-fn learner_from(s: &str) -> Result<LearnerKind, JsonError> {
-    match s {
-        "qhorn1" => Ok(LearnerKind::Qhorn1),
-        "role_preserving" => Ok(LearnerKind::RolePreserving),
-        other => Err(JsonError::msg(format!("unknown learner `{other}`"))),
+qhorn_json::wire! {
+    enum StepReply tag "kind" "step kind" {
+        Question = "question" {
+            question: Obj,
+            rendered: String,
+            from_store: bool,
+            index: usize,
+        },
+        Learned = "learned" { query: String, query_json: Query, questions: usize },
+        Failed = "failed" { message: String },
+        Verified = "verified" { verified: bool },
     }
 }
 
-fn opt_field<T: FromJson>(j: &Json, key: &str) -> Result<Option<T>, JsonError> {
-    match j.get(key) {
-        None => Ok(None),
-        Some(v) => Option::<T>::from_json(v),
+// Additive versioning: `batch_threads_used` is absent on pre-threading
+// encodings, `uptime_seconds` on pre-observability ones; `store` is
+// omitted when no durable store is configured.
+qhorn_json::wire! {
+    struct RegistryStats {
+        created: u64,
+        live: u64,
+        evicted: u64,
+        restored: u64,
+        completed: u64,
+        failed: u64,
+        answers: u64,
+        batch_runs: u64,
+        batch_objects: u64,
+        batch_signatures: u64,
+        batch_answers: u64,
+        batch_threads_used: u64 [default],
+        snapshots: u64,
+        compaction_errors: u64,
+        uptime_seconds: u64 [default],
+        store: Option<StoreStats> [skip],
     }
 }
 
-/// The wire-layer size default: an absent `size` field means
-/// [`DEFAULT_SIZE`]; an explicit value (including `0`, which the catalog
-/// rejects) passes through untouched.
-fn size_or_default(j: &Json) -> Result<usize, JsonError> {
-    Ok(opt_field::<usize>(j, "size")?.unwrap_or(DEFAULT_SIZE))
-}
-
-impl ToJson for Request {
-    fn to_json(&self) -> Json {
-        match self {
-            Request::CreateSession {
-                dataset,
-                size,
-                learner,
-                max_questions,
-            } => Json::object([
-                ("type", Json::Str("create_session".into())),
-                ("dataset", dataset.to_json()),
-                ("size", size.to_json()),
-                ("learner", Json::Str(learner_name(*learner).into())),
-                ("max_questions", max_questions.to_json()),
-            ]),
-            Request::UploadDataset { def } => {
-                let mut pairs = vec![("type".to_string(), Json::Str("upload_dataset".into()))];
-                if let Json::Obj(fields) = def.to_json() {
-                    pairs.extend(fields);
-                }
-                Json::Obj(pairs)
-            }
-            Request::ListDatasets => Json::object([("type", Json::Str("list_datasets".into()))]),
-            Request::DropDataset { name } => Json::object([
-                ("type", Json::Str("drop_dataset".into())),
-                ("name", name.to_json()),
-            ]),
-            Request::NextQuestion { session } => Json::object([
-                ("type", Json::Str("next_question".into())),
-                ("session", session.to_json()),
-            ]),
-            Request::Answer { session, response } => Json::object([
-                ("type", Json::Str("answer".into())),
-                ("session", session.to_json()),
-                ("response", response.to_json()),
-            ]),
-            Request::Correct {
-                session,
-                corrections,
-            } => Json::object([
-                ("type", Json::Str("correct".into())),
-                ("session", session.to_json()),
-                (
-                    "corrections",
-                    Json::array(
-                        corrections
-                            .iter()
-                            .map(|(i, r)| Json::array([i.to_json(), r.to_json()])),
-                    ),
-                ),
-            ]),
-            Request::Verify { session, query } => Json::object([
-                ("type", Json::Str("verify".into())),
-                ("session", session.to_json()),
-                ("query", query.to_json()),
-            ]),
-            Request::EvaluateBatch {
-                session,
-                dataset,
-                size,
-                query,
-                workers,
-            } => Json::object([
-                ("type", Json::Str("evaluate_batch".into())),
-                ("session", session.to_json()),
-                ("dataset", dataset.to_json()),
-                ("size", size.to_json()),
-                ("query", query.to_json()),
-                ("workers", workers.to_json()),
-            ]),
-            Request::ExportQuery { session, format } => Json::object([
-                ("type", Json::Str("export_query".into())),
-                ("session", session.to_json()),
-                ("format", format.to_json()),
-            ]),
-            Request::CloseSession { session } => Json::object([
-                ("type", Json::Str("close_session".into())),
-                ("session", session.to_json()),
-            ]),
-            Request::Stats => Json::object([("type", Json::Str("stats".into()))]),
-            Request::Metrics => Json::object([("type", Json::Str("metrics".into()))]),
-            Request::GetTrace { id } => Json::object([
-                ("type", Json::Str("get_trace".into())),
-                ("id", id.to_json()),
-            ]),
-            Request::ListTraces {
-                min_duration_nanos,
-                kind,
-                session,
-                slow_only,
-                limit,
-            } => {
-                // Optional filters are omitted when unset, so the bare
-                // `GET /v1/traces` body is just `{"type":"list_traces"}`.
-                let mut pairs = vec![("type".to_string(), Json::Str("list_traces".into()))];
-                if let Some(n) = min_duration_nanos {
-                    pairs.push(("min_duration_nanos".to_string(), n.to_json()));
-                }
-                if let Some(k) = kind {
-                    pairs.push(("kind".to_string(), k.to_json()));
-                }
-                if let Some(s) = session {
-                    pairs.push(("session".to_string(), s.to_json()));
-                }
-                if *slow_only {
-                    pairs.push(("slow_only".to_string(), slow_only.to_json()));
-                }
-                pairs.push(("limit".to_string(), limit.to_json()));
-                Json::Obj(pairs)
-            }
-            Request::SessionTimeline { session } => Json::object([
-                ("type", Json::Str("session_timeline".into())),
-                ("session", session.to_json()),
-            ]),
-            Request::Health => Json::object([("type", Json::Str("health".into()))]),
-            Request::Profile { reset } => {
-                // `reset` is omitted when false, so the bare
-                // `GET /v1/debug/profile` body is just `{"type":"profile"}`.
-                let mut pairs = vec![("type".to_string(), Json::Str("profile".into()))];
-                if *reset {
-                    pairs.push(("reset".to_string(), reset.to_json()));
-                }
-                Json::Obj(pairs)
-            }
-            Request::SessionResources { session } => Json::object([
-                ("type", Json::Str("session_resources".into())),
-                ("session", session.to_json()),
-            ]),
-            Request::SetTraceConfig {
-                slow_threshold_ms,
-                sample_every,
-            } => {
-                // Absent knobs keep their current values.
-                let mut pairs = vec![("type".to_string(), Json::Str("set_trace_config".into()))];
-                if let Some(ms) = slow_threshold_ms {
-                    pairs.push(("slow_threshold_ms".to_string(), ms.to_json()));
-                }
-                if let Some(n) = sample_every {
-                    pairs.push(("sample_every".to_string(), n.to_json()));
-                }
-                Json::Obj(pairs)
-            }
-        }
+qhorn_json::wire! {
+    struct SessionResources {
+        session: u64,
+        state: String,
+        questions: u64,
+        questions_by_phase: Vec<(String, u64)> [with = map],
+        transcript_bytes: u64,
+        transcript_cache_bytes: u64 [default],
+        transcript_truncated: u64 [default],
+        store_bytes: u64,
+        eval_nanos: u64,
+        driver_nanos: u64,
     }
 }
 
-impl FromJson for Request {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        let ty = String::from_json(j.field("type")?)?;
-        match ty.as_str() {
-            "create_session" => Ok(Request::CreateSession {
-                dataset: String::from_json(j.field("dataset")?)?,
-                size: size_or_default(j)?,
-                learner: learner_from(&String::from_json(j.field("learner")?)?)?,
-                max_questions: opt_field(j, "max_questions")?,
-            }),
-            "upload_dataset" => Ok(Request::UploadDataset {
-                def: DatasetDef::from_json(j)?,
-            }),
-            "list_datasets" => Ok(Request::ListDatasets),
-            "drop_dataset" => Ok(Request::DropDataset {
-                name: String::from_json(j.field("name")?)?,
-            }),
-            "next_question" => Ok(Request::NextQuestion {
-                session: u64::from_json(j.field("session")?)?,
-            }),
-            "answer" => Ok(Request::Answer {
-                session: u64::from_json(j.field("session")?)?,
-                response: Response::from_json(j.field("response")?)?,
-            }),
-            "correct" => {
-                let pairs = j
-                    .field("corrections")?
-                    .as_arr()
-                    .ok_or_else(|| JsonError::msg("corrections must be an array"))?;
-                let mut corrections = Vec::with_capacity(pairs.len());
-                for p in pairs {
-                    let [i, r] = p
-                        .as_arr()
-                        .ok_or_else(|| JsonError::msg("correction must be [index, response]"))?
-                    else {
-                        return Err(JsonError::msg("correction must be [index, response]"));
-                    };
-                    corrections.push((usize::from_json(i)?, Response::from_json(r)?));
-                }
-                Ok(Request::Correct {
-                    session: u64::from_json(j.field("session")?)?,
-                    corrections,
-                })
-            }
-            "verify" => Ok(Request::Verify {
-                session: u64::from_json(j.field("session")?)?,
-                query: opt_field(j, "query")?,
-            }),
-            "evaluate_batch" => Ok(Request::EvaluateBatch {
-                session: opt_field(j, "session")?,
-                dataset: opt_field(j, "dataset")?,
-                size: size_or_default(j)?,
-                query: opt_field(j, "query")?,
-                workers: opt_field::<usize>(j, "workers")?.unwrap_or(1),
-            }),
-            "export_query" => Ok(Request::ExportQuery {
-                session: u64::from_json(j.field("session")?)?,
-                format: opt_field::<String>(j, "format")?.unwrap_or_else(|| "unicode".into()),
-            }),
-            "close_session" => Ok(Request::CloseSession {
-                session: u64::from_json(j.field("session")?)?,
-            }),
-            "stats" => Ok(Request::Stats),
-            "metrics" => Ok(Request::Metrics),
-            "get_trace" => Ok(Request::GetTrace {
-                id: String::from_json(j.field("id")?)?,
-            }),
-            "list_traces" => Ok(Request::ListTraces {
-                min_duration_nanos: opt_field(j, "min_duration_nanos")?,
-                kind: opt_field(j, "kind")?,
-                session: opt_field(j, "session")?,
-                slow_only: opt_field(j, "slow_only")?.unwrap_or(false),
-                limit: opt_field(j, "limit")?.unwrap_or(DEFAULT_TRACE_LIMIT),
-            }),
-            "session_timeline" => Ok(Request::SessionTimeline {
-                session: u64::from_json(j.field("session")?)?,
-            }),
-            "health" => Ok(Request::Health),
-            "profile" => Ok(Request::Profile {
-                reset: opt_field(j, "reset")?.unwrap_or(false),
-            }),
-            "session_resources" => Ok(Request::SessionResources {
-                session: u64::from_json(j.field("session")?)?,
-            }),
-            "set_trace_config" => Ok(Request::SetTraceConfig {
-                slow_threshold_ms: opt_field(j, "slow_threshold_ms")?,
-                sample_every: opt_field(j, "sample_every")?,
-            }),
-            other => Err(JsonError::msg(format!("unknown request type `{other}`"))),
-        }
+qhorn_json::wire! {
+    struct HealthReport {
+        verdict: String,
+        uptime_seconds: u64,
+        saturation: SaturationSnapshot,
     }
 }
 
-impl ToJson for StepReply {
-    fn to_json(&self) -> Json {
-        match self {
-            StepReply::Question {
-                question,
-                rendered,
-                from_store,
-                index,
-            } => Json::object([
-                ("kind", Json::Str("question".into())),
-                ("question", question.to_json()),
-                ("rendered", rendered.to_json()),
-                ("from_store", from_store.to_json()),
-                ("index", index.to_json()),
-            ]),
-            StepReply::Learned {
-                query,
-                query_json,
-                questions,
-            } => Json::object([
-                ("kind", Json::Str("learned".into())),
-                ("query", query.to_json()),
-                ("query_json", query_json.to_json()),
-                ("questions", questions.to_json()),
-            ]),
-            StepReply::Failed { message } => Json::object([
-                ("kind", Json::Str("failed".into())),
-                ("message", message.to_json()),
-            ]),
-            StepReply::Verified { verified } => Json::object([
-                ("kind", Json::Str("verified".into())),
-                ("verified", verified.to_json()),
-            ]),
-        }
-    }
-}
-
-impl FromJson for StepReply {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        let kind = String::from_json(j.field("kind")?)?;
-        match kind.as_str() {
-            "question" => Ok(StepReply::Question {
-                question: Obj::from_json(j.field("question")?)?,
-                rendered: String::from_json(j.field("rendered")?)?,
-                from_store: bool::from_json(j.field("from_store")?)?,
-                index: usize::from_json(j.field("index")?)?,
-            }),
-            "learned" => Ok(StepReply::Learned {
-                query: String::from_json(j.field("query")?)?,
-                query_json: Query::from_json(j.field("query_json")?)?,
-                questions: usize::from_json(j.field("questions")?)?,
-            }),
-            "failed" => Ok(StepReply::Failed {
-                message: String::from_json(j.field("message")?)?,
-            }),
-            "verified" => Ok(StepReply::Verified {
-                verified: bool::from_json(j.field("verified")?)?,
-            }),
-            other => Err(JsonError::msg(format!("unknown step kind `{other}`"))),
-        }
-    }
-}
-
-impl ToJson for RegistryStats {
-    fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("created".to_string(), self.created.to_json()),
-            ("live".to_string(), self.live.to_json()),
-            ("evicted".to_string(), self.evicted.to_json()),
-            ("restored".to_string(), self.restored.to_json()),
-            ("completed".to_string(), self.completed.to_json()),
-            ("failed".to_string(), self.failed.to_json()),
-            ("answers".to_string(), self.answers.to_json()),
-            ("batch_runs".to_string(), self.batch_runs.to_json()),
-            ("batch_objects".to_string(), self.batch_objects.to_json()),
-            (
-                "batch_signatures".to_string(),
-                self.batch_signatures.to_json(),
-            ),
-            ("batch_answers".to_string(), self.batch_answers.to_json()),
-            (
-                "batch_threads_used".to_string(),
-                self.batch_threads_used.to_json(),
-            ),
-            ("snapshots".to_string(), self.snapshots.to_json()),
-            (
-                "compaction_errors".to_string(),
-                self.compaction_errors.to_json(),
-            ),
-            ("uptime_seconds".to_string(), self.uptime_seconds.to_json()),
-        ];
-        // Omitted entirely when no durable store is configured.
-        if let Some(store) = &self.store {
-            pairs.push(("store".to_string(), store.to_json()));
-        }
-        Json::Obj(pairs)
-    }
-}
-
-impl FromJson for RegistryStats {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(RegistryStats {
-            created: u64::from_json(j.field("created")?)?,
-            live: u64::from_json(j.field("live")?)?,
-            evicted: u64::from_json(j.field("evicted")?)?,
-            restored: u64::from_json(j.field("restored")?)?,
-            completed: u64::from_json(j.field("completed")?)?,
-            failed: u64::from_json(j.field("failed")?)?,
-            answers: u64::from_json(j.field("answers")?)?,
-            batch_runs: u64::from_json(j.field("batch_runs")?)?,
-            batch_objects: u64::from_json(j.field("batch_objects")?)?,
-            batch_signatures: u64::from_json(j.field("batch_signatures")?)?,
-            batch_answers: u64::from_json(j.field("batch_answers")?)?,
-            // Additive versioning: absent on pre-threading encodings.
-            batch_threads_used: opt_field(j, "batch_threads_used")?.unwrap_or(0),
-            snapshots: u64::from_json(j.field("snapshots")?)?,
-            compaction_errors: u64::from_json(j.field("compaction_errors")?)?,
-            // Additive versioning: absent on pre-observability encodings.
-            uptime_seconds: opt_field(j, "uptime_seconds")?.unwrap_or(0),
-            store: opt_field(j, "store")?,
-        })
-    }
-}
-
-impl ToJson for SessionResources {
-    fn to_json(&self) -> Json {
-        Json::object([
-            ("session", self.session.to_json()),
-            ("state", self.state.to_json()),
-            ("questions", self.questions.to_json()),
-            (
-                "questions_by_phase",
-                Json::Obj(
-                    self.questions_by_phase
-                        .iter()
-                        .map(|(name, n)| (name.clone(), n.to_json()))
-                        .collect(),
-                ),
-            ),
-            ("transcript_bytes", self.transcript_bytes.to_json()),
-            (
-                "transcript_cache_bytes",
-                self.transcript_cache_bytes.to_json(),
-            ),
-            ("transcript_truncated", self.transcript_truncated.to_json()),
-            ("store_bytes", self.store_bytes.to_json()),
-            ("eval_nanos", self.eval_nanos.to_json()),
-            ("driver_nanos", self.driver_nanos.to_json()),
-        ])
-    }
-}
-
-impl FromJson for SessionResources {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        let phases = j
-            .field("questions_by_phase")?
-            .as_obj()
-            .ok_or_else(|| JsonError::msg("questions_by_phase must be an object"))?;
-        let mut questions_by_phase = Vec::with_capacity(phases.len());
-        for (name, n) in phases {
-            questions_by_phase.push((name.clone(), u64::from_json(n)?));
-        }
-        Ok(SessionResources {
-            session: u64::from_json(j.field("session")?)?,
-            state: String::from_json(j.field("state")?)?,
-            questions: u64::from_json(j.field("questions")?)?,
-            questions_by_phase,
-            transcript_bytes: u64::from_json(j.field("transcript_bytes")?)?,
-            transcript_cache_bytes: opt_field(j, "transcript_cache_bytes")?.unwrap_or(0),
-            transcript_truncated: opt_field(j, "transcript_truncated")?.unwrap_or(0),
-            store_bytes: u64::from_json(j.field("store_bytes")?)?,
-            eval_nanos: u64::from_json(j.field("eval_nanos")?)?,
-            driver_nanos: u64::from_json(j.field("driver_nanos")?)?,
-        })
-    }
-}
-
-impl ToJson for HealthReport {
-    fn to_json(&self) -> Json {
-        Json::object([
-            ("verdict", self.verdict.to_json()),
-            ("uptime_seconds", self.uptime_seconds.to_json()),
-            ("saturation", self.saturation.to_json()),
-        ])
-    }
-}
-
-impl FromJson for HealthReport {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(HealthReport {
-            verdict: String::from_json(j.field("verdict")?)?,
-            uptime_seconds: u64::from_json(j.field("uptime_seconds")?)?,
-            saturation: crate::metrics::SaturationSnapshot::from_json(j.field("saturation")?)?,
-        })
-    }
-}
-
-impl ToJson for Reply {
-    fn to_json(&self) -> Json {
-        match self {
-            Reply::Created { session, step } => Json::object([
-                ("type", Json::Str("created".into())),
-                ("session", session.to_json()),
-                ("step", step.to_json()),
-            ]),
-            Reply::Step { session, step } => Json::object([
-                ("type", Json::Str("step".into())),
-                ("session", session.to_json()),
-                ("step", step.to_json()),
-            ]),
-            Reply::Batch {
-                answers,
-                stats,
-                workers,
-            } => Json::object([
-                ("type", Json::Str("batch".into())),
-                ("answers", answers.to_json()),
-                ("stats", stats.to_json()),
-                ("workers", workers.to_json()),
-            ]),
-            Reply::Exported { text } => Json::object([
-                ("type", Json::Str("exported".into())),
-                ("text", text.to_json()),
-            ]),
-            Reply::Closed { session } => Json::object([
-                ("type", Json::Str("closed".into())),
-                ("session", session.to_json()),
-            ]),
-            Reply::DatasetUploaded { info } => {
-                let mut pairs = vec![("type".to_string(), Json::Str("dataset_uploaded".into()))];
-                if let Json::Obj(fields) = info.to_json() {
-                    pairs.extend(fields);
-                }
-                Json::Obj(pairs)
-            }
-            Reply::Datasets { datasets } => Json::object([
-                ("type", Json::Str("datasets".into())),
-                ("datasets", datasets.to_json()),
-            ]),
-            Reply::DatasetDropped { name } => Json::object([
-                ("type", Json::Str("dataset_dropped".into())),
-                ("name", name.to_json()),
-            ]),
-            Reply::Stats(stats) => {
-                let mut pairs = vec![("type".to_string(), Json::Str("stats".into()))];
-                if let Json::Obj(fields) = stats.to_json() {
-                    pairs.extend(fields);
-                }
-                Json::Obj(pairs)
-            }
-            Reply::Metrics(snapshot) => {
-                let mut pairs = vec![("type".to_string(), Json::Str("metrics".into()))];
-                if let Json::Obj(fields) = snapshot.to_json() {
-                    pairs.extend(fields);
-                }
-                Json::Obj(pairs)
-            }
-            Reply::Trace(tree) => {
-                let mut pairs = vec![("type".to_string(), Json::Str("trace".into()))];
-                if let Json::Obj(fields) = tree.to_json() {
-                    pairs.extend(fields);
-                }
-                Json::Obj(pairs)
-            }
-            Reply::Traces { traces } => Json::object([
-                ("type", Json::Str("traces".into())),
-                ("traces", traces.to_json()),
-            ]),
-            Reply::Timeline {
-                session,
-                events,
-                resources,
-            } => {
-                let mut pairs = vec![
-                    ("type".to_string(), Json::Str("timeline".into())),
-                    ("session".to_string(), session.to_json()),
-                    ("events".to_string(), events.to_json()),
-                ];
-                if let Some(resources) = resources {
-                    pairs.push(("resources".to_string(), resources.to_json()));
-                }
-                Json::Obj(pairs)
-            }
-            Reply::Health(report) => {
-                let mut pairs = vec![("type".to_string(), Json::Str("health".into()))];
-                if let Json::Obj(fields) = report.to_json() {
-                    pairs.extend(fields);
-                }
-                Json::Obj(pairs)
-            }
-            Reply::Profile {
-                uptime_seconds,
-                layers,
-            } => Json::object([
-                ("type", Json::Str("profile".into())),
-                ("uptime_seconds", uptime_seconds.to_json()),
-                ("layers", layers.to_json()),
-            ]),
-            Reply::SessionResources(resources) => {
-                let mut pairs = vec![("type".to_string(), Json::Str("session_resources".into()))];
-                if let Json::Obj(fields) = resources.to_json() {
-                    pairs.extend(fields);
-                }
-                Json::Obj(pairs)
-            }
-            Reply::TraceConfig {
-                slow_threshold_ms,
-                sample_every,
-            } => Json::object([
-                ("type", Json::Str("trace_config".into())),
-                ("slow_threshold_ms", slow_threshold_ms.to_json()),
-                ("sample_every", sample_every.to_json()),
-            ]),
-            Reply::Error { message } => Json::object([
-                ("type", Json::Str("error".into())),
-                ("message", message.to_json()),
-            ]),
-        }
-    }
-}
-
-impl FromJson for Reply {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        let ty = String::from_json(j.field("type")?)?;
-        match ty.as_str() {
-            "created" => Ok(Reply::Created {
-                session: u64::from_json(j.field("session")?)?,
-                step: StepReply::from_json(j.field("step")?)?,
-            }),
-            "step" => Ok(Reply::Step {
-                session: u64::from_json(j.field("session")?)?,
-                step: StepReply::from_json(j.field("step")?)?,
-            }),
-            "batch" => Ok(Reply::Batch {
-                answers: Vec::<u32>::from_json(j.field("answers")?)?,
-                stats: ExecStats::from_json(j.field("stats")?)?,
-                workers: usize::from_json(j.field("workers")?)?,
-            }),
-            "exported" => Ok(Reply::Exported {
-                text: String::from_json(j.field("text")?)?,
-            }),
-            "closed" => Ok(Reply::Closed {
-                session: u64::from_json(j.field("session")?)?,
-            }),
-            "dataset_uploaded" => Ok(Reply::DatasetUploaded {
-                info: DatasetInfo::from_json(j)?,
-            }),
-            "datasets" => Ok(Reply::Datasets {
-                datasets: Vec::<DatasetInfo>::from_json(j.field("datasets")?)?,
-            }),
-            "dataset_dropped" => Ok(Reply::DatasetDropped {
-                name: String::from_json(j.field("name")?)?,
-            }),
-            "stats" => Ok(Reply::Stats(RegistryStats::from_json(j)?)),
-            "metrics" => Ok(Reply::Metrics(MetricsSnapshot::from_json(j)?)),
-            "trace" => Ok(Reply::Trace(crate::trace::TraceTree::from_json(j)?)),
-            "traces" => Ok(Reply::Traces {
-                traces: Vec::<crate::trace::TraceSummary>::from_json(j.field("traces")?)?,
-            }),
-            "timeline" => Ok(Reply::Timeline {
-                session: u64::from_json(j.field("session")?)?,
-                events: Vec::<crate::trace::TimelineEvent>::from_json(j.field("events")?)?,
-                resources: opt_field(j, "resources")?,
-            }),
-            "health" => Ok(Reply::Health(HealthReport::from_json(j)?)),
-            "profile" => Ok(Reply::Profile {
-                uptime_seconds: u64::from_json(j.field("uptime_seconds")?)?,
-                layers: Vec::<LayerProfile>::from_json(j.field("layers")?)?,
-            }),
-            "session_resources" => Ok(Reply::SessionResources(SessionResources::from_json(j)?)),
-            "trace_config" => Ok(Reply::TraceConfig {
-                slow_threshold_ms: u64::from_json(j.field("slow_threshold_ms")?)?,
-                sample_every: u64::from_json(j.field("sample_every")?)?,
-            }),
-            "error" => Ok(Reply::Error {
-                message: String::from_json(j.field("message")?)?,
-            }),
-            other => Err(JsonError::msg(format!("unknown reply type `{other}`"))),
-        }
+qhorn_json::wire! {
+    enum Reply tag "type" "reply type" {
+        Created = "created" { session: u64, step: StepReply },
+        Step = "step" { session: u64, step: StepReply },
+        Batch = "batch" { answers: Vec<u32>, stats: ExecStats, workers: usize },
+        Exported = "exported" { text: String },
+        Closed = "closed" { session: u64 },
+        DatasetUploaded = "dataset_uploaded" { info: DatasetInfo [flatten] },
+        Datasets = "datasets" { datasets: Vec<DatasetInfo> },
+        DatasetDropped = "dataset_dropped" { name: String },
+        Stats = "stats" (RegistryStats),
+        Metrics = "metrics" (MetricsSnapshot),
+        Trace = "trace" (TraceTree),
+        Traces = "traces" { traces: Vec<TraceSummary> },
+        Timeline = "timeline" {
+            session: u64,
+            events: Vec<TimelineEvent>,
+            resources: Option<SessionResources> [skip],
+        },
+        Health = "health" (HealthReport),
+        Profile = "profile" { uptime_seconds: u64, layers: Vec<LayerProfile> },
+        SessionResources = "session_resources" (SessionResources),
+        TraceConfig = "trace_config" { slow_threshold_ms: u64, sample_every: u64 },
+        Error = "error" { message: String },
     }
 }
 
@@ -1615,9 +1064,13 @@ mod tests {
 
     #[test]
     fn learner_names_are_stable() {
-        assert_eq!(learner_name(LearnerKind::Qhorn1), "qhorn1");
-        assert_eq!(learner_name(LearnerKind::RolePreserving), "role_preserving");
-        assert!(learner_from("sq").is_err());
+        use qhorn_json::{FromJson, Json, ToJson};
+        assert_eq!(LearnerKind::Qhorn1.to_json(), Json::Str("qhorn1".into()));
+        assert_eq!(
+            LearnerKind::RolePreserving.to_json(),
+            Json::Str("role_preserving".into())
+        );
+        assert!(LearnerKind::from_json(&Json::Str("sq".into())).is_err());
     }
 
     mod prop_round_trips {

@@ -49,6 +49,7 @@
 //! go" without attaching a profiler.
 
 use crate::metrics::StoreTelemetry;
+use qhorn_json::wire::map;
 use qhorn_json::{FromJson, Json, JsonError, ToJson};
 use qhorn_lockdep::{LockClass, OrderedMutex};
 use std::cell::{Cell, RefCell};
@@ -239,25 +240,12 @@ pub struct LayerProfile {
     pub total_nanos: u64,
 }
 
-impl ToJson for LayerProfile {
-    fn to_json(&self) -> Json {
-        Json::object([
-            ("layer", Json::Str(self.layer.clone())),
-            ("spans", self.spans.to_json()),
-            ("self_nanos", self.self_nanos.to_json()),
-            ("total_nanos", self.total_nanos.to_json()),
-        ])
-    }
-}
-
-impl FromJson for LayerProfile {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(LayerProfile {
-            layer: String::from_json(j.field("layer")?)?,
-            spans: u64::from_json(j.field("spans")?)?,
-            self_nanos: u64::from_json(j.field("self_nanos")?)?,
-            total_nanos: u64::from_json(j.field("total_nanos")?)?,
-        })
+qhorn_json::wire! {
+    struct LayerProfile {
+        layer: String,
+        spans: u64,
+        self_nanos: u64,
+        total_nanos: u64,
     }
 }
 
@@ -986,57 +974,28 @@ pub struct SpanNode {
     pub children: Vec<SpanNode>,
 }
 
-impl ToJson for SpanNode {
-    fn to_json(&self) -> Json {
-        let mut fields: Vec<(String, Json)> = vec![
-            ("name".into(), Json::Str(self.name.clone())),
-            ("start_nanos".into(), self.start_nanos.to_json()),
-            ("duration_nanos".into(), self.duration_nanos.to_json()),
-        ];
-        if let Some(s) = self.session {
-            fields.push(("session".into(), s.to_json()));
-        }
-        fields.push((
-            "attrs".into(),
-            Json::Obj(
-                self.attrs
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.to_json()))
-                    .collect(),
-            ),
-        ));
-        fields.push((
-            "children".into(),
-            Json::array(self.children.iter().map(ToJson::to_json)),
-        ));
-        Json::Obj(fields)
+qhorn_json::wire! {
+    struct SpanNode {
+        name: String,
+        start_nanos: u64,
+        duration_nanos: u64,
+        session: Option<u64> [skip],
+        attrs: Vec<(String, AttrValue)> [with = map],
+        children: Vec<SpanNode>,
     }
 }
 
-impl FromJson for SpanNode {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        let attrs = j
-            .field("attrs")?
-            .as_obj()
-            .ok_or_else(|| JsonError::msg("attrs must be an object"))?
-            .iter()
-            .map(|(k, v)| Ok((k.clone(), AttrValue::from_json(v)?)))
-            .collect::<Result<Vec<_>, JsonError>>()?;
-        let children = j
-            .field("children")?
-            .as_arr()
-            .ok_or_else(|| JsonError::msg("children must be an array"))?
-            .iter()
-            .map(SpanNode::from_json)
-            .collect::<Result<Vec<_>, JsonError>>()?;
-        Ok(SpanNode {
-            name: String::from_json(j.field("name")?)?,
-            start_nanos: u64::from_json(j.field("start_nanos")?)?,
-            duration_nanos: u64::from_json(j.field("duration_nanos")?)?,
-            session: j.get("session").and_then(Json::as_u64),
-            attrs,
-            children,
-        })
+/// `[with = trace_id]`: trace ids travel as 16-digit hex strings.
+mod trace_id {
+    use qhorn_json::{FromJson, Json, JsonError};
+
+    pub(super) fn to_json(id: &u64) -> Json {
+        Json::Str(super::format_id(*id))
+    }
+
+    pub(super) fn from_json(j: &Json) -> Result<u64, JsonError> {
+        let text = String::from_json(j)?;
+        super::parse_id(&text).ok_or_else(|| JsonError::msg(format!("bad trace id `{text}`")))
     }
 }
 
@@ -1078,37 +1037,15 @@ fn count_nodes(n: &SpanNode) -> u64 {
     1 + n.children.iter().map(count_nodes).sum::<u64>()
 }
 
-impl ToJson for TraceTree {
-    fn to_json(&self) -> Json {
-        let mut fields: Vec<(String, Json)> = vec![
-            ("id".into(), Json::Str(format_id(self.id))),
-            ("kind".into(), Json::Str(self.kind.clone())),
-        ];
-        if let Some(s) = self.session {
-            fields.push(("session".into(), s.to_json()));
-        }
-        fields.push(("start_nanos".into(), self.start_nanos.to_json()));
-        fields.push(("duration_nanos".into(), self.duration_nanos.to_json()));
-        fields.push(("slow".into(), self.slow.to_json()));
-        fields.push(("root".into(), self.root.to_json()));
-        Json::Obj(fields)
-    }
-}
-
-impl FromJson for TraceTree {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        let id_text = String::from_json(j.field("id")?)?;
-        let id = parse_id(&id_text)
-            .ok_or_else(|| JsonError::msg(format!("bad trace id `{id_text}`")))?;
-        Ok(TraceTree {
-            id,
-            kind: String::from_json(j.field("kind")?)?,
-            session: j.get("session").and_then(Json::as_u64),
-            start_nanos: u64::from_json(j.field("start_nanos")?)?,
-            duration_nanos: u64::from_json(j.field("duration_nanos")?)?,
-            slow: bool::from_json(j.field("slow")?)?,
-            root: SpanNode::from_json(j.field("root")?)?,
-        })
+qhorn_json::wire! {
+    struct TraceTree {
+        id: u64 [with = trace_id],
+        kind: String,
+        session: Option<u64> [skip],
+        start_nanos: u64,
+        duration_nanos: u64,
+        slow: bool,
+        root: SpanNode,
     }
 }
 
@@ -1131,37 +1068,15 @@ pub struct TraceSummary {
     pub slow: bool,
 }
 
-impl ToJson for TraceSummary {
-    fn to_json(&self) -> Json {
-        let mut fields: Vec<(String, Json)> = vec![
-            ("id".into(), Json::Str(format_id(self.id))),
-            ("kind".into(), Json::Str(self.kind.clone())),
-        ];
-        if let Some(s) = self.session {
-            fields.push(("session".into(), s.to_json()));
-        }
-        fields.push(("start_nanos".into(), self.start_nanos.to_json()));
-        fields.push(("duration_nanos".into(), self.duration_nanos.to_json()));
-        fields.push(("spans".into(), self.spans.to_json()));
-        fields.push(("slow".into(), self.slow.to_json()));
-        Json::Obj(fields)
-    }
-}
-
-impl FromJson for TraceSummary {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        let id_text = String::from_json(j.field("id")?)?;
-        let id = parse_id(&id_text)
-            .ok_or_else(|| JsonError::msg(format!("bad trace id `{id_text}`")))?;
-        Ok(TraceSummary {
-            id,
-            kind: String::from_json(j.field("kind")?)?,
-            session: j.get("session").and_then(Json::as_u64),
-            start_nanos: u64::from_json(j.field("start_nanos")?)?,
-            duration_nanos: u64::from_json(j.field("duration_nanos")?)?,
-            spans: u64::from_json(j.field("spans")?)?,
-            slow: bool::from_json(j.field("slow")?)?,
-        })
+qhorn_json::wire! {
+    struct TraceSummary {
+        id: u64 [with = trace_id],
+        kind: String,
+        session: Option<u64> [skip],
+        start_nanos: u64,
+        duration_nanos: u64,
+        spans: u64,
+        slow: bool,
     }
 }
 
@@ -1182,30 +1097,13 @@ pub struct TimelineEvent {
     pub duration_nanos: u64,
 }
 
-impl ToJson for TimelineEvent {
-    fn to_json(&self) -> Json {
-        Json::object([
-            ("at_nanos", self.at_nanos.to_json()),
-            ("kind", Json::Str(self.kind.clone())),
-            ("detail", Json::Str(self.detail.clone())),
-            ("trace", Json::Str(format_id(self.trace))),
-            ("duration_nanos", self.duration_nanos.to_json()),
-        ])
-    }
-}
-
-impl FromJson for TimelineEvent {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        let trace_text = String::from_json(j.field("trace")?)?;
-        let trace = parse_id(&trace_text)
-            .ok_or_else(|| JsonError::msg(format!("bad trace id `{trace_text}`")))?;
-        Ok(TimelineEvent {
-            at_nanos: u64::from_json(j.field("at_nanos")?)?,
-            kind: String::from_json(j.field("kind")?)?,
-            detail: String::from_json(j.field("detail")?)?,
-            trace,
-            duration_nanos: u64::from_json(j.field("duration_nanos")?)?,
-        })
+qhorn_json::wire! {
+    struct TimelineEvent {
+        at_nanos: u64,
+        kind: String,
+        detail: String,
+        trace: u64 [with = trace_id],
+        duration_nanos: u64,
     }
 }
 

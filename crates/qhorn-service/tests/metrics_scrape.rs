@@ -127,6 +127,9 @@ fn exposition_stays_consistent_under_concurrent_mutation() {
     let server = HttpServer::start("127.0.0.1:0", Arc::clone(&registry), 4).unwrap();
     let addr = server.addr();
     let stop = Arc::new(AtomicBool::new(false));
+    // Connect the scraper first, so it holds one of the four HTTP workers
+    // before the keep-alive mutators queue up for the rest.
+    let mut scraper = qhorn_service::http::HttpClient::connect(addr).expect("connect scraper");
 
     // Eight mutators: each opens its own session, answers to completion,
     // then hammers batch evaluation until told to stop.
@@ -177,7 +180,6 @@ fn exposition_stays_consistent_under_concurrent_mutation() {
     // Scrape while the mutators run: every exposition parses, buckets are
     // cumulative within a scrape, counters never move backwards between
     // scrapes.
-    let mut scraper = qhorn_service::http::HttpClient::connect(addr).expect("connect scraper");
     let mut last: Vec<(String, f64)> = Vec::new();
     for i in 0..25 {
         let text = scraper.scrape_metrics().expect("scrape");

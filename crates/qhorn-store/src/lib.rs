@@ -63,7 +63,7 @@ pub use log::{RecoveredState, SessionStore};
 pub use record::{LogRecord, PersistedSession, SessionMeta, SnapshotEntry};
 pub use sync::SyncSessionStore;
 
-use qhorn_json::{FromJson, Json, JsonError, ToJson};
+use qhorn_json::JsonError;
 use std::fmt;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -191,35 +191,17 @@ pub struct StoreStats {
     pub snapshot_sessions: u64,
 }
 
-impl ToJson for StoreStats {
-    fn to_json(&self) -> Json {
-        Json::object([
-            ("records_appended", self.records_appended.to_json()),
-            ("bytes_appended", self.bytes_appended.to_json()),
-            ("segments", self.segments.to_json()),
-            ("live_log_bytes", self.live_log_bytes.to_json()),
-            ("compactions", self.compactions.to_json()),
-            ("last_compaction_seq", self.last_compaction_seq.to_json()),
-            ("recovered_sessions", self.recovered_sessions.to_json()),
-            ("torn_truncations", self.torn_truncations.to_json()),
-            ("snapshot_sessions", self.snapshot_sessions.to_json()),
-        ])
-    }
-}
-
-impl FromJson for StoreStats {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(StoreStats {
-            records_appended: u64::from_json(j.field("records_appended")?)?,
-            bytes_appended: u64::from_json(j.field("bytes_appended")?)?,
-            segments: u64::from_json(j.field("segments")?)?,
-            live_log_bytes: u64::from_json(j.field("live_log_bytes")?)?,
-            compactions: u64::from_json(j.field("compactions")?)?,
-            last_compaction_seq: u64::from_json(j.field("last_compaction_seq")?)?,
-            recovered_sessions: u64::from_json(j.field("recovered_sessions")?)?,
-            torn_truncations: u64::from_json(j.field("torn_truncations")?)?,
-            snapshot_sessions: u64::from_json(j.field("snapshot_sessions")?)?,
-        })
+qhorn_json::wire! {
+    struct StoreStats {
+        records_appended: u64,
+        bytes_appended: u64,
+        segments: u64,
+        live_log_bytes: u64,
+        compactions: u64,
+        last_compaction_seq: u64,
+        recovered_sessions: u64,
+        torn_truncations: u64,
+        snapshot_sessions: u64,
     }
 }
 

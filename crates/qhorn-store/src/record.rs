@@ -6,6 +6,7 @@
 //! recovery is replay.
 
 use qhorn_core::{Obj, Query, Response};
+use qhorn_engine::persist::corrections;
 use qhorn_engine::session::{Exchange, LearnerKind};
 use qhorn_json::{FromJson, Json, JsonError, ToJson};
 use qhorn_relation::DatasetDef;
@@ -27,25 +28,12 @@ pub struct SessionMeta {
     pub max_questions: Option<usize>,
 }
 
-impl ToJson for SessionMeta {
-    fn to_json(&self) -> Json {
-        Json::object([
-            ("dataset", self.dataset.to_json()),
-            ("size", self.size.to_json()),
-            ("learner", self.learner.to_json()),
-            ("max_questions", self.max_questions.to_json()),
-        ])
-    }
-}
-
-impl FromJson for SessionMeta {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(SessionMeta {
-            dataset: String::from_json(j.field("dataset")?)?,
-            size: usize::from_json(j.field("size")?)?,
-            learner: LearnerKind::from_json(j.field("learner")?)?,
-            max_questions: Option::<usize>::from_json(j.field("max_questions")?)?,
-        })
+qhorn_json::wire! {
+    struct SessionMeta {
+        dataset: String,
+        size: usize,
+        learner: LearnerKind,
+        max_questions: Option<usize>,
     }
 }
 
@@ -121,22 +109,6 @@ pub enum LogRecord {
 }
 
 impl LogRecord {
-    /// The record kind's stable on-disk name.
-    #[must_use]
-    pub fn kind(&self) -> &'static str {
-        match self {
-            LogRecord::SessionCreated { .. } => "session_created",
-            LogRecord::ExchangeAppended { .. } => "exchange",
-            LogRecord::Corrected { .. } => "corrected",
-            LogRecord::QueryLearned { .. } => "query_learned",
-            LogRecord::Verified { .. } => "verified",
-            LogRecord::SessionClosed { .. } => "session_closed",
-            LogRecord::DatasetRegistered { .. } => "dataset_registered",
-            LogRecord::DatasetDropped { .. } => "dataset_dropped",
-            LogRecord::SnapshotWritten { .. } => "snapshot_written",
-        }
-    }
-
     /// The session this record belongs to (`None` for store-level
     /// markers).
     #[must_use]
@@ -158,55 +130,8 @@ impl LogRecord {
     /// first so a human scanning the log sees ordering at a glance.
     #[must_use]
     pub fn to_payload(&self, seq: u64) -> Vec<u8> {
-        let mut pairs = vec![
-            ("seq".to_string(), seq.to_json()),
-            ("kind".to_string(), Json::Str(self.kind().into())),
-        ];
-        match self {
-            LogRecord::SessionCreated { id, meta } => {
-                pairs.push(("id".into(), id.to_json()));
-                pairs.push(("meta".into(), meta.to_json()));
-            }
-            LogRecord::ExchangeAppended { id, exchange } => {
-                pairs.push(("id".into(), id.to_json()));
-                pairs.push(("exchange".into(), exchange.to_json()));
-            }
-            LogRecord::Corrected { id, corrections } => {
-                pairs.push(("id".into(), id.to_json()));
-                pairs.push((
-                    "corrections".into(),
-                    Json::array(
-                        corrections
-                            .iter()
-                            .map(|(i, r)| Json::array([i.to_json(), r.to_json()])),
-                    ),
-                ));
-            }
-            LogRecord::QueryLearned { id, query } => {
-                pairs.push(("id".into(), id.to_json()));
-                pairs.push(("query".into(), query.to_json()));
-            }
-            LogRecord::Verified { id, verified } => {
-                pairs.push(("id".into(), id.to_json()));
-                pairs.push(("verified".into(), verified.to_json()));
-            }
-            LogRecord::SessionClosed { id } => {
-                pairs.push(("id".into(), id.to_json()));
-            }
-            LogRecord::DatasetRegistered { def } => {
-                pairs.push(("def".into(), def.to_json()));
-            }
-            LogRecord::DatasetDropped { name } => {
-                pairs.push(("name".into(), name.to_json()));
-            }
-            LogRecord::SnapshotWritten {
-                through_seq,
-                sessions,
-            } => {
-                pairs.push(("through_seq".into(), through_seq.to_json()));
-                pairs.push(("sessions".into(), sessions.to_json()));
-            }
-        }
+        let mut pairs = vec![("seq".to_string(), seq.to_json())];
+        qhorn_json::wire::flatten(&mut pairs, self.to_json());
         Json::Obj(pairs).to_string().into_bytes()
     }
 
@@ -219,60 +144,24 @@ impl LogRecord {
             .map_err(|_| JsonError::msg("record payload is not UTF-8"))?;
         let j = Json::parse(text)?;
         let seq = u64::from_json(j.field("seq")?)?;
-        let kind = String::from_json(j.field("kind")?)?;
-        let rec = match kind.as_str() {
-            "session_created" => LogRecord::SessionCreated {
-                id: u64::from_json(j.field("id")?)?,
-                meta: SessionMeta::from_json(j.field("meta")?)?,
-            },
-            "exchange" => LogRecord::ExchangeAppended {
-                id: u64::from_json(j.field("id")?)?,
-                exchange: Exchange::from_json(j.field("exchange")?)?,
-            },
-            "corrected" => {
-                let pairs = j
-                    .field("corrections")?
-                    .as_arr()
-                    .ok_or_else(|| JsonError::msg("corrections must be an array"))?;
-                let mut corrections = Vec::with_capacity(pairs.len());
-                for p in pairs {
-                    let [i, r] = p
-                        .as_arr()
-                        .ok_or_else(|| JsonError::msg("correction must be [index, response]"))?
-                    else {
-                        return Err(JsonError::msg("correction must be [index, response]"));
-                    };
-                    corrections.push((usize::from_json(i)?, Response::from_json(r)?));
-                }
-                LogRecord::Corrected {
-                    id: u64::from_json(j.field("id")?)?,
-                    corrections,
-                }
-            }
-            "query_learned" => LogRecord::QueryLearned {
-                id: u64::from_json(j.field("id")?)?,
-                query: Query::from_json(j.field("query")?)?,
-            },
-            "verified" => LogRecord::Verified {
-                id: u64::from_json(j.field("id")?)?,
-                verified: bool::from_json(j.field("verified")?)?,
-            },
-            "session_closed" => LogRecord::SessionClosed {
-                id: u64::from_json(j.field("id")?)?,
-            },
-            "dataset_registered" => LogRecord::DatasetRegistered {
-                def: DatasetDef::from_json(j.field("def")?)?,
-            },
-            "dataset_dropped" => LogRecord::DatasetDropped {
-                name: String::from_json(j.field("name")?)?,
-            },
-            "snapshot_written" => LogRecord::SnapshotWritten {
-                through_seq: u64::from_json(j.field("through_seq")?)?,
-                sessions: u64::from_json(j.field("sessions")?)?,
-            },
-            other => return Err(JsonError::msg(format!("unknown record kind `{other}`"))),
-        };
-        Ok((seq, rec))
+        Ok((seq, LogRecord::from_json(&j)?))
+    }
+}
+
+qhorn_json::wire! {
+    enum LogRecord tag "kind" "record kind" {
+        SessionCreated = "session_created" { id: u64, meta: SessionMeta },
+        ExchangeAppended = "exchange" { id: u64, exchange: Exchange },
+        Corrected = "corrected" {
+            id: u64,
+            corrections: Vec<(usize, Response)> [with = corrections],
+        },
+        QueryLearned = "query_learned" { id: u64, query: Query },
+        Verified = "verified" { id: u64, verified: bool },
+        SessionClosed = "session_closed" { id: u64 },
+        DatasetRegistered = "dataset_registered" { def: DatasetDef },
+        DatasetDropped = "dataset_dropped" { name: String },
+        SnapshotWritten = "snapshot_written" { through_seq: u64, sessions: u64 },
     }
 }
 
@@ -314,31 +203,15 @@ impl PersistedSession {
     }
 }
 
-impl ToJson for PersistedSession {
-    fn to_json(&self) -> Json {
-        Json::object([
-            ("id", self.id.to_json()),
-            ("meta", self.meta.to_json()),
-            ("asked", self.asked.to_json()),
-            ("answered", self.answered.to_json()),
-            ("verified", self.verified.to_json()),
-            ("transcript", self.transcript.to_json()),
-            ("learned", self.learned.to_json()),
-        ])
-    }
-}
-
-impl FromJson for PersistedSession {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(PersistedSession {
-            id: u64::from_json(j.field("id")?)?,
-            meta: SessionMeta::from_json(j.field("meta")?)?,
-            asked: Vec::<Obj>::from_json(j.field("asked")?)?,
-            answered: usize::from_json(j.field("answered")?)?,
-            verified: Option::<bool>::from_json(j.field("verified")?)?,
-            transcript: Vec::<Exchange>::from_json(j.field("transcript")?)?,
-            learned: Option::<Query>::from_json(j.field("learned")?)?,
-        })
+qhorn_json::wire! {
+    struct PersistedSession {
+        id: u64,
+        meta: SessionMeta,
+        asked: Vec<Obj>,
+        answered: usize,
+        verified: Option<bool>,
+        transcript: Vec<Exchange>,
+        learned: Option<Query>,
     }
 }
 
@@ -354,22 +227,8 @@ pub struct SnapshotEntry {
     pub session: PersistedSession,
 }
 
-impl ToJson for SnapshotEntry {
-    fn to_json(&self) -> Json {
-        Json::object([
-            ("through_seq", self.through_seq.to_json()),
-            ("session", self.session.to_json()),
-        ])
-    }
-}
-
-impl FromJson for SnapshotEntry {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(SnapshotEntry {
-            through_seq: u64::from_json(j.field("through_seq")?)?,
-            session: PersistedSession::from_json(j.field("session")?)?,
-        })
-    }
+qhorn_json::wire! {
+    struct SnapshotEntry { through_seq: u64, session: PersistedSession }
 }
 
 /// Replay state: sessions being rebuilt, keyed by id, plus the registered
