@@ -74,7 +74,7 @@ macro_rules! wire {
     (encode struct $T:ident { $($f:ident $(as $key:literal)? : $t:ty $([$($mk:tt)*])?),* $(,)? }) => {
         impl $crate::ToJson for $T {
             fn to_json(&self) -> $crate::Json {
-                let mut pairs = ::std::vec::Vec::new();
+                let mut pairs = ::std::vec::Vec::with_capacity([$(stringify!($f)),*].len());
                 $( $crate::__wire_put!(pairs, $crate::__wire_key!($f $($key)?), &self.$f, $t, [$($($mk)*)?]); )*
                 $crate::Json::Obj(pairs)
             }
@@ -99,10 +99,9 @@ macro_rules! wire {
             fn to_json(&self) -> $crate::Json {
                 let mut pairs = ::std::vec::Vec::new();
                 match self {
-                    $( $T::$V { .. } => {
-                        pairs.push(($tag_key.to_string(), $crate::Json::Str($tag.to_string())));
-                        $crate::__wire_put_variant!(self, pairs, $T::$V $({ $($fields)* })? $(($inner))?);
-                    } )*
+                    $( $T::$V { .. } => $crate::__wire_put_variant!(
+                        self, pairs, [$tag_key, $tag], $T::$V $({ $($fields)* })? $(($inner))?
+                    ), )*
                 }
                 $crate::Json::Obj(pairs)
             }
@@ -122,7 +121,7 @@ macro_rules! wire {
             fn to_json(&self) -> $crate::Json {
                 let mut pairs = ::std::vec::Vec::new();
                 match self {
-                    $( $T::$V { .. } => $crate::__wire_put_variant!(self, pairs, $T::$V $body), )*
+                    $( $T::$V { .. } => $crate::__wire_put_variant!(self, pairs, [], $T::$V $body), )*
                 }
                 let tag = match self {
                     $( $T::$V { .. } => stringify!($V), )*
@@ -195,7 +194,7 @@ macro_rules! __wire_put {
     ($pairs:ident, $key:expr, $v:expr, $t:ty, [flatten]) => {
         $crate::wire::flatten(&mut $pairs, <$t as $crate::ToJson>::to_json($v))
     };
-    ($pairs:ident, $key:expr, $v:expr, $t:ty, [$($default:tt)*]) => {
+    ($pairs:ident, $key:expr, $v:expr, $t:ty, [$(default $(= $default:expr)?)?]) => {
         $pairs.push(($key.to_string(), <$t as $crate::ToJson>::to_json($v)))
     };
 }
@@ -216,8 +215,10 @@ macro_rules! __wire_get {
     ($j:ident, $key:expr, $t:ty, [flatten]) => {
         <$t as $crate::FromJson>::from_json($j)?
     };
-    // `[default]` and `[skip]`.
-    ($j:ident, $key:expr, $t:ty, [$marker:ident]) => {
+    ($j:ident, $key:expr, $t:ty, [default]) => {
+        $crate::__wire_get!($j, $key, $t, [skip])
+    };
+    ($j:ident, $key:expr, $t:ty, [skip]) => {
         $crate::wire::field_or($j, $key, <$t as ::std::default::Default>::default)?
     };
 }
@@ -237,23 +238,29 @@ macro_rules! __wire_decode {
     };
 }
 
-/// Encodes the fields of the variant `self` is known to be.
+/// Encodes the variant `self` is known to be: the `[tag key, tag]` pair,
+/// when given, then its fields.
 #[doc(hidden)]
 #[macro_export]
 macro_rules! __wire_put_variant {
-    ($self:ident, $pairs:ident, $T:ident::$V:ident { $($f:ident $(as $key:literal)? : $t:ty $([$($mk:tt)*])?),* $(,)? }) => {{
+    ($self:ident, $pairs:ident, [$($tag_key:literal, $tag:literal)?], $T:ident::$V:ident { $($f:ident $(as $key:literal)? : $t:ty $([$($mk:tt)*])?),* $(,)? }) => {{
         let $T::$V { $($f),* } = $self else {
             unreachable!("matched by the caller")
         };
+        $pairs.reserve([$($tag_key,)? $(stringify!($f)),*].len());
+        $( $pairs.push(($tag_key.to_string(), $crate::Json::Str($tag.to_string()))); )?
         $( $crate::__wire_put!($pairs, $crate::__wire_key!($f $($key)?), $f, $t, [$($($mk)*)?]); )*
     }};
-    ($self:ident, $pairs:ident, $T:ident::$V:ident ($inner:ty)) => {{
+    ($self:ident, $pairs:ident, [$($tag_key:literal, $tag:literal)?], $T:ident::$V:ident ($inner:ty)) => {{
         let $T::$V(inner) = $self else {
             unreachable!("matched by the caller")
         };
+        $( $pairs.push(($tag_key.to_string(), $crate::Json::Str($tag.to_string()))); )?
         $crate::wire::flatten(&mut $pairs, <$inner as $crate::ToJson>::to_json(inner));
     }};
-    ($self:ident, $pairs:ident, $T:ident::$V:ident) => {};
+    ($self:ident, $pairs:ident, [$($tag_key:literal, $tag:literal)?], $T:ident::$V:ident) => {
+        $( $pairs.push(($tag_key.to_string(), $crate::Json::Str($tag.to_string()))); )?
+    };
 }
 
 /// Values a `[skip]` field omits from the wire.
@@ -289,7 +296,8 @@ pub fn field_or<T: FromJson>(
     }
 }
 
-/// Appends an encoded object's pairs (a `[flatten]` field).
+/// Appends an encoded object's pairs (a `[flatten]` field, whose type
+/// must encode as an object).
 pub fn flatten(pairs: &mut Vec<(String, Json)>, inner: Json) {
     if let Json::Obj(fields) = inner {
         pairs.extend(fields);

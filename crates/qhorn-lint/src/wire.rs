@@ -102,10 +102,11 @@ pub fn check_handwritten(
     }
     let joined = scan.masked_lines.join("\n");
     let offsets = line_offsets(&joined);
-    for marker in ["impl ToJson for ", "impl FromJson for "] {
+    for marker in ["ToJson for ", "FromJson for "] {
         for (at, _) in joined.match_indices(marker) {
             let line = line_of(&offsets, at);
-            if scan.test_lines.get(line).copied().unwrap_or(false) {
+            let is_impl = scan.masked_lines[line].trim_start().starts_with("impl");
+            if !is_impl || scan.test_lines.get(line).copied().unwrap_or(false) {
                 continue;
             }
             let Some(open) = joined[at..].find('{').map(|p| at + p) else {
@@ -124,9 +125,9 @@ pub fn check_handwritten(
                     file: rel_path.to_string(),
                     line: line + 1,
                     message: format!(
-                        "hand-written `{}` reads or writes object keys, which the wire-schema \
-                         ratchet cannot see; declare the type with `qhorn_json::wire!`",
-                        marker.trim_end()
+                        "hand-written `{}` impl reads or writes object keys, which the \
+                         wire-schema ratchet cannot see; declare the type with `qhorn_json::wire!`",
+                        marker.trim_end_matches(" for ")
                     ),
                 });
             }
@@ -273,9 +274,12 @@ fn parse_decl(decl: &[char]) -> Option<(String, TypeSchema)> {
                 .map(|(key, kinds)| {
                     let kind: Vec<String> = kinds
                         .into_iter()
-                        .map(|(kind, tags)| match tags.is_empty() {
-                            true => kind,
-                            false => format!("{kind} ({})", tags.join(", ")),
+                        .map(|(kind, tags)| {
+                            if tags.is_empty() {
+                                kind
+                            } else {
+                                format!("{kind} ({})", tags.join(", "))
+                            }
                         })
                         .collect();
                     (key, kind.join("; "))
@@ -631,6 +635,11 @@ impl ToJson for Pair {
         Json::object([("a", self.a.to_json())])
     }
 }
+impl<T: Copy> qhorn_json::FromJson for Label<T> {
+    fn from_json(j: &Json) -> Result<Self, JsonError> {
+        Ok(Label(j.field("label")?.clone()))
+    }
+}
 impl FromJson for Label {
     fn from_json(j: &Json) -> Result<Self, JsonError> {
         j.as_str().map(Label::new).ok_or_else(|| JsonError::msg("expected string"))
@@ -640,8 +649,12 @@ impl FromJson for Label {
         let scan = scan_source(src);
         let mut findings = Vec::new();
         check_handwritten("demo", "crates/demo/src/lib.rs", &scan, &mut findings);
-        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings.len(), 2, "{findings:?}");
         assert_eq!(findings[0].line, 2);
+        assert_eq!(
+            findings[1].line, 7,
+            "generic and path-qualified impls count too"
+        );
         assert!(findings[0].message.contains("qhorn_json::wire!"));
         let mut none = Vec::new();
         check_handwritten(

@@ -17,8 +17,7 @@
 
 use crate::dataset::{DatasetInfo, DEFAULT_SIZE};
 use crate::error::ServiceError;
-use crate::metrics::MetricsSnapshot;
-use crate::metrics::SaturationSnapshot;
+use crate::metrics::{MetricsSnapshot, SaturationSnapshot};
 use crate::registry::{HealthReport, QuestionInfo, RegistryStats, SessionResources, StepOutcome};
 use crate::trace::{LayerProfile, TimelineEvent, TraceSummary, TraceTree};
 use qhorn_core::{Obj, Query, Response};
