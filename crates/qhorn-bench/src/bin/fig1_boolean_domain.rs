@@ -31,7 +31,8 @@ fn main() {
     }
 
     println!("## Inverse direction: synthesizing a chocolate for each Boolean class\n");
-    let synth = Synthesizer::new(&bridge, chocolates::hints());
+    let hints = chocolates::hints();
+    let synth = Synthesizer::new(&bridge, &hints);
     for mask in 0u8..8 {
         let bits: String = (0..3)
             .map(|i| if mask & (1 << i) != 0 { '1' } else { '0' })

@@ -25,6 +25,8 @@ use qhorn_relation::value::Value;
 pub enum RealizedQuestion {
     /// A stored object has exactly the requested signature.
     Stored {
+        /// The Boolean-domain question the object realizes.
+        question: Obj,
         /// The stored object's id.
         id: ObjectId,
         /// The data object to show the user.
@@ -32,19 +34,37 @@ pub enum RealizedQuestion {
     },
     /// No stored object matches; a synthetic example was constructed.
     Synthesized {
+        /// The Boolean-domain question the object realizes.
+        question: Obj,
         /// The synthesized data object.
         object: NestedObject,
     },
 }
 
 impl RealizedQuestion {
+    /// The Boolean-domain question: the data object booleanizes to it
+    /// exactly.
+    #[must_use]
+    pub fn question(&self) -> &Obj {
+        match self {
+            RealizedQuestion::Stored { question, .. }
+            | RealizedQuestion::Synthesized { question, .. } => question,
+        }
+    }
+
+    fn into_question(self) -> Obj {
+        match self {
+            RealizedQuestion::Stored { question, .. }
+            | RealizedQuestion::Synthesized { question, .. } => question,
+        }
+    }
+
     /// The data object to present.
     #[must_use]
     pub fn object(&self) -> &NestedObject {
         match self {
-            RealizedQuestion::Stored { object, .. } | RealizedQuestion::Synthesized { object } => {
-                object
-            }
+            RealizedQuestion::Stored { object, .. }
+            | RealizedQuestion::Synthesized { object, .. } => object,
         }
     }
 
@@ -140,16 +160,7 @@ impl<'a> Session<'a> {
     /// [`SynthesisError`] when no stored object matches and the pattern is
     /// unrealizable under the bound propositions.
     pub fn realize(&self, question: &Obj) -> Result<RealizedQuestion, SynthesisError> {
-        if let Some(&id) = self.store.boolean().find_by_signature(question).first() {
-            return Ok(RealizedQuestion::Stored {
-                id,
-                object: self.store.data_object(id).clone(),
-            });
-        }
-        let synth = Synthesizer::new(self.store.bridge(), self.hints.clone());
-        let object =
-            synth.synthesize_object(question, DataTuple::new([Value::str("example box")]))?;
-        Ok(RealizedQuestion::Synthesized { object })
+        realize(self.store, &self.hints, question)
     }
 
     /// Learns a qhorn-1 query from a user callback that labels realized
@@ -326,6 +337,27 @@ impl std::fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
+/// [`Session::realize`] over a borrowed store and hints.
+fn realize(
+    store: &DataStore,
+    hints: &DomainHints,
+    question: &Obj,
+) -> Result<RealizedQuestion, SynthesisError> {
+    if let Some(&id) = store.boolean().find_by_signature(question).first() {
+        return Ok(RealizedQuestion::Stored {
+            question: question.clone(),
+            id,
+            object: store.data_object(id).clone(),
+        });
+    }
+    let object = Synthesizer::new(store.bridge(), hints)
+        .synthesize_object(question, DataTuple::new([Value::str("example box")]))?;
+    Ok(RealizedQuestion::Synthesized {
+        question: question.clone(),
+        object,
+    })
+}
+
 /// Oracle adapter: realize each Boolean question, ask the callback, record
 /// the exchange. A callback answering `None` stops the learner. Unrealizable patterns (joint proposition interference)
 /// are answered `NonAnswer` — no data object can exhibit them, so no
@@ -343,20 +375,13 @@ impl MembershipOracle for SessionOracle<'_, '_> {
     }
 
     fn try_ask(&mut self, question: &Obj) -> Option<Response> {
-        let realized = {
-            let session = Session {
-                store: self.session_store,
-                hints: self.hints.clone(),
-                transcript: Vec::new(),
-            };
-            session.realize(question)
-        };
-        match realized {
+        match realize(self.session_store, self.hints, question) {
             Ok(r) => {
                 let response = (self.respond)(&r)?;
+                let from_store = r.is_stored();
                 self.transcript.push(Exchange {
-                    question: question.clone(),
-                    from_store: r.is_stored(),
+                    question: r.into_question(),
+                    from_store,
                     response,
                 });
                 Some(response)

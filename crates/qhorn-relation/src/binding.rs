@@ -10,19 +10,37 @@ use qhorn_core::{BoolTuple, Obj, VarId, VarSet};
 
 /// Binds an ordered proposition list to Boolean variables `x1..xn` over an
 /// embedded-relation schema.
+///
+/// Each proposition's attribute is resolved to its schema position once,
+/// at construction, so the per-tuple transforms index values directly.
 #[derive(Clone, Debug)]
 pub struct Booleanizer {
     schema: FlatSchema,
     props: Vec<Proposition>,
+    /// `positions[i]`: schema position of `props[i]`'s attribute.
+    positions: Vec<usize>,
+    /// `by_attr[a]`: indices of the propositions on attribute `a`, in
+    /// variable order.
+    by_attr: Vec<Vec<usize>>,
 }
 
 impl Booleanizer {
     /// Validates every proposition against the schema.
     pub fn new(schema: FlatSchema, props: Vec<Proposition>) -> Result<Self, PropError> {
-        for p in &props {
-            p.validate(&schema)?;
+        let positions = props
+            .iter()
+            .map(|p| p.validate(&schema))
+            .collect::<Result<Vec<usize>, PropError>>()?;
+        let mut by_attr = vec![Vec::new(); schema.arity()];
+        for (i, &pos) in positions.iter().enumerate() {
+            by_attr[pos].push(i);
         }
-        Ok(Booleanizer { schema, props })
+        Ok(Booleanizer {
+            schema,
+            props,
+            positions,
+            by_attr,
+        })
     }
 
     /// Number of Boolean variables (= propositions).
@@ -52,11 +70,17 @@ impl Booleanizer {
             .map(|i| VarId(i as u16))
     }
 
+    /// Indices of the propositions on the attribute at schema position
+    /// `attr`, in variable order.
+    pub(crate) fn props_on(&self, attr: usize) -> &[usize] {
+        &self.by_attr[attr]
+    }
+
     /// Transforms one data tuple into its Boolean abstraction.
     pub fn booleanize_tuple(&self, t: &DataTuple) -> Result<BoolTuple, PropError> {
         let mut trues = VarSet::new();
-        for (i, p) in self.props.iter().enumerate() {
-            if p.eval(t, &self.schema)? {
+        for (i, (p, &pos)) in self.props.iter().zip(&self.positions).enumerate() {
+            if p.eval_value(t.get(pos))? {
                 trues.insert(VarId(i as u16));
             }
         }
@@ -84,7 +108,9 @@ impl Booleanizer {
 mod tests {
     use super::*;
     use crate::datasets::chocolates;
-    use crate::value::Value;
+    use crate::proposition::Cmp;
+    use crate::schema::Attr;
+    use crate::value::{AttrType, Value};
 
     fn bridge() -> Booleanizer {
         Booleanizer::new(
@@ -122,6 +148,28 @@ mod tests {
         // {110, 010} plus Sweden 010 — dedup applies.
         assert_eq!(s2.arity(), 3);
         assert!(s2.len() <= rel.objects[1].tuples.len());
+    }
+
+    #[test]
+    fn wrong_typed_value_is_an_ordering_error_naming_the_proposition() {
+        let schema = FlatSchema::new([
+            Attr::new("isDark", AttrType::Bool),
+            Attr::new("cocoa", AttrType::Int),
+        ])
+        .unwrap();
+        let props = vec![
+            Proposition::is_true("p1", "isDark"),
+            Proposition::new("hi", "cocoa", Cmp::Ge, Value::Int(70)),
+        ];
+        let b = Booleanizer::new(schema, props).unwrap();
+        let t = DataTuple::new([Value::Bool(true), Value::str("seventy")]);
+        assert_eq!(
+            b.booleanize_tuple(&t),
+            Err(PropError::OrderingOnNonInt {
+                prop: "hi".to_string(),
+                ty: AttrType::Str,
+            })
+        );
     }
 
     #[test]

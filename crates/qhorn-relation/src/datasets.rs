@@ -324,7 +324,8 @@ mod tests {
         use super::cellars;
         use crate::synthesize::Synthesizer;
         let b = cellars::booleanizer();
-        let synth = Synthesizer::new(&b, cellars::hints());
+        let hints = cellars::hints();
+        let synth = Synthesizer::new(&b, &hints);
         for mask in 0u8..8 {
             let bits: String = (0..3)
                 .map(|i| if mask & (1 << i) != 0 { '1' } else { '0' })

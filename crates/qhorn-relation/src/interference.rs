@@ -39,8 +39,6 @@ pub struct AttrConstraints {
     lo: i64,
     /// Integer upper bound (inclusive).
     hi: i64,
-    /// Whether any constraint was added.
-    any: bool,
     /// Whether an outright contradiction was detected.
     contradiction: bool,
 }
@@ -54,14 +52,12 @@ impl AttrConstraints {
             excluded: BTreeSet::new(),
             lo: i64::MIN,
             hi: i64::MAX,
-            any: false,
             contradiction: false,
         }
     }
 
     /// Adds one signed constraint.
     pub fn add(&mut self, cmp: Cmp, rhs: &Value, positive: bool) {
-        self.any = true;
         // Normalize negative orderings to their complements.
         let (cmp, positive) = match (cmp, positive) {
             (Cmp::Lt, false) => (Cmp::Ge, true),
@@ -161,12 +157,6 @@ impl AttrConstraints {
         }
         // Entirely unconstrained and no hints: caller decides the default.
         None
-    }
-
-    /// `true` iff no constraint has been added.
-    #[must_use]
-    pub fn is_unconstrained(&self) -> bool {
-        !self.any
     }
 }
 

@@ -113,9 +113,10 @@ impl Proposition {
 
     /// Validates the proposition against a schema: the attribute exists,
     /// the constant's type matches, and ordering operators apply only to
-    /// integers.
-    pub fn validate(&self, schema: &FlatSchema) -> Result<(), PropError> {
-        let ty = schema.type_of(&self.attr)?;
+    /// integers. Returns the attribute's position in the schema.
+    pub fn validate(&self, schema: &FlatSchema) -> Result<usize, PropError> {
+        let pos = schema.index_of(&self.attr)?;
+        let ty = schema.attrs()[pos].ty;
         if ty != self.rhs.attr_type() {
             return Err(SchemaError::TypeMismatch {
                 attr: self.attr.clone(),
@@ -130,7 +131,7 @@ impl Proposition {
                 ty,
             });
         }
-        Ok(())
+        Ok(pos)
     }
 
     /// Evaluates the proposition on a tuple.
@@ -139,7 +140,15 @@ impl Proposition {
         tuple: &crate::relation::DataTuple,
         schema: &FlatSchema,
     ) -> Result<bool, PropError> {
-        let v = tuple.get_named(schema, &self.attr)?;
+        self.eval_value(tuple.get_named(schema, &self.attr)?)
+    }
+
+    /// Evaluates the proposition on its attribute's value.
+    ///
+    /// # Errors
+    /// [`PropError::OrderingOnNonInt`] when an ordering meets a
+    /// non-integer value.
+    pub fn eval_value(&self, v: &Value) -> Result<bool, PropError> {
         Ok(match (self.cmp, v, &self.rhs) {
             (Cmp::Eq, a, b) => a == b,
             (Cmp::Ne, a, b) => a != b,

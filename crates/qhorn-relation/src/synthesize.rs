@@ -7,6 +7,11 @@
 //! the conjunction of signed proposition constraints and emits a concrete
 //! tuple — or reports exactly which propositions conflict, which is how
 //! joint (beyond pairwise) interference surfaces.
+//!
+//! Cost: the binding resolves every proposition's attribute position once
+//! ([`Booleanizer::new`]), so one tuple costs O(attributes + propositions):
+//! each attribute visits only the propositions on it, plus one hint-pool
+//! lookup. The error's proposition names are built only on failure.
 
 use crate::binding::Booleanizer;
 use crate::interference::AttrConstraints;
@@ -81,13 +86,13 @@ impl std::error::Error for SynthesisError {}
 #[derive(Clone, Debug)]
 pub struct Synthesizer<'a> {
     bridge: &'a Booleanizer,
-    hints: DomainHints,
+    hints: &'a DomainHints,
 }
 
 impl<'a> Synthesizer<'a> {
     /// A synthesizer over the given binding and hints.
     #[must_use]
-    pub fn new(bridge: &'a Booleanizer, hints: DomainHints) -> Self {
+    pub fn new(bridge: &'a Booleanizer, hints: &'a DomainHints) -> Self {
         Synthesizer { bridge, hints }
     }
 
@@ -102,27 +107,27 @@ impl<'a> Synthesizer<'a> {
     /// Panics if `bt`'s arity differs from the binding's.
     pub fn synthesize_tuple(&self, bt: &BoolTuple) -> Result<DataTuple, SynthesisError> {
         assert_eq!(bt.arity(), self.bridge.n(), "arity mismatch");
+        let props = self.bridge.props();
+        let wanted = |i: usize| bt.get(VarId(i as u16));
         let schema = self.bridge.schema();
         let mut values: Vec<Value> = Vec::with_capacity(schema.arity());
         for (idx, attr) in schema.attrs().iter().enumerate() {
-            let mut constraints = AttrConstraints::new();
-            let mut involved: Vec<(String, bool)> = Vec::new();
-            for (i, p) in self.bridge.props().iter().enumerate() {
-                if schema.index_of(&p.attr).expect("validated") != idx {
-                    continue;
-                }
-                let positive = bt.get(VarId(i as u16));
-                constraints.add(p.cmp, &p.rhs, positive);
-                involved.push((p.name.clone(), positive));
-            }
-            let value = if constraints.is_unconstrained() {
+            let on_attr = self.bridge.props_on(idx);
+            let value = if on_attr.is_empty() {
                 self.default_value(&attr.name, attr.ty)
             } else {
+                let mut constraints = AttrConstraints::new();
+                for &i in on_attr {
+                    constraints.add(props[i].cmp, &props[i].rhs, wanted(i));
+                }
                 constraints
                     .solve(self.hints.get(&attr.name))
-                    .ok_or(SynthesisError {
+                    .ok_or_else(|| SynthesisError {
                         attr: attr.name.clone(),
-                        constraints: involved,
+                        constraints: on_attr
+                            .iter()
+                            .map(|&i| (props[i].name.clone(), wanted(i)))
+                            .collect(),
                     })?
             };
             values.push(value);
@@ -182,7 +187,8 @@ mod tests {
     #[test]
     fn synthesizes_each_boolean_pattern() {
         let b = bridge();
-        let synth = Synthesizer::new(&b, chocolates::hints());
+        let hints = chocolates::hints();
+        let synth = Synthesizer::new(&b, &hints);
         for bits in ["000", "001", "010", "011", "100", "101", "110", "111"] {
             let bt = BoolTuple::from_bits(bits);
             let t = synth.synthesize_tuple(&bt).unwrap();
@@ -193,7 +199,8 @@ mod tests {
     #[test]
     fn synthesizes_objects() {
         let b = bridge();
-        let synth = Synthesizer::new(&b, DomainHints::none());
+        let none = DomainHints::none();
+        let synth = Synthesizer::new(&b, &none);
         let obj = Obj::from_bits("111 011");
         let data = synth
             .synthesize_object(&obj, DataTuple::new([Value::str("Example Box")]))
@@ -212,7 +219,8 @@ mod tests {
             Proposition::eq("pb", "origin", Value::str("Belgium")),
         ];
         let b = Booleanizer::new(schema, props).unwrap();
-        let synth = Synthesizer::new(&b, DomainHints::none());
+        let none = DomainHints::none();
+        let synth = Synthesizer::new(&b, &none);
         let err = synth
             .synthesize_tuple(&BoolTuple::from_bits("11"))
             .unwrap_err();
@@ -236,7 +244,8 @@ mod tests {
             Proposition::new("vhi", "cocoa", Cmp::Ge, Value::Int(90)),
         ];
         let b = Booleanizer::new(schema, props).unwrap();
-        let synth = Synthesizer::new(&b, DomainHints::none());
+        let none = DomainHints::none();
+        let synth = Synthesizer::new(&b, &none);
         // 10: cocoa in [70, 89].
         let t = synth.synthesize_tuple(&BoolTuple::from_bits("10")).unwrap();
         assert!(matches!(t.get(0), Value::Int(c) if (70..90).contains(c)));
@@ -251,7 +260,7 @@ mod tests {
     fn hints_make_examples_natural() {
         let b = bridge();
         let hints = DomainHints::none().with("origin", vec![Value::str("Belgium")]);
-        let synth = Synthesizer::new(&b, hints);
+        let synth = Synthesizer::new(&b, &hints);
         // Pattern with p3 (Madagascar) false: the hint should be used.
         let t = synth
             .synthesize_tuple(&BoolTuple::from_bits("110"))

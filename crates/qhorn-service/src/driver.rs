@@ -18,7 +18,9 @@ use qhorn_core::learn::{LearnOptions, LearnOutcome, LearnStats};
 use qhorn_core::{Obj, Query, Response};
 use qhorn_engine::session::{Exchange, LearnerKind, RealizedQuestion, Session};
 use qhorn_engine::DataStore;
+use qhorn_relation::relation::NestedObject;
 use qhorn_relation::synthesize::DomainHints;
+use std::fmt::Write;
 use std::sync::mpsc;
 use std::sync::Arc;
 
@@ -213,13 +215,16 @@ fn respond_via<'a>(
     mail: &'a Arc<DriverMailbox>,
 ) -> impl FnMut(&RealizedQuestion) -> Option<Response> + 'a {
     move |realized: &RealizedQuestion| {
-        let question = match store.bridge().booleanize_object(realized.object()) {
-            Ok(q) => q,
-            Err(_) => return Some(Response::NonAnswer), // unrealizable; cannot happen for realized objects
-        };
+        // Synthesis inverts booleanization, and stored objects are found
+        // by this exact signature.
+        debug_assert_eq!(
+            store.bridge().booleanize_object(realized.object()).as_ref(),
+            Ok(realized.question()),
+            "a realized object booleanizes to its question"
+        );
         let out = QuestionOut {
-            question,
-            rendered: render(realized),
+            question: realized.question().clone(),
+            rendered: render(realized.object()),
             from_store: realized.is_stored(),
         };
         evt_tx.send(DriverEvent::Question(out)).ok()?;
@@ -230,8 +235,16 @@ fn respond_via<'a>(
     }
 }
 
-fn render(realized: &RealizedQuestion) -> String {
-    let obj = realized.object();
-    let tuples: Vec<String> = obj.tuples.iter().map(|t| t.to_string()).collect();
-    format!("{} ⟨{}⟩", obj.attrs, tuples.join(", "))
+/// `attrs ⟨t1, t2, …⟩`, written into one buffer.
+fn render(obj: &NestedObject) -> String {
+    let mut out = String::new();
+    let _ = write!(out, "{} ⟨", obj.attrs);
+    for (i, t) in obj.tuples.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        let _ = write!(out, "{t}");
+    }
+    out.push('⟩');
+    out
 }

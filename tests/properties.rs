@@ -138,15 +138,26 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn synthesis_inverts_booleanization(mask in 0u32..8) {
+    fn synthesis_inverts_booleanization(seed in any::<u64>(), arity in 1usize..=64, mask in any::<u64>()) {
+        // Chocolates' 3 variables, and a generated binding of `arity`
+        // propositions (at most one per attribute, so every pattern is
+        // realizable).
         use qhorn::relation::datasets::chocolates;
+        use qhorn::relation::generate::{generate_dataset, sweep};
         use qhorn::relation::synthesize::Synthesizer;
-        let bridge = chocolates::booleanizer();
-        let synth = Synthesizer::new(&bridge, chocolates::hints());
-        let trues: VarSet = (0..3).filter(|i| mask & (1 << i) != 0).map(VarId).collect();
-        let bt = BoolTuple::from_true_set(3, trues);
-        let tuple = synth.synthesize_tuple(&bt).unwrap();
-        prop_assert_eq!(bridge.booleanize_tuple(&tuple).unwrap(), bt);
+        let generated = generate_dataset(&sweep(seed, &[1], &[arity])[0]);
+        let bindings = [
+            (chocolates::booleanizer(), chocolates::hints()),
+            (generated.validate().unwrap(), generated.hints),
+        ];
+        for (bridge, hints) in &bindings {
+            let n = bridge.n();
+            let synth = Synthesizer::new(bridge, hints);
+            let trues: VarSet = (0..n).filter(|i| mask >> i & 1 == 1).map(VarId).collect();
+            let bt = BoolTuple::from_true_set(n, trues);
+            let tuple = synth.synthesize_tuple(&bt).unwrap();
+            prop_assert_eq!(bridge.booleanize_tuple(&tuple).unwrap(), bt);
+        }
     }
 
     #[test]
