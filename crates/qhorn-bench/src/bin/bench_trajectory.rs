@@ -17,6 +17,10 @@
 //! with journaling sampled out via the runtime `set_trace_config` knob,
 //! recording the fractional overhead the defaults add.
 //!
+//! A **realization** series (`realize_arity24`, `realize_arity48`) times
+//! one learner question realized as a data object, over generated sweep
+//! datasets and the questions a role-preserving learner asks there.
+//!
 //! Two sections added with the lockdep/lint tooling: a
 //! **lockdep pass-through pin** (top-level `lockdep_off_overhead`) —
 //! raw `std::sync::Mutex` lock/unlock vs the class-tagged
@@ -47,11 +51,14 @@
 //! the artifact's `lint` key (absent flag → `lint: null`).
 
 use qhorn_core::kernel::CompiledQuery;
+use qhorn_core::learn::{learn_role_preserving, LearnOptions};
+use qhorn_core::oracle::FnOracle;
 use qhorn_core::{BoolTuple, Expr, Obj, Query, Response, VarId, VarSet};
-use qhorn_engine::session::{Exchange, LearnerKind};
-use qhorn_engine::storage::Store;
+use qhorn_engine::session::{Exchange, LearnerKind, Session};
+use qhorn_engine::storage::{DataStore, Store};
 use qhorn_json::Json;
 use qhorn_lockdep::{LockClass, OrderedMutex};
+use qhorn_relation::generate;
 use qhorn_service::batch;
 use qhorn_service::http::HttpClient;
 use qhorn_service::proto::{Reply, Request};
@@ -295,6 +302,35 @@ fn bench_parallel_batch(
     result
 }
 
+/// Realization: µs per realized question over a generated sweep dataset
+/// of `arity` propositions, cycling through every question a
+/// role-preserving learner asks there, realized through a session as the
+/// service's oracle does.
+fn bench_realize(name: &'static str, arity: usize, iters: u64) -> BenchResult {
+    let params = &generate::sweep(11, &[40], &[arity])[0];
+    let def = generate::generate_dataset(params);
+    let bridge = def.validate().expect("generated datasets validate");
+    let store = DataStore::from_relation(def.relation, bridge).expect("generated data booleanizes");
+    let n = store.bridge().n();
+    let target = qhorn_bench::bench_role_preserving_target(n);
+    let mut questions = Vec::new();
+    learn_role_preserving(
+        n,
+        &mut FnOracle(|q: &Obj| {
+            questions.push(q.clone());
+            target.eval(q)
+        }),
+        &LearnOptions::default(),
+    )
+    .expect("the learner reaches its target");
+    let session = Session::new(&store, def.hints);
+    let mut next = questions.iter().cycle();
+    bench(name, iters, 1, || {
+        let q = next.next().expect("a cycle never ends");
+        black_box(session.realize(q).is_ok());
+    })
+}
+
 fn main() {
     let mut quick = false;
     let mut out = PathBuf::from("BENCH_10.json");
@@ -501,6 +537,9 @@ fn main() {
             n(20, 2),
         ));
     }
+
+    results.push(bench_realize("realize_arity24", 24, n(20_000, 2_000)));
+    results.push(bench_realize("realize_arity48", 48, n(20_000, 2_000)));
 
     // Lockdep pass-through pin: raw `std::sync::Mutex` lock/unlock vs
     // the class-tagged `OrderedMutex` every workspace lock routes
@@ -748,6 +787,8 @@ fn validate_artifact(text: &str) {
         "kernel_wide_arity64",
         "tcp_stats_round_trip",
         "tcp_stats_round_trip_untraced",
+        "realize_arity24",
+        "realize_arity48",
     ] {
         by_name(name);
     }
