@@ -1375,6 +1375,11 @@ impl Registry {
             snap.transcript.clone(),
             Arc::clone(&self.mailbox),
         );
+        // Only answered questions keep their index: the durable log
+        // records exactly those, so a question that was in flight at
+        // eviction is asked again under the index it had.
+        let mut asked = record.asked;
+        asked.truncate(record.answered);
         let mut entry = Entry {
             state: SessionState::Learning,
             kind: record.kind,
@@ -1382,7 +1387,7 @@ impl Registry {
             store,
             driver,
             pending: None,
-            asked: record.asked,
+            asked,
             transcript: snap.transcript,
             learned: snap.learned,
             verified: record.verified,
