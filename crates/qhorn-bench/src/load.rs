@@ -321,10 +321,7 @@ fn classify_error(message: &str) -> &'static str {
         || message.starts_with("invalid config")
     {
         "422"
-    } else if message.starts_with("session driver timed out")
-        || message.starts_with("store error")
-        || message.starts_with("transport error")
-    {
+    } else if message.starts_with("store error") || message.starts_with("transport error") {
         "5xx"
     } else {
         "other"
@@ -749,7 +746,7 @@ mod tests {
         assert_eq!(classify_error("dataset conflict: nope"), "409");
         assert_eq!(classify_error("parse error: x"), "400");
         assert_eq!(classify_error("invalid size: 0"), "422");
-        assert_eq!(classify_error("session driver timed out"), "5xx");
+        assert_eq!(classify_error("store error: disk full"), "5xx");
         assert_eq!(classify_error("anything else"), "other");
         for class in ERROR_CLASSES {
             assert!(!class.is_empty());

@@ -20,7 +20,7 @@
 //! needs only O(lg n) questions.
 
 use super::questions::matrix;
-use super::{Asker, LearnError, LearnOptions, LearnStats};
+use super::{complete_now, Asker, LearnError, LearnOptions, LearnStats};
 use crate::oracle::MembershipOracle;
 use crate::query::{Expr, Query};
 use crate::var::{VarId, VarSet};
@@ -79,6 +79,15 @@ pub fn learn_pair_heads<O: MembershipOracle + ?Sized>(
         "questions need at least two tuples to carry information"
     );
     assert!(n >= 3);
+    complete_now(pair_heads(n, c, oracle, opts))
+}
+
+async fn pair_heads<O: MembershipOracle + ?Sized>(
+    n: u16,
+    c: usize,
+    oracle: &mut O,
+    opts: &LearnOptions,
+) -> Result<PairHeadOutcome, LearnError> {
     let mut asker = Asker::new(oracle, opts);
 
     // Cover the pair space with blocks of ≤ c variables: blocks of size
@@ -106,7 +115,7 @@ pub fn learn_pair_heads<O: MembershipOracle + ?Sized>(
             }
             debug_assert!(h.len() <= c);
             let set: VarSet = h.iter().copied().collect();
-            if asker.is_answer(&matrix(n, &set))? {
+            if asker.is_answer(&matrix(n, &set)).await? {
                 candidate = Some(h);
                 break 'outer;
             }
@@ -122,14 +131,14 @@ pub fn learn_pair_heads<O: MembershipOracle + ?Sized>(
     // below are matrix questions over subsets of `h`, so the width budget
     // is respected. First isolate one head with O(lg c) questions (the
     // same divide-and-boost search as GetHead, Lemma 3.3)…
-    let first = isolate_one_head(n, &h, &mut asker)?;
+    let first = isolate_one_head(n, &h, &mut asker).await?;
     // …then binary-search the rest boosted by the found head:
     // matrix(S ∪ {first}) answers iff S contains the second head.
     let mut rest: Vec<VarId> = h.iter().copied().filter(|&v| v != first).collect();
     while rest.len() > 1 {
         let (a, b) = rest.split_at(rest.len() / 2);
         let probe: VarSet = a.iter().copied().chain(std::iter::once(first)).collect();
-        rest = if asker.is_answer(&matrix(n, &probe))? {
+        rest = if asker.is_answer(&matrix(n, &probe)).await? {
             a.to_vec()
         } else {
             b.to_vec()
@@ -153,7 +162,7 @@ pub fn learn_pair_heads<O: MembershipOracle + ?Sized>(
 
 /// Precondition: `h` contains both heads. Returns one of them with
 /// O(lg |h|) matrix questions (mirrors `gethead::isolate`).
-fn isolate_one_head<O: MembershipOracle + ?Sized>(
+async fn isolate_one_head<O: MembershipOracle + ?Sized>(
     n: u16,
     h: &[VarId],
     asker: &mut Asker<'_, O>,
@@ -165,12 +174,12 @@ fn isolate_one_head<O: MembershipOracle + ?Sized>(
         }
         let (a, b) = s.split_at(s.len() / 2);
         let set_a: VarSet = a.iter().copied().collect();
-        if a.len() >= 2 && asker.is_answer(&matrix(n, &set_a))? {
+        if a.len() >= 2 && asker.is_answer(&matrix(n, &set_a)).await? {
             s = a.to_vec();
             continue;
         }
         let set_b: VarSet = b.iter().copied().collect();
-        if b.len() >= 2 && asker.is_answer(&matrix(n, &set_b))? {
+        if b.len() >= 2 && asker.is_answer(&matrix(n, &set_b)).await? {
             s = b.to_vec();
             continue;
         }
@@ -179,7 +188,7 @@ fn isolate_one_head<O: MembershipOracle + ?Sized>(
         while slice.len() > 1 {
             let (lo, hi) = slice.split_at(slice.len() / 2);
             let probe: VarSet = lo.iter().copied().chain(b.iter().copied()).collect();
-            slice = if asker.is_answer(&matrix(n, &probe))? {
+            slice = if asker.is_answer(&matrix(n, &probe)).await? {
                 lo.to_vec()
             } else {
                 hi.to_vec()

@@ -31,7 +31,7 @@ use std::collections::BTreeSet;
 /// Learns the dominant existential conjunctions of the target, given its
 /// (dominant) universal Horn expressions. Returns closed conjunction
 /// variable sets, including surviving guarantee clauses.
-pub(crate) fn learn_existential_conjunctions<O: MembershipOracle + ?Sized>(
+pub(crate) async fn learn_existential_conjunctions<O: MembershipOracle + ?Sized>(
     n: u16,
     universals: &[(VarSet, VarId)],
     asker: &mut Asker<'_, O>,
@@ -70,7 +70,7 @@ pub(crate) fn learn_existential_conjunctions<O: MembershipOracle + ?Sized>(
                 .chain(next.iter())
                 .cloned()
                 .collect();
-            if asker.is_answer(&Obj::new(n, question))? {
+            if asker.is_answer(&Obj::new(n, question)).await? {
                 // t is not distinguishing; keep a minimal set of children.
                 let context: BTreeSet<BoolTuple> = discovered
                     .iter()
@@ -78,7 +78,7 @@ pub(crate) fn learn_existential_conjunctions<O: MembershipOracle + ?Sized>(
                     .chain(next.iter())
                     .cloned()
                     .collect();
-                let kept = prune(n, &children, &context, asker)?;
+                let kept = prune(n, &children, &context, asker).await?;
                 next.extend(kept);
             } else {
                 // The conjunction over t's true set is dominant.
@@ -113,7 +113,7 @@ fn close_under(vars: &VarSet, universals: &[(VarSet, VarId)]) -> VarSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::learn::LearnOptions;
+    use crate::learn::{complete_now, LearnOptions};
     use crate::oracle::{CountingOracle, QueryOracle};
     use crate::query::{Expr, Query};
     use crate::varset;
@@ -128,10 +128,14 @@ mod tests {
         let mut asker = Asker::new(&mut oracle, &opts);
         let universals: Vec<(VarSet, VarId)> =
             target.normal_form().universals().iter().cloned().collect();
-        learn_existential_conjunctions(target.arity(), &universals, &mut asker)
-            .unwrap()
-            .into_iter()
-            .collect()
+        complete_now(learn_existential_conjunctions(
+            target.arity(),
+            &universals,
+            &mut asker,
+        ))
+        .unwrap()
+        .into_iter()
+        .collect()
     }
 
     #[test]
@@ -236,7 +240,7 @@ mod tests {
             let mut counting = CountingOracle::new(QueryOracle::new(q.clone()));
             let opts = LearnOptions::default();
             let mut asker = Asker::new(&mut counting, &opts);
-            let got = learn_existential_conjunctions(n, &[], &mut asker).unwrap();
+            let got = complete_now(learn_existential_conjunctions(n, &[], &mut asker)).unwrap();
             assert_eq!(got.len(), k);
             let asked = counting.stats().questions;
             let nf = n as f64;

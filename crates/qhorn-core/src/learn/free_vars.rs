@@ -15,16 +15,28 @@
 //! the learned query back to the full variable space.
 
 use super::questions;
-use super::{Asker, LearnError, LearnOptions, LearnOutcome, Phase};
+use super::{complete_now, Asker, LearnError, LearnOptions, LearnOutcome, Phase};
 use crate::object::{Obj, Response};
 use crate::oracle::MembershipOracle;
 use crate::query::{Expr, Query};
 use crate::tuple::BoolTuple;
 use crate::var::{VarId, VarSet};
+use std::task::{Context, Poll};
 
 /// Detects the variables the target query does not mention, using one
 /// single-tuple question per variable.
+///
+/// # Errors
+/// [`LearnError::BudgetExceeded`] if the question budget runs out.
 pub fn detect_free_variables<O: MembershipOracle + ?Sized>(
+    n: u16,
+    oracle: &mut O,
+    opts: &LearnOptions,
+) -> Result<(VarSet, super::LearnStats), LearnError> {
+    complete_now(scan(n, oracle, opts))
+}
+
+async fn scan<O: MembershipOracle + ?Sized>(
     n: u16,
     oracle: &mut O,
     opts: &LearnOptions,
@@ -34,7 +46,7 @@ pub fn detect_free_variables<O: MembershipOracle + ?Sized>(
     let mut free = VarSet::new();
     for i in 0..n {
         let v = VarId(i);
-        if asker.is_answer(&questions::free_var_probe(n, v))? {
+        if asker.is_answer(&questions::free_var_probe(n, v)).await? {
             free.insert(v);
         }
     }
@@ -76,25 +88,33 @@ impl<O: MembershipOracle + ?Sized> MembershipOracle for SubspaceOracle<'_, O> {
         let lifted = self.lift(question);
         self.inner.try_ask(&lifted)
     }
+
+    fn poll_ask(&mut self, question: &Obj, cx: &mut Context<'_>) -> Poll<Option<Response>> {
+        let lifted = self.lift(question);
+        self.inner.poll_ask(&lifted, cx)
+    }
+
+    fn enter_phase(&mut self, phase: Phase) {
+        self.inner.enter_phase(phase);
+    }
+}
+
+/// The complete-target learner [`learn_with_free_vars`] runs over the
+/// constrained subspace.
+pub(crate) enum Complete {
+    Qhorn1,
+    RolePreserving,
 }
 
 /// Runs `inner` (a complete-target learner) after a free-variable scan,
 /// relabelling the result back to arity `n`.
-pub(crate) fn learn_with_free_vars<O, F>(
+pub(crate) async fn learn_with_free_vars<O: MembershipOracle + ?Sized>(
     n: u16,
     oracle: &mut O,
     opts: &LearnOptions,
-    inner: F,
-) -> Result<LearnOutcome, LearnError>
-where
-    O: MembershipOracle + ?Sized,
-    F: for<'s> FnOnce(
-        u16,
-        &'s mut SubspaceOracle<'_, O>,
-        &LearnOptions,
-    ) -> Result<LearnOutcome, LearnError>,
-{
-    let (free, scan_stats) = detect_free_variables(n, oracle, opts)?;
+    inner: Complete,
+) -> Result<LearnOutcome, LearnError> {
+    let (free, scan_stats) = scan(n, oracle, opts).await?;
     let map: Vec<VarId> = (0..n).map(VarId).filter(|v| !free.contains(*v)).collect();
     let m = map.len() as u16;
     let inner_opts = LearnOptions {
@@ -108,7 +128,12 @@ where
         map: map.clone(),
         n,
     };
-    let outcome = inner(m, &mut sub, &inner_opts)?;
+    let outcome = match inner {
+        Complete::Qhorn1 => super::qhorn1::learn_complete(m, &mut sub, &inner_opts).await?,
+        Complete::RolePreserving => {
+            super::role_preserving::learn_complete(m, &mut sub, &inner_opts).await?
+        }
+    };
     let (query, mut stats) = outcome.into_parts();
 
     // Relabel to the full space.

@@ -34,7 +34,7 @@ use crate::var::{VarId, VarSet};
 /// head and all of `d` its body (§3.1.3).
 ///
 /// Asks `O(lg |d|)` matrix questions of at most `|d|` tuples each.
-pub(crate) fn get_head<O: MembershipOracle + ?Sized>(
+pub(crate) async fn get_head<O: MembershipOracle + ?Sized>(
     n: u16,
     d: &[VarId],
     asker: &mut Asker<'_, O>,
@@ -44,14 +44,14 @@ pub(crate) fn get_head<O: MembershipOracle + ?Sized>(
     if d.len() < 2 {
         return Ok(None);
     }
-    if !matrix_answers(n, d.iter(), asker)? {
+    if !matrix_answers(n, d.iter(), asker).await? {
         return Ok(None);
     }
-    isolate(n, d, asker).map(Some)
+    isolate(n, d, asker).await.map(Some)
 }
 
 /// Precondition: `s` contains at least two heads. Returns one of them.
-fn isolate<O: MembershipOracle + ?Sized>(
+async fn isolate<O: MembershipOracle + ?Sized>(
     n: u16,
     s: &[VarId],
     asker: &mut Asker<'_, O>,
@@ -62,11 +62,11 @@ fn isolate<O: MembershipOracle + ?Sized>(
         return Ok(s[0]);
     }
     let (a, b) = s.split_at(s.len() / 2);
-    if a.len() >= 2 && matrix_answers(n, a.iter(), asker)? {
-        return isolate(n, a, asker);
+    if a.len() >= 2 && matrix_answers(n, a.iter(), asker).await? {
+        return Box::pin(isolate(n, a, asker)).await;
     }
-    if b.len() >= 2 && matrix_answers(n, b.iter(), asker)? {
-        return isolate(n, b, asker);
+    if b.len() >= 2 && matrix_answers(n, b.iter(), asker).await? {
+        return Box::pin(isolate(n, b, asker)).await;
     }
     // Each half holds exactly one head (together ≥ 2, each < 2 pairs).
     // Binary-search `a` boosted by `b`: matrix(T ∪ b) answers iff T holds
@@ -74,7 +74,7 @@ fn isolate<O: MembershipOracle + ?Sized>(
     let mut slice = a;
     while slice.len() > 1 {
         let (lo, hi) = slice.split_at(slice.len() / 2);
-        slice = if matrix_answers(n, lo.iter().chain(b.iter()), asker)? {
+        slice = if matrix_answers(n, lo.iter().chain(b.iter()), asker).await? {
             lo
         } else {
             hi
@@ -83,19 +83,19 @@ fn isolate<O: MembershipOracle + ?Sized>(
     Ok(slice[0])
 }
 
-fn matrix_answers<'v, O: MembershipOracle + ?Sized>(
+async fn matrix_answers<'v, O: MembershipOracle + ?Sized>(
     n: u16,
     vars: impl Iterator<Item = &'v VarId>,
     asker: &mut Asker<'_, O>,
 ) -> Result<bool, LearnError> {
     let set: VarSet = vars.copied().collect();
-    asker.is_answer(&questions::matrix(n, &set))
+    asker.is_answer(&questions::matrix(n, &set)).await
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::learn::LearnOptions;
+    use crate::learn::{complete_now, LearnOptions};
     use crate::oracle::{CountingOracle, QueryOracle};
     use crate::query::{Expr, Query};
 
@@ -114,7 +114,7 @@ mod tests {
         let opts = LearnOptions::default();
         let mut asker = Asker::new(oracle, &opts);
         let dv: Vec<VarId> = d.iter().map(|&i| VarId::from_one_based(i)).collect();
-        get_head(n, &dv, &mut asker).unwrap()
+        complete_now(get_head(n, &dv, &mut asker)).unwrap()
     }
 
     #[test]
@@ -191,7 +191,7 @@ mod tests {
             let opts = LearnOptions::default();
             let mut asker = Asker::new(&mut counting, &opts);
             let d: Vec<VarId> = (2..=n).map(VarId::from_one_based).collect();
-            let h = get_head(n, &d, &mut asker).unwrap().unwrap();
+            let h = complete_now(get_head(n, &d, &mut asker)).unwrap().unwrap();
             assert!(heads.contains(&h.one_based()));
             let q = counting.stats().questions;
             let lg = (d.len() as f64).log2().ceil() as usize;

@@ -13,6 +13,18 @@
 //! cost of n extra questions. [`constant_width`] implements the
 //! tuple-budgeted learner of Lemma 3.4, [`revision`] and [`pac`] the
 //! future-work extensions sketched in §6.
+//!
+//! Each question depends on the answers so far, so a learner's state
+//! between two questions is all an interactive session needs to keep.
+//! The learners are therefore written as `async` functions that await
+//! one answer per question ([`learn_qhorn1_async`],
+//! [`learn_role_preserving_async`]): over an oracle that suspends
+//! ([`MembershipOracle::poll_ask`] returning `Poll::Pending`), the
+//! compiler-generated future *is* the suspended learner, resumed by
+//! polling it again once the answer is known. No runtime is involved.
+//! The synchronous entry points poll that future once; every oracle that
+//! answers at once completes it in that poll, asking the same questions
+//! in the same order.
 
 pub mod constant_width;
 pub mod existential;
@@ -25,18 +37,21 @@ pub mod qhorn1;
 pub mod questions;
 pub mod revision;
 pub mod role_preserving;
-pub mod search;
+pub(crate) mod search;
 pub mod universal;
 pub mod validate;
 
-pub use qhorn1::learn_qhorn1;
-pub use role_preserving::learn_role_preserving;
+pub use qhorn1::{learn_qhorn1, learn_qhorn1_async};
+pub use role_preserving::{learn_role_preserving, learn_role_preserving_async};
 
 use crate::object::{Obj, Response};
 use crate::oracle::MembershipOracle;
 use crate::query::Query;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::future::Future;
+use std::task::{Context, Poll, Waker};
+use std::time::Instant;
 
 /// Tuning knobs for the learners.
 #[derive(Clone, Debug, Default)]
@@ -97,10 +112,11 @@ pub struct LearnStats {
     pub max_tuples_per_question: usize,
     /// Questions per phase.
     pub by_phase: BTreeMap<Phase, usize>,
-    /// Dialogue-clock nanoseconds spent in each phase. Measured on the
-    /// learner's own thread, so for interactive sessions this includes
-    /// the time spent waiting for the oracle (the user's think time) —
-    /// which is exactly what a per-session timeline wants to show.
+    /// Nanoseconds the learner computed in each phase. The clock stops
+    /// while the learner is suspended waiting for an answer
+    /// ([`MembershipOracle::poll_ask`] returned `Pending`), so an
+    /// interactive session's figure excludes the user's think time. An
+    /// oracle that answers at once is timed with the learner.
     pub nanos_by_phase: BTreeMap<Phase, u64>,
 }
 
@@ -111,7 +127,7 @@ impl LearnStats {
         self.by_phase.get(&p).copied().unwrap_or(0)
     }
 
-    /// Dialogue-clock nanoseconds spent in one phase.
+    /// Nanoseconds the learner computed in one phase.
     #[must_use]
     pub fn phase_nanos(&self, p: Phase) -> u64 {
         self.nanos_by_phase.get(&p).copied().unwrap_or(0)
@@ -188,29 +204,50 @@ impl fmt::Display for LearnError {
 
 impl std::error::Error for LearnError {}
 
+/// Polls `fut` once with a waker that does nothing: `Some` with its
+/// output if it completed, `None` if it suspended.
+pub(crate) fn poll_now<T>(fut: impl Future<Output = T>) -> Option<T> {
+    let mut fut = std::pin::pin!(fut);
+    match fut.as_mut().poll(&mut Context::from_waker(Waker::noop())) {
+        Poll::Ready(out) => Some(out),
+        Poll::Pending => None,
+    }
+}
+
+/// Runs a learner (or verifier) future for a synchronous caller. It
+/// completes in one poll over any oracle that answers at once; an oracle
+/// that suspends has, for a caller that cannot wait, stopped answering.
+pub(crate) fn complete_now<T>(
+    fut: impl Future<Output = Result<T, LearnError>>,
+) -> Result<T, LearnError> {
+    poll_now(fut).unwrap_or(Err(LearnError::Stopped))
+}
+
 /// Internal oracle wrapper: per-phase accounting plus budget enforcement.
 pub(crate) struct Asker<'a, O: MembershipOracle + ?Sized> {
     oracle: &'a mut O,
     stats: LearnStats,
     phase: Phase,
-    phase_entered: std::time::Instant,
+    phase_entered: Instant,
     budget: Option<usize>,
 }
 
 impl<'a, O: MembershipOracle + ?Sized> Asker<'a, O> {
     pub(crate) fn new(oracle: &'a mut O, opts: &LearnOptions) -> Self {
+        oracle.enter_phase(Phase::ClassifyHeads);
         Asker {
             oracle,
             stats: LearnStats::default(),
             phase: Phase::ClassifyHeads,
-            phase_entered: std::time::Instant::now(),
+            phase_entered: Instant::now(),
             budget: opts.max_questions,
         }
     }
 
-    /// Credits the dialogue clock since the last roll to the current phase.
+    /// Credits the learner's clock since the last roll to the current
+    /// phase.
     fn roll_phase_clock(&mut self) {
-        let now = std::time::Instant::now();
+        let now = Instant::now();
         let elapsed = now.duration_since(self.phase_entered);
         self.phase_entered = now;
         let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
@@ -224,10 +261,15 @@ impl<'a, O: MembershipOracle + ?Sized> Asker<'a, O> {
         if phase != self.phase {
             self.roll_phase_clock();
             self.phase = phase;
+            self.oracle.enter_phase(phase);
         }
     }
 
-    pub(crate) fn ask(&mut self, q: &Obj) -> Result<Response, LearnError> {
+    /// Asks one question and awaits its label. While the oracle keeps
+    /// the learner suspended, the phase clock is stopped: it is rolled
+    /// when the oracle first returns `Pending` and restarted when the
+    /// learner is polled again.
+    pub(crate) async fn ask(&mut self, q: &Obj) -> Result<Response, LearnError> {
         if let Some(b) = self.budget {
             if self.stats.questions >= b {
                 return Err(LearnError::BudgetExceeded {
@@ -239,12 +281,25 @@ impl<'a, O: MembershipOracle + ?Sized> Asker<'a, O> {
         self.stats.tuples += q.len();
         self.stats.max_tuples_per_question = self.stats.max_tuples_per_question.max(q.len());
         *self.stats.by_phase.entry(self.phase).or_insert(0) += 1;
-        self.oracle.try_ask(q).ok_or(LearnError::Stopped)
+        let mut suspended = false;
+        std::future::poll_fn(|cx| {
+            if suspended {
+                self.phase_entered = Instant::now();
+            }
+            let poll = self.oracle.poll_ask(q, cx);
+            suspended = poll.is_pending();
+            if suspended {
+                self.roll_phase_clock();
+            }
+            poll
+        })
+        .await
+        .ok_or(LearnError::Stopped)
     }
 
     /// `true` iff the oracle labels `q` an answer.
-    pub(crate) fn is_answer(&mut self, q: &Obj) -> Result<bool, LearnError> {
-        Ok(self.ask(q)?.is_answer())
+    pub(crate) async fn is_answer(&mut self, q: &Obj) -> Result<bool, LearnError> {
+        Ok(self.ask(q).await?.is_answer())
     }
 
     pub(crate) fn into_stats(mut self) -> LearnStats {
@@ -270,10 +325,10 @@ mod tests {
         };
         let mut asker = Asker::new(&mut oracle, &opts);
         asker.set_phase(Phase::ClassifyHeads);
-        asker.ask(&Obj::from_bits("11")).unwrap();
+        complete_now(asker.ask(&Obj::from_bits("11"))).unwrap();
         asker.set_phase(Phase::UniversalBodies);
-        asker.ask(&Obj::from_bits("11 01")).unwrap();
-        let err = asker.ask(&Obj::from_bits("11")).unwrap_err();
+        complete_now(asker.ask(&Obj::from_bits("11 01"))).unwrap();
+        let err = complete_now(asker.ask(&Obj::from_bits("11"))).unwrap_err();
         assert_eq!(err, LearnError::BudgetExceeded { asked: 2 });
         let stats = asker.into_stats();
         assert_eq!(stats.questions, 2);
@@ -286,6 +341,91 @@ mod tests {
         let total: u64 = stats.nanos_by_phase.values().sum();
         assert!(total > 0, "phase clock accrued nothing");
         assert_eq!(stats.phase_nanos(Phase::MatrixQuestions), 0);
+    }
+
+    /// Answers like `inner`, but only on the second poll of each
+    /// question: the first returns `Pending`, as an interactive session
+    /// does while its user thinks.
+    struct Suspending<O> {
+        inner: O,
+        waiting: bool,
+    }
+
+    impl<O: MembershipOracle> MembershipOracle for Suspending<O> {
+        fn ask(&mut self, question: &Obj) -> Response {
+            self.inner.ask(question)
+        }
+
+        fn poll_ask(&mut self, question: &Obj, _cx: &mut Context<'_>) -> Poll<Option<Response>> {
+            self.waiting = !self.waiting;
+            if self.waiting {
+                Poll::Pending
+            } else {
+                Poll::Ready(Some(self.inner.ask(question)))
+            }
+        }
+    }
+
+    #[test]
+    fn a_suspended_learner_resumes_to_the_same_outcome_and_its_clock_skips_the_wait() {
+        let target = crate::query::tests::paper_example();
+        let n = target.arity();
+        let opts = LearnOptions {
+            detect_free_variables: true,
+            ..Default::default()
+        };
+        let mut direct = QueryOracle::new(target.clone());
+        let want = learn_role_preserving(n, &mut direct, &opts).unwrap();
+
+        let mut oracle = Suspending {
+            inner: QueryOracle::new(target),
+            waiting: false,
+        };
+        let mut fut = std::pin::pin!(learn_role_preserving_async(n, &mut oracle, &opts));
+        let mut cx = Context::from_waker(Waker::noop());
+        let mut suspensions = 0;
+        let got = loop {
+            match fut.as_mut().poll(&mut cx) {
+                Poll::Ready(out) => break out.unwrap(),
+                Poll::Pending => {
+                    suspensions += 1;
+                    if suspensions <= 3 {
+                        std::thread::sleep(std::time::Duration::from_millis(30));
+                    }
+                }
+            }
+        };
+        assert_eq!(got.query(), want.query());
+        assert_eq!(got.stats().by_phase, want.stats().by_phase);
+        assert_eq!(
+            suspensions,
+            want.stats().questions,
+            "one suspension per question"
+        );
+        let computed: u64 = got.stats().nanos_by_phase.values().sum();
+        assert!(
+            computed < 30_000_000,
+            "the phase clock counted {computed} ns, so it ran during a 30 ms wait"
+        );
+    }
+
+    #[test]
+    fn learner_futures_are_send() {
+        fn assert_send<T: Send>(_: &T) {}
+        let target = crate::query::tests::paper_example();
+        let mut oracle = crate::oracle::ReplayOracle::new(QueryOracle::new(target.clone()), []);
+        let opts = LearnOptions {
+            detect_free_variables: true,
+            ..Default::default()
+        };
+        assert_send(&learn_qhorn1_async(target.arity(), &mut oracle, &opts));
+        assert_send(&learn_role_preserving_async(
+            target.arity(),
+            &mut oracle,
+            &opts,
+        ));
+        let set = crate::verify::VerificationSet::build(&target).unwrap();
+        assert_send(&set.verify_async(&mut oracle));
     }
 
     #[test]

@@ -33,16 +33,16 @@ use std::collections::BTreeSet;
 ///
 /// Precondition: the question `t ∪ others` is an answer (callers in
 /// Algorithm 7 have just observed this).
-pub(crate) fn prune<O: MembershipOracle + ?Sized>(
+pub(crate) async fn prune<O: MembershipOracle + ?Sized>(
     n: u16,
     t: &[BoolTuple],
     others: &BTreeSet<BoolTuple>,
     asker: &mut Asker<'_, O>,
 ) -> Result<Vec<BoolTuple>, LearnError> {
-    needed(n, t, others, asker)
+    needed(n, t, others, asker).await
 }
 
-fn needed<O: MembershipOracle + ?Sized>(
+async fn needed<O: MembershipOracle + ?Sized>(
     n: u16,
     t: &[BoolTuple],
     others: &BTreeSet<BoolTuple>,
@@ -51,7 +51,10 @@ fn needed<O: MembershipOracle + ?Sized>(
     if t.is_empty() {
         return Ok(Vec::new());
     }
-    if asker.is_answer(&Obj::new(n, others.iter().cloned()))? {
+    if asker
+        .is_answer(&Obj::new(n, others.iter().cloned()))
+        .await?
+    {
         return Ok(Vec::new());
     }
     if t.len() == 1 {
@@ -60,10 +63,10 @@ fn needed<O: MembershipOracle + ?Sized>(
     let (a, b) = t.split_at(t.len() / 2);
     let mut with_b = others.clone();
     with_b.extend(b.iter().cloned());
-    let ka = needed(n, a, &with_b, asker)?;
+    let ka = Box::pin(needed(n, a, &with_b, asker)).await?;
     let mut with_ka = others.clone();
     with_ka.extend(ka.iter().cloned());
-    let kb = needed(n, b, &with_ka, asker)?;
+    let kb = Box::pin(needed(n, b, &with_ka, asker)).await?;
     let mut out = ka;
     out.extend(kb);
     Ok(out)
@@ -72,7 +75,7 @@ fn needed<O: MembershipOracle + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::learn::LearnOptions;
+    use crate::learn::{complete_now, LearnOptions};
     use crate::object::Response;
     use crate::oracle::{CountingOracle, FnOracle, MembershipOracle, QueryOracle};
     use crate::query::{Expr, Query};
@@ -91,7 +94,7 @@ mod tests {
         let mut oracle = coverage_oracle(required.clone());
         let opts = LearnOptions::default();
         let mut asker = Asker::new(&mut oracle, &opts);
-        let kept = prune(n, &all, &BTreeSet::new(), &mut asker).unwrap();
+        let kept = complete_now(prune(n, &all, &BTreeSet::new(), &mut asker)).unwrap();
         let kept_set: BTreeSet<_> = kept.into_iter().collect();
         assert_eq!(kept_set, required.into_iter().collect());
     }
@@ -106,7 +109,7 @@ mod tests {
         let mut asker = Asker::new(&mut oracle, &opts);
         // all[6] already supplied by the context.
         let others: BTreeSet<_> = [all[6].clone()].into_iter().collect();
-        let kept = prune(n, &all, &others, &mut asker).unwrap();
+        let kept = complete_now(prune(n, &all, &others, &mut asker)).unwrap();
         assert_eq!(kept, vec![all[1].clone()]);
     }
 
@@ -118,7 +121,7 @@ mod tests {
         let opts = LearnOptions::default();
         let mut counting = CountingOracle::new(&mut oracle);
         let mut asker = Asker::new(&mut counting, &opts);
-        let kept = prune(n, &all, &BTreeSet::new(), &mut asker).unwrap();
+        let kept = complete_now(prune(n, &all, &BTreeSet::new(), &mut asker)).unwrap();
         assert!(kept.is_empty());
         assert_eq!(counting.stats().questions, 1);
     }
@@ -133,7 +136,7 @@ mod tests {
         let opts = LearnOptions::default();
         let mut counting = CountingOracle::new(&mut oracle);
         let mut asker = Asker::new(&mut counting, &opts);
-        let kept = prune(n, &all, &BTreeSet::new(), &mut asker).unwrap();
+        let kept = complete_now(prune(n, &all, &BTreeSet::new(), &mut asker)).unwrap();
         assert_eq!(kept.len(), 3);
         let q = counting.stats().questions;
         assert!(q <= 3 * 2 * 6 + 8, "{q} questions for 3 kept of 64");
@@ -154,7 +157,7 @@ mod tests {
         let mut oracle = QueryOracle::new(q.clone());
         let opts = LearnOptions::default();
         let mut asker = Asker::new(&mut oracle, &opts);
-        let kept = prune(n, &top_kids, &BTreeSet::new(), &mut asker).unwrap();
+        let kept = complete_now(prune(n, &top_kids, &BTreeSet::new(), &mut asker)).unwrap();
         // Kept set is an answer…
         assert!(q.accepts(&Obj::new(n, kept.iter().cloned())));
         // …and 1-minimal.
@@ -184,7 +187,7 @@ mod tests {
         let mut oracle = QueryOracle::new(q.clone());
         let opts = LearnOptions::default();
         let mut asker = Asker::new(&mut oracle, &opts);
-        let kept = prune(n, &kids, &BTreeSet::new(), &mut asker).unwrap();
+        let kept = complete_now(prune(n, &kids, &BTreeSet::new(), &mut asker)).unwrap();
         assert_eq!(
             kept.len(),
             3,
@@ -211,14 +214,15 @@ mod tests {
         let opts = LearnOptions::default();
         let mut kernel_oracle = CountingOracle::new(QueryOracle::new(q.clone()));
         let mut asker = Asker::new(&mut kernel_oracle, &opts);
-        let kept_kernel = prune(n, &candidates, &BTreeSet::new(), &mut asker).unwrap();
+        let kept_kernel =
+            complete_now(prune(n, &candidates, &BTreeSet::new(), &mut asker)).unwrap();
 
         let naive_q = q.clone();
         let mut naive_oracle = CountingOracle::new(FnOracle(move |obj: &Obj| {
             Response::from_bool(reference::accepts(&naive_q, obj))
         }));
         let mut asker = Asker::new(&mut naive_oracle, &opts);
-        let kept_naive = prune(n, &candidates, &BTreeSet::new(), &mut asker).unwrap();
+        let kept_naive = complete_now(prune(n, &candidates, &BTreeSet::new(), &mut asker)).unwrap();
 
         assert_eq!(kept_kernel, kept_naive);
         assert_eq!(
@@ -233,7 +237,7 @@ mod tests {
         let mut oracle = CountingOracle::new(QueryOracle::new(q));
         let opts = LearnOptions::default();
         let mut asker = Asker::new(&mut oracle, &opts);
-        let kept = prune(3, &[], &BTreeSet::new(), &mut asker).unwrap();
+        let kept = complete_now(prune(3, &[], &BTreeSet::new(), &mut asker)).unwrap();
         assert!(kept.is_empty());
         assert_eq!(oracle.stats().questions, 0);
     }

@@ -19,11 +19,12 @@
 //! enable [`super::LearnOptions::detect_free_variables`] to lift that
 //! assumption.
 
+use super::free_vars::{learn_with_free_vars, Complete};
 use super::gethead::get_head;
 use super::questions;
-use super::search::{find_all, find_one};
-use super::{Asker, LearnError, LearnOptions, LearnOutcome, Phase};
-use crate::object::Obj;
+use super::search::{find_all, find_one, Probe};
+use super::{complete_now, Asker, LearnError, LearnOptions, LearnOutcome, Phase};
+use crate::object::{Obj, Response};
 use crate::oracle::MembershipOracle;
 use crate::query::{Expr, Query};
 use crate::var::{VarId, VarSet};
@@ -45,17 +46,39 @@ pub fn learn_qhorn1<O: MembershipOracle + ?Sized>(
     oracle: &mut O,
     opts: &LearnOptions,
 ) -> Result<LearnOutcome, LearnError> {
+    complete_now(learn_qhorn1_async(n, oracle, opts))
+}
+
+/// [`learn_qhorn1`] as a future that awaits each answer, for oracles
+/// that suspend (see [`MembershipOracle::poll_ask`]).
+///
+/// # Errors
+/// As [`learn_qhorn1`].
+pub async fn learn_qhorn1_async<O: MembershipOracle + ?Sized>(
+    n: u16,
+    oracle: &mut O,
+    opts: &LearnOptions,
+) -> Result<LearnOutcome, LearnError> {
     if opts.detect_free_variables {
-        return super::free_vars::learn_with_free_vars(n, oracle, opts, |m, sub, o| {
-            learn_qhorn1_complete(m, sub, o)
-        });
+        return learn_with_free_vars(n, oracle, opts, Complete::Qhorn1).await;
     }
-    learn_qhorn1_complete(n, oracle, opts)
+    learn_complete(n, oracle, opts).await
 }
 
 /// [`learn_qhorn1`] without the free-variable pre-pass (requires a complete
 /// target).
+///
+/// # Errors
+/// As [`learn_qhorn1`].
 pub fn learn_qhorn1_complete<O: MembershipOracle + ?Sized>(
+    n: u16,
+    oracle: &mut O,
+    opts: &LearnOptions,
+) -> Result<LearnOutcome, LearnError> {
+    complete_now(learn_complete(n, oracle, opts))
+}
+
+pub(crate) async fn learn_complete<O: MembershipOracle + ?Sized>(
     n: u16,
     oracle: &mut O,
     opts: &LearnOptions,
@@ -69,7 +92,7 @@ pub fn learn_qhorn1_complete<O: MembershipOracle + ?Sized>(
     let mut existential: Vec<VarId> = Vec::new();
     for i in 0..n {
         let v = VarId(i);
-        if asker.is_answer(&questions::classify_head(n, v))? {
+        if asker.is_answer(&questions::classify_head(n, v)).await? {
             existential.push(v);
         } else {
             universal_heads.push(v);
@@ -81,7 +104,7 @@ pub fn learn_qhorn1_complete<O: MembershipOracle + ?Sized>(
     // Discovered bodies (universal first, existential bodies added later).
     let mut bodies: Vec<VarSet> = Vec::new();
     for &h in &universal_heads {
-        let body = find_body_for_universal_head(n, h, &bodies, &existential, &mut asker)?;
+        let body = find_body_for_universal_head(n, h, &bodies, &existential, &mut asker).await?;
         if let Some(body) = body {
             if !bodies.contains(&body) {
                 bodies.push(body.clone());
@@ -107,11 +130,14 @@ pub fn learn_qhorn1_complete<O: MembershipOracle + ?Sized>(
         //     existential head of that body.
         let known: Vec<VarId> = body_union(&bodies).to_vec();
         let e_set = VarSet::singleton(e);
-        let mut dep_test = |d: &[VarId]| -> Result<bool, LearnError> {
-            let ds: VarSet = d.iter().copied().collect();
-            Ok(!asker.is_answer(&questions::existential_independence(n, &e_set, &ds))?)
+        let dependence = Probe {
+            question: |d: &[VarId]| {
+                let ds: VarSet = d.iter().copied().collect();
+                questions::existential_independence(n, &e_set, &ds)
+            },
+            hit: Response::NonAnswer,
         };
-        if let Some(b) = find_one(&known, &mut dep_test)? {
+        if let Some(b) = find_one(&known, &dependence, &mut asker).await? {
             let body = bodies
                 .iter()
                 .find(|bs| bs.contains(b))
@@ -124,7 +150,7 @@ pub fn learn_qhorn1_complete<O: MembershipOracle + ?Sized>(
         // (b) Discover e's dependents among the unresolved existential
         //     variables.
         let cands: Vec<VarId> = remaining.iter().copied().collect();
-        let d = find_all(&cands, &mut dep_test)?;
+        let d = find_all(&cands, &dependence, &mut asker).await?;
         if d.is_empty() {
             // Lone existential variable: ∃e.
             exprs.push(Expr::conj(VarSet::singleton(e)));
@@ -132,7 +158,7 @@ pub fn learn_qhorn1_complete<O: MembershipOracle + ?Sized>(
         }
 
         // (c) Is there a pair of heads within D? (Lemma 3.3.)
-        let head = get_head(n, &d, &mut asker)?;
+        let head = get_head(n, &d, &mut asker).await?;
         asker.set_phase(Phase::ExistentialDependence);
         match head {
             None => {
@@ -152,7 +178,10 @@ pub fn learn_qhorn1_complete<O: MembershipOracle + ?Sized>(
                 let h1_set = VarSet::singleton(h1);
                 for &v in d.iter().filter(|&&v| v != h1) {
                     let vs = VarSet::singleton(v);
-                    if asker.is_answer(&questions::existential_independence(n, &h1_set, &vs))? {
+                    if asker
+                        .is_answer(&questions::existential_independence(n, &h1_set, &vs))
+                        .await?
+                    {
                         heads.push(v);
                     }
                 }
@@ -182,16 +211,19 @@ pub fn learn_qhorn1_complete<O: MembershipOracle + ?Sized>(
 }
 
 /// Algorithm 1: the body of universal head `h`, or `None` if bodyless.
-fn find_body_for_universal_head<O: MembershipOracle + ?Sized>(
+async fn find_body_for_universal_head<O: MembershipOracle + ?Sized>(
     n: u16,
     h: VarId,
     bodies: &[VarSet],
     existential: &[VarId],
     asker: &mut Asker<'_, O>,
 ) -> Result<Option<VarSet>, LearnError> {
-    let mut dep_test = |d: &[VarId]| -> Result<bool, LearnError> {
-        let ds: VarSet = d.iter().copied().collect();
-        asker.is_answer(&questions::universal_dependence(n, h, &ds))
+    let dependence = Probe {
+        question: |d: &[VarId]| {
+            let ds: VarSet = d.iter().copied().collect();
+            questions::universal_dependence(n, h, &ds)
+        },
+        hit: Response::Answer,
     };
 
     // Shared body? One binary search over the union of known bodies.
@@ -199,7 +231,7 @@ fn find_body_for_universal_head<O: MembershipOracle + ?Sized>(
         .iter()
         .flat_map(|b| b.iter().collect::<Vec<_>>())
         .collect();
-    if let Some(b) = find_one(&known, &mut dep_test)? {
+    if let Some(b) = find_one(&known, &dependence, asker).await? {
         let body = bodies
             .iter()
             .find(|bs| bs.contains(b))
@@ -216,7 +248,7 @@ fn find_body_for_universal_head<O: MembershipOracle + ?Sized>(
         .copied()
         .filter(|v| !known_union.contains(*v))
         .collect();
-    let body = find_all(&cands, &mut dep_test)?;
+    let body = find_all(&cands, &dependence, asker).await?;
     if body.is_empty() {
         Ok(None)
     } else {

@@ -4,8 +4,9 @@
 //! O(k·n lg n) questions).
 
 use super::existential::learn_existential_conjunctions;
+use super::free_vars::{learn_with_free_vars, Complete};
 use super::universal::{classify_universal_heads, learn_universal_horns};
-use super::{Asker, LearnError, LearnOptions, LearnOutcome};
+use super::{complete_now, Asker, LearnError, LearnOptions, LearnOutcome};
 use crate::oracle::MembershipOracle;
 use crate::query::{Expr, Query};
 
@@ -26,16 +27,38 @@ pub fn learn_role_preserving<O: MembershipOracle + ?Sized>(
     oracle: &mut O,
     opts: &LearnOptions,
 ) -> Result<LearnOutcome, LearnError> {
+    complete_now(learn_role_preserving_async(n, oracle, opts))
+}
+
+/// [`learn_role_preserving`] as a future that awaits each answer, for
+/// oracles that suspend (see [`MembershipOracle::poll_ask`]).
+///
+/// # Errors
+/// As [`learn_role_preserving`].
+pub async fn learn_role_preserving_async<O: MembershipOracle + ?Sized>(
+    n: u16,
+    oracle: &mut O,
+    opts: &LearnOptions,
+) -> Result<LearnOutcome, LearnError> {
     if opts.detect_free_variables {
-        return super::free_vars::learn_with_free_vars(n, oracle, opts, |m, sub, o| {
-            learn_role_preserving_complete(m, sub, o)
-        });
+        return learn_with_free_vars(n, oracle, opts, Complete::RolePreserving).await;
     }
-    learn_role_preserving_complete(n, oracle, opts)
+    learn_complete(n, oracle, opts).await
 }
 
 /// [`learn_role_preserving`] without the free-variable pre-pass.
+///
+/// # Errors
+/// As [`learn_role_preserving`].
 pub fn learn_role_preserving_complete<O: MembershipOracle + ?Sized>(
+    n: u16,
+    oracle: &mut O,
+    opts: &LearnOptions,
+) -> Result<LearnOutcome, LearnError> {
+    complete_now(learn_complete(n, oracle, opts))
+}
+
+pub(crate) async fn learn_complete<O: MembershipOracle + ?Sized>(
     n: u16,
     oracle: &mut O,
     opts: &LearnOptions,
@@ -43,11 +66,11 @@ pub fn learn_role_preserving_complete<O: MembershipOracle + ?Sized>(
     let mut asker = Asker::new(oracle, opts);
 
     // §3.2.1 — universal part.
-    let heads = classify_universal_heads(n, &mut asker)?;
-    let universals = learn_universal_horns(n, &heads, &mut asker)?;
+    let heads = classify_universal_heads(n, &mut asker).await?;
+    let universals = learn_universal_horns(n, &heads, &mut asker).await?;
 
     // §3.2.2 — existential part on the violation-filtered lattice.
-    let conjunctions = learn_existential_conjunctions(n, &universals, &mut asker)?;
+    let conjunctions = learn_existential_conjunctions(n, &universals, &mut asker).await?;
 
     let exprs = universals
         .into_iter()

@@ -22,7 +22,7 @@ use crate::var::{VarId, VarSet};
 
 /// Classifies every variable: `true` in the result iff it is a universal
 /// head (§3.1.1 / §3.2.1 — one two-tuple question per variable).
-pub(crate) fn classify_universal_heads<O: MembershipOracle + ?Sized>(
+pub(crate) async fn classify_universal_heads<O: MembershipOracle + ?Sized>(
     n: u16,
     asker: &mut Asker<'_, O>,
 ) -> Result<VarSet, LearnError> {
@@ -30,7 +30,7 @@ pub(crate) fn classify_universal_heads<O: MembershipOracle + ?Sized>(
     let mut heads = VarSet::new();
     for i in 0..n {
         let v = VarId(i);
-        if !asker.is_answer(&questions::classify_head(n, v))? {
+        if !asker.is_answer(&questions::classify_head(n, v)).await? {
             heads.insert(v);
         }
     }
@@ -40,7 +40,7 @@ pub(crate) fn classify_universal_heads<O: MembershipOracle + ?Sized>(
 /// Learns all dominant universal Horn expressions of the target
 /// (Theorem 3.5). Returns `(body, head)` pairs; bodyless heads contribute
 /// `(∅, h)`.
-pub(crate) fn learn_universal_horns<O: MembershipOracle + ?Sized>(
+pub(crate) async fn learn_universal_horns<O: MembershipOracle + ?Sized>(
     n: u16,
     heads: &VarSet,
     asker: &mut Asker<'_, O>,
@@ -50,12 +50,15 @@ pub(crate) fn learn_universal_horns<O: MembershipOracle + ?Sized>(
     for h in heads.iter() {
         // Bodyless check (§3.2.1): all potential body variables false.
         asker.set_phase(Phase::BodylessCheck);
-        if !asker.is_answer(&questions::bodyless_check(n, h, &non_heads))? {
+        if !asker
+            .is_answer(&questions::bodyless_check(n, h, &non_heads))
+            .await?
+        {
             out.push((VarSet::new(), h));
             continue;
         }
         asker.set_phase(Phase::UniversalBodies);
-        let bodies = learn_bodies_of_head(n, h, &non_heads, asker)?;
+        let bodies = learn_bodies_of_head(n, h, &non_heads, asker).await?;
         for b in bodies {
             out.push((b, h));
         }
@@ -65,7 +68,7 @@ pub(crate) fn learn_universal_horns<O: MembershipOracle + ?Sized>(
 
 /// All dominant (minimal) bodies of one head — the θ expressions of
 /// Theorem 3.5.
-fn learn_bodies_of_head<O: MembershipOracle + ?Sized>(
+async fn learn_bodies_of_head<O: MembershipOracle + ?Sized>(
     n: u16,
     h: VarId,
     non_heads: &VarSet,
@@ -74,7 +77,7 @@ fn learn_bodies_of_head<O: MembershipOracle + ?Sized>(
     // The head classification already told us the full non-head set
     // contains a body (the classification probe *is* body_probe with the
     // full true set); minimize to get the first dominant body.
-    let first = minimize_body(n, h, non_heads, non_heads, asker)?;
+    let first = minimize_body(n, h, non_heads, non_heads, asker).await?;
     let mut bodies = vec![first];
 
     // Search roots: one variable from each known body set to false.
@@ -86,10 +89,13 @@ fn learn_bodies_of_head<O: MembershipOracle + ?Sized>(
             if cleared.iter().any(|c| root.is_subset(c)) {
                 continue; // known body-free region
             }
-            if !asker.is_answer(&questions::body_probe(n, h, non_heads, &root))? {
+            if !asker
+                .is_answer(&questions::body_probe(n, h, non_heads, &root))
+                .await?
+            {
                 // Root contains a body: minimize within it. The new body
                 // misses one variable of each known body, so it is new.
-                let b = minimize_body(n, h, non_heads, &root, asker)?;
+                let b = minimize_body(n, h, non_heads, &root, asker).await?;
                 debug_assert!(!bodies.contains(&b), "search roots exclude known bodies");
                 bodies.push(b);
                 continue 'outer; // roots depend on the body set — restart
@@ -107,7 +113,7 @@ fn learn_bodies_of_head<O: MembershipOracle + ?Sized>(
 ///
 /// Precondition: `start` contains at least one body (the probe on `start`
 /// was a non-answer).
-fn minimize_body<O: MembershipOracle + ?Sized>(
+async fn minimize_body<O: MembershipOracle + ?Sized>(
     n: u16,
     h: VarId,
     non_heads: &VarSet,
@@ -117,7 +123,10 @@ fn minimize_body<O: MembershipOracle + ?Sized>(
     let mut keep = start.clone();
     for x in start.to_vec() {
         let candidate = keep.without(x);
-        if !asker.is_answer(&questions::body_probe(n, h, non_heads, &candidate))? {
+        if !asker
+            .is_answer(&questions::body_probe(n, h, non_heads, &candidate))
+            .await?
+        {
             keep = candidate; // still contains a body without x
         }
     }
@@ -127,7 +136,7 @@ fn minimize_body<O: MembershipOracle + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::learn::LearnOptions;
+    use crate::learn::{complete_now, LearnOptions};
     use crate::oracle::{CountingOracle, QueryOracle};
     use crate::query::{Expr, Query};
     use crate::varset;
@@ -141,8 +150,9 @@ mod tests {
         let mut oracle = QueryOracle::new(target.clone());
         let opts = LearnOptions::default();
         let mut asker = Asker::new(&mut oracle, &opts);
-        let heads = classify_universal_heads(target.arity(), &mut asker).unwrap();
-        let horns = learn_universal_horns(target.arity(), &heads, &mut asker).unwrap();
+        let heads = complete_now(classify_universal_heads(target.arity(), &mut asker)).unwrap();
+        let horns =
+            complete_now(learn_universal_horns(target.arity(), &heads, &mut asker)).unwrap();
         (heads, horns)
     }
 
@@ -261,8 +271,8 @@ mod tests {
             let mut counting = CountingOracle::new(QueryOracle::new(q));
             let opts = LearnOptions::default();
             let mut asker = Asker::new(&mut counting, &opts);
-            let heads = classify_universal_heads(n, &mut asker).unwrap();
-            let horns = learn_universal_horns(n, &heads, &mut asker).unwrap();
+            let heads = complete_now(classify_universal_heads(n, &mut asker)).unwrap();
+            let horns = complete_now(learn_universal_horns(n, &heads, &mut asker)).unwrap();
             assert_eq!(horns.len(), 2);
             let qs = counting.stats().questions;
             let bound = 4 * (m as usize) * (m as usize) + 8 * m as usize + 8;
@@ -276,9 +286,9 @@ mod tests {
         let mut counting = CountingOracle::new(QueryOracle::new(q));
         let opts = LearnOptions::default();
         let mut asker = Asker::new(&mut counting, &opts);
-        let heads = classify_universal_heads(3, &mut asker).unwrap();
+        let heads = complete_now(classify_universal_heads(3, &mut asker)).unwrap();
         assert!(heads.is_empty());
-        let horns = learn_universal_horns(3, &heads, &mut asker).unwrap();
+        let horns = complete_now(learn_universal_horns(3, &heads, &mut asker)).unwrap();
         assert!(horns.is_empty());
         assert_eq!(counting.stats().questions, 3);
     }

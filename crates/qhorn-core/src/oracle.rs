@@ -17,10 +17,20 @@
 //! evaluation kernel ([`CompiledOracle`]) instead of re-walking the query
 //! AST on every membership question, so a learning session's thousands of
 //! questions are answered with allocation-free word checks.
+//!
+//! An oracle whose user answers later — in another request of an
+//! interactive session — overrides [`MembershipOracle::poll_ask`] and
+//! returns `Poll::Pending`: the learners and the verifier are `async`
+//! functions that await each answer ([`ask`]), so the learner's state
+//! between two questions is simply its suspended future. Every other
+//! oracle answers at once and the synchronous entry points run the
+//! learners to completion in a single poll.
 
 use crate::kernel;
+use crate::learn::Phase;
 use crate::object::{Obj, Response};
 use crate::query::Query;
+use std::task::{Context, Poll};
 
 /// A membership oracle that compiles its target query once per session
 /// and answers every question with the kernel's word-level checks.
@@ -81,6 +91,26 @@ pub trait MembershipOracle {
     fn try_ask(&mut self, question: &Obj) -> Option<Response> {
         Some(self.ask(question))
     }
+
+    /// Labels one question without waiting: `Poll::Pending` suspends the
+    /// asking learner until its owner supplies the answer and polls it
+    /// again (the same question is then asked again). `Ready(None)` means
+    /// the oracle stopped answering, as for
+    /// [`MembershipOracle::try_ask`], which this defaults to.
+    fn poll_ask(&mut self, question: &Obj, _cx: &mut Context<'_>) -> Poll<Option<Response>> {
+        Poll::Ready(self.try_ask(question))
+    }
+
+    /// Notes which learning phase asks the questions that follow (the
+    /// learners call it on every phase change). Ignored by default;
+    /// an interactive session uses it to label its steps.
+    fn enter_phase(&mut self, _phase: Phase) {}
+}
+
+/// Awaits `oracle`'s label for `question` (see
+/// [`MembershipOracle::poll_ask`]); `None` once it stopped answering.
+pub async fn ask<O: MembershipOracle + ?Sized>(oracle: &mut O, question: &Obj) -> Option<Response> {
+    std::future::poll_fn(|cx| oracle.poll_ask(question, cx)).await
 }
 
 impl<T: MembershipOracle + ?Sized> MembershipOracle for &mut T {
@@ -91,6 +121,14 @@ impl<T: MembershipOracle + ?Sized> MembershipOracle for &mut T {
     fn try_ask(&mut self, question: &Obj) -> Option<Response> {
         (**self).try_ask(question)
     }
+
+    fn poll_ask(&mut self, question: &Obj, cx: &mut Context<'_>) -> Poll<Option<Response>> {
+        (**self).poll_ask(question, cx)
+    }
+
+    fn enter_phase(&mut self, phase: Phase) {
+        (**self).enter_phase(phase);
+    }
 }
 
 impl MembershipOracle for Box<dyn MembershipOracle + '_> {
@@ -100,6 +138,14 @@ impl MembershipOracle for Box<dyn MembershipOracle + '_> {
 
     fn try_ask(&mut self, question: &Obj) -> Option<Response> {
         (**self).try_ask(question)
+    }
+
+    fn poll_ask(&mut self, question: &Obj, cx: &mut Context<'_>) -> Poll<Option<Response>> {
+        (**self).poll_ask(question, cx)
+    }
+
+    fn enter_phase(&mut self, phase: Phase) {
+        (**self).enter_phase(phase);
     }
 }
 
@@ -292,14 +338,24 @@ impl<O: MembershipOracle> MembershipOracle for ReplayOracle<O> {
     }
 
     fn try_ask(&mut self, question: &Obj) -> Option<Response> {
+        crate::learn::poll_now(std::future::poll_fn(|cx| self.poll_ask(question, cx))).flatten()
+    }
+
+    fn poll_ask(&mut self, question: &Obj, cx: &mut Context<'_>) -> Poll<Option<Response>> {
         if let Some(&r) = self.cache.get(question) {
             self.replayed += 1;
-            return Some(r);
+            return Poll::Ready(Some(r));
         }
+        let r = std::task::ready!(self.inner.poll_ask(question, cx));
         self.fresh += 1;
-        let r = self.inner.try_ask(question)?;
-        self.cache.insert(question.clone(), r);
-        Some(r)
+        if let Some(r) = r {
+            self.cache.insert(question.clone(), r);
+        }
+        Poll::Ready(r)
+    }
+
+    fn enter_phase(&mut self, phase: Phase) {
+        self.inner.enter_phase(phase);
     }
 }
 

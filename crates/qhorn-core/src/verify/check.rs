@@ -80,8 +80,23 @@ impl VerificationSet {
         &self,
         user: &mut O,
     ) -> Result<VerificationOutcome, LearnError> {
+        crate::learn::complete_now(self.verify_async(user))
+    }
+
+    /// [`VerificationSet::try_verify`] as a future that awaits each
+    /// answer, for oracles that suspend (see
+    /// [`MembershipOracle::poll_ask`]).
+    ///
+    /// # Errors
+    /// As [`VerificationSet::try_verify`].
+    pub async fn verify_async<O: MembershipOracle + ?Sized>(
+        &self,
+        user: &mut O,
+    ) -> Result<VerificationOutcome, LearnError> {
         for (index, item) in self.questions().iter().enumerate() {
-            let got = user.try_ask(&item.question).ok_or(LearnError::Stopped)?;
+            let got = crate::oracle::ask(user, &item.question)
+                .await
+                .ok_or(LearnError::Stopped)?;
             if got != item.expected {
                 return Ok(VerificationOutcome::Refuted {
                     questions: index + 1,

@@ -42,5 +42,5 @@ pub mod signature;
 pub mod storage;
 
 pub use plan::CompiledQuery;
-pub use session::{LearnerKind, RealizedQuestion, Session};
+pub use session::{Dialogue, LearnerKind, RealizedQuestion, Session, Step};
 pub use storage::{DataStore, ObjectId, Store};

@@ -4,6 +4,15 @@
 //! object with the exact signature and synthesizing one otherwise (§5's
 //! "arbitrary examples" rebuttal); the user labels the realized object.
 //!
+//! A [`Dialogue`] is one session's state between two questions: the
+//! store, the value hints, the transcript, and the learner (or §4
+//! verifier) suspended at its pending question. The core learners are
+//! `async` functions that await each answer, so the suspended learner is
+//! simply their future; [`Dialogue::resume`] hands it the user's label
+//! and polls it on to the next realized question or to its result, on
+//! the caller's thread. [`Session`] drives the same `Dialogue` through a
+//! callback that labels each realized example.
+//!
 //! Sessions record a transcript so users can review their responses;
 //! [`Session::relearn_with_corrections`] replays a corrected transcript,
 //! re-asking only questions the correction invalidated ("noisy users",
@@ -11,14 +20,21 @@
 
 use crate::storage::{DataStore, ObjectId};
 use qhorn_core::learn::{
-    learn_qhorn1, learn_role_preserving, LearnError, LearnOptions, LearnOutcome,
+    learn_qhorn1_async, learn_role_preserving_async, LearnError, LearnOptions, LearnOutcome, Phase,
 };
 use qhorn_core::oracle::{MembershipOracle, ReplayOracle};
+use qhorn_core::query::ClassError;
 use qhorn_core::verify::{VerificationOutcome, VerificationSet};
 use qhorn_core::{Obj, Query, Response};
 use qhorn_relation::relation::{DataTuple, NestedObject};
 use qhorn_relation::synthesize::{DomainHints, SynthesisError, Synthesizer};
 use qhorn_relation::value::Value;
+use std::cell::RefCell;
+use std::future::Future;
+use std::ops::Deref;
+use std::pin::Pin;
+use std::sync::Arc;
+use std::task::{Context, Poll, Waker};
 
 /// A membership question realized in the data domain.
 #[derive(Clone, Debug)]
@@ -46,13 +62,6 @@ impl RealizedQuestion {
     /// exactly.
     #[must_use]
     pub fn question(&self) -> &Obj {
-        match self {
-            RealizedQuestion::Stored { question, .. }
-            | RealizedQuestion::Synthesized { question, .. } => question,
-        }
-    }
-
-    fn into_question(self) -> Obj {
         match self {
             RealizedQuestion::Stored { question, .. }
             | RealizedQuestion::Synthesized { question, .. } => question,
@@ -106,6 +115,19 @@ impl LearnerKind {
             _ => None,
         }
     }
+
+    /// Runs this learner over `oracle`, awaiting each answer.
+    async fn learn<O: MembershipOracle + ?Sized>(
+        self,
+        n: u16,
+        oracle: &mut O,
+        opts: &LearnOptions,
+    ) -> Result<LearnOutcome, LearnError> {
+        match self {
+            LearnerKind::Qhorn1 => learn_qhorn1_async(n, oracle, opts).await,
+            LearnerKind::RolePreserving => learn_role_preserving_async(n, oracle, opts).await,
+        }
+    }
 }
 
 /// One transcript entry.
@@ -119,22 +141,263 @@ pub struct Exchange {
     pub response: Response,
 }
 
-/// An interactive session over a [`DataStore`].
-pub struct Session<'a> {
-    store: &'a DataStore,
+/// Where [`Dialogue::resume`] stopped.
+#[derive(Debug)]
+pub enum Step {
+    /// The run needs the user's label for this question.
+    Question(RealizedQuestion),
+    /// A learning run finished.
+    Learned(Result<LearnOutcome, LearnError>),
+    /// A verification run finished.
+    Verified(Result<VerificationOutcome, LearnError>),
+}
+
+/// A learning or verification run, suspended at its pending question.
+type Run = Pin<Box<dyn Future<Output = Step> + Send>>;
+
+/// One session's state between two questions: the store and value
+/// hints it realizes questions with, its transcript, and the run (a
+/// learner or the §4 verifier) suspended at the question awaiting the
+/// user's label. No thread is attached to it: [`Dialogue::resume`]
+/// computes on the caller's thread until the next question or the
+/// run's result.
+///
+/// `S` is how the dialogue holds its store: an [`Arc`] for a dialogue
+/// that outlives any one borrow (a server's session), a plain reference
+/// for [`Session`].
+pub struct Dialogue<S = Arc<DataStore>> {
+    store: S,
     hints: DomainHints,
     transcript: Vec<Exchange>,
+    /// The question shown to the user, and whether a stored object
+    /// realized it.
+    pending: Option<(Obj, bool)>,
+    /// The learning phase the last question came from.
+    phase: Option<Phase>,
+    run: Option<Run>,
+}
+
+impl<S: Deref<Target = DataStore>> Dialogue<S> {
+    /// A dialogue over `store` with no run started. `transcript` is the
+    /// history a later [`Dialogue::relearn`] replays (empty for a new
+    /// session, a snapshot's transcript for a restored one).
+    #[must_use]
+    pub fn new(store: S, hints: DomainHints, transcript: Vec<Exchange>) -> Self {
+        Dialogue {
+            store,
+            hints,
+            transcript,
+            pending: None,
+            phase: None,
+            run: None,
+        }
+    }
+
+    /// Starts learning with `kind`; every question goes to the user.
+    pub fn learn(&mut self, kind: LearnerKind, opts: &LearnOptions) {
+        let n = self.store.bridge().n();
+        let opts = opts.clone();
+        self.start(async move { Step::Learned(kind.learn(n, &mut Suspend, &opts).await) });
+    }
+
+    /// Corrects the responses of the transcript entries at the given
+    /// indices, then re-learns with `kind` over a [`ReplayOracle`] of the
+    /// corrected transcript: only questions it does not answer go to
+    /// the user (§5). With no corrections this restores a session from
+    /// its transcript.
+    pub fn relearn(
+        &mut self,
+        kind: LearnerKind,
+        corrections: &[(usize, Response)],
+        opts: &LearnOptions,
+    ) {
+        // Corrections become part of the authoritative transcript, so a
+        // later replay (another correction round, a snapshot restore)
+        // starts from the corrected history rather than reverting it.
+        for &(idx, r) in corrections {
+            if let Some(entry) = self.transcript.get_mut(idx) {
+                entry.response = r;
+            }
+        }
+        let replay: Vec<(Obj, Response)> = self
+            .transcript
+            .iter()
+            .map(|e| (e.question.clone(), e.response))
+            .collect();
+        let n = self.store.bridge().n();
+        let opts = opts.clone();
+        self.start(async move {
+            let mut user = ReplayOracle::new(Suspend, replay);
+            Step::Learned(kind.learn(n, &mut user, &opts).await)
+        });
+    }
+
+    /// Starts verifying `given` against the user (§4).
+    ///
+    /// # Errors
+    /// [`ClassError`] if `given` is not role-preserving; no run starts.
+    pub fn verify(&mut self, given: &Query) -> Result<(), ClassError> {
+        let set = VerificationSet::build(given)?;
+        self.start(async move { Step::Verified(set.verify_async(&mut Suspend).await) });
+        Ok(())
+    }
+
+    fn start(&mut self, run: impl Future<Output = Step> + Send + 'static) {
+        self.pending = None;
+        self.phase = None;
+        self.run = Some(Box::pin(run));
+    }
+
+    /// Advances the run: `answer` labels the pending question (`None`
+    /// to start a run, or to be shown the pending question again), and
+    /// the run computes until it asks a question a data object can
+    /// realize — questions none can are answered `NonAnswer` without
+    /// the user, as no object the user cares about has that pattern —
+    /// or until it finishes.
+    ///
+    /// # Panics
+    /// If no run was started, or the last one already finished.
+    pub fn resume(&mut self, answer: Option<Response>) -> Step {
+        let mut answer = answer.filter(|_| self.pending.is_some());
+        if let (Some(response), Some((question, from_store))) = (answer, self.pending.take()) {
+            self.transcript.push(Exchange {
+                question,
+                from_store,
+                response,
+            });
+        }
+        let run = self
+            .run
+            .as_mut()
+            .expect("a dialogue resumes only a started run");
+        loop {
+            TURN.with_borrow_mut(|t| {
+                *t = Turn {
+                    answer,
+                    ..Turn::default()
+                }
+            });
+            let poll = run.as_mut().poll(&mut Context::from_waker(Waker::noop()));
+            let turn = TURN.take();
+            if turn.phase.is_some() {
+                self.phase = turn.phase;
+            }
+            let question = match poll {
+                Poll::Ready(step) => {
+                    self.run = None;
+                    return step;
+                }
+                Poll::Pending => turn.asked.expect("a run suspends only on a question"),
+            };
+            match realize(&self.store, &self.hints, &question) {
+                Ok(realized) => {
+                    self.pending = Some((question, realized.is_stored()));
+                    return Step::Question(realized);
+                }
+                Err(_) => {
+                    self.transcript.push(Exchange {
+                        question,
+                        from_store: false,
+                        response: Response::NonAnswer,
+                    });
+                    answer = Some(Response::NonAnswer);
+                }
+            }
+        }
+    }
+
+    /// Realizes a Boolean question as a data object.
+    ///
+    /// # Errors
+    /// [`SynthesisError`] when no stored object matches and the pattern is
+    /// unrealizable under the bound propositions.
+    pub fn realize(&self, question: &Obj) -> Result<RealizedQuestion, SynthesisError> {
+        realize(&self.store, &self.hints, question)
+    }
+
+    /// The store questions are realized over.
+    #[must_use]
+    pub fn store(&self) -> &S {
+        &self.store
+    }
+
+    /// The transcript: every answered question in order, including the
+    /// ones answered `NonAnswer` because they could not be realized.
+    #[must_use]
+    pub fn transcript(&self) -> &[Exchange] {
+        &self.transcript
+    }
+
+    /// Consumes the dialogue, returning its transcript.
+    #[must_use]
+    pub fn into_transcript(self) -> Vec<Exchange> {
+        self.transcript
+    }
+
+    /// The learning phase the most recent question came from (`None`
+    /// for verification, or before a learner's first question).
+    #[must_use]
+    pub fn phase(&self) -> Option<Phase> {
+        self.phase
+    }
+}
+
+/// What [`Dialogue::resume`] and the [`Suspend`] oracle inside the run
+/// it polls hand each other. Set just before the poll and taken just
+/// after it, on the polling thread; nothing else runs in between.
+#[derive(Default)]
+struct Turn {
+    /// The label for the question the run is suspended on.
+    answer: Option<Response>,
+    /// The question the run suspended on.
+    asked: Option<Obj>,
+    /// The phase the learner last entered during the poll.
+    phase: Option<Phase>,
+}
+
+thread_local! {
+    static TURN: RefCell<Turn> = RefCell::default();
+}
+
+/// The user, as seen from inside a run: a question is answered with the
+/// label [`Dialogue::resume`] brought, or suspends the run.
+struct Suspend;
+
+impl MembershipOracle for Suspend {
+    fn ask(&mut self, _question: &Obj) -> Response {
+        unreachable!("a dialogue's user answers only through poll_ask")
+    }
+
+    fn try_ask(&mut self, _question: &Obj) -> Option<Response> {
+        None
+    }
+
+    fn poll_ask(&mut self, question: &Obj, _cx: &mut Context<'_>) -> Poll<Option<Response>> {
+        TURN.with_borrow_mut(|t| match t.answer.take() {
+            Some(r) => Poll::Ready(Some(r)),
+            None => {
+                t.asked = Some(question.clone());
+                Poll::Pending
+            }
+        })
+    }
+
+    fn enter_phase(&mut self, phase: Phase) {
+        TURN.with_borrow_mut(|t| t.phase = Some(phase));
+    }
+}
+
+/// An interactive session over a [`DataStore`], answered by a callback
+/// that labels each realized example.
+pub struct Session<'a> {
+    dialogue: Dialogue<&'a DataStore>,
 }
 
 impl<'a> Session<'a> {
     /// Starts a session over a store, with value hints for synthesis.
     #[must_use]
     pub fn new(store: &'a DataStore, hints: DomainHints) -> Self {
-        Session {
-            store,
-            hints,
-            transcript: Vec::new(),
-        }
+        Session::with_transcript(store, hints, Vec::new())
     }
 
     /// Resumes a session from a previously recorded transcript (e.g. a
@@ -148,9 +411,7 @@ impl<'a> Session<'a> {
         transcript: Vec<Exchange>,
     ) -> Self {
         Session {
-            store,
-            hints,
-            transcript,
+            dialogue: Dialogue::new(store, hints, transcript),
         }
     }
 
@@ -160,31 +421,56 @@ impl<'a> Session<'a> {
     /// [`SynthesisError`] when no stored object matches and the pattern is
     /// unrealizable under the bound propositions.
     pub fn realize(&self, question: &Obj) -> Result<RealizedQuestion, SynthesisError> {
-        realize(self.store, &self.hints, question)
+        self.dialogue.realize(question)
+    }
+
+    /// Drives the started run with `respond`'s labels until it finishes;
+    /// `None` when `respond` stopped answering (the run is dropped).
+    fn drive<F, R>(&mut self, mut respond: F) -> Option<Step>
+    where
+        F: FnMut(&RealizedQuestion) -> R,
+        R: Into<Option<Response>>,
+    {
+        let mut step = self.dialogue.resume(None);
+        while let Step::Question(realized) = &step {
+            let Some(answer) = respond(realized).into() else {
+                self.dialogue.run = None;
+                self.dialogue.pending = None;
+                return None;
+            };
+            step = self.dialogue.resume(Some(answer));
+        }
+        Some(step)
+    }
+
+    fn drive_learning<F, R>(&mut self, respond: F) -> Result<LearnOutcome, LearnError>
+    where
+        F: FnMut(&RealizedQuestion) -> R,
+        R: Into<Option<Response>>,
+    {
+        match self.drive(respond) {
+            Some(Step::Learned(outcome)) => outcome,
+            Some(other) => unreachable!("a learning run ended with {other:?}"),
+            None => Err(LearnError::Stopped),
+        }
     }
 
     /// Learns a qhorn-1 query from a user callback that labels realized
-    /// examples.
+    /// examples; a callback answering `None` stops the learner.
     ///
     /// # Errors
     /// [`LearnError`] from the underlying learner.
     pub fn learn_qhorn1<F, R>(
         &mut self,
         opts: &LearnOptions,
-        mut respond: F,
+        respond: F,
     ) -> Result<LearnOutcome, LearnError>
     where
         F: FnMut(&RealizedQuestion) -> R,
         R: Into<Option<Response>>,
     {
-        let n = self.store.bridge().n();
-        let mut oracle = SessionOracle {
-            session_store: self.store,
-            hints: &self.hints,
-            transcript: &mut self.transcript,
-            respond: &mut |r| respond(r).into(),
-        };
-        learn_qhorn1(n, &mut oracle, opts)
+        self.dialogue.learn(LearnerKind::Qhorn1, opts);
+        self.drive_learning(respond)
     }
 
     /// Learns a role-preserving query from a user callback.
@@ -194,20 +480,14 @@ impl<'a> Session<'a> {
     pub fn learn_role_preserving<F, R>(
         &mut self,
         opts: &LearnOptions,
-        mut respond: F,
+        respond: F,
     ) -> Result<LearnOutcome, LearnError>
     where
         F: FnMut(&RealizedQuestion) -> R,
         R: Into<Option<Response>>,
     {
-        let n = self.store.bridge().n();
-        let mut oracle = SessionOracle {
-            session_store: self.store,
-            hints: &self.hints,
-            transcript: &mut self.transcript,
-            respond: &mut |r| respond(r).into(),
-        };
-        learn_role_preserving(n, &mut oracle, opts)
+        self.dialogue.learn(LearnerKind::RolePreserving, opts);
+        self.drive_learning(respond)
     }
 
     /// Verifies a given query against the user (§4).
@@ -218,27 +498,24 @@ impl<'a> Session<'a> {
     pub fn verify<F, R>(
         &mut self,
         given: &Query,
-        mut respond: F,
+        respond: F,
     ) -> Result<VerificationOutcome, VerifyError>
     where
         F: FnMut(&RealizedQuestion) -> R,
         R: Into<Option<Response>>,
     {
-        let set = VerificationSet::build(given)?;
-        let mut oracle = SessionOracle {
-            session_store: self.store,
-            hints: &self.hints,
-            transcript: &mut self.transcript,
-            respond: &mut |r| respond(r).into(),
-        };
-        set.try_verify(&mut oracle)
-            .map_err(|_| VerifyError::Stopped)
+        self.dialogue.verify(given)?;
+        match self.drive(respond) {
+            Some(Step::Verified(outcome)) => outcome.map_err(|_| VerifyError::Stopped),
+            Some(other) => unreachable!("a verification run ended with {other:?}"),
+            None => Err(VerifyError::Stopped),
+        }
     }
 
     /// The session transcript (the response history a UI would show).
     #[must_use]
     pub fn transcript(&self) -> &[Exchange] {
-        &self.transcript
+        self.dialogue.transcript()
     }
 
     /// Re-learns after the user corrects earlier responses: entries of the
@@ -272,42 +549,14 @@ impl<'a> Session<'a> {
         kind: LearnerKind,
         corrections: &[(usize, Response)],
         opts: &LearnOptions,
-        mut respond: F,
+        respond: F,
     ) -> Result<LearnOutcome, LearnError>
     where
         F: FnMut(&RealizedQuestion) -> R,
         R: Into<Option<Response>>,
     {
-        // Corrections become part of the authoritative transcript, so a
-        // later replay (another correction round, a snapshot restore)
-        // starts from the corrected history rather than reverting it.
-        for &(idx, r) in corrections {
-            if let Some(entry) = self.transcript.get_mut(idx) {
-                entry.response = r;
-            }
-        }
-        let cache: Vec<(Obj, Response)> = self
-            .transcript
-            .iter()
-            .map(|e| (e.question.clone(), e.response))
-            .collect();
-        let n = self.store.bridge().n();
-        let mut fresh_transcript = Vec::new();
-        let outcome = {
-            let mut inner = SessionOracle {
-                session_store: self.store,
-                hints: &self.hints,
-                transcript: &mut fresh_transcript,
-                respond: &mut |r| respond(r).into(),
-            };
-            let mut replay = ReplayOracle::new(&mut inner, cache);
-            match kind {
-                LearnerKind::Qhorn1 => learn_qhorn1(n, &mut replay, opts),
-                LearnerKind::RolePreserving => learn_role_preserving(n, &mut replay, opts),
-            }
-        };
-        self.transcript.extend(fresh_transcript);
-        outcome
+        self.dialogue.relearn(kind, corrections, opts);
+        self.drive_learning(respond)
     }
 }
 
@@ -337,7 +586,7 @@ impl std::fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
-/// [`Session::realize`] over a borrowed store and hints.
+/// Realizes `question` over a store and hints.
 fn realize(
     store: &DataStore,
     hints: &DomainHints,
@@ -356,46 +605,6 @@ fn realize(
         question: question.clone(),
         object,
     })
-}
-
-/// Oracle adapter: realize each Boolean question, ask the callback, record
-/// the exchange. A callback answering `None` stops the learner. Unrealizable patterns (joint proposition interference)
-/// are answered `NonAnswer` — no data object can exhibit them, so no
-/// object the user cares about has the pattern.
-struct SessionOracle<'s, 'f> {
-    session_store: &'s DataStore,
-    hints: &'s DomainHints,
-    transcript: &'f mut Vec<Exchange>,
-    respond: &'f mut dyn FnMut(&RealizedQuestion) -> Option<Response>,
-}
-
-impl MembershipOracle for SessionOracle<'_, '_> {
-    fn ask(&mut self, question: &Obj) -> Response {
-        self.try_ask(question).unwrap_or(Response::NonAnswer)
-    }
-
-    fn try_ask(&mut self, question: &Obj) -> Option<Response> {
-        match realize(self.session_store, self.hints, question) {
-            Ok(r) => {
-                let response = (self.respond)(&r)?;
-                let from_store = r.is_stored();
-                self.transcript.push(Exchange {
-                    question: r.into_question(),
-                    from_store,
-                    response,
-                });
-                Some(response)
-            }
-            Err(_) => {
-                self.transcript.push(Exchange {
-                    question: question.clone(),
-                    from_store: false,
-                    response: Response::NonAnswer,
-                });
-                Some(Response::NonAnswer)
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -529,18 +738,72 @@ mod tests {
         let bridge =
             qhorn_relation::binding::Booleanizer::new(schema.embedded.clone(), props).unwrap();
         let ds = DataStore::from_relation(chocolates::fig1_boxes(), bridge).unwrap();
-        let session = Session::new(&ds, DomainHints::none());
-        assert!(session.realize(&Obj::from_bits("11")).is_err());
-        // The SessionOracle path converts that into NonAnswer rather than
-        // failing the whole session.
-        let mut transcript = Vec::new();
-        let mut oracle = SessionOracle {
-            session_store: &ds,
-            hints: &DomainHints::none(),
-            transcript: &mut transcript,
-            respond: &mut |_| Some(Response::Answer),
+        let mut session = Session::new(&ds, DomainHints::none());
+        let clash = Obj::from_bits("11");
+        assert!(session.realize(&clash).is_err());
+        // The session answers such questions NonAnswer itself rather than
+        // failing: the user only ever sees realizable ones.
+        let mut shown = 0;
+        let _ = session.learn_role_preserving(&LearnOptions::default(), |r| {
+            shown += 1;
+            assert!(r.question().tuples().iter().all(|t| t.true_set().len() < 2));
+            Response::Answer
+        });
+        let auto: Vec<&Exchange> = session
+            .transcript()
+            .iter()
+            .filter(|e| e.question.tuples().iter().any(|t| t.true_set().len() == 2))
+            .collect();
+        assert!(
+            !auto.is_empty(),
+            "the learner asked an unrealizable question"
+        );
+        assert!(auto
+            .iter()
+            .all(|e| e.response == Response::NonAnswer && !e.from_store));
+        assert_eq!(session.transcript().len(), shown + auto.len());
+    }
+
+    #[test]
+    fn a_dialogue_suspends_at_each_question_and_resumes_to_the_same_query() {
+        let ds = Arc::new(data_store());
+        let intent = chocolates::intro_query();
+        let opts = LearnOptions {
+            detect_free_variables: true,
+            ..Default::default()
         };
-        assert_eq!(oracle.ask(&Obj::from_bits("11")), Response::NonAnswer);
-        assert_eq!(transcript.len(), 1);
+        let mut session = Session::new(&ds, chocolates::hints());
+        let want = session
+            .learn_role_preserving(&opts, data_domain_user(intent.clone()))
+            .unwrap();
+
+        let mut dialogue = Dialogue::new(Arc::clone(&ds), chocolates::hints(), Vec::new());
+        dialogue.learn(LearnerKind::RolePreserving, &opts);
+        let mut user = data_domain_user(intent);
+        let mut step = dialogue.resume(None);
+        let mut shown = Vec::new();
+        let got = loop {
+            match step {
+                Step::Question(r) => {
+                    shown.push(r.question().clone());
+                    assert!(dialogue.phase().is_some());
+                    step = dialogue.resume(Some(user(&r)));
+                }
+                Step::Learned(outcome) => break outcome.unwrap(),
+                other => panic!("unexpected {other:?}"),
+            }
+        };
+        assert_eq!(got.query(), want.query());
+        assert_eq!(dialogue.transcript(), session.transcript());
+        let asked: Vec<Obj> = session
+            .transcript()
+            .iter()
+            .map(|e| e.question.clone())
+            .collect();
+        assert_eq!(shown, asked, "the same questions in the same order");
+        // A dialogue's run is Send: a server moves it between request
+        // threads.
+        fn assert_send<T: Send>(_: &T) {}
+        assert_send(&dialogue);
     }
 }

@@ -31,8 +31,6 @@ pub enum ServiceError {
     Parse(String),
     /// The underlying engine/learner failed.
     Engine(String),
-    /// The session's driver did not produce an event in time.
-    DriverTimeout,
     /// The trace id is not (or no longer) in the span journal.
     UnknownTrace(String),
     /// The durable session store failed.
@@ -56,7 +54,6 @@ impl fmt::Display for ServiceError {
             ServiceError::InvalidSize(msg) => write!(f, "invalid size: {msg}"),
             ServiceError::Parse(msg) => write!(f, "parse error: {msg}"),
             ServiceError::Engine(msg) => write!(f, "engine error: {msg}"),
-            ServiceError::DriverTimeout => write!(f, "session driver timed out"),
             ServiceError::UnknownTrace(id) => write!(f, "unknown trace `{id}`"),
             ServiceError::Store(msg) => write!(f, "store error: {msg}"),
             ServiceError::Transport(msg) => write!(f, "transport error: {msg}"),

@@ -130,7 +130,6 @@ pub fn status_for(e: &ServiceError) -> u16 {
         | ServiceError::InvalidDataset(_)
         | ServiceError::InvalidSize(_)
         | ServiceError::InvalidConfig(_) => 422,
-        ServiceError::DriverTimeout => 504,
         ServiceError::Store(_) => 500,
         ServiceError::Transport(_) => 502,
     }
@@ -149,7 +148,6 @@ fn reason(status: u16) -> &'static str {
         500 => "Internal Server Error",
         501 => "Not Implemented",
         502 => "Bad Gateway",
-        504 => "Gateway Timeout",
         505 => "HTTP Version Not Supported",
         _ => "Unknown",
     }
@@ -1101,7 +1099,6 @@ mod tests {
             }),
             409
         );
-        assert_eq!(status_for(&ServiceError::DriverTimeout), 504);
         assert_eq!(status_for(&ServiceError::Store("x".into())), 500);
         assert_eq!(status_for(&ServiceError::DatasetConflict("x".into())), 409);
         assert_eq!(status_for(&ServiceError::InvalidDataset("x".into())), 422);

@@ -28,14 +28,14 @@
 //! * [`metrics`] — lock-striped per-message latency histograms
 //!   (fixed log-scale buckets), learner question counts per phase, and
 //!   saturation telemetry (worker-pool queue depth, registry lock waits,
-//!   driver mailboxes, store append/fsync timings) behind the health
-//!   verdict at `GET /v1/health`;
+//!   store append/fsync timings) behind the health verdict at
+//!   `GET /v1/health`;
 //! * [`log`] — std-only structured logging: leveled JSON-lines events
 //!   correlated to trace ids, per-target runtime-adjustable levels, and
 //!   token-bucket rate limiting;
 //! * [`trace`] — end-to-end request tracing: a bounded lock-striped span
-//!   journal fed by every layer (dispatch → registry → driver → learner
-//!   phases → store), wire-exposed span trees (`GET /v1/trace/{id}`),
+//!   journal fed by every layer (dispatch → registry → learner steps →
+//!   store), wire-exposed span trees (`GET /v1/trace/{id}`),
 //!   trace listings with filters, per-session dialogue timelines, and an
 //!   always-on slow-request log;
 //! * [`batch`] — parallel batch evaluation of compiled queries, identical
@@ -46,10 +46,12 @@
 //!   (uploads are durably logged and recovered);
 //! * [`error`] — [`ServiceError`].
 //!
-//! The engine's learners are synchronous (ask → answer → return); the
-//! service inverts them into request/response shape by parking each
-//! session's learner on a dedicated driver thread whose oracle callback
-//! blocks on a channel (see the crate-private `driver` module).
+//! A learner's next question depends on the answers so far, so a
+//! session's state between requests is its learner suspended at the
+//! pending question: each session holds an engine
+//! [`Dialogue`](qhorn_engine::session::Dialogue), and a request resumes
+//! it on the request's own thread with the user's answer. No thread is
+//! kept per session.
 //!
 //! ```
 //! use qhorn_service::registry::{CreateSpec, Registry, RegistryConfig, StepOutcome};
@@ -82,7 +84,6 @@
 pub mod batch;
 pub mod dataset;
 pub mod dispatch;
-mod driver;
 pub mod error;
 pub mod http;
 pub mod log;

@@ -351,81 +351,24 @@ qhorn_json::wire! {
     }
 }
 
-/// Live counters over every session driver's mailboxes. Monotone
-/// sent/received pairs rather than gauges: a driver dying with queued
-/// items would leave a gauge permanently wrong, while the pair difference
-/// is at worst stale by the dead driver's backlog.
-#[derive(Default)]
-pub struct DriverMailbox {
-    cmds_sent: AtomicU64,
-    cmds_received: AtomicU64,
-    events_sent: AtomicU64,
-    events_received: AtomicU64,
-    answers_sent: AtomicU64,
-    answers_received: AtomicU64,
-}
-
-impl DriverMailbox {
-    /// The registry queued a command for a driver.
-    pub fn cmd_sent(&self) {
-        self.cmds_sent.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A driver picked a command up.
-    pub fn cmd_received(&self) {
-        self.cmds_received.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A driver emitted an event (question, learn/verify finished).
-    pub fn event_sent(&self) {
-        self.events_sent.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The registry pump drained an event.
-    pub fn event_received(&self) {
-        self.events_received.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The registry forwarded a user answer to a driver.
-    pub fn answer_sent(&self) {
-        self.answers_sent.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A driver consumed a user answer (a closed channel is not one).
-    pub fn answer_received(&self) {
-        self.answers_received.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A point-in-time copy for export.
-    #[must_use]
-    pub fn snapshot(&self) -> MailboxSnapshot {
-        MailboxSnapshot {
-            cmds_sent: self.cmds_sent.load(Ordering::Relaxed),
-            cmds_received: self.cmds_received.load(Ordering::Relaxed),
-            events_sent: self.events_sent.load(Ordering::Relaxed),
-            events_received: self.events_received.load(Ordering::Relaxed),
-            answers_sent: self.answers_sent.load(Ordering::Relaxed),
-            answers_received: self.answers_received.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Driver-mailbox traffic counters, as carried by the `Health` reply.
-/// `*_sent - *_received` bounds the queued backlog.
+/// Vestigial driver-mailbox counters, carried by the `Health` reply and
+/// exported as `qhorn_driver_*_total`. Every field is always 0: they
+/// counted traffic to per-session driver threads, and sessions no longer
+/// have threads (a request resumes its session's learner directly). Kept
+/// so the wire object is unchanged until a wire revision removes it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MailboxSnapshot {
-    /// Commands queued to drivers.
+    /// Always 0 (was: commands queued to drivers).
     pub cmds_sent: u64,
-    /// Commands drivers picked up.
+    /// Always 0 (was: commands drivers picked up).
     pub cmds_received: u64,
-    /// Events drivers emitted.
+    /// Always 0 (was: events drivers emitted).
     pub events_sent: u64,
-    /// Events the registry pump drained.
+    /// Always 0 (was: events the registry drained).
     pub events_received: u64,
-    /// User answers forwarded to drivers.
+    /// Always 0 (was: user answers forwarded to drivers).
     pub answers_sent: u64,
-    /// User answers drivers consumed (real answers only; a driver that
-    /// finds its session closed stops without counting one).
+    /// Always 0 (was: user answers drivers consumed).
     pub answers_received: u64,
 }
 
@@ -521,7 +464,7 @@ qhorn_json::wire! {
 }
 
 /// Every saturation signal at one instant: worker pools, registry stripe
-/// lock waits, driver mailboxes, and the store append/fsync path. The
+/// lock waits, and the store append/fsync path. The
 /// payload of the `Health` reply and the input to the health verdict.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SaturationSnapshot {
@@ -531,7 +474,7 @@ pub struct SaturationSnapshot {
     pub lock_waits: u64,
     /// Total nanoseconds spent waiting on registry stripe locks.
     pub lock_wait_nanos: u64,
-    /// Driver mailbox traffic.
+    /// Always zero; see [`MailboxSnapshot`].
     pub mailbox: MailboxSnapshot,
     /// Store operation timings (absent when running storeless).
     pub store: Option<StoreOpsSnapshot>,
@@ -551,7 +494,7 @@ qhorn_json::wire! {
 /// metrics: saturation, logging, the always-on profile, and uptime.
 /// Bundled so the exporter signature survives future additions.
 pub struct OpsSnapshot {
-    /// Saturation signals (pools, locks, mailboxes, store path).
+    /// Saturation signals (pools, locks, store path).
     pub saturation: SaturationSnapshot,
     /// Structured-log emission counters.
     pub logs: crate::log::LogStats,

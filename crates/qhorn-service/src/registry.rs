@@ -2,9 +2,12 @@
 //!
 //! Sessions are striped over `shards` independently locked maps keyed by
 //! session id, so unrelated dialogues never contend on one lock. Each
-//! session owns a driver thread (see [`crate::driver`]) running the
-//! engine's synchronous learner; the registry feeds answers in and pulls
-//! questions/results out, advancing a per-session state machine:
+//! session owns an engine [`Dialogue`]: its transcript and its learner
+//! (or verifier) suspended at the pending question. A request resumes
+//! the dialogue on its own thread, under the session's entry lock, with
+//! the user's answer, and the learner computes to its next question or
+//! result before the request returns — no thread is kept per session.
+//! The registry advances a per-session state machine:
 //!
 //! ```text
 //! AwaitingAnswer ──answer──▶ Learning ──question──▶ AwaitingAnswer
@@ -19,7 +22,8 @@
 //! **evicted to a snapshot** ([`qhorn_engine::persist::SessionSnapshot`]):
 //! touching an evicted id restores it — completed sessions come back
 //! whole, mid-learning sessions replay their answered transcript so the
-//! user is only re-asked the question that was in flight.
+//! user is only re-asked the question that was in flight, under the
+//! index it had.
 //!
 //! With a [`StoreConfig`], the registry is **durable** (`qhorn-store`):
 //! every created session, answered exchange, correction, and learned
@@ -31,20 +35,20 @@
 //! durable store when configured.
 
 use crate::dataset::{DatasetCatalog, DatasetInfo};
-use crate::driver::{self, DriverCmd, DriverEvent, DriverHandle, QuestionOut};
 use crate::error::ServiceError;
 use crate::metrics::PHASE_NAMES;
 use crate::metrics::{
-    DriverMailbox, Metrics, OpsSnapshot, PoolTelemetry, SaturationSnapshot, StoreTelemetry,
+    MailboxSnapshot, Metrics, OpsSnapshot, PoolTelemetry, SaturationSnapshot, StoreTelemetry,
 };
 use crate::trace::{self, AttrValue, TraceConfig, TraceStoreObserver, Tracer};
 use qhorn_core::learn::LearnOptions;
 use qhorn_core::{Obj, Query, Response};
 use qhorn_engine::persist::{self, SessionSnapshot};
-use qhorn_engine::session::{Exchange, LearnerKind};
+use qhorn_engine::session::{Dialogue, Exchange, LearnerKind, Step};
 use qhorn_engine::DataStore;
 use qhorn_json::{Json, ToJson};
 use qhorn_lockdep::{LockClass, OrderedMutex};
+use qhorn_relation::relation::NestedObject;
 use qhorn_relation::synthesize::DomainHints;
 use qhorn_relation::DatasetDef;
 use qhorn_store::{
@@ -52,6 +56,7 @@ use qhorn_store::{
     SyncSessionStore,
 };
 use std::collections::HashMap;
+use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime};
@@ -63,8 +68,6 @@ pub struct RegistryConfig {
     pub shards: usize,
     /// Idle time after which a session is evicted to a snapshot.
     pub ttl: Duration,
-    /// How long to wait for a driver to produce its next event.
-    pub driver_timeout: Duration,
     /// LRU cap on in-memory snapshots. Past it the least-recently-touched
     /// snapshot is dropped — recoverable from the durable store when one
     /// is configured, gone otherwise. `None` = unbounded.
@@ -74,30 +77,16 @@ pub struct RegistryConfig {
     pub store: Option<StoreConfig>,
     /// Request tracing knobs (journal size, slow threshold, sampling).
     pub trace: TraceConfig,
-    /// Bound on a live session's in-memory replay cache (the serialized
-    /// size of its retained transcript). Past it the oldest exchanges are
-    /// truncated out of the cache — the durable log keeps the full
-    /// history, and eviction of a truncated session restores from the
-    /// log rather than caching a lossy snapshot. `None` = unbounded (the
-    /// pre-bound behavior: a long noisy dialogue grows memory forever).
-    pub max_transcript_bytes: Option<usize>,
 }
-
-/// Default [`RegistryConfig::max_transcript_bytes`]: roomy enough that
-/// ordinary dialogues never truncate, small enough that a runaway
-/// correction loop cannot exhaust memory.
-pub const DEFAULT_MAX_TRANSCRIPT_BYTES: usize = 4 << 20;
 
 impl Default for RegistryConfig {
     fn default() -> Self {
         RegistryConfig {
             shards: 16,
             ttl: Duration::from_secs(15 * 60),
-            driver_timeout: Duration::from_secs(10),
             max_snapshots: None,
             store: None,
             trace: TraceConfig::default(),
-            max_transcript_bytes: Some(DEFAULT_MAX_TRANSCRIPT_BYTES),
         }
     }
 }
@@ -170,19 +159,6 @@ pub struct QuestionInfo {
     pub from_store: bool,
     /// Transcript index the answer will occupy (for `Correct`).
     pub index: usize,
-}
-
-impl QuestionInfo {
-    /// Builds the wire question; the registry owns index assignment (the
-    /// driver's transcript may contain entries the user never saw).
-    fn from_out(q: QuestionOut, index: usize) -> Self {
-        QuestionInfo {
-            question: q.question,
-            rendered: q.rendered,
-            from_store: q.from_store,
-            index,
-        }
-    }
 }
 
 /// The observable result of feeding a session one step forward.
@@ -270,18 +246,21 @@ pub struct SessionResources {
     pub questions_by_phase: Vec<(String, u64)>,
     /// Bytes of rendered question text shipped to the user.
     pub transcript_bytes: u64,
-    /// Current serialized size of the in-memory replay cache (the
-    /// retained transcript), bounded by
-    /// [`RegistryConfig::max_transcript_bytes`].
+    /// Serialized size of the session's transcript (its one in-memory
+    /// copy, held by the session's dialogue).
     pub transcript_cache_bytes: u64,
-    /// Exchanges truncated out of the replay cache to honor the bound
-    /// (the durable log still holds them).
+    /// Always 0. Vestigial: it counted exchanges truncated out of a
+    /// second, bounded transcript copy that no longer exists; kept so
+    /// the wire object is unchanged until a wire revision removes it.
     pub transcript_truncated: u64,
     /// Durable-log bytes this session's records appended.
     pub store_bytes: u64,
     /// Kernel evaluation nanoseconds spent by this session's batch runs.
     pub eval_nanos: u64,
-    /// Wall nanoseconds requests spent waiting on this session's driver.
+    /// Always 0. Vestigial: it measured waits on a per-session driver
+    /// thread, which no longer exists (the learner computes inside the
+    /// request; see the `learner` profile layer). Kept so the wire
+    /// object is unchanged until a wire revision removes it.
     pub driver_nanos: u64,
 }
 
@@ -300,11 +279,8 @@ pub struct HealthReport {
 #[derive(Clone, Copy, Debug, Default)]
 struct ResourceUsage {
     transcript_bytes: u64,
-    transcript_cache_bytes: u64,
-    transcript_truncated: u64,
     store_bytes: u64,
     eval_nanos: u64,
-    driver_nanos: u64,
     questions_by_phase: [u64; PHASE_NAMES.len()],
 }
 
@@ -312,13 +288,14 @@ struct Entry {
     state: SessionState,
     kind: LearnerKind,
     spec: CreateSpec,
-    store: Arc<DataStore>,
-    driver: DriverHandle,
+    /// The store, the transcript, and the learner or verifier suspended
+    /// at the pending question.
+    dialogue: Dialogue,
     pending: Option<QuestionInfo>,
-    transcript: Vec<Exchange>,
     /// Questions shown to the user, in order; `QuestionInfo::index` and
     /// `Correct` indices refer to positions here (stable even when the
-    /// driver transcript gains auto-answered unrealizable questions).
+    /// transcript gains auto-answered unrealizable questions). Every
+    /// entry but a pending last one is answered.
     asked: Vec<Obj>,
     learned: Option<Query>,
     verified: Option<bool>,
@@ -376,8 +353,6 @@ pub struct Registry {
     /// (the `with_entry` stripe-wait measurement, made scrapeable).
     lock_waits: AtomicU64,
     lock_wait_nanos: AtomicU64,
-    /// Shared driver-mailbox traffic counters (all sessions).
-    mailbox: Arc<DriverMailbox>,
     /// Store append/fsync-path timings, fed by the store observer.
     store_telemetry: Arc<StoreTelemetry>,
     /// Last health verdict (0 ok / 1 degraded / 2 saturated), for
@@ -467,7 +442,6 @@ impl Registry {
             pools: OrderedMutex::new(LockClass::new("registry.pools"), Vec::new()),
             lock_waits: AtomicU64::new(0),
             lock_wait_nanos: AtomicU64::new(0),
-            mailbox: Arc::new(DriverMailbox::default()),
             store_telemetry,
             last_verdict: AtomicU8::new(0),
             start: Instant::now(),
@@ -508,26 +482,16 @@ impl Registry {
         &self.shards[(id as usize) % self.shards.len()]
     }
 
-    /// Opens a session: builds the dataset, spawns the driver, and runs
-    /// the learner up to its first question.
+    /// Opens a session over a catalog dataset and runs the learner up
+    /// to its first question.
     ///
     /// # Errors
-    /// Dataset and driver failures.
+    /// Dataset and store failures.
     pub fn create_session(&self, spec: CreateSpec) -> Result<(u64, StepOutcome), ServiceError> {
         self.maybe_sweep();
         let (store, hints) = self.catalog.get(&spec.dataset, spec.size)?;
-        let driver = driver::spawn(
-            Arc::clone(&store),
-            hints,
-            spec.learner,
-            Vec::new(),
-            Arc::clone(&self.mailbox),
-        );
-        driver
-            .cmd_tx
-            .send(DriverCmd::Learn(learn_options(&spec)))
-            .map_err(|_| ServiceError::DriverTimeout)?;
-        self.mailbox.cmd_sent();
+        let mut dialogue = Dialogue::new(store, hints, Vec::new());
+        dialogue.learn(spec.learner, &learn_options(&spec));
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let created_bytes = self.log_append(&LogRecord::SessionCreated {
             id,
@@ -545,10 +509,8 @@ impl Registry {
             state: SessionState::Learning,
             kind: spec.learner,
             spec,
-            store,
-            driver,
+            dialogue,
             pending: None,
-            transcript: Vec::new(),
             asked: Vec::new(),
             learned: None,
             verified: None,
@@ -560,7 +522,7 @@ impl Registry {
                 ..ResourceUsage::default()
             },
         };
-        let outcome = match self.pump(id, &mut entry) {
+        let outcome = match self.step(id, &mut entry, None) {
             Ok(outcome) => outcome,
             Err(e) => {
                 // The client never learns this id; compensate so recovery
@@ -568,7 +530,7 @@ impl Registry {
                 let _ = self.log_append(&LogRecord::SessionClosed { id });
                 crate::log::warn(
                     "registry",
-                    "session creation failed after its first pump",
+                    "session creation failed after its first step",
                     &[
                         ("session", Json::U64(id)),
                         ("error", Json::Str(e.to_string())),
@@ -596,15 +558,6 @@ impl Registry {
             entry.last_touch = Instant::now();
             if let Some(q) = &entry.pending {
                 return Ok(StepOutcome::Question(q.clone()));
-            }
-            // No pending question in a non-terminal state: a previous
-            // request timed out before the driver produced its event.
-            // Pump here so the session recovers instead of wedging.
-            if matches!(
-                entry.state,
-                SessionState::Learning | SessionState::AwaitingAnswer | SessionState::Verifying
-            ) {
-                return self.pump(id, entry);
             }
             match entry.state {
                 SessionState::Done => {
@@ -635,7 +588,7 @@ impl Registry {
     /// the next question or a terminal state.
     ///
     /// # Errors
-    /// Unknown session, wrong state, or driver timeout.
+    /// Unknown session, wrong state, or store failure.
     pub fn answer(&self, id: u64, response: Response) -> Result<StepOutcome, ServiceError> {
         self.with_entry(id, |entry| {
             let Some(pending) = entry.pending.take() else {
@@ -644,16 +597,15 @@ impl Registry {
                     needed: "a pending question",
                 });
             };
-            let exchange = Exchange {
-                question: pending.question.clone(),
-                from_store: pending.from_store,
-                response,
-            };
             // Durable before acknowledged: once the answer is applied, the
             // log has it (under `FsyncPolicy::Always`, on disk).
             match self.log_append(&LogRecord::ExchangeAppended {
                 id,
-                exchange: exchange.clone(),
+                exchange: Exchange {
+                    question: pending.question.clone(),
+                    from_store: pending.from_store,
+                    response,
+                },
             }) {
                 Ok(bytes) => entry.resources.store_bytes += bytes,
                 Err(e) => {
@@ -661,22 +613,13 @@ impl Registry {
                     return Err(e);
                 }
             }
-            entry.resources.transcript_cache_bytes += exchange_cache_bytes(&exchange);
-            entry.transcript.push(exchange);
-            self.enforce_transcript_bound(entry);
             entry.answered += 1;
             entry.last_touch = Instant::now();
             if entry.state == SessionState::AwaitingAnswer {
                 entry.state = SessionState::Learning;
             }
-            entry
-                .driver
-                .ans_tx
-                .send(response)
-                .map_err(|_| ServiceError::DriverTimeout)?;
-            self.mailbox.answer_sent();
             self.answers.fetch_add(1, Ordering::Relaxed);
-            self.pump(id, entry)
+            self.step(id, entry, Some(response))
         })
     }
 
@@ -685,7 +628,8 @@ impl Registry {
     /// user. Legal once a session is `Done` or `Failed`.
     ///
     /// # Errors
-    /// Unknown session, wrong state, or driver timeout.
+    /// Unknown session, wrong state, an index out of range, or store
+    /// failure.
     pub fn correct(
         &self,
         id: u64,
@@ -699,8 +643,9 @@ impl Registry {
                 });
             }
             // Indices refer to `asked` (user-visible question order);
-            // resolve them to questions so the driver applies each fix to
-            // the right exchange regardless of auto-answered entries.
+            // resolve them to questions so each fix reaches every
+            // transcript entry of that question, regardless of
+            // auto-answered entries.
             let mut by_question: Vec<(Obj, Response)> = Vec::with_capacity(corrections.len());
             for &(idx, r) in corrections {
                 let q = entry.asked.get(idx).ok_or(ServiceError::Parse(format!(
@@ -714,23 +659,27 @@ impl Registry {
                 corrections: corrections.to_vec(),
             })?;
             entry.resources.store_bytes += bytes;
-            for e in &mut entry.transcript {
-                if let Some((_, r)) = by_question.iter().find(|(q, _)| *q == e.question) {
-                    e.response = *r;
-                }
-            }
+            let by_index: Vec<(usize, Response)> = entry
+                .dialogue
+                .transcript()
+                .iter()
+                .enumerate()
+                .filter_map(|(i, e)| {
+                    by_question
+                        .iter()
+                        .find(|(q, _)| *q == e.question)
+                        .map(|&(_, r)| (i, r))
+                })
+                .collect();
             entry.state = SessionState::Learning;
             entry.learned = None;
             entry.verified = None;
             entry.failure = None;
             entry.last_touch = Instant::now();
             entry
-                .driver
-                .cmd_tx
-                .send(DriverCmd::Relearn(by_question, learn_options(&entry.spec)))
-                .map_err(|_| ServiceError::DriverTimeout)?;
-            self.mailbox.cmd_sent();
-            self.pump(id, entry)
+                .dialogue
+                .relearn(entry.kind, &by_index, &learn_options(&entry.spec));
+            self.step(id, entry, None)
         })
     }
 
@@ -739,8 +688,8 @@ impl Registry {
     /// learning questions.
     ///
     /// # Errors
-    /// Unknown session, wrong state, driver timeout, or a query outside
-    /// the verifiable class.
+    /// Unknown session, wrong state, or a query outside the verifiable
+    /// class.
     pub fn begin_verify(&self, id: u64, query: Option<Query>) -> Result<StepOutcome, ServiceError> {
         self.with_entry(id, |entry| {
             if entry.state != SessionState::Done {
@@ -759,27 +708,23 @@ impl Registry {
                 }
             };
             // Reject bad verification queries here, as a ServiceError: an
-            // arity mismatch would panic the driver, and an unverifiable
+            // arity mismatch would panic the verifier, and an unverifiable
             // class would otherwise flip a Done session to Failed.
-            let n = entry.store.bridge().n();
+            let n = entry.dialogue.store().bridge().n();
             if q.arity() != n {
                 return Err(ServiceError::Parse(format!(
                     "query arity {} \u{2260} session arity {n}",
                     q.arity()
                 )));
             }
-            qhorn_core::verify::VerificationSet::build(&q)
+            entry
+                .dialogue
+                .verify(&q)
                 .map_err(|e| ServiceError::Engine(e.to_string()))?;
             entry.state = SessionState::Verifying;
             entry.verified = None;
             entry.last_touch = Instant::now();
-            entry
-                .driver
-                .cmd_tx
-                .send(DriverCmd::Verify(q))
-                .map_err(|_| ServiceError::DriverTimeout)?;
-            self.mailbox.cmd_sent();
-            self.pump(id, entry)
+            self.step(id, entry, None)
         })
     }
 
@@ -804,7 +749,7 @@ impl Registry {
     pub fn session_store(&self, id: u64) -> Result<(Arc<DataStore>, Option<Query>), ServiceError> {
         self.with_entry(id, |entry| {
             entry.last_touch = Instant::now();
-            Ok((Arc::clone(&entry.store), entry.learned.clone()))
+            Ok((Arc::clone(entry.dialogue.store()), entry.learned.clone()))
         })
     }
 
@@ -910,7 +855,7 @@ impl Registry {
                 .collect(),
             lock_waits: self.lock_waits.load(Ordering::Relaxed),
             lock_wait_nanos: self.lock_wait_nanos.load(Ordering::Relaxed),
-            mailbox: self.mailbox.snapshot(),
+            mailbox: MailboxSnapshot::default(),
             store: self.store.as_ref().map(|_| self.store_telemetry.snapshot()),
         }
     }
@@ -983,11 +928,16 @@ impl Registry {
                     .map(|((_, name), &n)| ((*name).to_string(), n))
                     .collect(),
                 transcript_bytes: entry.resources.transcript_bytes,
-                transcript_cache_bytes: entry.resources.transcript_cache_bytes,
-                transcript_truncated: entry.resources.transcript_truncated,
+                transcript_cache_bytes: entry
+                    .dialogue
+                    .transcript()
+                    .iter()
+                    .map(exchange_cache_bytes)
+                    .sum(),
+                transcript_truncated: 0,
                 store_bytes: entry.resources.store_bytes,
                 eval_nanos: entry.resources.eval_nanos,
-                driver_nanos: entry.resources.driver_nanos,
+                driver_nanos: 0,
             })
         })
     }
@@ -1140,14 +1090,6 @@ impl Registry {
             };
             for (id, handle) in handles {
                 let entry = handle.lock_recover();
-                if entry.resources.transcript_truncated > 0 {
-                    // A bounded replay cache is lossy; capturing it would
-                    // bake the truncation into the compaction snapshot
-                    // and lose durable history. Skip the capture —
-                    // `write_snapshot` carries uncaptured sessions
-                    // forward from the (complete) disk state.
-                    continue;
-                }
                 let through_seq = store.lock().last_seq();
                 captured.push(SnapshotEntry {
                     through_seq,
@@ -1238,8 +1180,8 @@ impl Registry {
     /// Runs `f` on the live entry, restoring from a snapshot if needed.
     ///
     /// The shard lock is held only for the map lookup; `f` runs under the
-    /// entry's own mutex, so a slow driver in one session never blocks
-    /// unrelated sessions on the same stripe.
+    /// entry's own mutex, so a long learner step in one session never
+    /// blocks unrelated sessions on the same stripe.
     fn with_entry<T>(
         &self,
         id: u64,
@@ -1294,26 +1236,16 @@ impl Registry {
         result
     }
 
-    /// Serializes an entry into the snapshot store. The driver's channel
-    /// ends drop with the entry; a parked learner then self-terminates on
-    /// `NonAnswer` feeds (see `crate::driver`).
+    /// Serializes an entry into the snapshot store. The suspended learner
+    /// is dropped with the entry; restore replays the transcript.
     fn snapshot_entry(&self, id: u64, entry: Entry) {
-        if entry.resources.transcript_truncated > 0 && self.store.is_some() {
-            // The in-memory transcript is lossy (bounded replay cache)
-            // but the durable log holds the full history: skip caching a
-            // truncated snapshot and let restore fall through to
-            // `SessionStore::load_session`, which the per-session index
-            // makes cheap. Storeless registries keep the lossy snapshot —
-            // it is all they have, and restore replays what survived.
-            return;
-        }
-        let snap = SessionSnapshot::new(entry.transcript.clone(), entry.learned.clone());
+        let snap = SessionSnapshot::new(entry.dialogue.into_transcript(), entry.learned);
         let json = persist::session_to_json(&snap).expect("snapshots always serialize");
         let record = SnapshotRecord {
             json,
-            spec: entry.spec.clone(),
+            spec: entry.spec,
             kind: entry.kind,
-            asked: entry.asked.clone(),
+            asked: entry.asked,
             answered: entry.answered,
             verified: entry.verified,
             touched: 0,
@@ -1368,13 +1300,6 @@ impl Registry {
         // longer pays a full `dataset::build` (measured in
         // `benches/service.rs`, `restore_from_snapshot`).
         let (store, hints) = self.catalog.get(&record.spec.dataset, record.spec.size)?;
-        let driver = driver::spawn(
-            Arc::clone(&store),
-            hints,
-            record.kind,
-            snap.transcript.clone(),
-            Arc::clone(&self.mailbox),
-        );
         // Only answered questions keep their index: the durable log
         // records exactly those, so a question that was in flight at
         // eviction is asked again under the index it had.
@@ -1384,11 +1309,9 @@ impl Registry {
             state: SessionState::Learning,
             kind: record.kind,
             spec: record.spec,
-            store,
-            driver,
+            dialogue: Dialogue::new(store, hints, snap.transcript),
             pending: None,
             asked,
-            transcript: snap.transcript,
             learned: snap.learned,
             verified: record.verified,
             failure: None,
@@ -1396,18 +1319,14 @@ impl Registry {
             last_touch: Instant::now(),
             resources: ResourceUsage::default(),
         };
-        self.reset_transcript_cache(&mut entry);
         if entry.learned.is_some() {
             entry.state = SessionState::Done;
         } else {
             // Replay the answered transcript; only new questions surface.
             entry
-                .driver
-                .cmd_tx
-                .send(DriverCmd::Relearn(Vec::new(), learn_options(&entry.spec)))
-                .map_err(|_| ServiceError::DriverTimeout)?;
-            self.mailbox.cmd_sent();
-            self.pump(id, &mut entry)?;
+                .dialogue
+                .relearn(entry.kind, &[], &learn_options(&entry.spec));
+            self.step(id, &mut entry, None)?;
         }
         crate::log::debug(
             "registry",
@@ -1420,40 +1339,6 @@ impl Registry {
             Arc::new(OrderedMutex::new(LockClass::new("registry.entry"), entry)),
         );
         Ok(())
-    }
-
-    /// Truncates the oldest exchanges out of the entry's replay cache
-    /// until it fits `max_transcript_bytes`. The most recent exchange is
-    /// always retained (an anchor for replay), `asked` is untouched (so
-    /// `Correct` indices stay valid), and the driver keeps its own full
-    /// transcript — corrections to truncated exchanges still relearn
-    /// correctly, the registry just stops mirroring unbounded history.
-    fn enforce_transcript_bound(&self, entry: &mut Entry) {
-        let Some(cap) = self.config.max_transcript_bytes else {
-            return;
-        };
-        let cap = cap as u64;
-        let mut dropped = 0u64;
-        while entry.resources.transcript_cache_bytes > cap && entry.transcript.len() > 1 {
-            let oldest = entry.transcript.remove(0);
-            entry.resources.transcript_cache_bytes = entry
-                .resources
-                .transcript_cache_bytes
-                .saturating_sub(exchange_cache_bytes(&oldest));
-            dropped += 1;
-        }
-        if dropped > 0 {
-            entry.resources.transcript_truncated += dropped;
-        }
-    }
-
-    /// Recomputes the replay-cache footprint after a wholesale transcript
-    /// replacement (learn/verify completion, restore) and re-applies the
-    /// bound.
-    fn reset_transcript_cache(&self, entry: &mut Entry) {
-        entry.resources.transcript_cache_bytes =
-            entry.transcript.iter().map(exchange_cache_bytes).sum();
-        self.enforce_transcript_bound(entry);
     }
 
     /// Appends one record to the durable log, when one is configured.
@@ -1472,24 +1357,56 @@ impl Registry {
         }
     }
 
-    /// Waits for the driver's next event and applies it to the entry.
-    fn pump(&self, id: u64, entry: &mut Entry) -> Result<StepOutcome, ServiceError> {
-        let span = trace::span("driver.pump");
-        span.set_session(id);
-        let wait_started = Instant::now();
-        let event = entry
-            .driver
-            .evt_rx
-            .recv_timeout(self.config.driver_timeout)
-            .map_err(|_| ServiceError::DriverTimeout)?;
-        entry.resources.driver_nanos +=
-            u64::try_from(wait_started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.mailbox.event_received();
-        match event {
-            DriverEvent::Question(q) => {
-                span.attr_str("event", "question");
-                // Index in user-visible question order.
-                let info = QuestionInfo::from_out(q, entry.asked.len());
+    /// Resumes the session's dialogue — with the user's label for the
+    /// pending question, or `None` to start its run — and applies where
+    /// the learner or verifier stopped: at its next question or at its
+    /// result.
+    fn step(
+        &self,
+        id: u64,
+        entry: &mut Entry,
+        answer: Option<Response>,
+    ) -> Result<StepOutcome, ServiceError> {
+        let step = {
+            // The learner (with realization) computes right here, inside
+            // the request: one live span per step.
+            let span = trace::span("learner.phase");
+            span.set_session(id);
+            let before = entry.dialogue.transcript().len();
+            let step = entry.dialogue.resume(answer);
+            let phase = match (entry.state, entry.dialogue.phase()) {
+                (SessionState::Verifying, _) | (_, None) => "verification",
+                (_, Some(p)) => PHASE_NAMES
+                    .iter()
+                    .find(|(q, _)| *q == p)
+                    .map_or("other", |(_, label)| label),
+            };
+            span.attr_str("phase", phase);
+            let answered = entry.dialogue.transcript().len() - before;
+            span.attr_u64("questions", answered as u64);
+            step
+        };
+        match step {
+            Step::Question(realized) => {
+                // Synthesis inverts booleanization, and stored objects are
+                // found by this exact signature.
+                debug_assert_eq!(
+                    entry
+                        .dialogue
+                        .store()
+                        .bridge()
+                        .booleanize_object(realized.object())
+                        .as_ref(),
+                    Ok(realized.question()),
+                    "a realized object booleanizes to its question"
+                );
+                let info = QuestionInfo {
+                    question: realized.question().clone(),
+                    rendered: render(realized.object()),
+                    from_store: realized.is_stored(),
+                    // Index in user-visible question order.
+                    index: entry.asked.len(),
+                };
                 entry.resources.transcript_bytes += info.rendered.len() as u64;
                 entry.asked.push(info.question.clone());
                 entry.pending = Some(info.clone());
@@ -1498,67 +1415,36 @@ impl Registry {
                 }
                 Ok(StepOutcome::Question(info))
             }
-            DriverEvent::LearnFinished { result, transcript } => {
-                entry.transcript = transcript;
-                self.reset_transcript_cache(entry);
-                entry.pending = None;
-                match result {
-                    Ok((query, stats)) => {
-                        span.attr_str("event", "learn_finished");
-                        span.attr_u64("questions", stats.questions as u64);
-                        record_phase_spans(id, &stats);
-                        for (i, (phase, _)) in PHASE_NAMES.iter().enumerate() {
-                            entry.resources.questions_by_phase[i] += stats.phase(*phase) as u64;
-                        }
-                        entry.state = SessionState::Done;
-                        entry.learned = Some(query.clone());
-                        entry.failure = None;
-                        self.completed.fetch_add(1, Ordering::Relaxed);
-                        self.metrics.record_learn(&stats);
-                        let bytes = self.log_append(&LogRecord::QueryLearned {
-                            id,
-                            query: query.clone(),
-                        })?;
-                        entry.resources.store_bytes += bytes;
-                        crate::log::info(
-                            "registry",
-                            "session learned its query",
-                            &[
-                                ("session", Json::U64(id)),
-                                ("questions", Json::U64(stats.questions as u64)),
-                            ],
-                        );
-                        Ok(StepOutcome::Learned {
-                            query,
-                            questions: entry.answered,
-                        })
-                    }
-                    Err(message) => {
-                        span.attr_str("event", "learn_failed");
-                        entry.state = SessionState::Failed;
-                        entry.failure = Some(message.clone());
-                        self.failed.fetch_add(1, Ordering::Relaxed);
-                        crate::log::warn(
-                            "registry",
-                            "session failed learning",
-                            &[
-                                ("session", Json::U64(id)),
-                                ("error", Json::Str(message.clone())),
-                            ],
-                        );
-                        Ok(StepOutcome::Failed { message })
-                    }
+            Step::Learned(Ok(outcome)) => {
+                let (query, stats) = outcome.into_parts();
+                for (i, (phase, _)) in PHASE_NAMES.iter().enumerate() {
+                    entry.resources.questions_by_phase[i] += stats.phase(*phase) as u64;
                 }
+                entry.state = SessionState::Done;
+                entry.learned = Some(query.clone());
+                entry.failure = None;
+                self.completed.fetch_add(1, Ordering::Relaxed);
+                self.metrics.record_learn(&stats);
+                let bytes = self.log_append(&LogRecord::QueryLearned {
+                    id,
+                    query: query.clone(),
+                })?;
+                entry.resources.store_bytes += bytes;
+                crate::log::info(
+                    "registry",
+                    "session learned its query",
+                    &[
+                        ("session", Json::U64(id)),
+                        ("questions", Json::U64(stats.questions as u64)),
+                    ],
+                );
+                Ok(StepOutcome::Learned {
+                    query,
+                    questions: entry.answered,
+                })
             }
-            DriverEvent::VerifyFinished {
-                verified,
-                transcript,
-            } => {
-                span.attr_str("event", "verify_finished");
-                span.attr_bool("verified", verified);
-                entry.transcript = transcript;
-                self.reset_transcript_cache(entry);
-                entry.pending = None;
+            Step::Verified(Ok(outcome)) => {
+                let verified = outcome.is_verified();
                 entry.state = SessionState::Done;
                 entry.verified = Some(verified);
                 // Durable: recovery restores the session as verified
@@ -1575,8 +1461,37 @@ impl Registry {
                 );
                 Ok(StepOutcome::Verified { verified })
             }
+            Step::Learned(Err(e)) | Step::Verified(Err(e)) => {
+                let message = e.to_string();
+                entry.state = SessionState::Failed;
+                entry.failure = Some(message.clone());
+                self.failed.fetch_add(1, Ordering::Relaxed);
+                crate::log::warn(
+                    "registry",
+                    "session failed learning",
+                    &[
+                        ("session", Json::U64(id)),
+                        ("error", Json::Str(message.clone())),
+                    ],
+                );
+                Ok(StepOutcome::Failed { message })
+            }
         }
     }
+}
+
+/// `attrs ⟨t1, t2, …⟩`, written into one buffer.
+fn render(obj: &NestedObject) -> String {
+    let mut out = String::new();
+    let _ = write!(out, "{} ⟨", obj.attrs);
+    for (i, t) in obj.tuples.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        let _ = write!(out, "{t}");
+    }
+    out.push('⟩');
+    out
 }
 
 /// Maps the stored verdict code back to its wire name.
@@ -1600,49 +1515,6 @@ fn health_verdict(s: &SaturationSnapshot) -> &'static str {
         }
     }
     verdict
-}
-
-/// Back-fills `learner.phase` spans from a finished learner's
-/// [`qhorn_core::learn::LearnStats`]: one span per phase that asked
-/// questions, laid out sequentially in phase order and ending at the
-/// pump that received the result. Phase durations are dialogue-clock
-/// (they include the user's think time across requests), so these spans
-/// can start long before — and span across — the request that finishes
-/// the learn; the trace view documents this.
-fn record_phase_spans(session: u64, stats: &qhorn_core::learn::LearnStats) {
-    if !trace::has_active() {
-        return;
-    }
-    let total: u64 = PHASE_NAMES
-        .iter()
-        .filter(|(p, _)| stats.phase(*p) > 0)
-        .map(|(p, _)| stats.phase_nanos(*p).max(1))
-        .sum();
-    let ended = Instant::now();
-    let mut remaining = total;
-    for &(phase, label) in PHASE_NAMES {
-        let questions = stats.phase(phase);
-        if questions == 0 {
-            continue;
-        }
-        let nanos = stats.phase_nanos(phase).max(1);
-        // This phase ends where the phases after it begin.
-        let tail_after = remaining - nanos;
-        remaining = tail_after;
-        let phase_end = ended
-            .checked_sub(Duration::from_nanos(tail_after))
-            .unwrap_or(ended);
-        trace::retro_span(
-            "learner.phase",
-            phase_end,
-            Duration::from_nanos(nanos),
-            Some(session),
-            vec![
-                ("phase", AttrValue::Str(label.to_string())),
-                ("questions", AttrValue::U64(questions as u64)),
-            ],
-        );
-    }
 }
 
 fn learn_options(spec: &CreateSpec) -> LearnOptions {
@@ -1692,8 +1564,8 @@ fn session_meta(spec: &CreateSpec, kind: LearnerKind) -> SessionMeta {
     }
 }
 
-/// Serialized size of one exchange in the replay cache — the unit the
-/// `max_transcript_bytes` bound is measured in.
+/// Serialized size of one transcript exchange — the unit
+/// [`SessionResources::transcript_cache_bytes`] counts in.
 fn exchange_cache_bytes(e: &Exchange) -> u64 {
     e.to_json().to_string().len() as u64
 }
@@ -1706,7 +1578,7 @@ fn persisted_from_entry(id: u64, entry: &Entry) -> PersistedSession {
         asked: entry.asked.clone(),
         answered: entry.answered,
         verified: entry.verified,
-        transcript: entry.transcript.clone(),
+        transcript: entry.dialogue.transcript().to_vec(),
         learned: entry.learned.clone(),
     }
 }
@@ -1915,8 +1787,10 @@ mod tests {
 
     /// The honest label for the first recorded question of a session.
     fn honest_label_for_index_zero(reg: &Registry, id: u64, target: &Query) -> Response {
-        reg.with_entry(id, |entry| Ok(target.eval(&entry.transcript[0].question)))
-            .unwrap()
+        reg.with_entry(id, |entry| {
+            Ok(target.eval(&entry.dialogue.transcript()[0].question))
+        })
+        .unwrap()
     }
 
     #[test]
@@ -2018,7 +1892,9 @@ mod tests {
         // second round must not revert the first correction.
         for idx in [0usize, 1] {
             let fix = reg
-                .with_entry(id, |entry| Ok(target.eval(&entry.transcript[idx].question)))
+                .with_entry(id, |entry| {
+                    Ok(target.eval(&entry.dialogue.transcript()[idx].question))
+                })
                 .unwrap();
             let mut outcome = reg.correct(id, &[(idx, fix)]).unwrap();
             loop {
@@ -2059,93 +1935,6 @@ mod tests {
         ));
         // The survivor restores normally.
         assert!(equivalent(&reg.learned_query(second).unwrap(), &target));
-    }
-
-    #[test]
-    fn transcript_bound_truncates_cache_and_restore_round_trips() {
-        let dir = std::env::temp_dir().join(format!(
-            "qhorn-transcript-bound-{}-{}",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .as_nanos()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let config = RegistryConfig {
-            ttl: Duration::from_millis(0),
-            // A bound far below any real dialogue's transcript: every
-            // session drives past it within a few answers.
-            max_transcript_bytes: Some(64),
-            store: Some(StoreConfig {
-                fsync: qhorn_store::FsyncPolicy::Never,
-                ..StoreConfig::new(dir.clone())
-            }),
-            ..Default::default()
-        };
-        let reg = Registry::open(config).unwrap();
-        let target = parse_with_arity("all x1; some x2 x3", 3).unwrap();
-        let (id, first) = reg.create_session(spec(LearnerKind::Qhorn1)).unwrap();
-        let learned = drive_to_done(&reg, id, first, &target);
-        assert!(equivalent(&learned, &target));
-
-        // The bound was enforced and is visible on the wire surface.
-        let res = reg.session_resources(id).unwrap();
-        assert!(
-            res.transcript_truncated > 0,
-            "a full dialogue must overflow a 64-byte cache (resources {res:?})"
-        );
-        let live_cache = {
-            let handle = reg.shard(id).lock().unwrap().get(&id).cloned().unwrap();
-            let entry = handle.lock().unwrap();
-            assert!(
-                entry.transcript.len() <= 1,
-                "64 bytes holds at most the anchor exchange, kept {}",
-                entry.transcript.len()
-            );
-            entry.resources.transcript_cache_bytes
-        };
-        assert_eq!(res.transcript_cache_bytes, live_cache);
-
-        // Evict: the lossy in-memory snapshot is skipped (the durable
-        // log has the full history), so restore goes through the store.
-        std::thread::sleep(Duration::from_millis(5));
-        assert_eq!(reg.sweep().evicted, 1);
-        assert_eq!(reg.stats().live, 0);
-        assert_eq!(
-            reg.stats().snapshots,
-            0,
-            "truncated sessions must not cache lossy snapshots"
-        );
-        let restored = reg.learned_query(id).unwrap();
-        assert!(
-            equivalent(&restored, &target),
-            "restore after truncation must replay the full durable history"
-        );
-        assert_eq!(reg.stats().restored, 1);
-
-        // The restored session still corrects by pre-eviction index —
-        // `asked` is never truncated.
-        let fix = honest_label_for_index_zero(&reg, id, &target);
-        let outcome = reg.correct(id, &[(0, fix)]).unwrap();
-        let relearned = drive_to_done(&reg, id, outcome, &target);
-        assert!(equivalent(&relearned, &target));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn unbounded_config_never_truncates() {
-        let config = RegistryConfig {
-            max_transcript_bytes: None,
-            ..Default::default()
-        };
-        let reg = Registry::open(config).unwrap();
-        let target = parse_with_arity("all x1; some x2 x3", 3).unwrap();
-        let (id, first) = reg.create_session(spec(LearnerKind::Qhorn1)).unwrap();
-        drive_to_done(&reg, id, first, &target);
-        let res = reg.session_resources(id).unwrap();
-        assert_eq!(res.transcript_truncated, 0);
-        assert!(res.transcript_cache_bytes > 0, "cache is still accounted");
     }
 
     #[test]

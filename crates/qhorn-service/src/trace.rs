@@ -6,19 +6,21 @@
 //!
 //! Every request dispatched through [`crate::dispatch`] gets a **trace**:
 //! a root `dispatch` span plus child spans recorded by the layers it
-//! crosses (`registry`, `driver.pump`, `learner.phase`,
-//! `kernel.batch_eval`, `store.append`, `store.fsync`, `store.compact`).
-//! Spans carry a parent link, a monotonic start offset and duration, an
+//! crosses (`registry`, `learner.phase`, `kernel.batch_eval`,
+//! `store.append`, `store.fsync`, `store.compact`). A `learner.phase`
+//! span is one step of a session's learner or verifier: resuming it
+//! with the request's answer, computing, and realizing its next
+//! question. It is labelled with the learning phase the step ended in
+//! and the questions it answered. Spans carry a parent link, a monotonic start offset and duration, an
 //! optional session id, and typed attributes ([`AttrValue`]).
 //!
 //! The recording side is a **thread-local context**: [`Tracer::begin`]
 //! installs the context on the request thread, [`span`] opens a child on
-//! whatever context is active (a cheap no-op when none is — e.g. on
-//! driver threads), and [`retro_span`] back-fills spans whose timing was
-//! measured elsewhere (learner phases, store operations). This works
-//! because the service's driver inversion runs all request-path work —
-//! dispatch, registry locking, pump, store appends — on the request
-//! thread itself.
+//! whatever context is active (a cheap no-op when none is), and
+//! [`retro_span`] back-fills spans whose timing was measured elsewhere
+//! (store operations, through the store's observer). This works because
+//! all request-path work — dispatch, registry locking, the learner step,
+//! store appends — runs on the request thread itself.
 //!
 //! ## Retention and overhead
 //!
@@ -204,7 +206,7 @@ pub fn parse_id(s: &str) -> Option<u64> {
 /// `"store.append"` lands under `"store"`, `"dispatch"` under itself;
 /// names with an unknown prefix fall into the trailing `"other"` bucket.
 pub const PROFILE_LAYERS: &[&str] = &[
-    "dispatch", "registry", "driver", "learner", "kernel", "store", "other",
+    "dispatch", "registry", "learner", "kernel", "store", "other",
 ];
 
 /// Maps a span name onto its [`PROFILE_LAYERS`] slot.
@@ -333,8 +335,8 @@ pub fn span(name: &'static str) -> SpanGuard {
 
 /// Back-fills a completed span onto the active trace: it occupied
 /// `[ended - duration, ended]` and becomes a child of the innermost open
-/// span. Used where the timing was measured elsewhere (learner phases,
-/// store operations). No-op without an active trace.
+/// span. Used where the timing was measured elsewhere (store
+/// operations). No-op without an active trace.
 pub fn retro_span(
     name: &'static str,
     ended: Instant,
@@ -361,9 +363,8 @@ pub fn retro_span(
         });
         // The retro span's time belongs to its layer, not the enclosing
         // span's self time (a store append inside `registry` is store
-        // work). Learner-phase durations are dialogue-clock and can
-        // exceed the enclosing request; saturation below keeps the
-        // parent's self time at zero rather than wrapping.
+        // work). Saturation keeps the parent's self time at zero rather
+        // than wrapping should a reported duration exceed it.
         if let Some(parent) = at.open.last_mut() {
             parent.child_nanos = parent.child_nanos.saturating_add(duration_nanos);
         }
@@ -790,7 +791,8 @@ impl Tracer {
     }
 
     /// Reconstructs one session's dialogue from the journal: each traced
-    /// request (kind and outcome) and each learner phase, in time order.
+    /// request (kind and outcome) and each learner step (labelled with
+    /// its phase), in time order.
     /// Best-effort — unsampled or evicted traces leave gaps.
     #[must_use]
     pub fn timeline(&self, session: u64) -> Vec<TimelineEvent> {
@@ -956,8 +958,8 @@ fn root_kind(root: &SpanRecord) -> String {
 // ---------------------------------------------------------------------
 
 /// One node of a span tree, as served on the wire. Start offsets are
-/// relative to the trace start (the earliest span — retro-recorded
-/// learner phases can predate the request's own dispatch span).
+/// relative to the trace start (the earliest span — a retro-recorded
+/// span can predate the request's own dispatch span).
 #[derive(Clone, Debug, PartialEq)]
 pub struct SpanNode {
     /// Layer name.
@@ -1086,10 +1088,10 @@ pub struct TimelineEvent {
     /// Event start, nanoseconds since the tracer epoch.
     pub at_nanos: u64,
     /// Event kind: a message kind (`"answer"`, `"correct"`, …) or
-    /// `"phase"` for a learner phase.
+    /// `"phase"` for a learner step.
     pub kind: String,
-    /// Human-readable detail (request outcome, or phase name with its
-    /// question count).
+    /// Human-readable detail (request outcome, or the step's phase with
+    /// the questions it answered).
     pub detail: String,
     /// The trace the event came from.
     pub trace: u64,
@@ -1262,8 +1264,8 @@ mod tests {
                 reg.set_session(7);
                 reg.attr_u64("stripe_wait_nanos", 12);
                 {
-                    let pump = span("driver.pump");
-                    pump.attr_str("event", "question");
+                    let step = span("learner.phase");
+                    step.attr_str("phase", "classify_heads");
                     std::thread::sleep(Duration::from_micros(50));
                 }
             }
@@ -1276,7 +1278,7 @@ mod tests {
         let reg = &tree.root.children[0];
         assert_eq!(reg.name, "registry");
         assert_eq!(reg.children.len(), 1);
-        assert_eq!(reg.children[0].name, "driver.pump");
+        assert_eq!(reg.children[0].name, "learner.phase");
         assert!(reg.children[0].duration_nanos > 0);
         assert!(tree.root.duration_nanos >= reg.duration_nanos);
         assert!(reg
@@ -1292,26 +1294,23 @@ mod tests {
         {
             let root = t.begin("dispatch", None);
             id = root.id();
-            let _pump = span("driver.pump");
+            let _reg = span("registry");
             retro_span(
-                "learner.phase",
+                "store.append",
                 Instant::now(),
                 Duration::from_micros(30),
                 Some(3),
-                vec![
-                    ("phase", AttrValue::Str("classify heads".into())),
-                    ("questions", AttrValue::U64(5)),
-                ],
+                vec![("bytes", AttrValue::U64(64))],
             );
         }
         let tree = t.trace_tree(id).expect("committed");
-        let pump = &tree.root.children[0];
-        assert_eq!(pump.name, "driver.pump");
-        assert_eq!(pump.children.len(), 1);
-        let phase = &pump.children[0];
-        assert_eq!(phase.name, "learner.phase");
-        assert_eq!(phase.session, Some(3));
-        assert_eq!(phase.duration_nanos, 30_000);
+        let reg = &tree.root.children[0];
+        assert_eq!(reg.name, "registry");
+        assert_eq!(reg.children.len(), 1);
+        let append = &reg.children[0];
+        assert_eq!(append.name, "store.append");
+        assert_eq!(append.session, Some(3));
+        assert_eq!(append.duration_nanos, 30_000);
     }
 
     #[test]
@@ -1719,7 +1718,7 @@ mod tests {
                         {
                             let reg = span("registry");
                             reg.attr_u64("n", n);
-                            let _pump = span("driver.pump");
+                            let _step = span("learner.phase");
                             retro_span(
                                 "store.append",
                                 Instant::now(),

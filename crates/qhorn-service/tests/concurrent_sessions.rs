@@ -21,7 +21,6 @@ fn start_server(workers: usize) -> Server {
         Registry::open(RegistryConfig {
             shards: 8,
             ttl: Duration::from_secs(300),
-            driver_timeout: Duration::from_secs(20),
             ..RegistryConfig::default()
         })
         .expect("open registry"),

@@ -118,13 +118,14 @@ fn op_strategy() -> impl Strategy<Value = Op> {
                 dataset,
                 budget
             }),
-        (0usize..4, 1usize..24, any::<u32>(), any::<u32>())
-            .prop_map(|(slot, count, a, b)| Op::Answer {
+        (0usize..4, 1usize..24, any::<u32>(), any::<u32>()).prop_map(|(slot, count, a, b)| {
+            Op::Answer {
                 slot,
                 count,
                 // About one flip in eight answers.
                 flips: a & b & (a >> 7 | b << 5),
-            }),
+            }
+        }),
         (0usize..4, 1usize..24).prop_map(|(slot, count)| Op::Answer {
             slot,
             count,
@@ -237,7 +238,10 @@ impl MembershipOracle for Reference<'_> {
             return Some(*r);
         }
         let r = if let Some((q, r)) = self.fresh.get(self.cursor) {
-            assert_eq!(q, question, "the model's transcript diverged from its own run");
+            assert_eq!(
+                q, question,
+                "the model's transcript diverged from its own run"
+            );
             self.cursor += 1;
             *r
         } else if !(self.realizable)(question) {
@@ -600,7 +604,12 @@ impl Harness {
             .map_err(|e| TestCaseError::fail(format!("resources of {id}: {e}")))?;
         let s = &self.sessions[i];
         prop_assert_eq!(res.state.as_str(), s.state, "state of session {}", id);
-        prop_assert_eq!(res.questions, s.answered as u64, "answers of session {}", id);
+        prop_assert_eq!(
+            res.questions,
+            s.answered as u64,
+            "answers of session {}",
+            id
+        );
         Ok(())
     }
 

@@ -141,10 +141,10 @@ fn health_saturates_under_load_and_recovers() {
     probe_server.shutdown();
 }
 
-/// The always-on profile must account for ≥ 90 % of traced dispatch wall
-/// time: per-layer self times partition each span's duration, so their
-/// sum covers the dispatch roots' total (retro learner spans may push it
-/// over, never under).
+/// The always-on profile must account for 90–105 % of traced dispatch
+/// wall time: per-layer self times partition each span's duration, so
+/// their sum covers the dispatch roots' total, and with the learner
+/// timed live inside each request nothing is counted twice.
 #[test]
 fn profile_accounts_for_at_least_ninety_percent_of_dispatch_time() {
     let registry = Arc::new(Registry::open(RegistryConfig::default()).unwrap());
@@ -190,15 +190,18 @@ fn profile_accounts_for_at_least_ninety_percent_of_dispatch_time() {
     let dispatch = by_layer("dispatch");
     assert!(dispatch.spans >= 3, "{layers:?}"); // create + answers + batch
     assert!(dispatch.total_nanos > 0, "{layers:?}");
-    // Layer attribution: the session dialogue crossed the registry,
-    // driver, and learner layers; the batch run crossed the kernel.
-    for name in ["registry", "driver", "learner", "kernel"] {
+    // Layer attribution: the session dialogue crossed the registry and
+    // learner layers; the batch run crossed the kernel.
+    for name in ["registry", "learner", "kernel"] {
         assert!(by_layer(name).total_nanos > 0, "{name} empty: {layers:?}");
     }
+    // Self times partition the dispatched wall time: they neither fall
+    // short of it nor exceed it.
     let self_sum: u64 = layers.iter().map(|l| l.self_nanos).sum();
+    let ratio = self_sum as f64 / dispatch.total_nanos as f64;
     assert!(
-        self_sum as f64 >= 0.9 * dispatch.total_nanos as f64,
-        "profile accounts for {self_sum} of {} dispatch nanos: {layers:?}",
+        (0.9..=1.05).contains(&ratio),
+        "profile accounts for {self_sum} of {} dispatch nanos ({ratio:.3}): {layers:?}",
         dispatch.total_nanos
     );
 }
@@ -303,8 +306,9 @@ fn trace_config_validates_on_both_transports() {
 }
 
 /// Per-session resource accounting: a full dialogue leaves non-zero
-/// question, transcript, and driver-time counters, a batch run charges
-/// kernel time, and both transports agree on the reply.
+/// question and transcript counters (the vestigial driver and
+/// truncation counters stay 0), a batch run charges kernel time, and
+/// both transports agree on the reply.
 #[test]
 fn session_resources_account_a_full_dialogue() {
     let registry = Arc::new(Registry::open(RegistryConfig::default()).unwrap());
@@ -344,7 +348,10 @@ fn session_resources_account_a_full_dialogue() {
     assert_eq!(resources.state, "done");
     assert!(resources.questions > 0, "{resources:?}");
     assert!(resources.transcript_bytes > 0, "{resources:?}");
-    assert!(resources.driver_nanos > 0, "{resources:?}");
+    // Vestigial: no session has a driver thread to wait on.
+    assert_eq!(resources.driver_nanos, 0, "{resources:?}");
+    assert_eq!(resources.transcript_truncated, 0, "{resources:?}");
+    assert!(resources.transcript_cache_bytes > 0, "{resources:?}");
     assert!(resources.eval_nanos > 0, "{resources:?}");
     let phase_sum: u64 = resources.questions_by_phase.iter().map(|(_, n)| n).sum();
     assert!(phase_sum > 0, "{resources:?}");

@@ -1,6 +1,6 @@
 //! End-to-end tracing over the wire: a traced `Answer` on a learning
 //! session must yield a span tree that crosses every layer (dispatch →
-//! registry → driver → learner phases → store), the trace id must round
+//! registry → learner steps → store), the trace id must round
 //! trip on both transport envelopes, timelines must reconstruct the
 //! dialogue, and — crucially — tracing must not change reply bytes for
 //! clients that never opt in.
@@ -121,13 +121,7 @@ fn traced_answer_crosses_every_layer() {
 
     let mut spans = Vec::new();
     flatten(&tree.root, &mut spans);
-    for required in [
-        "dispatch",
-        "registry",
-        "driver.pump",
-        "learner.phase",
-        "store.append",
-    ] {
+    for required in ["dispatch", "registry", "learner.phase", "store.append"] {
         let found: Vec<_> = spans.iter().filter(|s| s.name == required).collect();
         assert!(!found.is_empty(), "span `{required}` missing from tree");
         assert!(
