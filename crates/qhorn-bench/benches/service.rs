@@ -44,7 +44,7 @@ fn bench_registry_sessions(c: &mut Criterion) {
     let target = qhorn_lang::parse_with_arity("all x1; some x2 x3", 3).unwrap();
     let mut group = c.benchmark_group("registry_sessions");
     group.sample_size(10);
-    // Sessions per second through the full registry + driver machinery.
+    // Sessions per second through the full registry and learner steps.
     group.throughput(Throughput::Elements(1));
     for shards in [1usize, 16] {
         group.bench_with_input(

@@ -358,8 +358,8 @@ fn main() {
 
     let mut results = Vec::new();
 
-    // Registry: sessions per second through the full registry + driver
-    // machinery (every iteration is a complete learning dialogue).
+    // Registry: sessions per second through the full registry and its
+    // learner steps (every iteration is a complete learning dialogue).
     let target: Query = qhorn_lang::parse_with_arity("all x1; some x2 x3", 3).unwrap();
     let registry = Registry::open(RegistryConfig::default()).expect("open registry");
     results.push(bench("registry_full_dialogue", n(30, 3), 1, || {

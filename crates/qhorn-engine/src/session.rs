@@ -258,14 +258,17 @@ impl<S: Deref<Target = DataStore>> Dialogue<S> {
     /// # Panics
     /// If no run was started, or the last one already finished.
     pub fn resume(&mut self, answer: Option<Response>) -> Step {
-        let mut answer = answer.filter(|_| self.pending.is_some());
-        if let (Some(response), Some((question, from_store))) = (answer, self.pending.take()) {
-            self.transcript.push(Exchange {
-                question,
-                from_store,
-                response,
-            });
-        }
+        let mut answer = match (answer, self.pending.take()) {
+            (Some(response), Some((question, from_store))) => {
+                self.transcript.push(Exchange {
+                    question,
+                    from_store,
+                    response,
+                });
+                Some(response)
+            }
+            _ => None,
+        };
         let run = self
             .run
             .as_mut()
@@ -334,8 +337,8 @@ impl<S: Deref<Target = DataStore>> Dialogue<S> {
         self.transcript
     }
 
-    /// The learning phase the most recent question came from (`None`
-    /// for verification, or before a learner's first question).
+    /// The learning phase the run was last in (`None` for a
+    /// verification run, or before a run's first step).
     #[must_use]
     pub fn phase(&self) -> Option<Phase> {
         self.phase

@@ -1374,9 +1374,9 @@ impl Registry {
             span.set_session(id);
             let before = entry.dialogue.transcript().len();
             let step = entry.dialogue.resume(answer);
-            let phase = match (entry.state, entry.dialogue.phase()) {
-                (SessionState::Verifying, _) | (_, None) => "verification",
-                (_, Some(p)) => PHASE_NAMES
+            let phase = match entry.dialogue.phase() {
+                None => "verification",
+                Some(p) => PHASE_NAMES
                     .iter()
                     .find(|(q, _)| *q == p)
                     .map_or("other", |(_, label)| label),
