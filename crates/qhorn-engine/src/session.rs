@@ -282,9 +282,6 @@ impl<S: Deref<Target = DataStore>> Dialogue<S> {
             });
             let poll = run.as_mut().poll(&mut Context::from_waker(Waker::noop()));
             let turn = TURN.take();
-            if turn.phase.is_some() {
-                self.phase = turn.phase;
-            }
             let question = match poll {
                 Poll::Ready(step) => {
                     self.run = None;
@@ -292,6 +289,9 @@ impl<S: Deref<Target = DataStore>> Dialogue<S> {
                 }
                 Poll::Pending => turn.asked.expect("a run suspends only on a question"),
             };
+            if turn.phase.is_some() {
+                self.phase = turn.phase;
+            }
             match realize(&self.store, &self.hints, &question) {
                 Ok(realized) => {
                     self.pending = Some((question, realized.is_stored()));
@@ -337,8 +337,8 @@ impl<S: Deref<Target = DataStore>> Dialogue<S> {
         self.transcript
     }
 
-    /// The learning phase the run was last in (`None` for a
-    /// verification run, or before a run's first step).
+    /// The learning phase of the run's latest question (`None` for a
+    /// verification run, or before a run's first question).
     #[must_use]
     pub fn phase(&self) -> Option<Phase> {
         self.phase
@@ -354,7 +354,7 @@ struct Turn {
     answer: Option<Response>,
     /// The question the run suspended on.
     asked: Option<Obj>,
-    /// The phase the learner last entered during the poll.
+    /// The phase the learner last entered during the poll, if any.
     phase: Option<Phase>,
 }
 

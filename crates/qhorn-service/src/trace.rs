@@ -10,8 +10,8 @@
 //! `store.append`, `store.fsync`, `store.compact`). A `learner.phase`
 //! span is one step of a session's learner or verifier: resuming it
 //! with the request's answer, computing, and realizing its next
-//! question. It is labelled with the learning phase the step ended in
-//! and the questions it answered. Spans carry a parent link, a monotonic start offset and duration, an
+//! question. It is labelled with the learning phase of the session's
+//! latest question and the questions the step answered. Spans carry a parent link, a monotonic start offset and duration, an
 //! optional session id, and typed attributes ([`AttrValue`]).
 //!
 //! The recording side is a **thread-local context**: [`Tracer::begin`]
