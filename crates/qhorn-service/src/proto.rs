@@ -156,7 +156,7 @@ pub enum Request {
         reset: bool,
     },
     /// Per-session resource accounting (questions by phase, transcript
-    /// bytes, store bytes, kernel and driver time).
+    /// bytes, store bytes, kernel time).
     SessionResources {
         /// Session id.
         session: u64,

@@ -69,5 +69,7 @@ fn open_sessions_hold_no_threads() {
         }
     }
     assert!(threads() <= start + SLACK);
-    assert_eq!(registry.stats().live, 0);
+    let stats = registry.stats();
+    assert_eq!(stats.created, 1 + 256 + 10_000);
+    assert_eq!(stats.live, 0);
 }
