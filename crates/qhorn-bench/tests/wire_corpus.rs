@@ -1,9 +1,12 @@
 //! Byte-level encodings of the load harness's report types. They are
 //! encode-only (the harness writes them into `BENCH_*.json`), so each
 //! fixed value's compact encoding is compared against bytes recorded
-//! before the codecs were declared with `qhorn_json::wire!`.
+//! before the codecs were declared with `qhorn_json::wire!`, both through
+//! the direct writer (`qhorn_json::to_string`) and through the reference
+//! tree (`to_json().to_compact()`).
 
 use qhorn_bench::load::{DialoguePlan, KindSummary, Population, PopulationTally, TransportReport};
+use qhorn_json::ToJson;
 use std::collections::BTreeMap;
 
 fn kind(kind: &str) -> KindSummary {
@@ -54,6 +57,10 @@ fn report_types_encode_to_recorded_bytes() {
         (qhorn_json::to_string(&kind("answer")), EXPECTED_KIND),
         (qhorn_json::to_string(&tally()), EXPECTED_TALLY),
         (qhorn_json::to_string(&report), EXPECTED_REPORT),
+        (plan.to_json().to_compact(), EXPECTED_PLAN),
+        (kind("answer").to_json().to_compact(), EXPECTED_KIND),
+        (tally().to_json().to_compact(), EXPECTED_TALLY),
+        (report.to_json().to_compact(), EXPECTED_REPORT),
     ];
     for (got, want) in cases {
         assert_eq!(got, want);

@@ -58,6 +58,13 @@ mod json {
                 .to_string(),
             )
         }
+
+        fn write_json(&self, out: &mut String) {
+            out.push_str(match self {
+                Response::Answer => "\"Answer\"",
+                Response::NonAnswer => "\"NonAnswer\"",
+            });
+        }
     }
 
     impl FromJson for Response {

@@ -485,6 +485,10 @@ mod json {
         fn to_json(&self) -> Json {
             Json::U64(u64::from(self.0))
         }
+
+        fn write_json(&self, out: &mut String) {
+            self.0.write_json(out);
+        }
     }
 
     impl FromJson for VarId {
@@ -496,7 +500,11 @@ mod json {
     /// The canonical word sequence, as a JSON array of `u64`.
     impl ToJson for Words {
         fn to_json(&self) -> Json {
-            self.as_slice().to_vec().to_json()
+            self.as_slice().to_json()
+        }
+
+        fn write_json(&self, out: &mut String) {
+            self.as_slice().write_json(out);
         }
     }
 

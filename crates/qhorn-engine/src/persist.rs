@@ -129,6 +129,10 @@ impl ToJson for LearnerKind {
     fn to_json(&self) -> Json {
         Json::Str(self.wire_name().into())
     }
+
+    fn write_json(&self, out: &mut String) {
+        self.wire_name().write_json(out);
+    }
 }
 
 impl FromJson for LearnerKind {
@@ -158,6 +162,22 @@ pub mod corrections {
                 .iter()
                 .map(|(i, r)| Json::array([i.to_json(), r.to_json()])),
         )
+    }
+
+    /// Writes the same encoding as [`to_json`] straight into `out`.
+    pub fn write_json(pairs: &[(usize, Response)], out: &mut String) {
+        out.push('[');
+        for (k, (i, r)) in pairs.iter().enumerate() {
+            if k > 0 {
+                out.push(',');
+            }
+            out.push('[');
+            i.write_json(out);
+            out.push(',');
+            r.write_json(out);
+            out.push(']');
+        }
+        out.push(']');
     }
 
     /// Decodes `[[index, response], ...]`.

@@ -167,7 +167,7 @@ type Run = Pin<Box<dyn Future<Output = Step> + Send>>;
 /// for [`Session`].
 pub struct Dialogue<S = Arc<DataStore>> {
     store: S,
-    hints: DomainHints,
+    hints: Arc<DomainHints>,
     transcript: Vec<Exchange>,
     /// The question shown to the user, and whether a stored object
     /// realized it.
@@ -180,9 +180,11 @@ pub struct Dialogue<S = Arc<DataStore>> {
 impl<S: Deref<Target = DataStore>> Dialogue<S> {
     /// A dialogue over `store` with no run started. `transcript` is the
     /// history a later [`Dialogue::relearn`] replays (empty for a new
-    /// session, a snapshot's transcript for a restored one).
+    /// session, a snapshot's transcript for a restored one). The hints
+    /// are shared, like the store: sessions over one dataset hold one
+    /// copy.
     #[must_use]
-    pub fn new(store: S, hints: DomainHints, transcript: Vec<Exchange>) -> Self {
+    pub fn new(store: S, hints: Arc<DomainHints>, transcript: Vec<Exchange>) -> Self {
         Dialogue {
             store,
             hints,
@@ -399,7 +401,7 @@ pub struct Session<'a> {
 impl<'a> Session<'a> {
     /// Starts a session over a store, with value hints for synthesis.
     #[must_use]
-    pub fn new(store: &'a DataStore, hints: DomainHints) -> Self {
+    pub fn new(store: &'a DataStore, hints: impl Into<Arc<DomainHints>>) -> Self {
         Session::with_transcript(store, hints, Vec::new())
     }
 
@@ -410,11 +412,11 @@ impl<'a> Session<'a> {
     #[must_use]
     pub fn with_transcript(
         store: &'a DataStore,
-        hints: DomainHints,
+        hints: impl Into<Arc<DomainHints>>,
         transcript: Vec<Exchange>,
     ) -> Self {
         Session {
-            dialogue: Dialogue::new(store, hints, transcript),
+            dialogue: Dialogue::new(store, hints.into(), transcript),
         }
     }
 
@@ -780,7 +782,8 @@ mod tests {
             .learn_role_preserving(&opts, data_domain_user(intent.clone()))
             .unwrap();
 
-        let mut dialogue = Dialogue::new(Arc::clone(&ds), chocolates::hints(), Vec::new());
+        let mut dialogue =
+            Dialogue::new(Arc::clone(&ds), Arc::new(chocolates::hints()), Vec::new());
         dialogue.learn(LearnerKind::RolePreserving, &opts);
         let mut user = data_domain_user(intent);
         let mut step = dialogue.resume(None);

@@ -208,10 +208,22 @@ impl fmt::Display for Json {
     }
 }
 
-/// Conversion into a [`Json`] value.
+/// Conversion into a [`Json`] value, and compact encoding.
+///
+/// [`ToJson::to_json`] builds the value tree; it is the reference every
+/// encoding is checked against. [`ToJson::write_json`] appends the
+/// compact encoding of the same value to a buffer. Its default renders
+/// the tree; [`wire!`] declarations and the primitive impls override it
+/// to write straight into the buffer, with no tree and no owned keys.
 pub trait ToJson {
     /// Renders `self` as a JSON value.
     fn to_json(&self) -> Json;
+
+    /// Appends `self`'s compact encoding to `out`: the bytes
+    /// `self.to_json().to_compact()` yields.
+    fn write_json(&self, out: &mut String) {
+        write::write_compact(&self.to_json(), out);
+    }
 }
 
 /// Conversion from a [`Json`] value.
@@ -223,9 +235,12 @@ pub trait FromJson: Sized {
     fn from_json(j: &Json) -> Result<Self, JsonError>;
 }
 
-/// Serializes any [`ToJson`] value compactly.
+/// Serializes any [`ToJson`] value compactly, through
+/// [`ToJson::write_json`].
 pub fn to_string<T: ToJson + ?Sized>(v: &T) -> String {
-    v.to_json().to_compact()
+    let mut out = String::new();
+    v.write_json(&mut out);
+    out
 }
 
 /// Serializes any [`ToJson`] value with indentation.
@@ -289,6 +304,10 @@ macro_rules! impl_json_uint {
             fn to_json(&self) -> Json {
                 Json::U64(u64::from(*self))
             }
+
+            fn write_json(&self, out: &mut String) {
+                write::write_u64(u64::from(*self), out);
+            }
         }
         impl FromJson for $t {
             fn from_json(j: &Json) -> Result<Self, JsonError> {
@@ -305,6 +324,10 @@ impl ToJson for usize {
     fn to_json(&self) -> Json {
         Json::U64(*self as u64)
     }
+
+    fn write_json(&self, out: &mut String) {
+        write::write_u64(*self as u64, out);
+    }
 }
 
 impl FromJson for usize {
@@ -320,6 +343,10 @@ impl ToJson for i64 {
     fn to_json(&self) -> Json {
         Json::I64(*self)
     }
+
+    fn write_json(&self, out: &mut String) {
+        write::write_i64(*self, out);
+    }
 }
 
 impl FromJson for i64 {
@@ -331,6 +358,10 @@ impl FromJson for i64 {
 impl ToJson for f64 {
     fn to_json(&self) -> Json {
         Json::F64(*self)
+    }
+
+    fn write_json(&self, out: &mut String) {
+        write::write_f64(*self, out);
     }
 }
 
@@ -344,6 +375,10 @@ impl ToJson for bool {
     fn to_json(&self) -> Json {
         Json::Bool(*self)
     }
+
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
 }
 
 impl FromJson for bool {
@@ -356,6 +391,10 @@ impl FromJson for bool {
 impl ToJson for String {
     fn to_json(&self) -> Json {
         Json::Str(self.clone())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        write::write_string(self, out);
     }
 }
 
@@ -371,11 +410,19 @@ impl ToJson for str {
     fn to_json(&self) -> Json {
         Json::Str(self.to_string())
     }
+
+    fn write_json(&self, out: &mut String) {
+        write::write_string(self, out);
+    }
 }
 
 impl ToJson for Json {
     fn to_json(&self) -> Json {
         self.clone()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        write::write_compact(self, out);
     }
 }
 
@@ -385,9 +432,30 @@ impl FromJson for Json {
     }
 }
 
-impl<T: ToJson> ToJson for Vec<T> {
+impl<T: ToJson> ToJson for [T] {
     fn to_json(&self) -> Json {
         Json::Arr(self.iter().map(ToJson::to_json).collect())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, v) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            v.write_json(out);
+        }
+        out.push(']');
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn to_json(&self) -> Json {
+        self.as_slice().to_json()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
     }
 }
 
@@ -408,6 +476,13 @@ impl<T: ToJson> ToJson for Option<T> {
             None => Json::Null,
         }
     }
+
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
 }
 
 impl<T: FromJson> FromJson for Option<T> {
@@ -423,6 +498,10 @@ impl<T: FromJson> FromJson for Option<T> {
 impl<T: ToJson + ?Sized> ToJson for &T {
     fn to_json(&self) -> Json {
         (**self).to_json()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
     }
 }
 

@@ -11,7 +11,7 @@
 //! | `[default]` | always written | absent or `null` ⇒ `Default::default()` |
 //! | `[default = EXPR]` | always written | absent or `null` ⇒ `EXPR` |
 //! | `[skip]` | omitted when `None` / `false` | absent or `null` ⇒ default |
-//! | `[with = path]` | `path::to_json(&field)` | `path::from_json(value)` |
+//! | `[with = path]` | `path::to_json(&field)`, `path::write_json(&field, out)` | `path::from_json(value)` |
 //! | `[flatten]` | the field's object pairs are merged into this object | decoded from this object |
 //!
 //! Four shapes are declared:
@@ -26,6 +26,12 @@
 //!   `T::KINDS` (every tag, in order) and `T::kind(&self)`.
 //! - `enum T external "noun" { V { fields } }` — `{"V": {fields}}`.
 //! - `enum T string "noun" { V = "tag" }` — a bare string.
+//!
+//! Each declaration generates both encoders from its one field list:
+//! [`ToJson::to_json`](crate::ToJson::to_json) builds the value tree, and
+//! [`ToJson::write_json`](crate::ToJson::write_json) writes the same bytes
+//! straight into a buffer through an [`ObjectWriter`], with keys spliced
+//! in as literals.
 //!
 //! The wire-schema lint reads these declarations to pin each field's
 //! declared type and markers, so a declaration is the single place a
@@ -78,6 +84,12 @@ macro_rules! wire {
                 $( $crate::__wire_put!(pairs, $crate::__wire_key!($f $($key)?), &self.$f, $t, [$($($mk)*)?]); )*
                 $crate::Json::Obj(pairs)
             }
+
+            fn write_json(&self, out: &mut ::std::string::String) {
+                let mut w = $crate::wire::ObjectWriter::open(out);
+                $( $crate::__wire_write!(w, $crate::__wire_key_prefix!($f $($key)?), &self.$f, $t, [$($($mk)*)?]); )*
+                w.close();
+            }
         }
     };
     (enum $T:ident tag $tag_key:literal $noun:literal {
@@ -105,6 +117,16 @@ macro_rules! wire {
                 }
                 $crate::Json::Obj(pairs)
             }
+
+            fn write_json(&self, out: &mut ::std::string::String) {
+                let mut w = $crate::wire::ObjectWriter::open(out);
+                match self {
+                    $( $T::$V { .. } => $crate::__wire_write_variant!(
+                        self, w, [$tag_key, $tag], $T::$V $({ $($fields)* })? $(($inner))?
+                    ), )*
+                }
+                w.close();
+            }
         }
         impl $crate::FromJson for $T {
             fn from_json(j: &$crate::Json) -> ::std::result::Result<Self, $crate::JsonError> {
@@ -127,6 +149,20 @@ macro_rules! wire {
                     $( $T::$V { .. } => stringify!($V), )*
                 };
                 $crate::Json::Obj(vec![(tag.to_string(), $crate::Json::Obj(pairs))])
+            }
+
+            fn write_json(&self, out: &mut ::std::string::String) {
+                let mut outer = $crate::wire::ObjectWriter::open(out);
+                match self {
+                    $( $T::$V { .. } => {
+                        let mut w = $crate::wire::ObjectWriter::open(
+                            outer.member(concat!("\"", stringify!($V), "\":")),
+                        );
+                        $crate::__wire_write_variant!(self, w, [], $T::$V $body);
+                        w.close();
+                    } )*
+                }
+                outer.close();
             }
         }
         impl $crate::FromJson for $T {
@@ -155,6 +191,10 @@ macro_rules! wire {
             fn to_json(&self) -> $crate::Json {
                 $crate::Json::Str(match self { $( $T::$V => $tag, )* }.to_string())
             }
+
+            fn write_json(&self, out: &mut ::std::string::String) {
+                out.push_str(match self { $( $T::$V => concat!("\"", $tag, "\""), )* });
+            }
         }
         impl $crate::FromJson for $T {
             fn from_json(j: &$crate::Json) -> ::std::result::Result<Self, $crate::JsonError> {
@@ -176,6 +216,40 @@ macro_rules! __wire_key {
     };
     ($f:ident $key:literal) => {
         $key
+    };
+}
+
+/// A field's key as encoded JSON text with its colon, `"key":`. Keys
+/// are identifiers or plain literals, so nothing in them needs escaping.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __wire_key_prefix {
+    ($f:ident) => {
+        concat!("\"", stringify!($f), "\":")
+    };
+    ($f:ident $key:literal) => {
+        concat!("\"", $key, "\":")
+    };
+}
+
+/// Writes one field through the [`ObjectWriter`] `w` according to its
+/// markers: the direct counterpart of `__wire_put`.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __wire_write {
+    ($w:ident, $prefix:expr, $v:expr, $t:ty, [skip]) => {
+        if !$crate::wire::Skip::skip($v) {
+            $crate::__wire_write!($w, $prefix, $v, $t, []);
+        }
+    };
+    ($w:ident, $prefix:expr, $v:expr, $t:ty, [with = $($codec:ident)::+]) => {
+        $($codec)::+::write_json($v, $w.member($prefix))
+    };
+    ($w:ident, $prefix:expr, $v:expr, $t:ty, [flatten]) => {
+        $w.flatten(|out| <$t as $crate::ToJson>::write_json($v, out))
+    };
+    ($w:ident, $prefix:expr, $v:expr, $t:ty, [$(default $(= $default:expr)?)?]) => {
+        <$t as $crate::ToJson>::write_json($v, $w.member($prefix))
     };
 }
 
@@ -263,6 +337,99 @@ macro_rules! __wire_put_variant {
     };
 }
 
+/// Writes the variant `self` is known to be through the [`ObjectWriter`]
+/// `w`: the `"tag key":"tag"` member, when given, then its fields.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __wire_write_variant {
+    ($self:ident, $w:ident, [$($tag_key:literal, $tag:literal)?], $T:ident::$V:ident { $($f:ident $(as $key:literal)? : $t:ty $([$($mk:tt)*])?),* $(,)? }) => {{
+        let $T::$V { $($f),* } = $self else {
+            unreachable!("matched by the caller")
+        };
+        $( $w.member(concat!("\"", $tag_key, "\":\"", $tag, "\"")); )?
+        $( $crate::__wire_write!($w, $crate::__wire_key_prefix!($f $($key)?), $f, $t, [$($($mk)*)?]); )*
+    }};
+    ($self:ident, $w:ident, [$($tag_key:literal, $tag:literal)?], $T:ident::$V:ident ($inner:ty)) => {{
+        let $T::$V(inner) = $self else {
+            unreachable!("matched by the caller")
+        };
+        $( $w.member(concat!("\"", $tag_key, "\":\"", $tag, "\"")); )?
+        $w.flatten(|out| <$inner as $crate::ToJson>::write_json(inner, out));
+    }};
+    ($self:ident, $w:ident, [$($tag_key:literal, $tag:literal)?], $T:ident::$V:ident) => {{
+        $( $w.member(concat!("\"", $tag_key, "\":\"", $tag, "\"")); )?
+    }};
+}
+
+/// Writes a JSON object's members straight into a buffer, placing the
+/// commas. [`wire!`](crate::wire) expansions write through it; so can a
+/// hand-written [`ToJson::write_json`](crate::ToJson::write_json) whose
+/// keys are data (see [`map`]).
+pub struct ObjectWriter<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl<'a> ObjectWriter<'a> {
+    /// Opens an object: pushes `{`.
+    pub fn open(out: &'a mut String) -> Self {
+        out.push('{');
+        ObjectWriter { out, empty: true }
+    }
+
+    /// Starts a member: pushes the separator and `prefix`, the member's
+    /// encoded `"key":` (or a whole `"key":"value"` when the value is a
+    /// literal too), and returns the buffer for the value.
+    pub fn member(&mut self, prefix: &str) -> &mut String {
+        if !std::mem::replace(&mut self.empty, false) {
+            self.out.push(',');
+        }
+        self.out.push_str(prefix);
+        self.out
+    }
+
+    /// Starts a member whose key is data: escapes it like any string.
+    pub fn key(&mut self, key: &str) -> &mut String {
+        let out = self.member("");
+        crate::write::write_string(key, out);
+        out.push(':');
+        out
+    }
+
+    /// Merges the object `write` encodes into this one (a `[flatten]`
+    /// field or a newtype variant's payload). Like [`flatten`], drops a
+    /// value that is not an object.
+    pub fn flatten(&mut self, write: impl FnOnce(&mut String)) {
+        if self.empty {
+            // The inner object's `{` stands in for this one's.
+            self.out.pop();
+            let at = self.out.len();
+            write(self.out);
+            if !self.out[at..].starts_with('{') {
+                self.out.truncate(at);
+                self.out.push('{');
+                return;
+            }
+            self.out.pop();
+            self.empty = self.out.len() == at + 1;
+        } else {
+            let at = self.out.len();
+            write(self.out);
+            if !self.out[at..].starts_with('{') || self.out.len() == at + 2 {
+                self.out.truncate(at);
+                return;
+            }
+            self.out.pop();
+            self.out.replace_range(at..=at, ",");
+        }
+    }
+
+    /// Closes the object: pushes `}`.
+    pub fn close(self) {
+        self.out.push('}');
+    }
+}
+
 /// Values a `[skip]` field omits from the wire.
 pub trait Skip {
     /// `true` when the field is left out of the encoding.
@@ -316,6 +483,13 @@ pub mod map {
         Json::Obj(m.entries())
     }
 
+    /// Writes the pairs as one object, in iteration order.
+    pub fn write_json<M: super::Entries + ?Sized>(m: &M, out: &mut String) {
+        let mut w = super::ObjectWriter::open(out);
+        m.write_entries(&mut w);
+        w.close();
+    }
+
     /// Decodes an object into `(key, value)` pairs, in document order.
     ///
     /// # Errors
@@ -334,6 +508,12 @@ pub mod map {
                 .map(|(k, v)| (k.as_ref().to_string(), v.to_json()))
                 .collect()
         }
+
+        fn write_entries(&self, w: &mut super::ObjectWriter<'_>) {
+            for (k, v) in self {
+                v.write_json(w.key(k.as_ref()));
+            }
+        }
     }
 
     impl<K: AsRef<str>, V: ToJson> super::Entries for BTreeMap<K, V> {
@@ -342,6 +522,12 @@ pub mod map {
                 .map(|(k, v)| (k.as_ref().to_string(), v.to_json()))
                 .collect()
         }
+
+        fn write_entries(&self, w: &mut super::ObjectWriter<'_>) {
+            for (k, v) in self {
+                v.write_json(w.key(k.as_ref()));
+            }
+        }
     }
 }
 
@@ -349,4 +535,7 @@ pub mod map {
 pub trait Entries {
     /// The `(key, encoded value)` pairs, in order.
     fn entries(&self) -> Vec<(String, Json)>;
+
+    /// Writes the same pairs, in order, as members of `w`.
+    fn write_entries(&self, w: &mut ObjectWriter<'_>);
 }

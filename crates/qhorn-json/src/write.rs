@@ -8,12 +8,8 @@ pub(crate) fn write_compact(j: &Json, out: &mut String) {
         Json::Null => out.push_str("null"),
         Json::Bool(true) => out.push_str("true"),
         Json::Bool(false) => out.push_str("false"),
-        Json::I64(i) => {
-            let _ = write!(out, "{i}");
-        }
-        Json::U64(u) => {
-            let _ = write!(out, "{u}");
-        }
+        Json::I64(i) => write_i64(*i, out),
+        Json::U64(u) => write_u64(*u, out),
         Json::F64(f) => write_f64(*f, out),
         Json::Str(s) => write_string(s, out),
         Json::Arr(items) => {
@@ -81,7 +77,31 @@ fn push_indent(n: usize, out: &mut String) {
     }
 }
 
-fn write_f64(f: f64, out: &mut String) {
+/// Formats an unsigned integer with a digit loop (no `fmt` machinery).
+pub(crate) fn write_u64(mut u: u64, out: &mut String) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (u % 10) as u8;
+        u /= 10;
+        if u == 0 {
+            break;
+        }
+    }
+    for &d in &digits[at..] {
+        out.push(char::from(d));
+    }
+}
+
+pub(crate) fn write_i64(i: i64, out: &mut String) {
+    if i < 0 {
+        out.push('-');
+    }
+    write_u64(i.unsigned_abs(), out);
+}
+
+pub(crate) fn write_f64(f: f64, out: &mut String) {
     if f.is_finite() {
         let s = format!("{f}");
         out.push_str(&s);
@@ -94,9 +114,16 @@ fn write_f64(f: f64, out: &mut String) {
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
+/// Writes `s` as a JSON string literal. A string with no byte to escape
+/// (the common case) is copied with one `push_str`.
+pub(crate) fn write_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
+    let plain = s
+        .bytes()
+        .position(|b| b < 0x20 || b == b'"' || b == b'\\')
+        .unwrap_or(s.len());
+    out.push_str(&s[..plain]);
+    for c in s[plain..].chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),

@@ -148,8 +148,9 @@ qhorn_json::wire! {
 pub struct BuiltDataset {
     /// The booleanized store, shared across sessions and restores.
     pub store: Arc<DataStore>,
-    /// Synthesis hints for natural-looking examples.
-    pub hints: DomainHints,
+    /// Synthesis hints for natural-looking examples, shared like the
+    /// store: sessions and evaluations take the `Arc`, never a copy.
+    pub hints: Arc<DomainHints>,
     /// Serialized-definition size, counted against
     /// [`MAX_UPLOAD_TOTAL_BYTES`] (0 for built-ins).
     pub def_bytes: usize,
@@ -205,10 +206,10 @@ impl DatasetCatalog {
         &self,
         name: &str,
         size: usize,
-    ) -> Result<(Arc<DataStore>, DomainHints), ServiceError> {
+    ) -> Result<(Arc<DataStore>, Arc<DomainHints>), ServiceError> {
         validate_size(size)?;
         if let Some(built) = self.uploads.lock_recover().get(name) {
-            return Ok((Arc::clone(&built.store), built.hints.clone()));
+            return Ok((Arc::clone(&built.store), Arc::clone(&built.hints)));
         }
         if !NAMES.contains(&name) {
             return Err(ServiceError::UnknownDataset(name.to_string()));
@@ -219,7 +220,10 @@ impl DatasetCatalog {
             let mut cache = self.builtins.lock_recover();
             if let Some(cached) = cache.get_mut(&key) {
                 cached.touched = stamp;
-                return Ok((Arc::clone(&cached.built.store), cached.built.hints.clone()));
+                return Ok((
+                    Arc::clone(&cached.built.store),
+                    Arc::clone(&cached.built.hints),
+                ));
             }
         }
         // Build outside the cache lock: a large build must not block
@@ -228,7 +232,7 @@ impl DatasetCatalog {
         let objects = store.boolean().len();
         let built = BuiltDataset {
             store: Arc::new(store),
-            hints,
+            hints: Arc::new(hints),
             def_bytes: 0,
         };
         if objects > BUILTIN_CACHE_OBJECT_BUDGET {
@@ -243,7 +247,10 @@ impl DatasetCatalog {
             touched: stamp,
         });
         entry.touched = stamp;
-        let result = (Arc::clone(&entry.built.store), entry.built.hints.clone());
+        let result = (
+            Arc::clone(&entry.built.store),
+            Arc::clone(&entry.built.hints),
+        );
         // Bound by entry count AND total pinned objects (actual built
         // counts — size-ignoring datasets build far fewer than asked);
         // never evict the entry just inserted (it fits the budget by the
@@ -314,7 +321,7 @@ impl DatasetCatalog {
             .map_err(|e| ServiceError::InvalidDataset(e.to_string()))?;
         Ok(BuiltDataset {
             store: Arc::new(store),
-            hints: def.hints.clone(),
+            hints: Arc::new(def.hints.clone()),
             def_bytes,
         })
     }

@@ -334,12 +334,17 @@ fn handle_connection(stream: TcpStream, registry: &Arc<Registry>, stop: &AtomicB
         Err(_) => return,
     });
     let mut writer = stream;
+    // One response buffer per connection: head and body leave in one
+    // write.
+    let mut out = String::new();
     loop {
         match read_request(&mut conn, stop) {
             ReadOutcome::Request(req) => {
                 let keep_alive = req.keep_alive();
                 let response = respond(registry, &req);
-                if write_response(&mut writer, &response, keep_alive).is_err() || !keep_alive {
+                if write_response(&mut writer, &mut out, &response, keep_alive).is_err()
+                    || !keep_alive
+                {
                     return;
                 }
             }
@@ -363,7 +368,7 @@ fn handle_connection(stream: TcpStream, registry: &Arc<Registry>, stop: &AtomicB
                     allow: None,
                     trace_id: None,
                 };
-                let _ = write_response(&mut writer, &response, false);
+                let _ = write_response(&mut writer, &mut out, &response, false);
                 return;
             }
             ReadOutcome::Closed | ReadOutcome::Stopped => return,
@@ -583,25 +588,44 @@ fn parsed_type(pairs: &[(String, Json)]) -> Option<&str> {
         .and_then(|(_, v)| v.as_str())
 }
 
-fn write_response(w: &mut TcpStream, response: &HttpResponse, keep_alive: bool) -> io::Result<()> {
-    let connection = if keep_alive { "keep-alive" } else { "close" };
-    let mut head = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {connection}\r\n",
-        response.status,
-        reason(response.status),
-        response.content_type,
-        response.body.len(),
-    );
+fn write_response(
+    w: &mut TcpStream,
+    out: &mut String,
+    response: &HttpResponse,
+    keep_alive: bool,
+) -> io::Result<()> {
+    out.clear();
+    frame_response(response, keep_alive, out);
+    w.write_all(out.as_bytes())
+}
+
+/// Frames a response, head and body, into `out`.
+fn frame_response(response: &HttpResponse, keep_alive: bool, out: &mut String) {
+    out.push_str("HTTP/1.1 ");
+    response.status.write_json(out);
+    out.push(' ');
+    out.push_str(reason(response.status));
+    out.push_str("\r\nContent-Type: ");
+    out.push_str(response.content_type);
+    out.push_str("\r\nContent-Length: ");
+    response.body.len().write_json(out);
+    out.push_str(if keep_alive {
+        "\r\nConnection: keep-alive\r\n"
+    } else {
+        "\r\nConnection: close\r\n"
+    });
     if let Some(allow) = response.allow {
-        head.push_str(&format!("Allow: {allow}\r\n"));
+        out.push_str("Allow: ");
+        out.push_str(allow);
+        out.push_str("\r\n");
     }
     if let Some(id) = &response.trace_id {
-        head.push_str(&format!("X-Qhorn-Trace-Id: {id}\r\n"));
+        out.push_str("X-Qhorn-Trace-Id: ");
+        out.push_str(id);
+        out.push_str("\r\n");
     }
-    head.push_str("\r\n");
-    w.write_all(head.as_bytes())?;
-    w.write_all(response.body.as_bytes())?;
-    w.flush()
+    out.push_str("\r\n");
+    out.push_str(&response.body);
 }
 
 /// Reads and parses one request off the connection.
@@ -1179,5 +1203,60 @@ mod tests {
             decode_body("list_datasets", b"").unwrap(),
             Request::ListDatasets
         );
+    }
+
+    /// One buffer carries head and body: the same bytes the head's
+    /// `format!` followed by the body used to put on the wire in two
+    /// writes.
+    #[test]
+    fn framed_response_matches_the_formatted_head_and_body() {
+        let cases = [
+            (
+                200,
+                "application/json",
+                "{\"type\":\"closed\",\"session\":7}",
+                None,
+                Some("00000000000000ab"),
+                true,
+            ),
+            (405, "application/json", "", Some("GET, POST"), None, false),
+            (
+                200,
+                "text/plain; version=0.0.4",
+                "# HELP x\n",
+                None,
+                None,
+                true,
+            ),
+            (503, "application/json", "∀x1 — é", None, Some("ff"), false),
+        ];
+        for (status, content_type, body, allow, trace_id, keep_alive) in cases {
+            let response = HttpResponse {
+                status,
+                content_type,
+                body: body.to_string(),
+                allow,
+                trace_id: trace_id.map(str::to_string),
+            };
+            let connection = if keep_alive { "keep-alive" } else { "close" };
+            let mut want = format!(
+                "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {connection}\r\n",
+                status,
+                reason(status),
+                content_type,
+                body.len(),
+            );
+            if let Some(allow) = allow {
+                want.push_str(&format!("Allow: {allow}\r\n"));
+            }
+            if let Some(id) = trace_id {
+                want.push_str(&format!("X-Qhorn-Trace-Id: {id}\r\n"));
+            }
+            want.push_str("\r\n");
+            want.push_str(body);
+            let mut out = String::new();
+            frame_response(&response, keep_alive, &mut out);
+            assert_eq!(out, want);
+        }
     }
 }

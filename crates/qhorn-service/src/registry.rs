@@ -229,15 +229,22 @@ pub struct RegistryStats {
     pub store: Option<StoreStats>,
 }
 
+/// The [`SessionResources::state`] of a session that has no live entry:
+/// it sits in a snapshot or in the durable log, and reading its
+/// accounting does not restore it.
+pub const EVICTED_STATE: &str = "evicted";
+
 /// Per-session resource accounting, as served by the `SessionResources`
 /// protocol message. Counters accumulate on the **live entry only**:
 /// eviction-and-restore resets them (snapshots deliberately do not carry
-/// accounting state), so treat them as since-last-restore figures.
+/// accounting state), so treat them as since-last-restore figures. An
+/// evicted session reports [`EVICTED_STATE`], its answer count, and
+/// zero counters.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SessionResources {
     /// The session id.
     pub session: u64,
-    /// Current session state (stable wire name).
+    /// Current session state (stable wire name), or [`EVICTED_STATE`].
     pub state: String,
     /// User answers processed.
     pub questions: u64,
@@ -721,8 +728,11 @@ impl Registry {
                 .dialogue
                 .verify(&q)
                 .map_err(|e| ServiceError::Engine(e.to_string()))?;
+            // The last completed verdict stands until this run finishes
+            // (`Verifying` marks the run in flight): the durable log only
+            // records finished runs, so an eviction and a restart both
+            // bring the session back with that verdict.
             entry.state = SessionState::Verifying;
-            entry.verified = None;
             entry.last_touch = Instant::now();
             self.step(id, entry, None)
         })
@@ -762,7 +772,7 @@ impl Registry {
         &self,
         name: &str,
         size: usize,
-    ) -> Result<(Arc<DataStore>, DomainHints), ServiceError> {
+    ) -> Result<(Arc<DataStore>, Arc<DomainHints>), ServiceError> {
         self.catalog.get(name, size)
     }
 
@@ -910,36 +920,83 @@ impl Registry {
     }
 
     /// The session's resource accounting (see [`SessionResources`] for
-    /// reset semantics).
+    /// reset semantics). A read never restores an evicted session: it is
+    /// reported as [`EVICTED_STATE`] with its answer count, from the
+    /// snapshot or the durable log, and zero counters.
     ///
     /// # Errors
-    /// [`ServiceError::UnknownSession`].
+    /// [`ServiceError::UnknownSession`]; [`ServiceError::Store`] when
+    /// the durable log cannot be read.
     pub fn session_resources(&self, id: u64) -> Result<SessionResources, ServiceError> {
-        self.with_entry(id, |entry| {
-            entry.last_touch = Instant::now();
-            Ok(SessionResources {
-                session: id,
-                state: entry.state.as_str().to_string(),
-                questions: entry.answered as u64,
-                questions_by_phase: PHASE_NAMES
-                    .iter()
-                    .zip(entry.resources.questions_by_phase.iter())
-                    .filter(|(_, &n)| n > 0)
-                    .map(|((_, name), &n)| ((*name).to_string(), n))
-                    .collect(),
-                transcript_bytes: entry.resources.transcript_bytes,
-                transcript_cache_bytes: entry
-                    .dialogue
-                    .transcript()
-                    .iter()
-                    .map(exchange_cache_bytes)
-                    .sum(),
-                transcript_truncated: 0,
-                store_bytes: entry.resources.store_bytes,
-                eval_nanos: entry.resources.eval_nanos,
-                driver_nanos: 0,
-            })
+        let handle = match self.live_handle(id) {
+            Some(h) => h,
+            None => {
+                // Under the stripe's restore lock, a restore in progress
+                // cannot move the session between the two lookups.
+                let _restoring = self.restore_lock(id).lock_recover();
+                match self.live_handle(id) {
+                    Some(h) => h,
+                    None => return self.evicted_resources(id),
+                }
+            }
+        };
+        let mut entry = handle.lock_recover();
+        entry.last_touch = Instant::now();
+        Ok(SessionResources {
+            session: id,
+            state: entry.state.as_str().to_string(),
+            questions: entry.answered as u64,
+            questions_by_phase: PHASE_NAMES
+                .iter()
+                .zip(entry.resources.questions_by_phase.iter())
+                .filter(|(_, &n)| n > 0)
+                .map(|((_, name), &n)| ((*name).to_string(), n))
+                .collect(),
+            transcript_bytes: entry.resources.transcript_bytes,
+            transcript_cache_bytes: entry
+                .dialogue
+                .transcript()
+                .iter()
+                .map(exchange_cache_bytes)
+                .sum(),
+            transcript_truncated: 0,
+            store_bytes: entry.resources.store_bytes,
+            eval_nanos: entry.resources.eval_nanos,
+            driver_nanos: 0,
         })
+    }
+
+    /// [`Registry::session_resources`] of a session with no live entry.
+    fn evicted_resources(&self, id: u64) -> Result<SessionResources, ServiceError> {
+        let cached = self.snapshots.lock_recover().get(&id).map(|r| r.answered);
+        let answered = match (cached, &self.store) {
+            (Some(answered), _) => answered,
+            (None, Some(store)) => {
+                store
+                    .lock()
+                    .load_session(id)
+                    .map_err(|e| ServiceError::Store(e.to_string()))?
+                    .ok_or(ServiceError::UnknownSession(id))?
+                    .answered
+            }
+            (None, None) => return Err(ServiceError::UnknownSession(id)),
+        };
+        Ok(SessionResources {
+            session: id,
+            state: EVICTED_STATE.to_string(),
+            questions: answered as u64,
+            ..SessionResources::default()
+        })
+    }
+
+    /// The session's live entry, if it has one.
+    fn live_handle(&self, id: u64) -> Option<Arc<OrderedMutex<Entry>>> {
+        self.shard(id).lock_recover().get(&id).cloned()
+    }
+
+    /// The lock serializing restores on `id`'s stripe.
+    fn restore_lock(&self, id: u64) -> &OrderedMutex<()> {
+        &self.restore_locks[(id as usize) % self.restore_locks.len()]
     }
 
     /// Charges kernel evaluation time to a session's accounting.
@@ -1034,7 +1091,7 @@ impl Registry {
                 "store.compact_error",
                 Duration::ZERO,
                 None,
-                vec![("error", AttrValue::Str(msg.clone()))],
+                vec![("error", AttrValue::Str(msg.clone().into()))],
             );
             crate::log::error(
                 "registry",
@@ -1190,29 +1247,18 @@ impl Registry {
         self.maybe_sweep();
         let wait_started = Instant::now();
         let mut restored_here = false;
-        let handle = {
-            let map = self.shard(id).lock_recover();
-            map.get(&id).cloned()
-        };
-        let handle = match handle {
+        let handle = match self.live_handle(id) {
             Some(h) => h,
             None => {
                 restored_here = true;
                 // Serialize restores per stripe: the winner rebuilds the
                 // entry while losers wait here, then find it in the shard.
-                let stripe = (id as usize) % self.restore_locks.len();
-                let _restoring = self.restore_locks[stripe].lock_recover();
-                let again = {
-                    let map = self.shard(id).lock_recover();
-                    map.get(&id).cloned()
-                };
-                match again {
+                let _restoring = self.restore_lock(id).lock_recover();
+                match self.live_handle(id) {
                     Some(h) => h,
                     None => {
                         self.restore(id)?;
-                        let map = self.shard(id).lock_recover();
-                        map.get(&id)
-                            .cloned()
+                        self.live_handle(id)
                             .ok_or(ServiceError::UnknownSession(id))?
                     }
                 }
@@ -1701,6 +1747,48 @@ mod tests {
         let restored = reg.learned_query(id).unwrap();
         assert!(equivalent(&restored, &target));
         assert_eq!(reg.stats().restored, 1);
+    }
+
+    /// Reading an evicted session's accounting answers from the snapshot
+    /// and leaves it evicted: no restore, no replay, no reset.
+    #[test]
+    fn resources_of_an_evicted_session_do_not_restore_it() {
+        let config = RegistryConfig {
+            ttl: Duration::from_millis(0),
+            ..Default::default()
+        };
+        let reg = Registry::open(config).unwrap();
+        let target = parse_with_arity("all x1; some x2 x3", 3).unwrap();
+        let (id, mut outcome) = reg.create_session(spec(LearnerKind::Qhorn1)).unwrap();
+        for _ in 0..3 {
+            let StepOutcome::Question(q) = outcome else {
+                panic!("expected a question, got {outcome:?}");
+            };
+            outcome = reg.answer(id, target.eval(&q.question)).unwrap();
+        }
+        std::thread::sleep(Duration::from_millis(5));
+        assert_eq!(reg.sweep().evicted, 1);
+        let before = reg.stats();
+        let res = reg.session_resources(id).unwrap();
+        assert_eq!(res.state, EVICTED_STATE);
+        assert_eq!(res.questions, 3);
+        let after = reg.stats();
+        assert_eq!(
+            after.restored, before.restored,
+            "the read restored the session"
+        );
+        assert_eq!(after.live, before.live);
+        assert_eq!(after.snapshots, before.snapshots);
+        assert!(matches!(
+            reg.session_resources(999),
+            Err(ServiceError::UnknownSession(999))
+        ));
+        // The next real request restores it as before.
+        assert!(matches!(
+            reg.next_question(id).unwrap(),
+            StepOutcome::Question(_)
+        ));
+        assert_eq!(reg.stats().restored, before.restored + 1);
     }
 
     #[test]

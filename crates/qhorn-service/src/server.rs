@@ -158,6 +158,9 @@ fn handle_connection(stream: TcpStream, registry: &Arc<Registry>, stop: &AtomicB
         Err(_) => return,
     });
     let mut writer = stream;
+    // One reply buffer per connection: each reply is encoded into it in
+    // one pass and leaves in one write.
+    let mut out = String::new();
     loop {
         match reader.next_line(stop) {
             LineEvent::Line(line) => {
@@ -178,13 +181,9 @@ fn handle_connection(stream: TcpStream, registry: &Arc<Registry>, stop: &AtomicB
                         None,
                     ),
                 };
-                let mut json = reply.to_json();
-                if let (Json::Obj(pairs), Some(id)) = (&mut json, echo) {
-                    pairs.push(("trace_id".to_string(), Json::Str(id)));
-                }
-                let mut out = qhorn_json::to_string(&json);
-                out.push('\n');
-                if writer.write_all(out.as_bytes()).is_err() || writer.flush().is_err() {
+                out.clear();
+                encode_reply(&reply, echo.as_deref(), &mut out);
+                if writer.write_all(out.as_bytes()).is_err() {
                     return;
                 }
             }
@@ -192,6 +191,21 @@ fn handle_connection(stream: TcpStream, registry: &Arc<Registry>, stop: &AtomicB
             LineEvent::Stopped => return,
         }
     }
+}
+
+/// Encodes one reply line into `out`: the reply object, with the echoed
+/// `"trace_id"` spliced in before its closing brace (the same bytes as
+/// appending the pair to the reply's object), then the newline.
+fn encode_reply(reply: &Reply, echo: Option<&str>, out: &mut String) {
+    reply.write_json(out);
+    if let Some(id) = echo {
+        // A reply always encodes as an object, so it ends in `}`.
+        out.pop();
+        out.push_str(",\"trace_id\":");
+        id.write_json(out);
+        out.push('}');
+    }
+    out.push('\n');
 }
 
 /// Decodes one request line: the [`Request`] plus the optional
@@ -402,5 +416,34 @@ impl Client {
                 Err(e) => return Err(ServiceError::Transport(e.to_string())),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The trace-id splice gives the bytes of pushing the `trace_id` pair
+    /// onto the reply's tree, for a reply of every kind (the wire corpus
+    /// holds at least one of each), with and without an echo.
+    #[test]
+    fn trace_id_splice_matches_the_tree_push_for_every_reply_kind() {
+        let corpus = include_str!("../tests/wire_corpus.txt");
+        let mut kinds = std::collections::BTreeSet::new();
+        for json in corpus.lines().filter_map(|l| l.strip_prefix("Reply ")) {
+            let reply: Reply = qhorn_json::from_str(json).expect("corpus reply decodes");
+            for echo in [None, Some("00000000000000ab"), Some("q\"uote\\")] {
+                let mut tree = reply.to_json();
+                if let (Json::Obj(pairs), Some(id)) = (&mut tree, echo) {
+                    pairs.push(("trace_id".to_string(), Json::Str(id.to_string())));
+                }
+                let mut out = String::from("stale bytes are not cleared here\n");
+                let start = out.len();
+                encode_reply(&reply, echo, &mut out);
+                assert_eq!(out[start..], format!("{}\n", tree.to_compact()), "{json}");
+            }
+            kinds.insert(reply.kind());
+        }
+        assert_eq!(kinds.len(), Reply::KINDS.len(), "{kinds:?}");
     }
 }

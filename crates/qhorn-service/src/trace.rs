@@ -54,6 +54,7 @@ use crate::metrics::StoreTelemetry;
 use qhorn_json::wire::map;
 use qhorn_json::{FromJson, Json, JsonError, ToJson};
 use qhorn_lockdep::{LockClass, OrderedMutex};
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -98,8 +99,9 @@ pub enum AttrValue {
     U64(u64),
     /// A flag.
     Bool(bool),
-    /// A label.
-    Str(String),
+    /// A label: borrowed for the static labels every request sets
+    /// (kind, outcome, states, phase), so setting one allocates nothing.
+    Str(Cow<'static, str>),
 }
 
 impl ToJson for AttrValue {
@@ -107,7 +109,15 @@ impl ToJson for AttrValue {
         match self {
             AttrValue::U64(v) => v.to_json(),
             AttrValue::Bool(b) => b.to_json(),
-            AttrValue::Str(s) => Json::Str(s.clone()),
+            AttrValue::Str(s) => Json::Str(s.to_string()),
+        }
+    }
+
+    fn write_json(&self, out: &mut String) {
+        match self {
+            AttrValue::U64(v) => v.write_json(out),
+            AttrValue::Bool(b) => b.write_json(out),
+            AttrValue::Str(s) => s.as_ref().write_json(out),
         }
     }
 }
@@ -119,7 +129,7 @@ impl FromJson for AttrValue {
         } else if let Some(v) = j.as_u64() {
             Ok(AttrValue::U64(v))
         } else if let Some(s) = j.as_str() {
-            Ok(AttrValue::Str(s.to_string()))
+            Ok(AttrValue::Str(Cow::Owned(s.to_string())))
         } else {
             Err(JsonError::msg(
                 "attribute value must be u64, bool, or string",
@@ -410,7 +420,7 @@ impl SpanGuard {
     }
 
     /// Attaches a label attribute.
-    pub fn attr_str(&self, key: &'static str, value: impl Into<String>) {
+    pub fn attr_str(&self, key: &'static str, value: impl Into<Cow<'static, str>>) {
         let value = value.into();
         with_open_span(self.id, |o| o.attrs.push((key, AttrValue::Str(value))));
     }
@@ -503,7 +513,7 @@ impl RootGuard {
     }
 
     /// Attaches a label attribute to the root span.
-    pub fn attr_str(&self, key: &'static str, value: impl Into<String>) {
+    pub fn attr_str(&self, key: &'static str, value: impl Into<Cow<'static, str>>) {
         let value = value.into();
         with_open_span(Some(self.span), |o| {
             o.attrs.push((key, AttrValue::Str(value)));
@@ -935,7 +945,7 @@ pub const MAX_SAMPLE_EVERY: u64 = 1_000_000;
 
 fn attr_str(s: &SpanRecord, key: &str) -> Option<String> {
     s.attrs.iter().find_map(|(k, v)| match v {
-        AttrValue::Str(text) if *k == key => Some(text.clone()),
+        AttrValue::Str(text) if *k == key => Some(text.to_string()),
         _ => None,
     })
 }
@@ -989,10 +999,14 @@ qhorn_json::wire! {
 
 /// `[with = trace_id]`: trace ids travel as 16-digit hex strings.
 mod trace_id {
-    use qhorn_json::{FromJson, Json, JsonError};
+    use qhorn_json::{FromJson, Json, JsonError, ToJson};
 
     pub(super) fn to_json(id: &u64) -> Json {
         Json::Str(super::format_id(*id))
+    }
+
+    pub(super) fn write_json(id: &u64, out: &mut String) {
+        super::format_id(*id).write_json(out);
     }
 
     pub(super) fn from_json(j: &Json) -> Result<u64, JsonError> {

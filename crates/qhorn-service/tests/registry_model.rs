@@ -30,7 +30,7 @@ use qhorn_engine::session::{LearnerKind, Session};
 use qhorn_engine::DataStore;
 use qhorn_relation::datasets::chocolates;
 use qhorn_relation::{DomainHints, Proposition, Value};
-use qhorn_service::registry::{CreateSpec, Registry, RegistryConfig, StepOutcome};
+use qhorn_service::registry::{CreateSpec, Registry, RegistryConfig, StepOutcome, EVICTED_STATE};
 use qhorn_service::store::{FsyncPolicy, StoreConfig};
 use qhorn_service::ServiceError;
 use std::collections::HashMap;
@@ -263,7 +263,7 @@ struct ModelSession {
     target: Query,
     kind: LearnerKind,
     store: Arc<DataStore>,
-    hints: DomainHints,
+    hints: Arc<DomainHints>,
     budget: Option<usize>,
     transcript: Vec<(Obj, Response)>,
     asked: Vec<Obj>,
@@ -271,10 +271,9 @@ struct ModelSession {
     run: Run,
     pending: Option<(Obj, usize, bool)>,
     learned: Option<Query>,
+    /// The last finished verification's verdict, cleared by a
+    /// correction (a verification in flight keeps it).
     verified: Option<bool>,
-    /// The verdict the durable log holds: the last finished
-    /// verification, cleared by a correction.
-    logged_verified: Option<bool>,
     failure: Option<String>,
     state: &'static str,
     closed: bool,
@@ -381,7 +380,6 @@ impl ModelSession {
                 self.run = Run::Idle;
                 self.state = "done";
                 self.verified = Some(verified);
-                self.logged_verified = Some(verified);
                 Expect::Verified { verified }
             }
         }
@@ -419,14 +417,10 @@ impl ModelSession {
 
     /// Eviction to a snapshot, or a restart over the durable store:
     /// what survives is the transcript, the asked questions, the answer
-    /// count, the learned query and the verification verdict — the live
-    /// one in a snapshot, the last logged one after a restart.
-    fn evict(&mut self, restart: bool) {
+    /// count, the learned query and the last finished verdict.
+    fn evict(&mut self) {
         if self.closed {
             return;
-        }
-        if restart {
-            self.verified = self.logged_verified;
         }
         self.evicted = true;
     }
@@ -503,7 +497,6 @@ impl ModelSession {
         }
         self.learned = None;
         self.verified = None;
-        self.logged_verified = None;
         self.failure = None;
         (Ok(self.replay()), Some(fix))
     }
@@ -521,7 +514,6 @@ impl ModelSession {
             return Err("engine");
         }
         self.state = "verifying";
-        self.verified = None;
         self.run = Run::Verify {
             start: self.transcript.len(),
             query,
@@ -576,7 +568,7 @@ impl Harness {
         self.registry = Some(open(&self.dir));
         self.opened = Instant::now();
         for s in &mut self.sessions {
-            s.evict(true);
+            s.evict();
         }
     }
 
@@ -594,7 +586,7 @@ impl Harness {
     }
 
     fn check_state(&mut self, i: usize) -> Result<(), TestCaseError> {
-        if self.sessions[i].closed || self.sessions[i].evicted {
+        if self.sessions[i].closed {
             return Ok(());
         }
         let id = self.sessions[i].id;
@@ -603,7 +595,9 @@ impl Harness {
             .session_resources(id)
             .map_err(|e| TestCaseError::fail(format!("resources of {id}: {e}")))?;
         let s = &self.sessions[i];
-        prop_assert_eq!(res.state.as_str(), s.state, "state of session {}", id);
+        // The read leaves an evicted session evicted.
+        let state = if s.evicted { EVICTED_STATE } else { s.state };
+        prop_assert_eq!(res.state.as_str(), state, "state of session {}", id);
         prop_assert_eq!(
             res.questions,
             s.answered as u64,
@@ -658,7 +652,6 @@ impl Harness {
                     pending: None,
                     learned: None,
                     verified: None,
-                    logged_verified: None,
                     failure: None,
                     state: "learning",
                     closed: false,
@@ -753,11 +746,28 @@ impl Harness {
                 let report = self.reg().sweep();
                 prop_assert_eq!(report.evicted, live, "sweep evictions");
                 for s in &mut self.sessions {
-                    s.evict(false);
+                    s.evict();
                 }
+                self.check_evicted()?;
             }
-            Op::Restart => self.restart(),
+            Op::Restart => {
+                self.restart();
+                self.check_evicted()?;
+            }
         }
+        Ok(())
+    }
+
+    /// Reads every session's accounting while all are evicted: each read
+    /// answers from the snapshot or the log and restores nothing.
+    fn check_evicted(&mut self) -> Result<(), TestCaseError> {
+        let restored = self.reg().stats().restored;
+        for i in 0..self.sessions.len() {
+            self.check_state(i)?;
+        }
+        let stats = self.reg().stats();
+        prop_assert_eq!(stats.restored, restored, "a read restored a session");
+        prop_assert_eq!(stats.live, 0, "a read restored a session");
         Ok(())
     }
 }

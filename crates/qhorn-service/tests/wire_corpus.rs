@@ -5,6 +5,11 @@
 //! and session snapshots. Each line must decode and re-encode to the
 //! identical bytes, so a codec change that alters a single byte of what
 //! peers or durable logs see fails here.
+//!
+//! Every line is also an encoder differential: the direct writer
+//! (`qhorn_json::to_string`, which the frontends and the store use) must
+//! produce exactly the bytes of the reference tree,
+//! `value.to_json().to_compact()`.
 
 use qhorn_core::{BoolTuple, Expr, Obj, Query, VarSet};
 use qhorn_engine::exec::ExecStats;
@@ -26,7 +31,21 @@ use std::collections::BTreeSet;
 
 fn reencode<T: ToJson + FromJson>(line: &str) -> String {
     let value: T = qhorn_json::from_str(line).unwrap_or_else(|e| panic!("{e}: {line}"));
-    qhorn_json::to_string(&value)
+    let direct = qhorn_json::to_string(&value);
+    assert_eq!(
+        direct,
+        value.to_json().to_compact(),
+        "writer ≠ tree: {line}"
+    );
+    direct
+}
+
+/// The store frame as the tree would build it: `seq` first, then the
+/// record's own pairs.
+fn tree_payload(seq: u64, rec: &LogRecord) -> String {
+    let mut pairs = vec![("seq".to_string(), seq.to_json())];
+    qhorn_json::wire::flatten(&mut pairs, rec.to_json());
+    Json::Obj(pairs).to_compact()
 }
 
 fn reencode_line(ty: &str, json: &str) -> String {
@@ -78,7 +97,14 @@ fn reencode_line(ty: &str, json: &str) -> String {
         "LogRecord" => {
             let (seq, rec) =
                 LogRecord::from_payload(json.as_bytes()).unwrap_or_else(|e| panic!("{e}: {json}"));
-            String::from_utf8(rec.to_payload(seq)).expect("payloads are UTF-8")
+            let payload = String::from_utf8(rec.to_payload(seq)).expect("payloads are UTF-8");
+            assert_eq!(payload, tree_payload(seq, &rec), "payload ≠ tree: {json}");
+            assert_eq!(
+                qhorn_json::to_string(&rec),
+                rec.to_json().to_compact(),
+                "writer ≠ tree: {json}"
+            );
+            payload
         }
         other => panic!("corpus names unknown type `{other}`"),
     }

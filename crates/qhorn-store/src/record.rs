@@ -128,11 +128,16 @@ impl LogRecord {
 
     /// Serializes as the framed payload, with the store-assigned `seq`
     /// first so a human scanning the log sees ordering at a glance.
+    /// Written straight into the payload: `{"seq":N,` and then the
+    /// record's own members.
     #[must_use]
     pub fn to_payload(&self, seq: u64) -> Vec<u8> {
-        let mut pairs = vec![("seq".to_string(), seq.to_json())];
-        qhorn_json::wire::flatten(&mut pairs, self.to_json());
-        Json::Obj(pairs).to_string().into_bytes()
+        let mut out = String::with_capacity(128);
+        let mut w = qhorn_json::wire::ObjectWriter::open(&mut out);
+        seq.write_json(w.member("\"seq\":"));
+        w.flatten(|out| self.write_json(out));
+        w.close();
+        out.into_bytes()
     }
 
     /// Parses a framed payload back into `(seq, record)`.
