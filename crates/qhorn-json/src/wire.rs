@@ -332,9 +332,9 @@ macro_rules! __wire_put_variant {
         $( $pairs.push(($tag_key.to_string(), $crate::Json::Str($tag.to_string()))); )?
         $crate::wire::flatten(&mut $pairs, <$inner as $crate::ToJson>::to_json(inner));
     }};
-    ($self:ident, $pairs:ident, [$($tag_key:literal, $tag:literal)?], $T:ident::$V:ident) => {
+    ($self:ident, $pairs:ident, [$($tag_key:literal, $tag:literal)?], $T:ident::$V:ident) => {{
         $( $pairs.push(($tag_key.to_string(), $crate::Json::Str($tag.to_string()))); )?
-    };
+    }};
 }
 
 /// Writes the variant `self` is known to be through the [`ObjectWriter`]
@@ -538,4 +538,84 @@ pub trait Entries {
 
     /// Writes the same pairs, in order, as members of `w`.
     fn write_entries(&self, w: &mut ObjectWriter<'_>);
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::ToJson;
+
+    /// Every field skippable, so it can encode as `{}`.
+    struct Inner {
+        a: Option<u64>,
+        b: bool,
+    }
+
+    crate::wire! {
+        struct Inner { a: Option<u64> [skip], b: bool [skip] }
+    }
+
+    struct Lead {
+        inner: Inner,
+        n: u64,
+        x: u64,
+    }
+
+    crate::wire! {
+        encode struct Lead { inner: Inner [flatten], n: u64 [flatten], x: u64 }
+    }
+
+    struct Tail {
+        x: u64,
+        n: u64,
+        inner: Inner,
+    }
+
+    crate::wire! {
+        encode struct Tail { x: u64, n: u64 [flatten], inner: Inner [flatten] }
+    }
+
+    enum Tagged {
+        Wrap(Inner),
+        Bare,
+    }
+
+    crate::wire! {
+        enum Tagged tag "type" "tagged" { Wrap = "wrap" (Inner), Bare = "bare" }
+    }
+
+    /// A flattened value merges like the tree's `flatten`: an empty
+    /// object adds nothing, a non-object is dropped, and the commas come
+    /// out right whether it leads or follows other members.
+    #[test]
+    fn flatten_writes_what_the_tree_merges() {
+        for a in [None, Some(7)] {
+            for b in [false, true] {
+                let inner = || Inner { a, b };
+                let lead = Lead {
+                    inner: inner(),
+                    n: 1,
+                    x: 2,
+                };
+                let tail = Tail {
+                    x: 2,
+                    n: 1,
+                    inner: inner(),
+                };
+                let tagged = Tagged::Wrap(inner());
+                assert_eq!(crate::to_string(&lead), lead.to_json().to_compact());
+                assert_eq!(crate::to_string(&tail), tail.to_json().to_compact());
+                assert_eq!(crate::to_string(&tagged), tagged.to_json().to_compact());
+                assert_eq!(crate::to_string(&inner()), inner().to_json().to_compact());
+            }
+        }
+        let lone = Lead {
+            inner: Inner { a: None, b: false },
+            n: 1,
+            x: 2,
+        };
+        assert_eq!(crate::to_string(&lone), r#"{"x":2}"#);
+        assert_eq!(crate::to_string(&Tagged::Bare), r#"{"type":"bare"}"#);
+        assert_eq!(Tagged::KINDS, ["wrap", "bare"]);
+        assert_eq!(Tagged::Bare.kind(), "bare");
+    }
 }

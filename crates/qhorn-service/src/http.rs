@@ -599,7 +599,8 @@ fn write_response(
     w.write_all(out.as_bytes())
 }
 
-/// Frames a response, head and body, into `out`.
+/// Frames a response, head and body, into `out`. Numbers go through
+/// `write_json`, which writes an integer as its decimal digits.
 fn frame_response(response: &HttpResponse, keep_alive: bool, out: &mut String) {
     out.push_str("HTTP/1.1 ");
     response.status.write_json(out);
