@@ -362,7 +362,7 @@ macro_rules! __wire_write_variant {
 }
 
 /// Writes a JSON object's members straight into a buffer, placing the
-/// commas. [`wire!`](crate::wire) expansions write through it; so can a
+/// commas. [`wire!`](macro@crate::wire) expansions write through it; so can a
 /// hand-written [`ToJson::write_json`](crate::ToJson::write_json) whose
 /// keys are data (see [`map`]).
 pub struct ObjectWriter<'a> {
