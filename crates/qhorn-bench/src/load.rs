@@ -16,7 +16,7 @@
 //!   `correct` protocol message to repair them and relearn;
 //!   `Abandoning` users walk away mid-dialogue (closing their session,
 //!   as a well-behaved client library would).
-//! * **The open-loop runner** ([`run_load`]): a shared [`Pacer`] hands
+//! * **The open-loop runner** ([`run_load`]): a shared `Pacer` hands
 //!   out request slots at the target RPS regardless of how fast the
 //!   server answers (arrival times are scheduled, not closed-loop
 //!   chained), worker connections claim dialogues from a shared queue,

@@ -1,4 +1,4 @@
-//! The [`wire!`](crate::wire) declaration macro and the runtime pieces
+//! The [`wire!`](macro@crate::wire) declaration macro and the runtime pieces
 //! its expansions call.
 //!
 //! A declaration names the type, then lists each field once, as
@@ -41,7 +41,7 @@ use crate::{FromJson, Json, JsonError};
 
 /// Declares a wire type's JSON codec: generates [`ToJson`](crate::ToJson)
 /// and [`FromJson`](crate::FromJson) from one field list. See the
-/// [module docs](crate::wire) for the markers and shapes.
+/// [module docs](mod@crate::wire) for the markers and shapes.
 ///
 /// ```
 /// use qhorn_json::{from_str, to_string};

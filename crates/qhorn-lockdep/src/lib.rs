@@ -18,7 +18,7 @@
 //!
 //! With the feature **off** (the default), the wrappers compile to plain
 //! `std::sync` primitives: no class storage, no thread-local, no graph.
-//! The [`tests::wrappers_are_zero_cost_when_disabled`] assertion pins
+//! The `tests::wrappers_are_zero_cost_when_disabled` assertion pins
 //! this at the type level, and the `bench_trajectory` artifact pins the
 //! runtime overhead of the pass-through path.
 //!

@@ -2,10 +2,12 @@
 //! speaks, reachable from ordinary web clients (`curl`, browsers, load
 //! balancers), plus the Prometheus scrape endpoint.
 //!
-//! Implemented on `std` only: an acceptor thread feeds connections into a
-//! worker pool (exactly like [`crate::server::Server`]), each worker
-//! parses HTTP/1.1 requests with keep-alive, `Content-Length` **and**
-//! `Transfer-Encoding: chunked` bodies, and bounded head/body sizes.
+//! Implemented on `std` only. [`HttpServer`] is the shared frontend
+//! skeleton (`pool::Frontend`: bind, acceptor, `workers` handler threads,
+//! graceful shutdown) plus this module's `handle_connection`, which
+//! parses HTTP/1.1 requests through the shared `frame::FrameReader`:
+//! keep-alive, `Content-Length` **and** `Transfer-Encoding: chunked`
+//! bodies, and bounded head/body sizes.
 //! Every API route funnels through [`crate::dispatch::try_dispatch`] —
 //! the same function the TCP frontend calls — so the two frontends cannot
 //! drift (the conformance suite asserts it).
@@ -62,17 +64,17 @@
 
 use crate::dispatch::try_dispatch_traced;
 use crate::error::ServiceError;
+use crate::frame::{FrameReader, Short};
 use crate::metrics::render_prometheus;
+use crate::pool::Frontend;
 use crate::proto::{Reply, Request, DEFAULT_TRACE_LIMIT};
 use crate::registry::Registry;
 use crate::trace;
 use qhorn_json::{FromJson, Json, ToJson};
-use qhorn_lockdep::{LockClass, OrderedMutex};
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
+use std::io;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Largest accepted request head (request line + headers).
@@ -80,6 +82,9 @@ const MAX_HEAD_BYTES: usize = 16 * 1024;
 
 /// Largest accepted request body (either framing).
 const MAX_BODY_BYTES: usize = 1 << 20;
+
+/// Largest accepted chunk-size or trailer line.
+const MAX_CHUNK_LINE_BYTES: usize = 1024;
 
 /// Route table: request path → protocol message type.
 const ROUTES: &[(&str, &str)] = &[
@@ -153,14 +158,9 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// A running HTTP gateway; same lifecycle as [`crate::server::Server`].
-pub struct HttpServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    registry: Arc<Registry>,
-}
+/// A running HTTP gateway; dropping it without [`HttpServer::shutdown`]
+/// detaches the threads (they exit with the process).
+pub struct HttpServer(Frontend);
 
 impl HttpServer {
     /// Binds `addr` (e.g. `"127.0.0.1:0"`) and starts the accept loop and
@@ -169,96 +169,32 @@ impl HttpServer {
     /// # Errors
     /// I/O errors from binding.
     pub fn start(addr: &str, registry: Arc<Registry>, workers: usize) -> io::Result<HttpServer> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        // Accepted connections carry their accept instant so the pool
-        // telemetry can measure queue wait.
-        let (conn_tx, conn_rx) = mpsc::channel::<(TcpStream, std::time::Instant)>();
-        let conn_rx = Arc::new(OrderedMutex::new(LockClass::new("pool.receiver"), conn_rx));
-        let pool = registry.register_pool("http", workers.max(1));
-
-        let mut handles = Vec::with_capacity(workers.max(1));
-        for i in 0..workers.max(1) {
-            let rx = Arc::clone(&conn_rx);
-            let reg = Arc::clone(&registry);
-            let stop = Arc::clone(&shutdown);
-            let pool = Arc::clone(&pool);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("qhorn-http-worker-{i}"))
-                    .spawn(move || {
-                        crate::pool::run_worker(&rx, &pool, |s| handle_connection(s, &reg, &stop));
-                    })
-                    .expect("spawn http worker"),
-            );
-        }
-
-        let stop = Arc::clone(&shutdown);
-        let accept_pool = Arc::clone(&pool);
-        let acceptor = std::thread::Builder::new()
-            .name("qhorn-http-acceptor".into())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    match stream {
-                        Ok(s) => {
-                            accept_pool.enqueue();
-                            if conn_tx.send((s, std::time::Instant::now())).is_err() {
-                                break;
-                            }
-                        }
-                        Err(_) => {
-                            if stop.load(Ordering::SeqCst) {
-                                break;
-                            }
-                        }
-                    }
-                }
-            })
-            .expect("spawn http acceptor");
-        crate::log::info(
-            "http",
-            "http server listening",
-            &[
-                ("addr", Json::Str(local.to_string())),
-                ("workers", (workers.max(1) as u64).to_json()),
-            ],
-        );
-
-        Ok(HttpServer {
-            addr: local,
-            shutdown,
-            acceptor: Some(acceptor),
-            workers: handles,
+        Frontend::start(
+            addr,
             registry,
-        })
+            workers,
+            "http",
+            "qhorn-http",
+            handle_connection,
+        )
+        .map(HttpServer)
     }
 
     /// The bound address (useful with port 0).
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.0.addr()
     }
 
     /// The shared registry.
     #[must_use]
     pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
+        self.0.registry()
     }
 
     /// Stops accepting, drains the workers, and joins every thread.
-    pub fn shutdown(mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+    pub fn shutdown(self) {
+        self.0.shutdown();
     }
 }
 
@@ -299,29 +235,32 @@ impl HttpRequest {
     }
 }
 
-/// Why a request could not be parsed (always answered with a 4xx/5xx and
-/// a closed connection — framing cannot be trusted afterwards).
-struct ParseFailure {
-    status: u16,
-    message: String,
+/// Why no request was read.
+enum NoRequest {
+    /// The request could not be parsed: answered with a 4xx/5xx and a
+    /// closed connection, since framing cannot be trusted afterwards.
+    Bad { status: u16, message: String },
+    /// The connection is over: the peer closed it (or flooded past a
+    /// limit mid-frame), the socket failed, or the server is stopping.
+    Gone,
 }
 
-impl ParseFailure {
-    fn new(status: u16, message: impl Into<String>) -> Self {
-        ParseFailure {
+impl NoRequest {
+    fn bad(status: u16, message: impl Into<String>) -> Self {
+        NoRequest::Bad {
             status,
             message: message.into(),
         }
     }
 }
 
-enum ReadOutcome {
-    Request(Box<HttpRequest>),
-    Bad(ParseFailure),
-    /// Peer closed (or flooded past a limit mid-frame, or sent bytes we
-    /// cannot answer inside broken framing).
-    Closed,
-    Stopped,
+/// Maps a read that ended early: a frame past its limit is answered with
+/// `status` and `message`; any other end closes the connection.
+fn ended(short: Short, status: u16, message: &str) -> NoRequest {
+    match short {
+        Short::TooLong => NoRequest::bad(status, message),
+        Short::Closed | Short::Failed(_) => NoRequest::Gone,
+    }
 }
 
 /// Serves one connection: parse a request, dispatch, write a response,
@@ -329,49 +268,41 @@ enum ReadOutcome {
 fn handle_connection(stream: TcpStream, registry: &Arc<Registry>, stop: &AtomicBool) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
     let _ = stream.set_nodelay(true);
-    let mut conn = Conn::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut writer = stream;
+    let mut conn = FrameReader::new(stream, Some(stop));
     // One response buffer per connection: head and body leave in one
     // write.
     let mut out = String::new();
     loop {
-        match read_request(&mut conn, stop) {
-            ReadOutcome::Request(req) => {
+        match read_request(&mut conn) {
+            Ok(req) => {
                 let keep_alive = req.keep_alive();
                 let response = respond(registry, &req);
-                if write_response(&mut writer, &mut out, &response, keep_alive).is_err()
-                    || !keep_alive
-                {
+                if write_response(&conn, &mut out, &response, keep_alive).is_err() || !keep_alive {
                     return;
                 }
             }
-            ReadOutcome::Bad(failure) => {
+            Err(NoRequest::Bad { status, message }) => {
                 // Framing is unreliable after a parse failure: answer (so
                 // the peer learns why) and close.
                 crate::log::warn(
                     "http",
                     "rejected unparseable http request",
                     &[
-                        ("status", u64::from(failure.status).to_json()),
-                        ("reason", Json::Str(failure.message.clone())),
+                        ("status", u64::from(status).to_json()),
+                        ("reason", Json::Str(message.clone())),
                     ],
                 );
                 let response = HttpResponse {
-                    status: failure.status,
+                    status,
                     content_type: "application/json",
-                    body: qhorn_json::to_string(&Reply::Error {
-                        message: failure.message,
-                    }),
+                    body: qhorn_json::to_string(&Reply::Error { message }),
                     allow: None,
                     trace_id: None,
                 };
-                let _ = write_response(&mut writer, &mut out, &response, false);
+                let _ = write_response(&conn, &mut out, &response, false);
                 return;
             }
-            ReadOutcome::Closed | ReadOutcome::Stopped => return,
+            Err(NoRequest::Gone) => return,
         }
     }
 }
@@ -589,14 +520,14 @@ fn parsed_type(pairs: &[(String, Json)]) -> Option<&str> {
 }
 
 fn write_response(
-    w: &mut TcpStream,
+    conn: &FrameReader,
     out: &mut String,
     response: &HttpResponse,
     keep_alive: bool,
 ) -> io::Result<()> {
     out.clear();
     frame_response(response, keep_alive, out);
-    w.write_all(out.as_bytes())
+    conn.write_all(out.as_bytes())
 }
 
 /// Frames a response, head and body, into `out`. Numbers go through
@@ -630,26 +561,19 @@ fn frame_response(response: &HttpResponse, keep_alive: bool, out: &mut String) {
 }
 
 /// Reads and parses one request off the connection.
-fn read_request(conn: &mut Conn, stop: &AtomicBool) -> ReadOutcome {
-    let head = match conn.read_head(stop) {
-        ReadBytes::Bytes(head) => head,
-        ReadBytes::TooLong => {
-            return ReadOutcome::Bad(ParseFailure::new(431, "request head too large"))
-        }
-        ReadBytes::Closed => return ReadOutcome::Closed,
-        ReadBytes::Stopped => return ReadOutcome::Stopped,
-    };
-    let head = match String::from_utf8(head) {
-        Ok(head) => head,
-        Err(_) => return ReadOutcome::Bad(ParseFailure::new(400, "request head is not UTF-8")),
-    };
+fn read_request(conn: &mut FrameReader) -> Result<HttpRequest, NoRequest> {
+    let head = conn
+        .head(MAX_HEAD_BYTES)
+        .map_err(|e| ended(e, 431, "request head too large"))?;
+    let head =
+        std::str::from_utf8(head).map_err(|_| NoRequest::bad(400, "request head is not UTF-8"))?;
     let mut lines = head.split('\n').map(|l| l.strip_suffix('\r').unwrap_or(l));
     let request_line = lines.next().unwrap_or("");
     let mut parts = request_line.split(' ').filter(|p| !p.is_empty());
     let (Some(method), Some(target), Some(version), None) =
         (parts.next(), parts.next(), parts.next(), parts.next())
     else {
-        return ReadOutcome::Bad(ParseFailure::new(
+        return Err(NoRequest::bad(
             400,
             format!("malformed request line `{request_line}`"),
         ));
@@ -658,7 +582,7 @@ fn read_request(conn: &mut Conn, stop: &AtomicBool) -> ReadOutcome {
         "HTTP/1.1" => true,
         "HTTP/1.0" => false,
         _ => {
-            return ReadOutcome::Bad(ParseFailure::new(
+            return Err(NoRequest::bad(
                 505,
                 format!("unsupported version `{version}`"),
             ))
@@ -670,10 +594,10 @@ fn read_request(conn: &mut Conn, stop: &AtomicBool) -> ReadOutcome {
             continue; // the blank terminator line
         }
         let Some((name, value)) = line.split_once(':') else {
-            return ReadOutcome::Bad(ParseFailure::new(400, format!("malformed header `{line}`")));
+            return Err(NoRequest::bad(400, format!("malformed header `{line}`")));
         };
         if name.is_empty() || name.contains(' ') {
-            return ReadOutcome::Bad(ParseFailure::new(400, format!("malformed header `{line}`")));
+            return Err(NoRequest::bad(400, format!("malformed header `{line}`")));
         }
         headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
     }
@@ -689,58 +613,38 @@ fn read_request(conn: &mut Conn, stop: &AtomicBool) -> ReadOutcome {
         headers,
         body: Vec::new(),
     };
-    match read_body(conn, &request, stop) {
-        Ok(body) => request.body = body,
-        Err(outcome) => return outcome,
-    }
-    ReadOutcome::Request(Box::new(request))
+    request.body = read_body(conn, &request)?;
+    Ok(request)
 }
 
 /// Reads the request body per its framing headers.
-fn read_body(
-    conn: &mut Conn,
-    req: &HttpRequest,
-    stop: &AtomicBool,
-) -> Result<Vec<u8>, ReadOutcome> {
+fn read_body(conn: &mut FrameReader, req: &HttpRequest) -> Result<Vec<u8>, NoRequest> {
     // Duplicate framing headers are a request-smuggling vector (RFC 9112
     // §6.3): two Content-Lengths desync this server from any intermediary
     // that honors the other one. Unrecoverable — reject, close.
     if req.header_count("content-length") > 1 || req.header_count("transfer-encoding") > 1 {
-        return Err(ReadOutcome::Bad(ParseFailure::new(
-            400,
-            "duplicate body-framing headers",
-        )));
+        return Err(NoRequest::bad(400, "duplicate body-framing headers"));
     }
     let transfer_encoding = req.header("transfer-encoding").map(str::to_ascii_lowercase);
     let content_length = req.header("content-length");
     match (transfer_encoding.as_deref(), content_length) {
-        (Some(_), Some(_)) => Err(ReadOutcome::Bad(ParseFailure::new(
+        (Some(_), Some(_)) => Err(NoRequest::bad(
             400,
             "both Transfer-Encoding and Content-Length",
-        ))),
-        (Some("chunked"), None) => read_chunked(conn, stop),
-        (Some(other), None) => Err(ReadOutcome::Bad(ParseFailure::new(
+        )),
+        (Some("chunked"), None) => read_chunked(conn),
+        (Some(other), None) => Err(NoRequest::bad(
             501,
             format!("unsupported transfer encoding `{other}`"),
-        ))),
+        )),
         (None, Some(len)) => {
             let Ok(len) = len.parse::<usize>() else {
-                return Err(ReadOutcome::Bad(ParseFailure::new(
-                    400,
-                    format!("bad Content-Length `{len}`"),
-                )));
+                return Err(NoRequest::bad(400, format!("bad Content-Length `{len}`")));
             };
             if len > MAX_BODY_BYTES {
-                return Err(ReadOutcome::Bad(ParseFailure::new(413, "body too large")));
+                return Err(NoRequest::bad(413, "body too large"));
             }
-            match conn.read_exact_bytes(len, stop) {
-                ReadBytes::Bytes(body) => Ok(body),
-                ReadBytes::TooLong => {
-                    Err(ReadOutcome::Bad(ParseFailure::new(413, "body too large")))
-                }
-                ReadBytes::Closed => Err(ReadOutcome::Closed),
-                ReadBytes::Stopped => Err(ReadOutcome::Stopped),
-            }
+            Ok(conn.exact(len).map_err(|_| NoRequest::Gone)?.to_vec())
         }
         (None, None) => Ok(Vec::new()),
     }
@@ -748,181 +652,35 @@ fn read_body(
 
 /// Reads a `Transfer-Encoding: chunked` body (sizes in hex, optional
 /// chunk extensions, trailer section discarded).
-fn read_chunked(conn: &mut Conn, stop: &AtomicBool) -> Result<Vec<u8>, ReadOutcome> {
+fn read_chunked(conn: &mut FrameReader) -> Result<Vec<u8>, NoRequest> {
+    // One chunk-framing line, without its `\r\n` (or bare `\n`).
+    fn chunk_line<'c>(conn: &'c mut FrameReader, too_long: &str) -> Result<&'c [u8], NoRequest> {
+        let line = conn
+            .line(MAX_CHUNK_LINE_BYTES)
+            .map_err(|e| ended(e, 400, too_long))?;
+        Ok(line.strip_suffix(b"\r").unwrap_or(line))
+    }
     let mut body = Vec::new();
     loop {
-        let line = match conn.read_line(stop) {
-            ReadBytes::Bytes(line) => line,
-            ReadBytes::TooLong => {
-                return Err(ReadOutcome::Bad(ParseFailure::new(
-                    400,
-                    "chunk size line too long",
-                )))
-            }
-            ReadBytes::Closed => return Err(ReadOutcome::Closed),
-            ReadBytes::Stopped => return Err(ReadOutcome::Stopped),
-        };
-        let line = String::from_utf8_lossy(&line);
+        let line = String::from_utf8_lossy(chunk_line(conn, "chunk size line too long")?);
         let size_text = line.trim().split(';').next().unwrap_or("").trim();
         let Ok(size) = usize::from_str_radix(size_text, 16) else {
-            return Err(ReadOutcome::Bad(ParseFailure::new(
-                400,
-                format!("bad chunk size `{size_text}`"),
-            )));
+            return Err(NoRequest::bad(400, format!("bad chunk size `{size_text}`")));
         };
         if size == 0 {
             // Trailer section: lines until the blank terminator.
-            loop {
-                match conn.read_line(stop) {
-                    ReadBytes::Bytes(line) if line.is_empty() => return Ok(body),
-                    ReadBytes::Bytes(_) => {}
-                    ReadBytes::TooLong => {
-                        return Err(ReadOutcome::Bad(ParseFailure::new(400, "trailer too long")))
-                    }
-                    ReadBytes::Closed => return Err(ReadOutcome::Closed),
-                    ReadBytes::Stopped => return Err(ReadOutcome::Stopped),
-                }
-            }
+            while !chunk_line(conn, "trailer too long")?.is_empty() {}
+            return Ok(body);
         }
         if body.len().saturating_add(size) > MAX_BODY_BYTES {
-            return Err(ReadOutcome::Bad(ParseFailure::new(413, "body too large")));
+            return Err(NoRequest::bad(413, "body too large"));
         }
-        match conn.read_exact_bytes(size, stop) {
-            ReadBytes::Bytes(chunk) => body.extend_from_slice(&chunk),
-            ReadBytes::TooLong => {
-                return Err(ReadOutcome::Bad(ParseFailure::new(413, "body too large")))
-            }
-            ReadBytes::Closed => return Err(ReadOutcome::Closed),
-            ReadBytes::Stopped => return Err(ReadOutcome::Stopped),
-        }
+        body.extend_from_slice(conn.exact(size).map_err(|_| NoRequest::Gone)?);
         // The CRLF closing the chunk.
-        match conn.read_line(stop) {
-            ReadBytes::Bytes(rest) if rest.is_empty() => {}
-            ReadBytes::Bytes(_) | ReadBytes::TooLong => {
-                return Err(ReadOutcome::Bad(ParseFailure::new(
-                    400,
-                    "chunk not CRLF-terminated",
-                )))
-            }
-            ReadBytes::Closed => return Err(ReadOutcome::Closed),
-            ReadBytes::Stopped => return Err(ReadOutcome::Stopped),
+        if !chunk_line(conn, "chunk not CRLF-terminated")?.is_empty() {
+            return Err(NoRequest::bad(400, "chunk not CRLF-terminated"));
         }
     }
-}
-
-enum ReadBytes {
-    Bytes(Vec<u8>),
-    TooLong,
-    Closed,
-    Stopped,
-}
-
-/// A buffered reader that survives read timeouts (used to poll the stop
-/// flag) without losing partial frames.
-struct Conn {
-    stream: TcpStream,
-    buf: Vec<u8>,
-}
-
-impl Conn {
-    fn new(stream: TcpStream) -> Self {
-        Conn {
-            stream,
-            buf: Vec::new(),
-        }
-    }
-
-    /// One read into the buffer; distinguishes data, EOF, stop, timeout.
-    fn fill(&mut self, stop: &AtomicBool) -> Option<ReadBytes> {
-        if stop.load(Ordering::SeqCst) {
-            return Some(ReadBytes::Stopped);
-        }
-        let mut chunk = [0u8; 4096];
-        match self.stream.read(&mut chunk) {
-            Ok(0) => Some(ReadBytes::Closed),
-            Ok(n) => {
-                self.buf.extend_from_slice(&chunk[..n]);
-                None
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                None // timeout tick: loop to re-check the stop flag
-            }
-            Err(_) => Some(ReadBytes::Closed),
-        }
-    }
-
-    /// Reads up to and including the head terminator (`\r\n\r\n`, or the
-    /// lenient `\n\n`); returns the head without the terminator.
-    fn read_head(&mut self, stop: &AtomicBool) -> ReadBytes {
-        loop {
-            let crlf = find(&self.buf, b"\r\n\r\n");
-            let lf = find(&self.buf, b"\n\n");
-            let hit = match (crlf, lf) {
-                (Some(c), Some(l)) if c <= l => Some((c, 4)),
-                (_, Some(l)) => Some((l, 2)),
-                (Some(c), None) => Some((c, 4)),
-                (None, None) => None,
-            };
-            if let Some((pos, skip)) = hit {
-                let rest = self.buf.split_off(pos + skip);
-                let mut head = std::mem::replace(&mut self.buf, rest);
-                head.truncate(pos);
-                return ReadBytes::Bytes(head);
-            }
-            if self.buf.len() > MAX_HEAD_BYTES {
-                return ReadBytes::TooLong;
-            }
-            if let Some(ev) = self.fill(stop) {
-                return ev;
-            }
-        }
-    }
-
-    /// Reads exactly `n` bytes.
-    fn read_exact_bytes(&mut self, n: usize, stop: &AtomicBool) -> ReadBytes {
-        loop {
-            if self.buf.len() >= n {
-                let rest = self.buf.split_off(n);
-                return ReadBytes::Bytes(std::mem::replace(&mut self.buf, rest));
-            }
-            if let Some(ev) = self.fill(stop) {
-                return ev;
-            }
-        }
-    }
-
-    /// Reads one `\n`-terminated line (chunk framing), stripping the
-    /// terminator and any trailing `\r`.
-    fn read_line(&mut self, stop: &AtomicBool) -> ReadBytes {
-        loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                let rest = self.buf.split_off(pos + 1);
-                let mut line = std::mem::replace(&mut self.buf, rest);
-                line.pop();
-                if line.last() == Some(&b'\r') {
-                    line.pop();
-                }
-                return ReadBytes::Bytes(line);
-            }
-            if self.buf.len() > 1024 {
-                return ReadBytes::TooLong;
-            }
-            if let Some(ev) = self.fill(stop) {
-                return ev;
-            }
-        }
-    }
-}
-
-fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
-    haystack
-        .windows(needle.len())
-        .position(|window| window == needle)
 }
 
 // ---------------------------------------------------------------------------
@@ -932,8 +690,7 @@ fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
 /// A blocking HTTP/1.1 keep-alive transport speaking the protocol enums;
 /// used through [`crate::server::Client::connect_http`].
 pub struct HttpClient {
-    stream: TcpStream,
-    buf: Vec<u8>,
+    conn: FrameReader<'static>,
 }
 
 impl HttpClient {
@@ -946,8 +703,7 @@ impl HttpClient {
             TcpStream::connect(addr).map_err(|e| ServiceError::Transport(e.to_string()))?;
         let _ = stream.set_nodelay(true);
         Ok(HttpClient {
-            stream,
-            buf: Vec::new(),
+            conn: FrameReader::new(stream, None),
         })
     }
 
@@ -982,10 +738,9 @@ impl HttpClient {
             head.push_str(&format!("X-Qhorn-Trace-Id: {id}\r\n"));
         }
         head.push_str("\r\n");
-        self.stream
+        self.conn
             .write_all(head.as_bytes())
-            .and_then(|()| self.stream.write_all(body.as_bytes()))
-            .and_then(|()| self.stream.flush())
+            .and_then(|()| self.conn.write_all(body.as_bytes()))
             .map_err(|e| ServiceError::Transport(e.to_string()))?;
         let (_, headers, body) = self.read_response()?;
         let echoed = headers
@@ -1002,9 +757,8 @@ impl HttpClient {
     /// # Errors
     /// Transport failures.
     pub fn scrape_metrics(&mut self) -> Result<String, ServiceError> {
-        self.stream
+        self.conn
             .write_all(b"GET /metrics HTTP/1.1\r\nHost: qhorn\r\n\r\n")
-            .and_then(|()| self.stream.flush())
             .map_err(|e| ServiceError::Transport(e.to_string()))?;
         let (status, _, body) = self.read_response()?;
         if status != 200 {
@@ -1017,23 +771,8 @@ impl HttpClient {
     #[allow(clippy::type_complexity)]
     fn read_response(&mut self) -> Result<(u16, Vec<(String, String)>, String), ServiceError> {
         let transport = |m: String| ServiceError::Transport(m);
-        let head = loop {
-            if let Some(pos) = find(&self.buf, b"\r\n\r\n") {
-                let rest = self.buf.split_off(pos + 4);
-                let mut head = std::mem::replace(&mut self.buf, rest);
-                head.truncate(pos);
-                break String::from_utf8(head).map_err(|e| transport(e.to_string()))?;
-            }
-            if self.buf.len() > MAX_HEAD_BYTES {
-                return Err(transport("response head too large".into()));
-            }
-            let mut chunk = [0u8; 4096];
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return Err(transport("server closed connection".into())),
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(e) => return Err(transport(e.to_string())),
-            }
-        };
+        let head = self.conn.head(MAX_HEAD_BYTES)?;
+        let head = std::str::from_utf8(head).map_err(|e| transport(e.to_string()))?;
         let mut lines = head.lines();
         let status_line = lines.next().unwrap_or("");
         let status = status_line
@@ -1050,18 +789,9 @@ impl HttpClient {
             .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
             .and_then(|(_, v)| v.parse::<usize>().ok())
             .ok_or_else(|| transport("response without Content-Length".into()))?;
-        while self.buf.len() < content_length {
-            let mut chunk = [0u8; 4096];
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return Err(transport("server closed mid-body".into())),
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(e) => return Err(transport(e.to_string())),
-            }
-        }
-        let rest = self.buf.split_off(content_length);
-        let body = std::mem::replace(&mut self.buf, rest);
-        let body = String::from_utf8(body).map_err(|e| transport(e.to_string()))?;
-        Ok((status, headers, body))
+        let body = self.conn.exact(content_length)?;
+        let body = std::str::from_utf8(body).map_err(|e| transport(e.to_string()))?;
+        Ok((status, headers, body.to_string()))
     }
 }
 

@@ -18,13 +18,14 @@
 //!   `ListDatasets` / `DropDataset`, `Stats`, `Metrics`);
 //! * [`dispatch`] — the shared request dispatcher both frontends funnel
 //!   through (with the per-message latency timing hook);
-//! * [`server`] — the protocol as JSON-lines over `std::net::TcpListener`
-//!   with a fixed worker pool, graceful shutdown, and a blocking
+//! * [`server`] — the protocol as JSON-lines over TCP, and a blocking
 //!   [`Client`] speaking either transport;
 //! * [`http`] — the same protocol as an HTTP/1.1 gateway
 //!   ([`HttpServer`]): keep-alive, `Content-Length`/chunked bodies,
 //!   status codes from [`ServiceError`], and `GET /metrics` Prometheus
-//!   text exposition;
+//!   text exposition. Both servers run on one skeleton (bind, acceptor,
+//!   a fixed worker pool, graceful shutdown) and read through one
+//!   buffered frame reader, which both clients use too;
 //! * [`metrics`] — lock-striped per-message latency histograms
 //!   (fixed log-scale buckets), learner question counts per phase, and
 //!   saturation telemetry (worker-pool queue depth, registry lock waits,
@@ -85,6 +86,7 @@ pub mod batch;
 pub mod dataset;
 pub mod dispatch;
 pub mod error;
+mod frame;
 pub mod http;
 pub mod log;
 pub mod metrics;

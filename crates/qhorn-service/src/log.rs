@@ -12,7 +12,7 @@
 //!   log line links to the span tree at `GET /v1/trace/{id}`.
 //! * **Leveled, runtime-adjustable** — a global default level plus
 //!   per-target overrides, both adjustable while the server runs
-//!   ([`set_default_level`], [`set_target_level`]); the `QHORN_LOG`
+//!   ([`Logger::set_default_level`], [`Logger::set_target_level`]); the `QHORN_LOG`
 //!   environment variable seeds the default (`trace` … `error`, default
 //!   `warn` so embedding tests stay quiet).
 //! * **Rate limited** — a token bucket caps sustained emission

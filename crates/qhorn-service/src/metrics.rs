@@ -351,38 +351,6 @@ qhorn_json::wire! {
     }
 }
 
-/// Vestigial driver-mailbox counters, carried by the `Health` reply and
-/// exported as `qhorn_driver_*_total`. Every field is always 0: they
-/// counted traffic to per-session driver threads, and sessions no longer
-/// have threads (a request resumes its session's learner directly). Kept
-/// so the wire object is unchanged until a wire revision removes it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MailboxSnapshot {
-    /// Always 0 (was: commands queued to drivers).
-    pub cmds_sent: u64,
-    /// Always 0 (was: commands drivers picked up).
-    pub cmds_received: u64,
-    /// Always 0 (was: events drivers emitted).
-    pub events_sent: u64,
-    /// Always 0 (was: events the registry drained).
-    pub events_received: u64,
-    /// Always 0 (was: user answers forwarded to drivers).
-    pub answers_sent: u64,
-    /// Always 0 (was: user answers drivers consumed).
-    pub answers_received: u64,
-}
-
-qhorn_json::wire! {
-    struct MailboxSnapshot {
-        cmds_sent: u64,
-        cmds_received: u64,
-        events_sent: u64,
-        events_received: u64,
-        answers_sent: u64,
-        answers_received: u64,
-    }
-}
-
 /// Live append/fsync-path counters, fed by the store observer on every
 /// operation (traced or not).
 #[derive(Default)]
@@ -474,8 +442,6 @@ pub struct SaturationSnapshot {
     pub lock_waits: u64,
     /// Total nanoseconds spent waiting on registry stripe locks.
     pub lock_wait_nanos: u64,
-    /// Always zero; see [`MailboxSnapshot`].
-    pub mailbox: MailboxSnapshot,
     /// Store operation timings (absent when running storeless).
     pub store: Option<StoreOpsSnapshot>,
 }
@@ -485,7 +451,6 @@ qhorn_json::wire! {
         pools: Vec<PoolSnapshot>,
         lock_waits: u64,
         lock_wait_nanos: u64,
-        mailbox: MailboxSnapshot,
         store: Option<StoreOpsSnapshot> [skip],
     }
 }
@@ -723,7 +688,6 @@ pub fn render_prometheus(
             out.push_str(&format!("{name}{{pool=\"{}\"}} {}\n", pool.name, get(pool)));
         }
     }
-    let mailbox = &ops.saturation.mailbox;
     let mut ops_counters: Vec<(&str, &str, u64)> = vec![
         (
             "qhorn_registry_lock_waits_total",
@@ -734,32 +698,6 @@ pub fn render_prometheus(
             "qhorn_registry_lock_wait_nanos_total",
             "counter",
             ops.saturation.lock_wait_nanos,
-        ),
-        ("qhorn_driver_cmds_sent_total", "counter", mailbox.cmds_sent),
-        (
-            "qhorn_driver_cmds_received_total",
-            "counter",
-            mailbox.cmds_received,
-        ),
-        (
-            "qhorn_driver_events_sent_total",
-            "counter",
-            mailbox.events_sent,
-        ),
-        (
-            "qhorn_driver_events_received_total",
-            "counter",
-            mailbox.events_received,
-        ),
-        (
-            "qhorn_driver_answers_sent_total",
-            "counter",
-            mailbox.answers_sent,
-        ),
-        (
-            "qhorn_driver_answers_received_total",
-            "counter",
-            mailbox.answers_received,
         ),
         ("qhorn_log_suppressed_total", "counter", ops.logs.suppressed),
     ];
@@ -1025,14 +963,6 @@ mod tests {
                 pools: vec![pool.snapshot()],
                 lock_waits: 13,
                 lock_wait_nanos: 77_000,
-                mailbox: MailboxSnapshot {
-                    cmds_sent: 3,
-                    cmds_received: 3,
-                    events_sent: 8,
-                    events_received: 7,
-                    answers_sent: 5,
-                    answers_received: 5,
-                },
                 store: Some(StoreOpsSnapshot {
                     appends: 21,
                     append_nanos: 1_000,
@@ -1178,10 +1108,11 @@ mod tests {
             .any(|(name, _, v)| name == "qhorn_registry_lock_wait_nanos_total" && *v == 77_000.0));
         assert!(rows
             .iter()
-            .any(|(name, _, v)| name == "qhorn_driver_events_sent_total" && *v == 8.0));
-        assert!(rows
-            .iter()
             .any(|(name, _, v)| name == "qhorn_store_op_appends_total" && *v == 21.0));
+        // The mailbox series went with the per-session threads.
+        assert!(!rows
+            .iter()
+            .any(|(name, _, _)| name.starts_with("qhorn_driver_")));
 
         // Log counters: per-level series plus the suppression counter.
         assert!(rows.iter().any(|(name, labels, v)| {
@@ -1239,14 +1170,6 @@ mod tests {
             }],
             lock_waits: 7,
             lock_wait_nanos: 9_999,
-            mailbox: MailboxSnapshot {
-                cmds_sent: 1,
-                cmds_received: 1,
-                events_sent: 2,
-                events_received: 2,
-                answers_sent: 3,
-                answers_received: 3,
-            },
             store: Some(StoreOpsSnapshot {
                 appends: 4,
                 append_nanos: 5,

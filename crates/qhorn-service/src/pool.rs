@@ -1,9 +1,21 @@
-//! Shared worker-pool plumbing for the TCP and HTTP frontends.
+//! The one frontend skeleton both servers run on.
 //!
-//! Both frontends hand accepted connections to a fixed pool of handler
-//! threads through an `mpsc` channel whose receiver is shared behind a
-//! mutex (now the class-tagged [`OrderedMutex`]). The loop here fixes two failure modes the original inline
-//! loops had:
+//! [`Frontend`] is the whole lifecycle of a frontend: it binds the
+//! listener, starts an acceptor thread and a fixed pool of `workers`
+//! handler threads, and on [`Frontend::shutdown`] stops accepting,
+//! drains the workers and joins every thread. The acceptor hands each
+//! accepted connection, stamped with its accept instant, to the workers
+//! through an `mpsc` channel whose receiver is shared behind a
+//! class-tagged [`OrderedMutex`]; at most `workers` connections are
+//! served at once, and the rest queue. A frontend supplies only its pool
+//! label, its thread-name prefix and its `handle_connection`: the
+//! JSON-lines [`crate::server::Server`] and the HTTP
+//! [`crate::http::HttpServer`] differ in nothing else. A handler reads
+//! through one [`crate::frame::FrameReader`] and polls the stop flag it
+//! is given between reads (on a 200 ms read timeout), so shutdown drains
+//! promptly even with idle keep-alive connections.
+//!
+//! [`run_worker`], each worker's loop, fixes two failure modes:
 //!
 //! 1. **Poison cascade.** A worker that panicked while holding the
 //!    receiver lock leaves it poisoned; every sibling worker's
@@ -15,22 +27,130 @@
 //!    the telemetry bookkeeping, leaving the pool's `busy` gauge stuck
 //!    high (skewing saturation verdicts) and killing the worker thread.
 //!
-//! [`run_worker`] recovers the lock from poisoning, isolates handler
-//! panics with [`catch_unwind`], always rebalances the busy gauge, and
-//! keeps the worker alive for the next connection.
+//! It recovers the lock from poisoning, isolates handler panics with
+//! [`catch_unwind`], always rebalances the busy gauge, and keeps the
+//! worker alive for the next connection.
 
 use crate::metrics::PoolTelemetry;
-use qhorn_json::Json;
-use qhorn_lockdep::OrderedMutex;
+use crate::registry::Registry;
+use qhorn_json::{Json, ToJson};
+use qhorn_lockdep::{LockClass, OrderedMutex};
+use std::io;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::Receiver;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver};
+use std::sync::Arc;
+use std::thread::{Builder, JoinHandle};
 use std::time::Instant;
+
+/// A running frontend; dropping it without [`Frontend::shutdown`]
+/// detaches the threads (they exit with the process).
+pub(crate) struct Frontend {
+    addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    acceptor: JoinHandle<()>,
+    workers: Vec<JoinHandle<()>>,
+    registry: Arc<Registry>,
+}
+
+impl Frontend {
+    /// Binds `addr` and starts the acceptor and `workers` (at least one)
+    /// handler threads over `registry`, registering the pool's telemetry
+    /// as `pool`. Threads are named `{threads}-acceptor` and
+    /// `{threads}-worker-{i}`. `handle` serves one accepted connection
+    /// until it ends or the stop flag rises.
+    pub(crate) fn start(
+        addr: &str,
+        registry: Arc<Registry>,
+        workers: usize,
+        pool: &str,
+        threads: &str,
+        handle: fn(TcpStream, &Arc<Registry>, &AtomicBool),
+    ) -> io::Result<Frontend> {
+        let listener = TcpListener::bind(addr)?;
+        let local = listener.local_addr()?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let workers = workers.max(1);
+        let (conn_tx, conn_rx) = mpsc::channel::<(TcpStream, Instant)>();
+        let conn_rx = Arc::new(OrderedMutex::new(LockClass::new("pool.receiver"), conn_rx));
+        let telemetry = registry.register_pool(pool, workers);
+
+        let handles = (0..workers)
+            .map(|i| {
+                let rx = Arc::clone(&conn_rx);
+                let reg = Arc::clone(&registry);
+                let stop = Arc::clone(&stop);
+                let telemetry = Arc::clone(&telemetry);
+                Builder::new()
+                    .name(format!("{threads}-worker-{i}"))
+                    .spawn(move || run_worker(&rx, &telemetry, |s| handle(s, &reg, &stop)))
+            })
+            .collect::<io::Result<Vec<_>>>()?;
+
+        let accept_stop = Arc::clone(&stop);
+        let acceptor = Builder::new()
+            .name(format!("{threads}-acceptor"))
+            .spawn(move || {
+                // conn_tx lives here: when the acceptor exits, the channel
+                // closes and idle workers drain out.
+                for stream in listener.incoming() {
+                    if accept_stop.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    if let Ok(s) = stream {
+                        telemetry.enqueue();
+                        if conn_tx.send((s, Instant::now())).is_err() {
+                            break;
+                        }
+                    }
+                }
+            })?;
+        crate::log::info(
+            "service.pool",
+            "frontend listening",
+            &[
+                ("pool", Json::Str(pool.to_string())),
+                ("addr", Json::Str(local.to_string())),
+                ("workers", (workers as u64).to_json()),
+            ],
+        );
+        Ok(Frontend {
+            addr: local,
+            stop,
+            acceptor,
+            workers: handles,
+            registry,
+        })
+    }
+
+    /// The bound address (useful with port 0).
+    pub(crate) fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// The shared registry.
+    pub(crate) fn registry(&self) -> &Arc<Registry> {
+        &self.registry
+    }
+
+    /// Stops accepting, drains the workers, and joins every thread.
+    pub(crate) fn shutdown(self) {
+        self.stop.store(true, Ordering::SeqCst);
+        // Unblock the acceptor's blocking accept.
+        let _ = TcpStream::connect(self.addr);
+        let _ = self.acceptor.join();
+        for w in self.workers {
+            let _ = w.join();
+        }
+    }
+}
 
 /// Drains `(item, queued_at)` pairs from the shared receiver until the
 /// sender side hangs up, running `handle` on each item with pool
 /// telemetry bookkeeping around it. Survives both a poisoned receiver
 /// lock and panics inside `handle`.
-pub(crate) fn run_worker<T>(
+fn run_worker<T>(
     rx: &OrderedMutex<Receiver<(T, Instant)>>,
     pool: &PoolTelemetry,
     mut handle: impl FnMut(T),
@@ -74,10 +194,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{mpsc, Arc};
-
-    use qhorn_lockdep::LockClass;
+    use std::sync::atomic::AtomicU64;
 
     type SharedRx = Arc<OrderedMutex<Receiver<(u64, Instant)>>>;
 

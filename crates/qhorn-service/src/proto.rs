@@ -522,10 +522,8 @@ qhorn_json::wire! {
         questions_by_phase: Vec<(String, u64)> [with = map],
         transcript_bytes: u64,
         transcript_cache_bytes: u64 [default],
-        transcript_truncated: u64 [default],
         store_bytes: u64,
         eval_nanos: u64,
-        driver_nanos: u64,
     }
 }
 
@@ -887,10 +885,8 @@ mod tests {
                 questions_by_phase: vec![("classify_heads".into(), 4)],
                 transcript_bytes: 211,
                 transcript_cache_bytes: 180,
-                transcript_truncated: 0,
                 store_bytes: 0,
                 eval_nanos: 0,
-                driver_nanos: 88_120,
             }),
         });
         round_trip_reply(&Reply::Health(HealthReport {
@@ -909,14 +905,6 @@ mod tests {
                 }],
                 lock_waits: 240,
                 lock_wait_nanos: 1_500_000,
-                mailbox: crate::metrics::MailboxSnapshot {
-                    cmds_sent: 5,
-                    cmds_received: 5,
-                    events_sent: 40,
-                    events_received: 40,
-                    answers_sent: 35,
-                    answers_received: 35,
-                },
                 store: Some(crate::metrics::StoreOpsSnapshot {
                     appends: 21,
                     append_nanos: 84_000,
@@ -952,10 +940,8 @@ mod tests {
             questions_by_phase: vec![("matrix_questions".into(), 9), ("core_questions".into(), 8)],
             transcript_bytes: 2_048,
             transcript_cache_bytes: 1_024,
-            transcript_truncated: 3,
             store_bytes: 4_096,
             eval_nanos: 500_000,
-            driver_nanos: 7_000_000,
         }));
         round_trip_reply(&Reply::TraceConfig {
             slow_threshold_ms: 250,

@@ -37,9 +37,7 @@
 use crate::dataset::{DatasetCatalog, DatasetInfo};
 use crate::error::ServiceError;
 use crate::metrics::PHASE_NAMES;
-use crate::metrics::{
-    MailboxSnapshot, Metrics, OpsSnapshot, PoolTelemetry, SaturationSnapshot, StoreTelemetry,
-};
+use crate::metrics::{Metrics, OpsSnapshot, PoolTelemetry, SaturationSnapshot, StoreTelemetry};
 use crate::trace::{self, AttrValue, TraceConfig, TraceStoreObserver, Tracer};
 use qhorn_core::learn::LearnOptions;
 use qhorn_core::{Obj, Query, Response};
@@ -256,19 +254,10 @@ pub struct SessionResources {
     /// Serialized size of the session's transcript (its one in-memory
     /// copy, held by the session's dialogue).
     pub transcript_cache_bytes: u64,
-    /// Always 0. Vestigial: it counted exchanges truncated out of a
-    /// second, bounded transcript copy that no longer exists; kept so
-    /// the wire object is unchanged until a wire revision removes it.
-    pub transcript_truncated: u64,
     /// Durable-log bytes this session's records appended.
     pub store_bytes: u64,
     /// Kernel evaluation nanoseconds spent by this session's batch runs.
     pub eval_nanos: u64,
-    /// Always 0. Vestigial: it measured waits on a per-session driver
-    /// thread, which no longer exists (the learner computes inside the
-    /// request; see the `learner` profile layer). Kept so the wire
-    /// object is unchanged until a wire revision removes it.
-    pub driver_nanos: u64,
 }
 
 /// The `GET /v1/health` verdict plus the saturation evidence behind it.
@@ -865,7 +854,6 @@ impl Registry {
                 .collect(),
             lock_waits: self.lock_waits.load(Ordering::Relaxed),
             lock_wait_nanos: self.lock_wait_nanos.load(Ordering::Relaxed),
-            mailbox: MailboxSnapshot::default(),
             store: self.store.as_ref().map(|_| self.store_telemetry.snapshot()),
         }
     }
@@ -959,10 +947,8 @@ impl Registry {
                 .iter()
                 .map(exchange_cache_bytes)
                 .sum(),
-            transcript_truncated: 0,
             store_bytes: entry.resources.store_bytes,
             eval_nanos: entry.resources.eval_nanos,
-            driver_nanos: 0,
         })
     }
 

@@ -1,14 +1,13 @@
-//! The TCP front end: a JSON-lines server over [`std::net::TcpListener`]
-//! with a fixed worker thread pool, graceful shutdown, and a blocking
-//! [`Client`] helper (which also speaks the HTTP transport; see
+//! The TCP front end: a JSON-lines server and a blocking [`Client`]
+//! helper (which also speaks the HTTP transport; see
 //! [`Client::connect_http`]). Request semantics live in
 //! [`crate::dispatch`], shared with the HTTP frontend.
 //!
-//! An acceptor thread feeds connections into a channel drained by
-//! `workers` handler threads, so at most `workers` connections are served
-//! concurrently (excess connections queue). Handlers poll a shutdown flag
-//! between requests via a read timeout, so [`Server::shutdown`] drains
-//! promptly even with idle keep-alive connections.
+//! [`Server`] is the shared frontend skeleton (`pool::Frontend`: bind,
+//! acceptor, `workers` handler threads, graceful shutdown) plus this
+//! module's `handle_connection`, which reads `\n`-framed request lines
+//! through the shared `frame::FrameReader` and writes one reply line
+//! each.
 //!
 //! ## Tracing
 //!
@@ -22,29 +21,26 @@
 
 use crate::dispatch::dispatch_traced;
 use crate::error::ServiceError;
+use crate::frame::FrameReader;
 use crate::http::HttpClient;
+use crate::pool::Frontend;
 use crate::proto::{Reply, Request, StepReply};
 use crate::registry::Registry;
 use crate::trace;
 use qhorn_json::{FromJson, Json, ToJson};
-use qhorn_lockdep::{LockClass, OrderedMutex};
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
+use std::io;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// A running server; dropping it without [`Server::shutdown`] detaches
-/// the threads (they exit with the process).
-pub struct Server {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    registry: Arc<Registry>,
-}
+/// Largest accepted request/reply line; a peer exceeding it is cut off
+/// rather than allowed to grow the buffer without bound.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// A running JSON-lines server; dropping it without [`Server::shutdown`]
+/// detaches the threads (they exit with the process).
+pub struct Server(Frontend);
 
 impl Server {
     /// Binds `addr` (e.g. `"127.0.0.1:0"`) and starts the accept loop and
@@ -53,142 +49,59 @@ impl Server {
     /// # Errors
     /// I/O errors from binding.
     pub fn start(addr: &str, registry: Arc<Registry>, workers: usize) -> io::Result<Server> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        // Accepted connections carry their accept instant so the pool
-        // telemetry can measure queue wait.
-        let (conn_tx, conn_rx) = mpsc::channel::<(TcpStream, std::time::Instant)>();
-        let conn_rx = Arc::new(OrderedMutex::new(LockClass::new("pool.receiver"), conn_rx));
-        let pool = registry.register_pool("lines", workers.max(1));
-
-        let mut handles = Vec::with_capacity(workers.max(1));
-        for i in 0..workers.max(1) {
-            let rx = Arc::clone(&conn_rx);
-            let reg = Arc::clone(&registry);
-            let stop = Arc::clone(&shutdown);
-            let pool = Arc::clone(&pool);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("qhorn-worker-{i}"))
-                    .spawn(move || {
-                        crate::pool::run_worker(&rx, &pool, |s| handle_connection(s, &reg, &stop));
-                    })
-                    .expect("spawn worker"),
-            );
-        }
-
-        let stop = Arc::clone(&shutdown);
-        let accept_pool = Arc::clone(&pool);
-        let acceptor = std::thread::Builder::new()
-            .name("qhorn-acceptor".into())
-            .spawn(move || {
-                // conn_tx lives here: when the acceptor exits, the channel
-                // closes and idle workers drain out.
-                for stream in listener.incoming() {
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    match stream {
-                        Ok(s) => {
-                            accept_pool.enqueue();
-                            if conn_tx.send((s, std::time::Instant::now())).is_err() {
-                                break;
-                            }
-                        }
-                        Err(_) => {
-                            if stop.load(Ordering::SeqCst) {
-                                break;
-                            }
-                        }
-                    }
-                }
-            })
-            .expect("spawn acceptor");
-        crate::log::info(
-            "server",
-            "json-lines server listening",
-            &[
-                ("addr", Json::Str(local.to_string())),
-                ("workers", (workers.max(1) as u64).to_json()),
-            ],
-        );
-
-        Ok(Server {
-            addr: local,
-            shutdown,
-            acceptor: Some(acceptor),
-            workers: handles,
-            registry,
-        })
+        Frontend::start(addr, registry, workers, "lines", "qhorn", handle_connection).map(Server)
     }
 
     /// The bound address (useful with port 0).
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.0.addr()
     }
 
     /// The shared registry.
     #[must_use]
     pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
+        self.0.registry()
     }
 
     /// Stops accepting, drains the workers, and joins every thread.
-    pub fn shutdown(mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Unblock the acceptor's blocking accept.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+    pub fn shutdown(self) {
+        self.0.shutdown();
     }
 }
 
-/// Serves one connection: read a line, dispatch, write a line.
+/// Serves one connection: read a line, dispatch, write a line. A
+/// non-UTF-8 line, a newline-free flood past [`MAX_LINE_BYTES`], a
+/// closed or failed socket, or the stop flag ends it.
 fn handle_connection(stream: TcpStream, registry: &Arc<Registry>, stop: &AtomicBool) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
     let _ = stream.set_nodelay(true);
-    let mut reader = LineReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut writer = stream;
+    let mut conn = FrameReader::new(stream, Some(stop));
     // One reply buffer per connection: each reply is encoded into it in
     // one pass and leaves in one write.
     let mut out = String::new();
-    loop {
-        match reader.next_line(stop) {
-            LineEvent::Line(line) => {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let (reply, echo) = match decode_line(&line) {
-                    Ok((req, incoming, carried)) => {
-                        let (reply, id) = dispatch_traced(registry, req, incoming);
-                        // Echo the id only when the client opted in by
-                        // sending the envelope field.
-                        (reply, carried.then(|| trace::format_id(id)))
-                    }
-                    Err(e) => (
-                        Reply::Error {
-                            message: format!("bad request: {e}"),
-                        },
-                        None,
-                    ),
-                };
-                out.clear();
-                encode_reply(&reply, echo.as_deref(), &mut out);
-                if writer.write_all(out.as_bytes()).is_err() {
-                    return;
-                }
+    while let Ok(Ok(line)) = conn.line(MAX_LINE_BYTES).map(std::str::from_utf8) {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let (reply, echo) = match decode_line(line) {
+            Ok((req, incoming, carried)) => {
+                let (reply, id) = dispatch_traced(registry, req, incoming);
+                // Echo the id only when the client opted in by sending
+                // the envelope field.
+                (reply, carried.then(|| trace::format_id(id)))
             }
-            LineEvent::Closed => return,
-            LineEvent::Stopped => return,
+            Err(e) => (
+                Reply::Error {
+                    message: format!("bad request: {e}"),
+                },
+                None,
+            ),
+        };
+        out.clear();
+        encode_reply(&reply, echo.as_deref(), &mut out);
+        if conn.write_all(out.as_bytes()).is_err() {
+            return;
         }
     }
 }
@@ -221,66 +134,6 @@ fn decode_line(line: &str) -> Result<(Request, Option<u64>, bool), qhorn_json::J
     Ok((req, incoming, envelope.is_some()))
 }
 
-enum LineEvent {
-    Line(String),
-    Closed,
-    Stopped,
-}
-
-/// Largest accepted request/reply line; a peer exceeding it is cut off
-/// rather than allowed to grow the buffer without bound.
-const MAX_LINE_BYTES: usize = 1 << 20;
-
-/// A `\n`-framed reader that survives read timeouts without losing
-/// partial lines (a plain `BufReader::read_line` would).
-struct LineReader {
-    stream: TcpStream,
-    buf: Vec<u8>,
-}
-
-impl LineReader {
-    fn new(stream: TcpStream) -> Self {
-        LineReader {
-            stream,
-            buf: Vec::new(),
-        }
-    }
-
-    fn next_line(&mut self, stop: &AtomicBool) -> LineEvent {
-        loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                let rest = self.buf.split_off(pos + 1);
-                let mut line = std::mem::replace(&mut self.buf, rest);
-                line.pop(); // the newline
-                return match String::from_utf8(line) {
-                    Ok(s) => LineEvent::Line(s),
-                    Err(_) => LineEvent::Closed, // non-UTF-8 peer: drop it
-                };
-            }
-            if stop.load(Ordering::SeqCst) {
-                return LineEvent::Stopped;
-            }
-            if self.buf.len() > MAX_LINE_BYTES {
-                return LineEvent::Closed; // newline-free flood: drop the peer
-            }
-            let mut chunk = [0u8; 4096];
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return LineEvent::Closed,
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    // Timeout tick: loop to re-check the stop flag.
-                }
-                Err(_) => return LineEvent::Closed,
-            }
-        }
-    }
-}
-
 /// A blocking protocol client over either transport: JSON-lines TCP
 /// ([`Client::connect`]) or HTTP/1.1 keep-alive ([`Client::connect_http`]).
 /// Both speak the same [`Request`]/[`Reply`] enums — the conformance
@@ -290,7 +143,7 @@ pub struct Client {
 }
 
 enum Transport {
-    Lines { stream: TcpStream, buf: Vec<u8> },
+    Lines(FrameReader<'static>),
     Http(HttpClient),
 }
 
@@ -304,10 +157,7 @@ impl Client {
             TcpStream::connect(addr).map_err(|e| ServiceError::Transport(e.to_string()))?;
         let _ = stream.set_nodelay(true);
         Ok(Client {
-            transport: Transport::Lines {
-                stream,
-                buf: Vec::new(),
-            },
+            transport: Transport::Lines(FrameReader::new(stream, None)),
         })
     }
 
@@ -328,14 +178,9 @@ impl Client {
     /// Transport failures and malformed replies.
     pub fn request(&mut self, req: &Request) -> Result<Reply, ServiceError> {
         match &mut self.transport {
-            Transport::Lines { stream, .. } => {
-                let mut line = qhorn_json::to_string(req);
-                line.push('\n');
-                stream
-                    .write_all(line.as_bytes())
-                    .map_err(|e| ServiceError::Transport(e.to_string()))?;
-                let line = self.read_line()?;
-                qhorn_json::from_str(&line).map_err(|e| ServiceError::Transport(e.to_string()))
+            Transport::Lines(conn) => {
+                let line = exchange_line(conn, qhorn_json::to_string(req))?;
+                qhorn_json::from_str(line).map_err(|e| ServiceError::Transport(e.to_string()))
             }
             Transport::Http(http) => http.request(req),
         }
@@ -356,19 +201,14 @@ impl Client {
         trace_id: Option<&str>,
     ) -> Result<(Reply, Option<String>), ServiceError> {
         match &mut self.transport {
-            Transport::Lines { stream, .. } => {
+            Transport::Lines(conn) => {
                 let mut json = req.to_json();
                 if let (Json::Obj(pairs), Some(id)) = (&mut json, trace_id) {
                     pairs.push(("trace_id".to_string(), Json::Str(id.to_string())));
                 }
-                let mut line = qhorn_json::to_string(&json);
-                line.push('\n');
-                stream
-                    .write_all(line.as_bytes())
-                    .map_err(|e| ServiceError::Transport(e.to_string()))?;
-                let line = self.read_line()?;
+                let line = exchange_line(conn, qhorn_json::to_string(&json))?;
                 let parsed =
-                    Json::parse(&line).map_err(|e| ServiceError::Transport(e.to_string()))?;
+                    Json::parse(line).map_err(|e| ServiceError::Transport(e.to_string()))?;
                 let echoed = parsed
                     .get("trace_id")
                     .and_then(Json::as_str)
@@ -394,29 +234,19 @@ impl Client {
             ))),
         }
     }
+}
 
-    fn read_line(&mut self) -> Result<String, ServiceError> {
-        let Transport::Lines { stream, buf } = &mut self.transport else {
-            unreachable!("read_line is only called on the lines transport");
-        };
-        loop {
-            if let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-                let rest = buf.split_off(pos + 1);
-                let mut line = std::mem::replace(buf, rest);
-                line.pop();
-                return String::from_utf8(line).map_err(|e| ServiceError::Transport(e.to_string()));
-            }
-            if buf.len() > MAX_LINE_BYTES {
-                return Err(ServiceError::Transport("reply line too long".into()));
-            }
-            let mut chunk = [0u8; 4096];
-            match stream.read(&mut chunk) {
-                Ok(0) => return Err(ServiceError::Transport("server closed connection".into())),
-                Ok(n) => buf.extend_from_slice(&chunk[..n]),
-                Err(e) => return Err(ServiceError::Transport(e.to_string())),
-            }
-        }
-    }
+/// Sends one request line (`line`, without its newline) and reads the
+/// reply line.
+fn exchange_line<'c>(
+    conn: &'c mut FrameReader<'static>,
+    mut line: String,
+) -> Result<&'c str, ServiceError> {
+    line.push('\n');
+    conn.write_all(line.as_bytes())
+        .map_err(|e| ServiceError::Transport(e.to_string()))?;
+    let reply = conn.line(MAX_LINE_BYTES)?;
+    std::str::from_utf8(reply).map_err(|e| ServiceError::Transport(e.to_string()))
 }
 
 #[cfg(test)]

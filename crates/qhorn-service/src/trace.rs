@@ -11,8 +11,11 @@
 //! span is one step of a session's learner or verifier: resuming it
 //! with the request's answer, computing, and realizing its next
 //! question. It is labelled with the learning phase of the session's
-//! latest question and the questions the step answered. Spans carry a parent link, a monotonic start offset and duration, an
-//! optional session id, and typed attributes ([`AttrValue`]).
+//! latest question and the questions the step answered; the name is
+//! kept from when the span timed a whole phase, because trace
+//! consumers filter on it. Spans carry a parent link, a monotonic start
+//! offset and duration, an optional session id, and typed attributes
+//! ([`AttrValue`]).
 //!
 //! The recording side is a **thread-local context**: [`Tracer::begin`]
 //! installs the context on the request thread, [`span`] opens a child on

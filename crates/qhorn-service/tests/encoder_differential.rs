@@ -190,10 +190,8 @@ impl Gen {
             questions_by_phase: self.list(3, |g| (g.text(), g.num())),
             transcript_bytes: self.num(),
             transcript_cache_bytes: self.num(),
-            transcript_truncated: self.num(),
             store_bytes: self.num(),
             eval_nanos: self.num(),
-            driver_nanos: self.num(),
         }
     }
 

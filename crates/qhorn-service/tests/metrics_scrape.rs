@@ -8,9 +8,10 @@
 
 use qhorn_core::Query;
 use qhorn_engine::session::LearnerKind;
+use qhorn_service::metrics::render_prometheus;
 use qhorn_service::proto::{Reply, Request, StepReply};
 use qhorn_service::registry::{Registry, RegistryConfig};
-use qhorn_service::{Client, HttpServer};
+use qhorn_service::{Client, HttpServer, Server};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -317,4 +318,80 @@ fn queue_depth_rises_under_load_and_drains() {
 
     loaded.shutdown();
     probe.shutdown();
+}
+
+/// Pool telemetry counts every connection exactly. N single-request
+/// connections on each frontend leave each pool with `enqueued ==
+/// dequeued == N`, no busy worker and an empty queue, both in
+/// `registry.health()` and in the exported `qhorn_pool_*{pool=…}`
+/// series. The series come from the renderer `GET /metrics` serves,
+/// called directly, so reading them adds no connection of its own.
+#[test]
+fn pool_telemetry_counts_every_connection_exactly() {
+    const N: u64 = 12;
+    let registry = Arc::new(Registry::open(RegistryConfig::default()).unwrap());
+    let lines = Server::start("127.0.0.1:0", Arc::clone(&registry), 2).unwrap();
+    let http = HttpServer::start("127.0.0.1:0", Arc::clone(&registry), 2).unwrap();
+    for _ in 0..N {
+        // One request per connection; dropping the client closes it.
+        let reply = Client::connect(lines.addr())
+            .and_then(|mut c| c.request(&Request::Stats))
+            .expect("lines request");
+        assert!(matches!(reply, Reply::Stats(_)), "{reply:?}");
+        let reply = Client::connect_http(http.addr())
+            .and_then(|mut c| c.request(&Request::Stats))
+            .expect("http request");
+        assert!(matches!(reply, Reply::Stats(_)), "{reply:?}");
+    }
+    // A worker goes idle once it sees its peer's close, just after the
+    // client has its reply: wait for that, then compare exactly.
+    let mut health = registry.health();
+    for _ in 0..400 {
+        if health.saturation.pools.iter().all(|p| p.busy == 0) {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(25));
+        health = registry.health();
+    }
+    let pools: Vec<(&str, u64, u64, u64, u64)> = health
+        .saturation
+        .pools
+        .iter()
+        .map(|p| {
+            (
+                p.name.as_str(),
+                p.enqueued,
+                p.dequeued,
+                p.busy,
+                p.queue_depth,
+            )
+        })
+        .collect();
+    assert_eq!(pools, [("lines", N, N, 0, 0), ("http", N, N, 0, 0)]);
+
+    let rows = parse_exposition(&render_prometheus(
+        &registry.metrics().snapshot(),
+        &registry.stats(),
+        &registry.tracer().stats(),
+        &registry.ops_snapshot(),
+    ));
+    for pool in ["lines", "http"] {
+        for (name, want) in [
+            ("qhorn_pool_workers", 2),
+            ("qhorn_pool_enqueued_total", N),
+            ("qhorn_pool_dequeued_total", N),
+            ("qhorn_pool_busy_workers", 0),
+            ("qhorn_pool_queue_depth", 0),
+        ] {
+            let got: Vec<f64> = rows
+                .iter()
+                .filter(|(n, labels, _)| n == name && label(labels, "pool") == Some(pool))
+                .map(|(_, _, v)| *v)
+                .collect();
+            assert_eq!(got, [want as f64], "{name}{{pool=\"{pool}\"}}");
+        }
+    }
+
+    lines.shutdown();
+    http.shutdown();
 }

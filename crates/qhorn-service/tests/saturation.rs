@@ -306,9 +306,8 @@ fn trace_config_validates_on_both_transports() {
 }
 
 /// Per-session resource accounting: a full dialogue leaves non-zero
-/// question and transcript counters (the vestigial driver and
-/// truncation counters stay 0), a batch run charges kernel time, and
-/// both transports agree on the reply.
+/// question and transcript counters, a batch run charges kernel time,
+/// and both transports agree on the reply.
 #[test]
 fn session_resources_account_a_full_dialogue() {
     let registry = Arc::new(Registry::open(RegistryConfig::default()).unwrap());
@@ -348,9 +347,6 @@ fn session_resources_account_a_full_dialogue() {
     assert_eq!(resources.state, "done");
     assert!(resources.questions > 0, "{resources:?}");
     assert!(resources.transcript_bytes > 0, "{resources:?}");
-    // Vestigial: no session has a driver thread to wait on.
-    assert_eq!(resources.driver_nanos, 0, "{resources:?}");
-    assert_eq!(resources.transcript_truncated, 0, "{resources:?}");
     assert!(resources.transcript_cache_bytes > 0, "{resources:?}");
     assert!(resources.eval_nanos > 0, "{resources:?}");
     let phase_sum: u64 = resources.questions_by_phase.iter().map(|(_, n)| n).sum();

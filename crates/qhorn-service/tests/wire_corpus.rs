@@ -20,8 +20,7 @@ use qhorn_relation::Proposition;
 use qhorn_relation::{Attr, AttrType, DatasetDef, NestedObject, NestedRelation, NestedSchema};
 use qhorn_service::dataset::DatasetInfo;
 use qhorn_service::metrics::{
-    HistogramSnapshot, MailboxSnapshot, MetricsSnapshot, PoolSnapshot, SaturationSnapshot,
-    StoreOpsSnapshot,
+    HistogramSnapshot, MetricsSnapshot, PoolSnapshot, SaturationSnapshot, StoreOpsSnapshot,
 };
 use qhorn_service::proto::{Reply, Request, StepReply};
 use qhorn_service::registry::{HealthReport, RegistryStats, SessionResources};
@@ -74,7 +73,6 @@ fn reencode_line(ty: &str, json: &str) -> String {
         "DatasetDef" => reencode::<DatasetDef>(json),
         "DatasetInfo" => reencode::<DatasetInfo>(json),
         "StoreOpsSnapshot" => reencode::<StoreOpsSnapshot>(json),
-        "MailboxSnapshot" => reencode::<MailboxSnapshot>(json),
         "PoolSnapshot" => reencode::<PoolSnapshot>(json),
         "SaturationSnapshot" => reencode::<SaturationSnapshot>(json),
         "HealthReport" => reencode::<HealthReport>(json),
@@ -126,9 +124,10 @@ fn every_corpus_line_round_trips_to_identical_bytes() {
         );
         types.insert(ty);
     }
-    // 37 decodable fixture types plus the store's frame codec (the four
-    // load-harness report types are encode-only; qhorn-bench checks them).
-    assert_eq!(types.len(), 39, "{types:?}");
+    // 36 decodable types, the store payload and the store's frame codec
+    // (the four load-harness report types are encode-only; qhorn-bench
+    // checks them).
+    assert_eq!(types.len(), 38, "{types:?}");
 }
 
 /// Every request and reply variant appears, so a variant whose codec

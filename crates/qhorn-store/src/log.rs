@@ -474,9 +474,10 @@ impl SessionStore {
     /// Uses the per-session secondary index: only the snapshot entry for
     /// `id` (if any) plus that session's own log frames are read, so
     /// restore cost scales with the session's history, not with every
-    /// other session's log volume. [`load_session_unindexed`]
-    /// (Self::load_session_unindexed) is the reference full-scan path;
-    /// the differential suite pins the two equal.
+    /// other session's log volume.
+    /// [`load_session_unindexed`](Self::load_session_unindexed) is the
+    /// reference full-scan path; the differential suite pins the two
+    /// equal.
     ///
     /// # Errors
     /// I/O failures; [`StoreError::Corrupt`] when an indexed frame fails
