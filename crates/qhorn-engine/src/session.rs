@@ -5,7 +5,7 @@
 //! "arbitrary examples" rebuttal); the user labels the realized object.
 //!
 //! A [`Dialogue`] is one session's state between two questions: the
-//! store, the value hints, the transcript, and the learner (or §4
+//! store, the synthesizer, the transcript, and the learner (or §4
 //! verifier) suspended at its pending question. The core learners are
 //! `async` functions that await each answer, so the suspended learner is
 //! simply their future; [`Dialogue::resume`] hands it the user's label
@@ -18,7 +18,7 @@
 //! re-asking only questions the correction invalidated ("noisy users",
 //! §5).
 
-use crate::storage::{DataStore, ObjectId};
+use crate::storage::DataStore;
 use qhorn_core::learn::{
     learn_qhorn1_async, learn_role_preserving_async, LearnError, LearnOptions, LearnOutcome, Phase,
 };
@@ -29,32 +29,25 @@ use qhorn_core::{Obj, Query, Response};
 use qhorn_relation::relation::{DataTuple, NestedObject};
 use qhorn_relation::synthesize::{DomainHints, SynthesisError, Synthesizer};
 use qhorn_relation::value::Value;
+use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::future::Future;
 use std::ops::Deref;
 use std::pin::Pin;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::task::{Context, Poll, Waker};
 
-/// A membership question realized in the data domain.
+/// A membership question realized in the data domain: a stored object
+/// with exactly the requested signature, or a synthesized one.
 #[derive(Clone, Debug)]
-pub enum RealizedQuestion {
-    /// A stored object has exactly the requested signature.
-    Stored {
-        /// The Boolean-domain question the object realizes.
-        question: Obj,
-        /// The stored object's id.
-        id: ObjectId,
-        /// The data object to show the user.
-        object: NestedObject,
-    },
-    /// No stored object matches; a synthetic example was constructed.
-    Synthesized {
-        /// The Boolean-domain question the object realizes.
-        question: Obj,
-        /// The synthesized data object.
-        object: NestedObject,
-    },
+pub struct RealizedQuestion {
+    question: Obj,
+    /// The object's text, as [`NestedObject`] displays it.
+    text: String,
+    /// The data object; a synthesized one is built only when asked for.
+    object: OnceLock<NestedObject>,
+    /// What synthesized the object; `None` for a stored one.
+    synth: Option<Arc<Synthesizer>>,
 }
 
 impl RealizedQuestion {
@@ -62,25 +55,32 @@ impl RealizedQuestion {
     /// exactly.
     #[must_use]
     pub fn question(&self) -> &Obj {
-        match self {
-            RealizedQuestion::Stored { question, .. }
-            | RealizedQuestion::Synthesized { question, .. } => question,
-        }
+        &self.question
     }
 
     /// The data object to present.
     #[must_use]
     pub fn object(&self) -> &NestedObject {
-        match self {
-            RealizedQuestion::Stored { object, .. }
-            | RealizedQuestion::Synthesized { object, .. } => object,
-        }
+        self.object.get_or_init(|| {
+            let synth = self.synth.as_ref().expect("a stored object is set");
+            synth
+                .synthesize_object(&self.question, example_box())
+                .expect("a realized question synthesizes")
+        })
+    }
+
+    /// Consumes the question, returning the data object's text (its
+    /// [`NestedObject`] `Display`), written without building a
+    /// synthesized object.
+    #[must_use]
+    pub fn into_text(self) -> String {
+        self.text
     }
 
     /// `true` if the example came from the store.
     #[must_use]
     pub fn is_stored(&self) -> bool {
-        matches!(self, RealizedQuestion::Stored { .. })
+        self.synth.is_none()
     }
 }
 
@@ -155,10 +155,10 @@ pub enum Step {
 /// A learning or verification run, suspended at its pending question.
 type Run = Pin<Box<dyn Future<Output = Step> + Send>>;
 
-/// One session's state between two questions: the store and value
-/// hints it realizes questions with, its transcript, and the run (a
-/// learner or the §4 verifier) suspended at the question awaiting the
-/// user's label. No thread is attached to it: [`Dialogue::resume`]
+/// One session's state between two questions: the store and the
+/// [`Synthesizer`] it realizes questions with, its transcript, and the
+/// run (a learner or the §4 verifier) suspended at the question awaiting
+/// the user's label. No thread is attached to it: [`Dialogue::resume`]
 /// computes on the caller's thread until the next question or the
 /// run's result.
 ///
@@ -167,7 +167,7 @@ type Run = Pin<Box<dyn Future<Output = Step> + Send>>;
 /// for [`Session`].
 pub struct Dialogue<S = Arc<DataStore>> {
     store: S,
-    hints: Arc<DomainHints>,
+    synth: Arc<Synthesizer>,
     transcript: Vec<Exchange>,
     /// The question shown to the user, and whether a stored object
     /// realized it.
@@ -180,14 +180,15 @@ pub struct Dialogue<S = Arc<DataStore>> {
 impl<S: Deref<Target = DataStore>> Dialogue<S> {
     /// A dialogue over `store` with no run started. `transcript` is the
     /// history a later [`Dialogue::relearn`] replays (empty for a new
-    /// session, a snapshot's transcript for a restored one). The hints
-    /// are shared, like the store: sessions over one dataset hold one
-    /// copy.
+    /// session, a snapshot's transcript for a restored one). The
+    /// synthesizer, built from the store's binding and the dataset's
+    /// hints, is shared like the store: sessions over one dataset hold
+    /// one copy of its tables.
     #[must_use]
-    pub fn new(store: S, hints: Arc<DomainHints>, transcript: Vec<Exchange>) -> Self {
+    pub fn new(store: S, synth: Arc<Synthesizer>, transcript: Vec<Exchange>) -> Self {
         Dialogue {
             store,
-            hints,
+            synth,
             transcript,
             pending: None,
             phase: None,
@@ -294,7 +295,7 @@ impl<S: Deref<Target = DataStore>> Dialogue<S> {
             if turn.phase.is_some() {
                 self.phase = turn.phase;
             }
-            match realize(&self.store, &self.hints, &question) {
+            match realize(&self.store, &self.synth, &question) {
                 Ok(realized) => {
                     self.pending = Some((question, realized.is_stored()));
                     return Step::Question(realized);
@@ -317,7 +318,7 @@ impl<S: Deref<Target = DataStore>> Dialogue<S> {
     /// [`SynthesisError`] when no stored object matches and the pattern is
     /// unrealizable under the bound propositions.
     pub fn realize(&self, question: &Obj) -> Result<RealizedQuestion, SynthesisError> {
-        realize(&self.store, &self.hints, question)
+        realize(&self.store, &self.synth, question)
     }
 
     /// The store questions are realized over.
@@ -399,9 +400,10 @@ pub struct Session<'a> {
 }
 
 impl<'a> Session<'a> {
-    /// Starts a session over a store, with value hints for synthesis.
+    /// Starts a session over a store, with value hints for synthesis
+    /// (its [`Synthesizer`] is built here, once).
     #[must_use]
-    pub fn new(store: &'a DataStore, hints: impl Into<Arc<DomainHints>>) -> Self {
+    pub fn new(store: &'a DataStore, hints: impl Borrow<DomainHints>) -> Self {
         Session::with_transcript(store, hints, Vec::new())
     }
 
@@ -412,11 +414,12 @@ impl<'a> Session<'a> {
     #[must_use]
     pub fn with_transcript(
         store: &'a DataStore,
-        hints: impl Into<Arc<DomainHints>>,
+        hints: impl Borrow<DomainHints>,
         transcript: Vec<Exchange>,
     ) -> Self {
+        let synth = Synthesizer::new(store.bridge(), hints.borrow());
         Session {
-            dialogue: Dialogue::new(store, hints.into(), transcript),
+            dialogue: Dialogue::new(store, Arc::new(synth), transcript),
         }
     }
 
@@ -591,30 +594,41 @@ impl std::fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
-/// Realizes `question` over a store and hints.
+/// The object attributes of a synthesized example.
+fn example_box() -> DataTuple {
+    DataTuple::new([Value::str("example box")])
+}
+
+/// The text of [`example_box`].
+const EXAMPLE_BOX: &str = "(\"example box\")";
+
+/// Realizes `question` over a store and its synthesizer.
 fn realize(
     store: &DataStore,
-    hints: &DomainHints,
+    synth: &Arc<Synthesizer>,
     question: &Obj,
 ) -> Result<RealizedQuestion, SynthesisError> {
     if let Some(&id) = store.boolean().find_by_signature(question).first() {
-        return Ok(RealizedQuestion::Stored {
+        let object = store.data_object(id).clone();
+        return Ok(RealizedQuestion {
             question: question.clone(),
-            id,
-            object: store.data_object(id).clone(),
+            text: object.to_string(),
+            object: OnceLock::from(object),
+            synth: None,
         });
     }
-    let object = Synthesizer::new(store.bridge(), hints)
-        .synthesize_object(question, DataTuple::new([Value::str("example box")]))?;
-    Ok(RealizedQuestion::Synthesized {
+    Ok(RealizedQuestion {
         question: question.clone(),
-        object,
+        text: synth.render_object(question, EXAMPLE_BOX)?,
+        object: OnceLock::new(),
+        synth: Some(Arc::clone(synth)),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::ObjectId;
     use qhorn_core::query::equiv::equivalent;
     use qhorn_relation::datasets::chocolates;
 
@@ -633,6 +647,25 @@ mod tests {
                 .booleanize_object(r.object())
                 .expect("well-typed example");
             intent.eval(&boolean)
+        }
+    }
+
+    #[test]
+    fn example_box_text_is_its_display() {
+        assert_eq!(example_box().to_string(), EXAMPLE_BOX);
+    }
+
+    #[test]
+    fn realized_text_is_the_object_display() {
+        let ds = data_store();
+        let session = Session::new(&ds, chocolates::hints());
+        let stored = ds.boolean().get(ObjectId(0)).clone();
+        let exotic = Obj::from_bits("000 001 010 011 100 101 110 111");
+        for (q, from_store) in [(stored, true), (exotic, false)] {
+            let realized = session.realize(&q).unwrap();
+            assert_eq!(realized.is_stored(), from_store);
+            assert_eq!(realized.object().to_string(), realized.clone().into_text());
+            assert_eq!(ds.bridge().booleanize_object(realized.object()).unwrap(), q);
         }
     }
 
@@ -782,8 +815,11 @@ mod tests {
             .learn_role_preserving(&opts, data_domain_user(intent.clone()))
             .unwrap();
 
-        let mut dialogue =
-            Dialogue::new(Arc::clone(&ds), Arc::new(chocolates::hints()), Vec::new());
+        let mut dialogue = Dialogue::new(
+            Arc::clone(&ds),
+            Arc::new(Synthesizer::new(ds.bridge(), &chocolates::hints())),
+            Vec::new(),
+        );
         dialogue.learn(LearnerKind::RolePreserving, &opts);
         let mut user = data_domain_user(intent);
         let mut step = dialogue.resume(None);

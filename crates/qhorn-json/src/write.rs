@@ -1,7 +1,6 @@
 //! Compact and pretty JSON writers.
 
 use crate::Json;
-use std::fmt::Write as _;
 
 pub(crate) fn write_compact(j: &Json, out: &mut String) {
     match j {
@@ -114,27 +113,88 @@ pub(crate) fn write_f64(f: f64, out: &mut String) {
     }
 }
 
-/// Writes `s` as a JSON string literal. A string with no byte to escape
-/// (the common case) is copied with one `push_str`.
+/// Writes `s` as a JSON string literal. Each run of bytes that need no
+/// escape is copied with one `push_str`, so a string with none (the
+/// common case) costs one copy.
 pub(crate) fn write_string(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    let plain = s
-        .bytes()
-        .position(|b| b < 0x20 || b == b'"' || b == b'\\')
-        .unwrap_or(s.len());
-    out.push_str(&s[..plain]);
-    for c in s[plain..].chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    // Every byte escaped is ASCII, so each run ends on a char boundary.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "\\u00",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        out.push_str(escape);
+        if escape.len() > 2 {
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::fmt::Write as _;
+
+    /// The char-by-char writer the runs replace.
+    fn write_string_per_char(s: &str, out: &mut String) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
             }
-            c => out.push(c),
+        }
+        out.push('"');
+    }
+
+    /// Every string up to length 5 over plain, escaped, control and
+    /// multi-byte characters: the runs write what the per-char loop
+    /// wrote, and it parses back to the string.
+    #[test]
+    fn escapes_in_runs_as_the_per_char_loop_did() {
+        const ALPHABET: [char; 7] = ['a', '"', '\\', '\n', '\u{1}', 'é', '⟨'];
+        let mut strings = vec![String::new()];
+        let mut longest = vec![String::new()];
+        for _ in 0..5 {
+            longest = longest
+                .iter()
+                .flat_map(|s| {
+                    ALPHABET.iter().map(move |&c| {
+                        let mut t = s.clone();
+                        t.push(c);
+                        t
+                    })
+                })
+                .collect();
+            strings.extend(longest.iter().cloned());
+        }
+        assert_eq!(strings.len(), (0..=5).map(|k| 7usize.pow(k)).sum());
+        for s in &strings {
+            let (mut runs, mut per_char) = (String::new(), String::new());
+            write_string(s, &mut runs);
+            write_string_per_char(s, &mut per_char);
+            assert_eq!(runs, per_char, "{s:?}");
+            assert_eq!(Json::parse(&runs), Ok(Json::Str(s.clone())), "{s:?}");
         }
     }
-    out.push('"');
 }

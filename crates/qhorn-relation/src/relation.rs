@@ -114,6 +114,20 @@ impl NestedObject {
     }
 }
 
+/// `attrs ⟨t1, t2, …⟩`: the text a question's object is shown as.
+impl fmt::Display for NestedObject {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} ⟨", self.attrs)?;
+        for (i, t) in self.tuples.iter().enumerate() {
+            if i > 0 {
+                f.write_str(", ")?;
+            }
+            write!(f, "{t}")?;
+        }
+        f.write_str("⟩")
+    }
+}
+
 /// A nested relation: schema plus objects.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct NestedRelation {
@@ -196,6 +210,23 @@ mod tests {
     fn tuple_display() {
         let t = DataTuple::new([Value::Bool(true), Value::str("Belgium")]);
         assert_eq!(t.to_string(), "(true, \"Belgium\")");
+    }
+
+    #[test]
+    fn object_display() {
+        let o = NestedObject::new(
+            DataTuple::new([Value::str("Box")]),
+            vec![
+                DataTuple::new([Value::Bool(true), Value::str("Belgium")]),
+                DataTuple::new([Value::Bool(false), Value::str("Peru")]),
+            ],
+        );
+        assert_eq!(
+            o.to_string(),
+            "(\"Box\") ⟨(true, \"Belgium\"), (false, \"Peru\")⟩"
+        );
+        let empty = NestedObject::new(DataTuple::new([Value::str("Box")]), Vec::new());
+        assert_eq!(empty.to_string(), "(\"Box\") ⟨⟩");
     }
 
     #[test]

@@ -8,10 +8,18 @@
 //! tuple — or reports exactly which propositions conflict, which is how
 //! joint (beyond pairwise) interference surfaces.
 //!
-//! Cost: the binding resolves every proposition's attribute position once
-//! ([`Booleanizer::new`]), so one tuple costs O(attributes + propositions):
-//! each attribute visits only the propositions on it, plus one hint-pool
-//! lookup. The error's proposition names are built only on failure.
+//! Cost: a synthesized value depends only on the truth pattern of the
+//! few propositions bound to its attribute, so [`Synthesizer::new`] solves
+//! every pattern of every attribute with at most [`TABLE_PROPS`]
+//! propositions once, per binding and hints. Each table cell indexes the
+//! attribute's distinct solved values, and each distinct value is rendered
+//! once, so a table's size is bounded by the binding, not by the patterns
+//! asked. A tuple then costs one bit test per proposition and one table
+//! lookup per attribute, and [`Synthesizer::render_object`] writes a
+//! question's text by copying the rendered values, building no
+//! [`Value`]. An attribute with more propositions is solved per tuple by
+//! the same solver. The error's proposition names are built only on
+//! failure.
 
 use crate::binding::Booleanizer;
 use crate::interference::AttrConstraints;
@@ -19,7 +27,7 @@ use crate::relation::{DataTuple, NestedObject};
 use crate::value::{AttrType, Value};
 use qhorn_core::{BoolTuple, Obj, VarId};
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Preferred values per attribute, tried before synthetic ones — e.g. real
 /// origins from the store's inventory, so examples look natural to users.
@@ -81,19 +89,92 @@ impl fmt::Display for SynthesisError {
 
 impl std::error::Error for SynthesisError {}
 
+/// Most propositions one attribute may carry for its truth patterns to be
+/// solved ahead into a table (2^8 = 256 patterns); an attribute with more
+/// is solved per tuple.
+pub const TABLE_PROPS: usize = 8;
+
 /// Synthesizes data tuples/objects from Boolean ones, inverting a
 /// [`Booleanizer`].
+///
+/// Built once per binding and hints: every attribute with at most
+/// [`TABLE_PROPS`] propositions has its value for each truth pattern of
+/// those propositions solved at construction, so realizing a tuple only
+/// looks each attribute's pattern up.
 #[derive(Clone, Debug)]
-pub struct Synthesizer<'a> {
-    bridge: &'a Booleanizer,
-    hints: &'a DomainHints,
+pub struct Synthesizer {
+    bridge: Booleanizer,
+    /// Per schema position, how the attribute's value is found.
+    attrs: Vec<Solved>,
 }
 
-impl<'a> Synthesizer<'a> {
-    /// A synthesizer over the given binding and hints.
+/// One attribute's values. Bit `j` of a pattern is the requested truth
+/// of the attribute's `j`-th proposition (in variable order).
+#[derive(Clone, Debug)]
+enum Solved {
+    /// `cells[pattern]` indexes the attribute's distinct solved values
+    /// (and their texts), or is `None` when no value realizes the
+    /// pattern.
+    Table {
+        cells: Vec<Option<u16>>,
+        values: Vec<Value>,
+        /// Each value's `Display` text.
+        texts: Vec<String>,
+    },
+    /// Too many propositions to tabulate: solved for each tuple over
+    /// the attribute's hint pool.
+    PerTuple { hints: Vec<Value> },
+}
+
+// A table of `TABLE_PROPS` propositions has at most `2^TABLE_PROPS`
+// distinct values, each indexed by a `u16`.
+const _: () = assert!(1 << TABLE_PROPS <= 1 << 16);
+
+impl Synthesizer {
+    /// A synthesizer over the given binding and hints, with every
+    /// tabulable attribute's patterns solved.
     #[must_use]
-    pub fn new(bridge: &'a Booleanizer, hints: &'a DomainHints) -> Self {
-        Synthesizer { bridge, hints }
+    pub fn new(bridge: &Booleanizer, hints: &DomainHints) -> Self {
+        let schema = bridge.schema();
+        let attrs: Vec<Solved> = schema
+            .attrs()
+            .iter()
+            .enumerate()
+            .map(|(a, attr)| {
+                let pool = hints.get(&attr.name);
+                let k = bridge.props_on(a).len();
+                if k > TABLE_PROPS {
+                    return Solved::PerTuple {
+                        hints: pool.to_vec(),
+                    };
+                }
+                let mut values: Vec<Value> = Vec::new();
+                let cells = (0..1usize << k)
+                    .map(|pattern| {
+                        let value = if k == 0 {
+                            Some(default_value(pool, attr.ty))
+                        } else {
+                            solve(bridge, a, pool, |j| pattern >> j & 1 == 1)
+                        }?;
+                        let i = values.iter().position(|v| *v == value).unwrap_or_else(|| {
+                            values.push(value);
+                            values.len() - 1
+                        });
+                        Some(i as u16)
+                    })
+                    .collect();
+                let texts = values.iter().map(Value::to_string).collect();
+                Solved::Table {
+                    cells,
+                    values,
+                    texts,
+                }
+            })
+            .collect();
+        Synthesizer {
+            bridge: bridge.clone(),
+            attrs,
+        }
     }
 
     /// Synthesizes one data tuple whose Boolean abstraction is exactly
@@ -107,31 +188,9 @@ impl<'a> Synthesizer<'a> {
     /// Panics if `bt`'s arity differs from the binding's.
     pub fn synthesize_tuple(&self, bt: &BoolTuple) -> Result<DataTuple, SynthesisError> {
         assert_eq!(bt.arity(), self.bridge.n(), "arity mismatch");
-        let props = self.bridge.props();
-        let wanted = |i: usize| bt.get(VarId(i as u16));
-        let schema = self.bridge.schema();
-        let mut values: Vec<Value> = Vec::with_capacity(schema.arity());
-        for (idx, attr) in schema.attrs().iter().enumerate() {
-            let on_attr = self.bridge.props_on(idx);
-            let value = if on_attr.is_empty() {
-                self.default_value(&attr.name, attr.ty)
-            } else {
-                let mut constraints = AttrConstraints::new();
-                for &i in on_attr {
-                    constraints.add(props[i].cmp, &props[i].rhs, wanted(i));
-                }
-                constraints
-                    .solve(self.hints.get(&attr.name))
-                    .ok_or_else(|| SynthesisError {
-                        attr: attr.name.clone(),
-                        constraints: on_attr
-                            .iter()
-                            .map(|&i| (props[i].name.clone(), wanted(i)))
-                            .collect(),
-                    })?
-            };
-            values.push(value);
-        }
+        let values = (0..self.attrs.len())
+            .map(|a| self.attr_value(a, bt))
+            .collect::<Result<Vec<Value>, SynthesisError>>()?;
         debug_assert_eq!(
             self.bridge
                 .booleanize_tuple(&DataTuple::new(values.clone()))
@@ -157,15 +216,117 @@ impl<'a> Synthesizer<'a> {
         Ok(NestedObject::new(object_attrs, tuples?))
     }
 
-    fn default_value(&self, attr: &str, ty: AttrType) -> Value {
-        if let Some(v) = self.hints.get(attr).first() {
-            return v.clone();
+    /// The text of the object [`Synthesizer::synthesize_object`] builds
+    /// from `obj` (its [`NestedObject`] `Display`), given the text of its
+    /// object attributes, without building it: each tabled value's text
+    /// was rendered once, at construction.
+    ///
+    /// # Errors
+    /// The [`SynthesisError`] `synthesize_object` would return.
+    ///
+    /// # Panics
+    /// Panics if `obj`'s arity differs from the binding's.
+    pub fn render_object(&self, obj: &Obj, object_attrs: &str) -> Result<String, SynthesisError> {
+        let mut out = String::from(object_attrs);
+        out.push_str(" ⟨");
+        for (i, bt) in obj.tuples().iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            assert_eq!(bt.arity(), self.bridge.n(), "arity mismatch");
+            out.push('(');
+            for a in 0..self.attrs.len() {
+                if a > 0 {
+                    out.push_str(", ");
+                }
+                match self.lookup(a, bt)? {
+                    Found::Tabled(_, text) => out.push_str(text),
+                    Found::Solved(v) => {
+                        let _ = write!(out, "{v}");
+                    }
+                }
+            }
+            out.push(')');
         }
-        match ty {
-            AttrType::Bool => Value::Bool(false),
-            AttrType::Int => Value::Int(0),
-            AttrType::Str => Value::str("unspecified"),
-        }
+        out.push('⟩');
+        Ok(out)
+    }
+
+    /// The value synthesis gives the attribute at schema position
+    /// `attr` for `bt`: looked up in its table, or solved for `bt` when
+    /// it carries more than [`TABLE_PROPS`] propositions.
+    ///
+    /// # Errors
+    /// [`SynthesisError`] when no value of the attribute realizes `bt`'s
+    /// pattern of its propositions.
+    pub fn attr_value(&self, attr: usize, bt: &BoolTuple) -> Result<Value, SynthesisError> {
+        Ok(match self.lookup(attr, bt)? {
+            Found::Tabled(value, _) => value.clone(),
+            Found::Solved(value) => value,
+        })
+    }
+
+    fn lookup(&self, a: usize, bt: &BoolTuple) -> Result<Found<'_>, SynthesisError> {
+        let on = self.bridge.props_on(a);
+        let trues = bt.true_set();
+        let wanted = |j: usize| trues.contains(VarId(on[j] as u16));
+        let found = match &self.attrs[a] {
+            Solved::Table {
+                cells,
+                values,
+                texts,
+            } => {
+                let pattern = (0..on.len()).fold(0usize, |p, j| p | usize::from(wanted(j)) << j);
+                cells[pattern]
+                    .map(|i| Found::Tabled(&values[usize::from(i)], &texts[usize::from(i)]))
+            }
+            Solved::PerTuple { hints } => solve(&self.bridge, a, hints, wanted).map(Found::Solved),
+        };
+        found.ok_or_else(|| SynthesisError {
+            attr: self.bridge.schema().attrs()[a].name.clone(),
+            constraints: on
+                .iter()
+                .enumerate()
+                .map(|(j, &i)| (self.bridge.props()[i].name.clone(), wanted(j)))
+                .collect(),
+        })
+    }
+}
+
+/// An attribute's value for one tuple.
+enum Found<'s> {
+    /// From the attribute's table, with its text.
+    Tabled(&'s Value, &'s str),
+    /// Solved for this tuple.
+    Solved(Value),
+}
+
+/// The one solver: a value of attribute `a` under which its `j`-th
+/// proposition is `wanted(j)`, preferring `hints`.
+fn solve(
+    bridge: &Booleanizer,
+    a: usize,
+    hints: &[Value],
+    wanted: impl Fn(usize) -> bool,
+) -> Option<Value> {
+    let props = bridge.props();
+    let mut constraints = AttrConstraints::new();
+    for (j, &i) in bridge.props_on(a).iter().enumerate() {
+        constraints.add(props[i].cmp, &props[i].rhs, wanted(j));
+    }
+    constraints.solve(hints)
+}
+
+/// The value of an attribute no proposition constrains: its first hint,
+/// else a fixed value of its type.
+fn default_value(hints: &[Value], ty: AttrType) -> Value {
+    if let Some(v) = hints.first() {
+        return v.clone();
+    }
+    match ty {
+        AttrType::Bool => Value::Bool(false),
+        AttrType::Int => Value::Int(0),
+        AttrType::Str => Value::str("unspecified"),
     }
 }
 
@@ -207,6 +368,25 @@ mod tests {
             .unwrap();
         assert_eq!(data.tuples.len(), 2);
         assert_eq!(b.booleanize_object(&data).unwrap(), obj);
+    }
+
+    #[test]
+    fn renders_the_object_it_synthesizes() {
+        let b = bridge();
+        let hints = chocolates::hints();
+        let synth = Synthesizer::new(&b, &hints);
+        let attrs = DataTuple::new([Value::str("Example Box")]);
+        let objects = ["111", "111 011", "000 001 010 100"].map(Obj::from_bits);
+        for obj in objects.iter().chain([&Obj::empty(3)]) {
+            assert_eq!(
+                synth.render_object(obj, &attrs.to_string()),
+                Ok(synth
+                    .synthesize_object(obj, attrs.clone())
+                    .unwrap()
+                    .to_string()),
+                "{obj}"
+            );
+        }
     }
 
     #[test]

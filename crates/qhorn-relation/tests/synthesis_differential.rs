@@ -1,15 +1,21 @@
 //! Differential test: the synthesizer against independent references.
 //!
 //! Bindings: generated sweep datasets at arities 1–64 (Bool/Int/Str
-//! attributes), plus hand-built interfering ones — `pm`/`pb` both on
-//! `origin`, and nested `cocoa ≥` ranges. Patterns: random Boolean
-//! tuples, and every tuple of every question a role-preserving learner
-//! asks over each binding. For each pattern:
-//! * a realizable one must synthesize a tuple that [`naive_eval`] (the
-//!   generator's reference evaluator, sharing no code with the binding)
-//!   maps back to the same bits;
-//! * an unrealizable one must fail with the same [`SynthesisError`] as
-//!   [`reference_error`], a straight attributes × propositions scan.
+//! attributes), hand-built interfering ones — `pm`/`pb` both on
+//! `origin`, and nested `cocoa ≥` ranges — and one that crowds more than
+//! [`TABLE_PROPS`] propositions onto single attributes, so their values
+//! are solved per tuple instead of looked up. For each binding:
+//! * every truth pattern of every attribute's propositions gets the
+//!   value, or the error, that [`reference_value`] — a fresh
+//!   [`AttrConstraints`] solve — gives it;
+//! * random Boolean tuples, and every tuple of every question a
+//!   role-preserving learner asks, synthesize exactly the tuple of
+//!   [`reference_tuple`]; a realizable one is one that [`naive_eval`]
+//!   (the generator's reference evaluator, sharing no code with the
+//!   binding) maps back to the same bits, and an unrealizable one fails
+//!   with the reference's [`SynthesisError`];
+//! * the text of every question the learner asks is [`render`] of the
+//!   reference object, or the reference's error.
 
 use qhorn_core::learn::{learn_role_preserving, LearnOptions};
 use qhorn_core::oracle::FnOracle;
@@ -20,44 +26,83 @@ use qhorn_relation::datasets::chocolates;
 use qhorn_relation::generate::{generate_dataset, naive_eval, sweep, GenRng};
 use qhorn_relation::interference::AttrConstraints;
 use qhorn_relation::proposition::{Cmp, Proposition};
+use qhorn_relation::relation::{DataTuple, NestedObject};
 use qhorn_relation::schema::{Attr, FlatSchema};
-use qhorn_relation::synthesize::{DomainHints, SynthesisError, Synthesizer};
+use qhorn_relation::synthesize::{DomainHints, SynthesisError, Synthesizer, TABLE_PROPS};
 use qhorn_relation::value::{AttrType, Value};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write;
 
 /// Random patterns tried per binding, besides the learner's.
 const RANDOM_PATTERNS: usize = 200;
 
-/// The error synthesis must report for `bt`, or `None` when `bt` is
-/// realizable: the first attribute, in schema order, whose propositions
-/// (in variable order) admit no value.
-fn reference_error(
+/// Attributes with more propositions than this have a random sample of
+/// their patterns checked, not all of them.
+const ALL_PATTERNS_UP_TO: usize = 12;
+
+/// The value synthesis must give attribute `a` for `bt`: its first hint
+/// (else a fixed value of its type) when no proposition is on it, else a
+/// value solving the conjunction of its propositions (in variable order)
+/// with `bt`'s signs, or the error naming them.
+fn reference_value(
+    bridge: &Booleanizer,
+    hints: &DomainHints,
+    a: usize,
+    bt: &BoolTuple,
+) -> Result<Value, SynthesisError> {
+    let attr = &bridge.schema().attrs()[a];
+    let pool = hints
+        .entries()
+        .find(|(name, _)| *name == attr.name)
+        .map_or(&[][..], |(_, values)| values);
+    let mut constraints = AttrConstraints::new();
+    let mut involved = Vec::new();
+    for (i, p) in bridge.props().iter().enumerate() {
+        if p.attr == attr.name {
+            let wanted = bt.get(VarId(i as u16));
+            constraints.add(p.cmp, &p.rhs, wanted);
+            involved.push((p.name.clone(), wanted));
+        }
+    }
+    if involved.is_empty() {
+        return Ok(pool.first().cloned().unwrap_or(match attr.ty {
+            AttrType::Bool => Value::Bool(false),
+            AttrType::Int => Value::Int(0),
+            AttrType::Str => Value::str("unspecified"),
+        }));
+    }
+    constraints.solve(pool).ok_or_else(|| SynthesisError {
+        attr: attr.name.clone(),
+        constraints: involved,
+    })
+}
+
+/// The tuple synthesis must build for `bt`, or the error it must report:
+/// that of the first attribute, in schema order, that admits no value.
+fn reference_tuple(
     bridge: &Booleanizer,
     hints: &DomainHints,
     bt: &BoolTuple,
-) -> Option<SynthesisError> {
-    for attr in bridge.schema().attrs() {
-        let mut constraints = AttrConstraints::new();
-        let mut involved = Vec::new();
-        for (i, p) in bridge.props().iter().enumerate() {
-            if p.attr == attr.name {
-                let wanted = bt.get(VarId(i as u16));
-                constraints.add(p.cmp, &p.rhs, wanted);
-                involved.push((p.name.clone(), wanted));
-            }
+) -> Result<DataTuple, SynthesisError> {
+    (0..bridge.schema().arity())
+        .map(|a| reference_value(bridge, hints, a, bt))
+        .collect::<Result<Vec<Value>, SynthesisError>>()
+        .map(DataTuple::new)
+}
+
+/// `attrs ⟨t1, t2, …⟩`, formatted value by value: how a question's text
+/// was written before the synthesizer rendered each value once.
+fn render(obj: &NestedObject) -> String {
+    let mut out = String::new();
+    let _ = write!(out, "{} ⟨", obj.attrs);
+    for (i, t) in obj.tuples.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
         }
-        let pool = hints
-            .entries()
-            .find(|(a, _)| *a == attr.name)
-            .map_or(&[][..], |(_, values)| values);
-        if !involved.is_empty() && constraints.solve(pool).is_none() {
-            return Some(SynthesisError {
-                attr: attr.name.clone(),
-                constraints: involved,
-            });
-        }
+        let _ = write!(out, "{t}");
     }
-    None
+    out.push('⟩');
+    out
 }
 
 /// A complete role-preserving target over `n` variables: a quarter of
@@ -91,21 +136,21 @@ fn target(n: u16, rng: &mut GenRng) -> Query {
     q
 }
 
-/// Every distinct tuple of every question a role-preserving learner asks
-/// when its user answers from a target over `n` variables.
-fn learner_patterns(n: u16, rng: &mut GenRng) -> BTreeSet<BoolTuple> {
+/// Every question a role-preserving learner asks when its user answers
+/// from a target over `n` variables.
+fn learner_questions(n: u16, rng: &mut GenRng) -> Vec<Obj> {
     let target = target(n, rng);
-    let mut patterns = BTreeSet::new();
+    let mut questions = Vec::new();
     learn_role_preserving(
         n,
         &mut FnOracle(|q: &Obj| {
-            patterns.extend(q.tuples().iter().cloned());
+            questions.push(q.clone());
             target.eval(q)
         }),
         &LearnOptions::default(),
     )
     .expect("the learner reaches its target");
-    patterns
+    questions
 }
 
 fn random_pattern(n: u16, rng: &mut GenRng) -> BoolTuple {
@@ -113,41 +158,81 @@ fn random_pattern(n: u16, rng: &mut GenRng) -> BoolTuple {
     BoolTuple::from_true_set(n, trues)
 }
 
-/// Checks every pattern against both references; returns how many were
-/// unrealizable.
+/// Checks every attribute's patterns against [`reference_value`], then
+/// every tuple pattern and learner question against the references;
+/// returns how many tuple patterns were unrealizable.
 fn check_binding(label: &str, bridge: &Booleanizer, hints: &DomainHints, seed: u64) -> usize {
     let n = bridge.n();
-    let mut rng = GenRng::new(seed);
-    let mut patterns = learner_patterns(n, &mut rng);
-    patterns.extend((0..RANDOM_PATTERNS).map(|_| random_pattern(n, &mut rng)));
     let synth = Synthesizer::new(bridge, hints);
     let schema = bridge.schema();
+    let mut rng = GenRng::new(seed);
+    for (a, attr) in schema.attrs().iter().enumerate() {
+        let on: Vec<u16> = (0..n)
+            .filter(|&i| bridge.props()[usize::from(i)].attr == attr.name)
+            .collect();
+        let patterns: Vec<u64> = if on.len() <= ALL_PATTERNS_UP_TO {
+            (0..1u64 << on.len()).collect()
+        } else {
+            (0..1 << ALL_PATTERNS_UP_TO)
+                .map(|_| rng.next_u64())
+                .collect()
+        };
+        for pattern in patterns {
+            let trues: VarSet = on
+                .iter()
+                .enumerate()
+                .filter(|&(j, _)| pattern >> j & 1 == 1)
+                .map(|(_, &i)| VarId(i))
+                .collect();
+            let bt = BoolTuple::from_true_set(n, trues);
+            assert_eq!(
+                synth.attr_value(a, &bt),
+                reference_value(bridge, hints, a, &bt),
+                "{label}: attribute {} under {bt}",
+                attr.name
+            );
+        }
+    }
+    let questions = learner_questions(n, &mut rng);
+    let mut patterns: BTreeSet<BoolTuple> = questions
+        .iter()
+        .flat_map(|q| q.tuples().iter().cloned())
+        .collect();
+    patterns.extend((0..RANDOM_PATTERNS).map(|_| random_pattern(n, &mut rng)));
     let mut unrealizable = 0;
-    for bt in &patterns {
-        match synth.synthesize_tuple(bt) {
+    let mut references = BTreeMap::new();
+    for bt in patterns {
+        let synthesized = synth.synthesize_tuple(&bt);
+        let reference = reference_tuple(bridge, hints, &bt);
+        assert_eq!(synthesized, reference, "{label}: {bt}");
+        match &synthesized {
             Ok(tuple) => {
-                assert_eq!(
-                    reference_error(bridge, hints, bt),
-                    None,
-                    "{label}: {bt} synthesized"
-                );
                 for (i, p) in bridge.props().iter().enumerate() {
                     assert_eq!(
-                        naive_eval(p, &tuple, schema),
+                        naive_eval(p, tuple, schema),
                         Some(bt.get(VarId(i as u16))),
                         "{label}: {bt} realized as {tuple}, wrong for {p}"
                     );
                 }
             }
-            Err(err) => {
-                unrealizable += 1;
-                assert_eq!(
-                    Some(err),
-                    reference_error(bridge, hints, bt),
-                    "{label}: {bt}"
-                );
-            }
+            Err(_) => unrealizable += 1,
         }
+        references.insert(bt, reference);
+    }
+    let attrs = DataTuple::new([Value::str("example box")]);
+    let attrs_text = attrs.to_string();
+    for q in &questions {
+        let reference = q
+            .tuples()
+            .iter()
+            .map(|bt| references[bt].clone())
+            .collect::<Result<Vec<DataTuple>, SynthesisError>>()
+            .map(|tuples| render(&NestedObject::new(attrs.clone(), tuples)));
+        assert_eq!(
+            synth.render_object(q, &attrs_text),
+            reference,
+            "{label}: {q}"
+        );
     }
     unrealizable
 }
@@ -208,6 +293,68 @@ fn interfering_bindings_fail_exactly_where_the_reference_does() {
         ),
     ] {
         let unrealizable = check_binding(label, bridge, &hints, 7);
+        assert!(unrealizable > 0, "{label}: no pattern hit the interference");
+    }
+}
+
+#[test]
+fn crowded_attributes_are_solved_per_tuple() {
+    // Ten propositions on `cocoa` and nine on `origin`, more than a
+    // table holds; `isDark` keeps one.
+    let mut props: Vec<Proposition> = (0..5)
+        .map(|k| Proposition::new(&format!("ge{k}"), "cocoa", Cmp::Ge, Value::Int(20 * k)))
+        .collect();
+    props.extend([
+        Proposition::new("lt90", "cocoa", Cmp::Lt, Value::Int(90)),
+        Proposition::new("le35", "cocoa", Cmp::Le, Value::Int(35)),
+        Proposition::new("gt50", "cocoa", Cmp::Gt, Value::Int(50)),
+        Proposition::eq("is70", "cocoa", Value::Int(70)),
+        Proposition::new("not30", "cocoa", Cmp::Ne, Value::Int(30)),
+        Proposition::is_true("dark", "isDark"),
+    ]);
+    props.extend(
+        [
+            "Belgium",
+            "Madagascar",
+            "Peru",
+            "Ghana",
+            "Ecuador",
+            "Sweden",
+            "Italy",
+            "Spain",
+        ]
+        .map(|o| Proposition::eq(&format!("o_{o}"), "origin", Value::str(o))),
+    );
+    props.push(Proposition::new(
+        "not_peru",
+        "origin",
+        Cmp::Ne,
+        Value::str("Peru"),
+    ));
+    let bridge = Booleanizer::new(
+        FlatSchema::new([
+            Attr::new("cocoa", AttrType::Int),
+            Attr::new("isDark", AttrType::Bool),
+            Attr::new("origin", AttrType::Str),
+        ])
+        .expect("distinct names"),
+        props,
+    )
+    .expect("valid binding");
+    for attr in ["cocoa", "origin"] {
+        let on = bridge.props().iter().filter(|p| p.attr == attr).count();
+        assert!(on > TABLE_PROPS, "{attr}: {on} propositions fit a table");
+    }
+    for (label, hints) in [
+        ("crowded", DomainHints::none()),
+        (
+            "crowded+hints",
+            DomainHints::none()
+                .with("cocoa", vec![Value::Int(70), Value::Int(10)])
+                .with("origin", vec![Value::str("Peru"), Value::str("Chile")]),
+        ),
+    ] {
+        let unrealizable = check_binding(label, &bridge, &hints, 3);
         assert!(unrealizable > 0, "{label}: no pattern hit the interference");
     }
 }

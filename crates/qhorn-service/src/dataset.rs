@@ -15,7 +15,7 @@ use crate::error::ServiceError;
 use qhorn_engine::DataStore;
 use qhorn_lockdep::{LockClass, OrderedMutex};
 use qhorn_relation::datasets::{cellars, chocolates};
-use qhorn_relation::synthesize::DomainHints;
+use qhorn_relation::synthesize::{DomainHints, Synthesizer};
 use qhorn_relation::DatasetDef;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -143,7 +143,8 @@ qhorn_json::wire! {
     }
 }
 
-/// A dataset ready to serve sessions: the built store plus hints.
+/// A dataset ready to serve sessions: the built store, its hints and
+/// its synthesizer.
 #[derive(Clone)]
 pub struct BuiltDataset {
     /// The booleanized store, shared across sessions and restores.
@@ -151,9 +152,27 @@ pub struct BuiltDataset {
     /// Synthesis hints for natural-looking examples, shared like the
     /// store: sessions and evaluations take the `Arc`, never a copy.
     pub hints: Arc<DomainHints>,
+    /// The store's binding and hints solved into per-attribute tables
+    /// once, shared like the store: every session over the dataset
+    /// realizes its questions with this one copy.
+    pub synth: Arc<Synthesizer>,
     /// Serialized-definition size, counted against
     /// [`MAX_UPLOAD_TOTAL_BYTES`] (0 for built-ins).
     pub def_bytes: usize,
+}
+
+impl BuiltDataset {
+    /// Shares `store` and `hints`, building their synthesizer.
+    #[must_use]
+    pub fn new(store: DataStore, hints: DomainHints, def_bytes: usize) -> Self {
+        let synth = Synthesizer::new(store.bridge(), &hints);
+        BuiltDataset {
+            store: Arc::new(store),
+            hints: Arc::new(hints),
+            synth: Arc::new(synth),
+            def_bytes,
+        }
+    }
 }
 
 struct CachedBuiltin {
@@ -194,7 +213,7 @@ impl DatasetCatalog {
         }
     }
 
-    /// Resolves a dataset name to its built store and hints. Uploaded
+    /// Resolves a dataset name to its built dataset. Uploaded
     /// datasets resolve by name (their contents are fixed; `size` is
     /// still validated but otherwise ignored, as for `"fig1"`); built-in
     /// names build at `size` on first use and share the cached store
@@ -202,14 +221,10 @@ impl DatasetCatalog {
     ///
     /// # Errors
     /// [`ServiceError::InvalidSize`], [`ServiceError::UnknownDataset`].
-    pub fn get(
-        &self,
-        name: &str,
-        size: usize,
-    ) -> Result<(Arc<DataStore>, Arc<DomainHints>), ServiceError> {
+    pub fn get(&self, name: &str, size: usize) -> Result<BuiltDataset, ServiceError> {
         validate_size(size)?;
         if let Some(built) = self.uploads.lock_recover().get(name) {
-            return Ok((Arc::clone(&built.store), Arc::clone(&built.hints)));
+            return Ok(built.clone());
         }
         if !NAMES.contains(&name) {
             return Err(ServiceError::UnknownDataset(name.to_string()));
@@ -220,25 +235,18 @@ impl DatasetCatalog {
             let mut cache = self.builtins.lock_recover();
             if let Some(cached) = cache.get_mut(&key) {
                 cached.touched = stamp;
-                return Ok((
-                    Arc::clone(&cached.built.store),
-                    Arc::clone(&cached.built.hints),
-                ));
+                return Ok(cached.built.clone());
             }
         }
         // Build outside the cache lock: a large build must not block
         // other sessions resolving already-cached datasets.
         let (store, hints) = build(name, size)?;
         let objects = store.boolean().len();
-        let built = BuiltDataset {
-            store: Arc::new(store),
-            hints: Arc::new(hints),
-            def_bytes: 0,
-        };
+        let built = BuiltDataset::new(store, hints, 0);
         if objects > BUILTIN_CACHE_OBJECT_BUDGET {
             // Too big to pin: serve it per-request, like pre-catalog
             // builds (it dies with the sessions holding the Arc).
-            return Ok((built.store, built.hints));
+            return Ok(built);
         }
         let mut cache = self.builtins.lock_recover();
         let entry = cache.entry(key.clone()).or_insert(CachedBuiltin {
@@ -247,10 +255,7 @@ impl DatasetCatalog {
             touched: stamp,
         });
         entry.touched = stamp;
-        let result = (
-            Arc::clone(&entry.built.store),
-            Arc::clone(&entry.built.hints),
-        );
+        let result = entry.built.clone();
         // Bound by entry count AND total pinned objects (actual built
         // counts — size-ignoring datasets build far fewer than asked);
         // never evict the entry just inserted (it fits the budget by the
@@ -319,11 +324,7 @@ impl DatasetCatalog {
             .map_err(|e| ServiceError::InvalidDataset(e.to_string()))?;
         let store = DataStore::from_relation(def.relation.clone(), bridge)
             .map_err(|e| ServiceError::InvalidDataset(e.to_string()))?;
-        Ok(BuiltDataset {
-            store: Arc::new(store),
-            hints: Arc::new(def.hints.clone()),
-            def_bytes,
-        })
+        Ok(BuiltDataset::new(store, def.hints.clone(), def_bytes))
     }
 
     /// Installs a prepared upload under `name`. Last write wins — the
@@ -437,10 +438,10 @@ mod tests {
     #[test]
     fn builtin_stores_are_shared_per_size() {
         let catalog = DatasetCatalog::new();
-        let (a, _) = catalog.get("chocolates", 12).unwrap();
-        let (b, _) = catalog.get("chocolates", 12).unwrap();
+        let a = catalog.get("chocolates", 12).unwrap().store;
+        let b = catalog.get("chocolates", 12).unwrap().store;
         assert!(Arc::ptr_eq(&a, &b), "same size shares one store");
-        let (c, _) = catalog.get("chocolates", 13).unwrap();
+        let c = catalog.get("chocolates", 13).unwrap().store;
         assert!(!Arc::ptr_eq(&a, &c), "different sizes differ");
         assert_eq!(c.boolean().len(), 13);
     }
@@ -448,7 +449,7 @@ mod tests {
     #[test]
     fn builtin_cache_is_bounded() {
         let catalog = DatasetCatalog::new();
-        let (first, _) = catalog.get("fig1", 1).unwrap();
+        let first = catalog.get("fig1", 1).unwrap().store;
         for size in 2..(BUILTIN_CACHE_CAP + 3) {
             catalog.get("fig1", size).unwrap();
         }
@@ -457,7 +458,7 @@ mod tests {
             "cache stays bounded"
         );
         // The evicted entry rebuilds rather than erroring.
-        let (again, _) = catalog.get("fig1", 1).unwrap();
+        let again = catalog.get("fig1", 1).unwrap().store;
         assert!(
             !Arc::ptr_eq(&first, &again),
             "size 1 was evicted and rebuilt"
@@ -468,14 +469,14 @@ mod tests {
     fn oversized_builtin_builds_are_served_uncached() {
         let catalog = DatasetCatalog::new();
         let big = BUILTIN_CACHE_OBJECT_BUDGET + 1;
-        let (a, _) = catalog.get("chocolates", big).unwrap();
-        let (b, _) = catalog.get("chocolates", big).unwrap();
+        let a = catalog.get("chocolates", big).unwrap().store;
+        let b = catalog.get("chocolates", big).unwrap().store;
         assert!(!Arc::ptr_eq(&a, &b), "over-budget builds are not pinned");
         assert!(catalog.builtins.lock().unwrap().is_empty());
         // The budget charges *actual* objects: `fig1` ignores the size
         // and builds two, so the same huge request caches fine.
-        let (a, _) = catalog.get("fig1", big).unwrap();
-        let (b, _) = catalog.get("fig1", big).unwrap();
+        let a = catalog.get("fig1", big).unwrap().store;
+        let b = catalog.get("fig1", big).unwrap().store;
         assert!(Arc::ptr_eq(&a, &b), "tiny actual builds stay cached");
     }
 
@@ -518,7 +519,7 @@ mod tests {
         let catalog = DatasetCatalog::new();
         let built = catalog.prepare(&upload_def("my-shop")).unwrap();
         catalog.install("my-shop", built);
-        let (store, _) = catalog.get("my-shop", DEFAULT_SIZE).unwrap();
+        let store = catalog.get("my-shop", DEFAULT_SIZE).unwrap().store;
         assert_eq!(store.boolean().len(), 2, "fig1 boxes uploaded");
         // Listed after the built-ins, with fixed object count.
         let list = catalog.list();

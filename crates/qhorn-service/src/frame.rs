@@ -4,8 +4,10 @@
 //! the connection's whole life. Frames are taken off the front of the
 //! buffer by advancing a consumed offset, so a frame costs no copy and
 //! no allocation; the consumed prefix is dropped (and the unread tail
-//! moved to the front) only before the next socket read. Three frame
-//! shapes cover every framing the crate speaks:
+//! moved to the front) only before the next socket read. The buffer's
+//! bytes are zeroed once, when it grows: a read lands in bytes an
+//! earlier read already initialized. Three frame shapes cover every
+//! framing the crate speaks:
 //!
 //! - [`FrameReader::line`] — a `\n`-terminated line (JSON-lines
 //!   requests and replies, HTTP chunk-size lines and trailers);
@@ -51,9 +53,11 @@ impl From<Short> for ServiceError {
 /// One connection's socket and read buffer.
 pub(crate) struct FrameReader<'s> {
     stream: TcpStream,
-    /// Bytes read so far; `buf[start..]` is not yet consumed.
+    /// `buf[start..end]` is read and not yet consumed; `buf[end..]` is
+    /// initialized room for the next read.
     buf: Vec<u8>,
     start: usize,
+    end: usize,
     /// The server's stop flag, polled before every read.
     stop: Option<&'s AtomicBool>,
 }
@@ -65,6 +69,7 @@ impl<'s> FrameReader<'s> {
             stream,
             buf: Vec::new(),
             start: 0,
+            end: 0,
             stop,
         }
     }
@@ -79,7 +84,7 @@ impl<'s> FrameReader<'s> {
     pub(crate) fn line(&mut self, limit: usize) -> Result<&[u8], Short> {
         let mut scanned = 0;
         loop {
-            let pending = &self.buf[self.start..];
+            let pending = &self.buf[self.start..self.end];
             if let Some(i) = pending[scanned..].iter().position(|&b| b == b'\n') {
                 return Ok(self.take(scanned + i, 1));
             }
@@ -96,7 +101,7 @@ impl<'s> FrameReader<'s> {
     pub(crate) fn head(&mut self, limit: usize) -> Result<&[u8], Short> {
         let mut scanned = 0;
         loop {
-            let pending = &self.buf[self.start..];
+            let pending = &self.buf[self.start..self.end];
             if let Some((len, terminator)) = head_end(pending, &mut scanned) {
                 return Ok(self.take(len, terminator));
             }
@@ -109,7 +114,7 @@ impl<'s> FrameReader<'s> {
 
     /// The next `len` bytes.
     pub(crate) fn exact(&mut self, len: usize) -> Result<&[u8], Short> {
-        while self.buf.len() - self.start < len {
+        while self.end - self.start < len {
             self.fill()?;
         }
         Ok(self.take(len, 0))
@@ -122,22 +127,30 @@ impl<'s> FrameReader<'s> {
         &self.buf[frame]
     }
 
-    /// One socket read onto the end of the buffer, after dropping the
-    /// consumed prefix. A server connection's read timeout returns with
-    /// nothing read, so the caller re-checks its frame and the stop flag.
+    /// One socket read onto the end of the unread bytes, after moving
+    /// them to the front of the buffer (a frame longer than one read is
+    /// moved once, not once per read). The buffer grows (zeroing the new
+    /// bytes) only when less than [`READ_CHUNK`] of room is left. A server
+    /// connection's read timeout returns with nothing read, so the caller
+    /// re-checks its frame and the stop flag.
     fn fill(&mut self) -> Result<(), Short> {
         if self.stop.is_some_and(|stop| stop.load(Ordering::SeqCst)) {
             return Err(Short::Closed);
         }
-        self.buf.drain(..self.start);
-        self.start = 0;
-        let end = self.buf.len();
-        self.buf.resize(end + READ_CHUNK, 0);
-        let read = self.stream.read(&mut self.buf[end..]);
-        self.buf.truncate(end + read.as_ref().map_or(0, |&n| n));
-        match read {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        if self.buf.len() < self.end + READ_CHUNK {
+            self.buf.resize(self.end + READ_CHUNK, 0);
+        }
+        match self.stream.read(&mut self.buf[self.end..]) {
             Ok(0) => Err(Short::Closed),
-            Ok(_) => Ok(()),
+            Ok(n) => {
+                self.end += n;
+                Ok(())
+            }
             Err(e)
                 if self.stop.is_some()
                     && matches!(
@@ -215,5 +228,46 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Frames shorter and longer than a read, sent in pieces that cut
+    /// them anywhere: each comes back whole, across compactions that
+    /// leave stale bytes past the unread ones and growths of the buffer.
+    #[test]
+    fn frames_survive_compaction_and_growth() {
+        use std::net::TcpListener;
+        let text = |n: usize| -> Vec<u8> { (0..n).map(|i| b'a' + (i % 26) as u8).collect() };
+        let lines: Vec<Vec<u8>> = [0, 1, 4095, 4096, 4097, 10_000, 3, 9000, 2]
+            .into_iter()
+            .map(text)
+            .collect();
+        let mut sent = Vec::new();
+        for line in &lines {
+            sent.extend_from_slice(line);
+            sent.push(b'\n');
+        }
+        sent.extend_from_slice(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n");
+        sent.extend_from_slice(&text(12_345));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let writer = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            for piece in sent.chunks(1_000 + 7) {
+                stream.write_all(piece).unwrap();
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        });
+        let (stream, _) = listener.accept().unwrap();
+        let mut reader = FrameReader::new(stream, None);
+        for line in &lines {
+            assert!(matches!(reader.line(1 << 20), Ok(l) if l == &line[..]));
+        }
+        assert!(matches!(
+            reader.head(1 << 20),
+            Ok(h) if h == b"GET / HTTP/1.1\r\nHost: x"
+        ));
+        assert!(matches!(reader.exact(12_345), Ok(b) if b == &text(12_345)[..]));
+        writer.join().unwrap();
+        assert!(matches!(reader.line(1 << 20), Err(Short::Closed)));
     }
 }

@@ -3,7 +3,8 @@
 //! [`Frontend`] is the whole lifecycle of a frontend: it binds the
 //! listener, starts an acceptor thread and a fixed pool of `workers`
 //! handler threads, and on [`Frontend::shutdown`] stops accepting,
-//! drains the workers and joins every thread. The acceptor hands each
+//! drains the workers, joins every thread and unregisters its pool's
+//! telemetry. The acceptor hands each
 //! accepted connection, stamped with its accept instant, to the workers
 //! through an `mpsc` channel whose receiver is shared behind a
 //! class-tagged [`OrderedMutex`]; at most `workers` connections are
@@ -52,6 +53,7 @@ pub(crate) struct Frontend {
     acceptor: JoinHandle<()>,
     workers: Vec<JoinHandle<()>>,
     registry: Arc<Registry>,
+    telemetry: Arc<PoolTelemetry>,
 }
 
 impl Frontend {
@@ -89,6 +91,7 @@ impl Frontend {
             .collect::<io::Result<Vec<_>>>()?;
 
         let accept_stop = Arc::clone(&stop);
+        let accept_telemetry = Arc::clone(&telemetry);
         let acceptor = Builder::new()
             .name(format!("{threads}-acceptor"))
             .spawn(move || {
@@ -99,7 +102,7 @@ impl Frontend {
                         break;
                     }
                     if let Ok(s) = stream {
-                        telemetry.enqueue();
+                        accept_telemetry.enqueue();
                         if conn_tx.send((s, Instant::now())).is_err() {
                             break;
                         }
@@ -121,6 +124,7 @@ impl Frontend {
             acceptor,
             workers: handles,
             registry,
+            telemetry,
         })
     }
 
@@ -134,7 +138,8 @@ impl Frontend {
         &self.registry
     }
 
-    /// Stops accepting, drains the workers, and joins every thread.
+    /// Stops accepting, drains the workers, joins every thread, and
+    /// unregisters the pool's telemetry.
     pub(crate) fn shutdown(self) {
         self.stop.store(true, Ordering::SeqCst);
         // Unblock the acceptor's blocking accept.
@@ -143,6 +148,7 @@ impl Frontend {
         for w in self.workers {
             let _ = w.join();
         }
+        self.registry.unregister_pool(&self.telemetry);
     }
 }
 

@@ -46,7 +46,6 @@ use qhorn_engine::session::{Dialogue, Exchange, LearnerKind, Step};
 use qhorn_engine::DataStore;
 use qhorn_json::{Json, ToJson};
 use qhorn_lockdep::{LockClass, OrderedMutex};
-use qhorn_relation::relation::NestedObject;
 use qhorn_relation::synthesize::DomainHints;
 use qhorn_relation::DatasetDef;
 use qhorn_store::{
@@ -54,7 +53,6 @@ use qhorn_store::{
     SyncSessionStore,
 };
 use std::collections::HashMap;
-use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime};
@@ -485,8 +483,8 @@ impl Registry {
     /// Dataset and store failures.
     pub fn create_session(&self, spec: CreateSpec) -> Result<(u64, StepOutcome), ServiceError> {
         self.maybe_sweep();
-        let (store, hints) = self.catalog.get(&spec.dataset, spec.size)?;
-        let mut dialogue = Dialogue::new(store, hints, Vec::new());
+        let built = self.catalog.get(&spec.dataset, spec.size)?;
+        let mut dialogue = Dialogue::new(built.store, built.synth, Vec::new());
         dialogue.learn(spec.learner, &learn_options(&spec));
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let created_bytes = self.log_append(&LogRecord::SessionCreated {
@@ -762,7 +760,8 @@ impl Registry {
         name: &str,
         size: usize,
     ) -> Result<(Arc<DataStore>, Arc<DomainHints>), ServiceError> {
-        self.catalog.get(name, size)
+        let built = self.catalog.get(name, size)?;
+        Ok((built.store, built.hints))
     }
 
     /// Registers a user-uploaded dataset: validated and built first,
@@ -840,6 +839,13 @@ impl Registry {
         let pool = Arc::new(PoolTelemetry::new(&label, workers));
         pools.push(Arc::clone(&pool));
         pool
+    }
+
+    /// Removes a pool [`Registry::register_pool`] returned, so a stopped
+    /// frontend leaves neither the health verdict nor the exported
+    /// `qhorn_pool_*` series; its label becomes free for a later pool.
+    pub fn unregister_pool(&self, pool: &Arc<PoolTelemetry>) {
+        self.pools.lock_recover().retain(|p| !Arc::ptr_eq(p, pool));
     }
 
     /// Every saturation signal at this instant.
@@ -1331,7 +1337,7 @@ impl Registry {
         // The catalog shares one built store per dataset: a restore no
         // longer pays a full `dataset::build` (measured in
         // `benches/service.rs`, `restore_from_snapshot`).
-        let (store, hints) = self.catalog.get(&record.spec.dataset, record.spec.size)?;
+        let built = self.catalog.get(&record.spec.dataset, record.spec.size)?;
         // Only answered questions keep their index: the durable log
         // records exactly those, so a question that was in flight at
         // eviction is asked again under the index it had.
@@ -1341,7 +1347,7 @@ impl Registry {
             state: SessionState::Learning,
             kind: record.kind,
             spec: record.spec,
-            dialogue: Dialogue::new(store, hints, snap.transcript),
+            dialogue: Dialogue::new(built.store, built.synth, snap.transcript),
             pending: None,
             asked,
             learned: snap.learned,
@@ -1434,8 +1440,8 @@ impl Registry {
                 );
                 let info = QuestionInfo {
                     question: realized.question().clone(),
-                    rendered: render(realized.object()),
                     from_store: realized.is_stored(),
+                    rendered: realized.into_text(),
                     // Index in user-visible question order.
                     index: entry.asked.len(),
                 };
@@ -1510,20 +1516,6 @@ impl Registry {
             }
         }
     }
-}
-
-/// `attrs ⟨t1, t2, …⟩`, written into one buffer.
-fn render(obj: &NestedObject) -> String {
-    let mut out = String::new();
-    let _ = write!(out, "{} ⟨", obj.attrs);
-    for (i, t) in obj.tuples.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "{t}");
-    }
-    out.push('⟩');
-    out
 }
 
 /// Maps the stored verdict code back to its wire name.

@@ -395,3 +395,44 @@ fn pool_telemetry_counts_every_connection_exactly() {
     lines.shutdown();
     http.shutdown();
 }
+
+/// A stopped frontend unregisters its pool: after a server over a shared
+/// registry shuts down, its pool is gone from `registry.health()` and
+/// from a live server's `GET /metrics`, while the two live servers keep
+/// the labels they registered under (`http`, `http-2`).
+#[test]
+fn a_stopped_frontend_leaves_health_and_metrics() {
+    let registry = Arc::new(Registry::open(RegistryConfig::default()).unwrap());
+    let first = HttpServer::start("127.0.0.1:0", Arc::clone(&registry), 1).unwrap();
+    let second = HttpServer::start("127.0.0.1:0", Arc::clone(&registry), 1).unwrap();
+    let lines = Server::start("127.0.0.1:0", Arc::clone(&registry), 1).unwrap();
+    let third = HttpServer::start("127.0.0.1:0", Arc::clone(&registry), 1).unwrap();
+    let names = |registry: &Registry| -> Vec<String> {
+        registry
+            .health()
+            .saturation
+            .pools
+            .iter()
+            .map(|p| p.name.clone())
+            .collect()
+    };
+    assert_eq!(names(&registry), ["http", "http-2", "lines", "http-3"]);
+
+    lines.shutdown();
+    third.shutdown();
+    assert_eq!(names(&registry), ["http", "http-2"]);
+    let mut scraper = qhorn_service::http::HttpClient::connect(second.addr()).expect("connect");
+    let rows = parse_exposition(&scraper.scrape_metrics().expect("scrape"));
+    let mut labelled: Vec<&str> = rows
+        .iter()
+        .filter(|(n, _, _)| n == "qhorn_pool_workers")
+        .filter_map(|(_, labels, _)| label(labels, "pool"))
+        .collect();
+    labelled.sort_unstable();
+    assert_eq!(labelled, ["http", "http-2"]);
+    drop(scraper);
+
+    first.shutdown();
+    second.shutdown();
+    assert!(names(&registry).is_empty());
+}
