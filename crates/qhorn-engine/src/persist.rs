@@ -1,12 +1,12 @@
-//! JSON persistence for Boolean-domain stores, learned queries, and
-//! session snapshots.
+//! JSON persistence for Boolean-domain stores and learned queries, plus
+//! the wire encodings of a session's parts.
 //!
 //! Learned queries and labeled example stores are the durable artifacts of
 //! a DataPlay-style session; this module serializes both so sessions can
-//! resume and learned queries can be shipped to other systems. Session
-//! snapshots ([`SessionSnapshot`]) capture a session's transcript and
-//! learned query so an evicted session can later be restored and replayed
-//! (`qhorn-service` uses this for TTL eviction).
+//! resume and learned queries can be shipped to other systems. It also
+//! encodes transcript [`Exchange`]s, [`LearnerKind`]s and `Correct`
+//! index pairs ([`corrections`]), the pieces `qhorn-store`'s log records
+//! and session snapshots are built from.
 
 use crate::session::{Exchange, LearnerKind};
 use crate::storage::Store;
@@ -98,29 +98,6 @@ pub fn query_from_json(json: &str) -> Result<Query, PersistError> {
     Ok(qhorn_json::from_str(json)?)
 }
 
-/// A durable image of an interactive session: the answered transcript plus
-/// the learned query, if any. Restoring a snapshot replays the transcript
-/// (via [`crate::session::Session::with_transcript`] and the replay
-/// oracle), so only genuinely new questions reach the user again.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SessionSnapshot {
-    /// The answered (question, from_store, response) exchanges, in order.
-    pub transcript: Vec<Exchange>,
-    /// The learned query, when the session had completed learning.
-    pub learned: Option<Query>,
-}
-
-impl SessionSnapshot {
-    /// A snapshot from transcript parts.
-    #[must_use]
-    pub fn new(transcript: Vec<Exchange>, learned: Option<Query>) -> Self {
-        SessionSnapshot {
-            transcript,
-            learned,
-        }
-    }
-}
-
 qhorn_json::wire! {
     struct Exchange { question: Obj, from_store: bool, response: Response }
 }
@@ -141,10 +118,6 @@ impl FromJson for LearnerKind {
         LearnerKind::from_wire(&name)
             .ok_or_else(|| JsonError::msg(format!("unknown learner `{name}`")))
     }
-}
-
-qhorn_json::wire! {
-    struct SessionSnapshot { transcript: Vec<Exchange>, learned: Option<Query> }
 }
 
 /// `[with = corrections]`: `(transcript index, corrected label)` pairs as
@@ -196,39 +169,6 @@ pub mod corrections {
             })
             .collect()
     }
-}
-
-/// Serializes a session snapshot.
-///
-/// # Errors
-/// [`PersistError::Json`] if serialization fails (it cannot for snapshots).
-pub fn session_to_json(snapshot: &SessionSnapshot) -> Result<String, PersistError> {
-    Ok(qhorn_json::to_string_pretty(snapshot))
-}
-
-/// Deserializes a session snapshot; all questions must share one arity.
-///
-/// # Errors
-/// [`PersistError`] on malformed JSON or mixed question arities.
-pub fn session_from_json(json: &str) -> Result<SessionSnapshot, PersistError> {
-    let snap: SessionSnapshot = qhorn_json::from_str(json)?;
-    let mut arities = snap.transcript.iter().map(|e| e.question.arity());
-    if let Some(first) = arities.next() {
-        if arities.any(|a| a != first) {
-            return Err(PersistError::Corrupt(
-                "mixed question arities in transcript".into(),
-            ));
-        }
-        if let Some(q) = &snap.learned {
-            if q.arity() != first {
-                return Err(PersistError::Corrupt(format!(
-                    "learned query arity {} ≠ transcript arity {first}",
-                    q.arity()
-                )));
-            }
-        }
-    }
-    Ok(snap)
 }
 
 #[cfg(test)]
@@ -289,42 +229,5 @@ mod tests {
         }
         let err = query_from_json("{}").unwrap_err();
         assert!(err.to_string().contains("json"));
-    }
-
-    #[test]
-    fn session_snapshot_round_trips() {
-        let snap = SessionSnapshot::new(
-            vec![
-                Exchange {
-                    question: Obj::from_bits("110 011"),
-                    from_store: true,
-                    response: qhorn_core::Response::Answer,
-                },
-                Exchange {
-                    question: Obj::from_bits("000"),
-                    from_store: false,
-                    response: qhorn_core::Response::NonAnswer,
-                },
-            ],
-            Some(parse_with_arity("all x1 -> x2", 3).unwrap()),
-        );
-        let json = session_to_json(&snap).unwrap();
-        let loaded = session_from_json(&json).unwrap();
-        assert_eq!(loaded, snap);
-    }
-
-    #[test]
-    fn session_snapshot_rejects_mixed_arities() {
-        let json = r#"{
-            "transcript": [
-                {"question": {"n": 2, "tuples": []}, "from_store": false, "response": "Answer"},
-                {"question": {"n": 3, "tuples": []}, "from_store": false, "response": "Answer"}
-            ],
-            "learned": null
-        }"#;
-        match session_from_json(json) {
-            Err(PersistError::Corrupt(msg)) => assert!(msg.contains("arit")),
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
     }
 }

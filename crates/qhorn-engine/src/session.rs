@@ -407,8 +407,8 @@ impl<'a> Session<'a> {
         Session::with_transcript(store, hints, Vec::new())
     }
 
-    /// Resumes a session from a previously recorded transcript (e.g. a
-    /// [`crate::persist::SessionSnapshot`]). Replayed learning
+    /// Resumes a session from a previously recorded transcript (e.g. one
+    /// recovered from a durable log). Replayed learning
     /// ([`Session::relearn_with_corrections_as`] with no corrections)
     /// re-asks only questions the transcript does not answer.
     #[must_use]

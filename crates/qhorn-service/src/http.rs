@@ -738,9 +738,11 @@ impl HttpClient {
             head.push_str(&format!("X-Qhorn-Trace-Id: {id}\r\n"));
         }
         head.push_str("\r\n");
+        // One write for head and body: on a `TCP_NODELAY` socket two
+        // writes go out as two segments.
+        head.push_str(&body);
         self.conn
             .write_all(head.as_bytes())
-            .and_then(|()| self.conn.write_all(body.as_bytes()))
             .map_err(|e| ServiceError::Transport(e.to_string()))?;
         let (_, headers, body) = self.read_response()?;
         let echoed = headers

@@ -19,11 +19,13 @@
 //!
 //! `Done`/`Failed` sessions accept `Correct` (replay with corrected
 //! responses, §5's noisy-user workflow). Idle sessions past the TTL are
-//! **evicted to a snapshot** ([`qhorn_engine::persist::SessionSnapshot`]):
-//! touching an evicted id restores it — completed sessions come back
-//! whole, mid-learning sessions replay their answered transcript so the
-//! user is only re-asked the question that was in flight, under the
-//! index it had.
+//! **evicted to a snapshot**: the store's [`PersistedSession`] (answered
+//! transcript, asked questions, learned query, last verdict), the one
+//! form a session at rest takes in memory, in the log's snapshot file
+//! and in recovery alike. Touching an evicted id restores it —
+//! completed sessions come back whole, mid-learning sessions replay
+//! their answered transcript so the user is only re-asked the question
+//! that was in flight, under the index it had.
 //!
 //! With a [`StoreConfig`], the registry is **durable** (`qhorn-store`):
 //! every created session, answered exchange, correction, and learned
@@ -41,8 +43,7 @@ use crate::metrics::{Metrics, OpsSnapshot, PoolTelemetry, SaturationSnapshot, St
 use crate::trace::{self, AttrValue, TraceConfig, TraceStoreObserver, Tracer};
 use qhorn_core::learn::LearnOptions;
 use qhorn_core::{Obj, Query, Response};
-use qhorn_engine::persist::{self, SessionSnapshot};
-use qhorn_engine::session::{Dialogue, Exchange, LearnerKind, Step};
+use qhorn_engine::session::{Dialogue, Exchange, Step};
 use qhorn_engine::DataStore;
 use qhorn_json::{Json, ToJson};
 use qhorn_lockdep::{LockClass, OrderedMutex};
@@ -130,19 +131,9 @@ impl SessionState {
     }
 }
 
-/// Everything needed to open a session.
-#[derive(Clone, Debug)]
-pub struct CreateSpec {
-    /// Catalog dataset name (built-in or uploaded).
-    pub dataset: String,
-    /// Object count for generated datasets (`1..=MAX_SIZE`; the wire
-    /// layer substitutes the default for absent fields).
-    pub size: usize,
-    /// Which learner runs the session.
-    pub learner: LearnerKind,
-    /// Optional hard question budget.
-    pub max_questions: Option<usize>,
-}
+/// Everything needed to open a session: the construction parameters the
+/// durable log records with it.
+pub use qhorn_store::SessionMeta as CreateSpec;
 
 /// A pending membership question, as the protocol ships it.
 #[derive(Clone, Debug)]
@@ -280,44 +271,34 @@ struct ResourceUsage {
 
 struct Entry {
     state: SessionState,
-    kind: LearnerKind,
-    spec: CreateSpec,
+    meta: SessionMeta,
     /// The store, the transcript, and the learner or verifier suspended
     /// at the pending question.
     dialogue: Dialogue,
     pending: Option<QuestionInfo>,
-    /// Questions shown to the user, in order; `QuestionInfo::index` and
+    /// Answered questions, in the order shown; `QuestionInfo::index` and
     /// `Correct` indices refer to positions here (stable even when the
-    /// transcript gains auto-answered unrealizable questions). Every
-    /// entry but a pending last one is answered.
+    /// transcript gains auto-answered unrealizable questions). The
+    /// pending question takes the next index, as in the durable log, so
+    /// one in flight at eviction is asked again under the index it had.
     asked: Vec<Obj>,
     learned: Option<Query>,
     verified: Option<bool>,
     failure: Option<String>,
-    answered: usize,
     last_touch: Instant,
     resources: ResourceUsage,
-}
-
-struct SnapshotRecord {
-    json: String,
-    spec: CreateSpec,
-    kind: LearnerKind,
-    /// User-visible question order, preserved verbatim so `Correct`
-    /// indices stay valid across eviction/restore (the transcript alone
-    /// cannot reconstruct it: it may contain auto-answered entries).
-    asked: Vec<Obj>,
-    answered: usize,
-    verified: Option<bool>,
-    /// LRU stamp (monotonic insertion clock) for the `max_snapshots` cap.
-    touched: u64,
 }
 
 /// The sharded session registry. Cheap to share (`Arc`).
 pub struct Registry {
     config: RegistryConfig,
     shards: Vec<OrderedMutex<HashMap<u64, Arc<OrderedMutex<Entry>>>>>,
-    snapshots: OrderedMutex<HashMap<u64, SnapshotRecord>>,
+    /// Evicted and recovered sessions, each with its LRU stamp (from
+    /// `snap_clock`) for the `max_snapshots` cap. `asked` keeps the
+    /// answered questions in the order shown, so `Correct` indices stay
+    /// valid across eviction/restore (the transcript alone cannot
+    /// rebuild it: it may contain auto-answered entries).
+    snapshots: OrderedMutex<HashMap<u64, (u64, PersistedSession)>>,
     /// Built-in and uploaded datasets behind shared `Arc<DataStore>`s —
     /// sessions and snapshot restores resolve names here instead of
     /// rebuilding stores per restore.
@@ -459,8 +440,7 @@ impl Registry {
         };
         let recovered_count = recovered.len();
         for session in recovered {
-            let id = session.id;
-            registry.insert_snapshot(id, snapshot_record_from_persisted(session));
+            registry.insert_snapshot(session);
         }
         if recovered_count > 0 {
             crate::log::info(
@@ -489,7 +469,7 @@ impl Registry {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let created_bytes = self.log_append(&LogRecord::SessionCreated {
             id,
-            meta: session_meta(&spec, spec.learner),
+            meta: spec.clone(),
         })?;
         crate::log::info(
             "registry",
@@ -501,22 +481,20 @@ impl Registry {
         );
         let mut entry = Entry {
             state: SessionState::Learning,
-            kind: spec.learner,
-            spec,
+            meta: spec,
             dialogue,
             pending: None,
             asked: Vec::new(),
             learned: None,
             verified: None,
             failure: None,
-            answered: 0,
             last_touch: Instant::now(),
             resources: ResourceUsage {
                 store_bytes: created_bytes,
                 ..ResourceUsage::default()
             },
         };
-        let outcome = match self.step(id, &mut entry, None) {
+        let outcome = match self.step(id, &mut entry, None, false) {
             Ok(outcome) => outcome,
             Err(e) => {
                 // The client never learns this id; compensate so recovery
@@ -560,7 +538,7 @@ impl Registry {
                     } else {
                         Ok(StepOutcome::Learned {
                             query: entry.learned.clone().expect("done implies learned"),
-                            questions: entry.answered,
+                            questions: entry.asked.len(),
                         })
                     }
                 }
@@ -607,13 +585,13 @@ impl Registry {
                     return Err(e);
                 }
             }
-            entry.answered += 1;
+            entry.asked.push(pending.question);
             entry.last_touch = Instant::now();
             if entry.state == SessionState::AwaitingAnswer {
                 entry.state = SessionState::Learning;
             }
             self.answers.fetch_add(1, Ordering::Relaxed);
-            self.step(id, entry, Some(response))
+            self.step(id, entry, Some(response), false)
         })
     }
 
@@ -672,8 +650,8 @@ impl Registry {
             entry.last_touch = Instant::now();
             entry
                 .dialogue
-                .relearn(entry.kind, &by_index, &learn_options(&entry.spec));
-            self.step(id, entry, None)
+                .relearn(entry.meta.learner, &by_index, &learn_options(&entry.meta));
+            self.step(id, entry, None, false)
         })
     }
 
@@ -721,7 +699,7 @@ impl Registry {
             // bring the session back with that verdict.
             entry.state = SessionState::Verifying;
             entry.last_touch = Instant::now();
-            self.step(id, entry, None)
+            self.step(id, entry, None, false)
         })
     }
 
@@ -939,7 +917,7 @@ impl Registry {
         Ok(SessionResources {
             session: id,
             state: entry.state.as_str().to_string(),
-            questions: entry.answered as u64,
+            questions: entry.asked.len() as u64,
             questions_by_phase: PHASE_NAMES
                 .iter()
                 .zip(entry.resources.questions_by_phase.iter())
@@ -960,7 +938,11 @@ impl Registry {
 
     /// [`Registry::session_resources`] of a session with no live entry.
     fn evicted_resources(&self, id: u64) -> Result<SessionResources, ServiceError> {
-        let cached = self.snapshots.lock_recover().get(&id).map(|r| r.answered);
+        let cached = self
+            .snapshots
+            .lock_recover()
+            .get(&id)
+            .map(|(_, s)| s.answered);
         let answered = match (cached, &self.store) {
             (Some(answered), _) => answered,
             (None, Some(store)) => {
@@ -1148,11 +1130,11 @@ impl Registry {
         }
         {
             let snaps = self.snapshots.lock_recover();
-            for (&id, record) in snaps.iter() {
+            for (_, session) in snaps.values() {
                 let through_seq = store.lock().last_seq();
                 captured.push(SnapshotEntry {
                     through_seq,
-                    session: persisted_from_record(id, record)?,
+                    session: session.clone(),
                 });
             }
         }
@@ -1274,36 +1256,33 @@ impl Registry {
         result
     }
 
-    /// Serializes an entry into the snapshot store. The suspended learner
-    /// is dropped with the entry; restore replays the transcript.
+    /// Moves an entry's parts into the snapshot map. The suspended
+    /// learner is dropped with the entry; restore replays the transcript.
     fn snapshot_entry(&self, id: u64, entry: Entry) {
-        let snap = SessionSnapshot::new(entry.dialogue.into_transcript(), entry.learned);
-        let json = persist::session_to_json(&snap).expect("snapshots always serialize");
-        let record = SnapshotRecord {
-            json,
-            spec: entry.spec,
-            kind: entry.kind,
+        self.insert_snapshot(PersistedSession {
+            id,
+            meta: entry.meta,
+            answered: entry.asked.len(),
             asked: entry.asked,
-            answered: entry.answered,
             verified: entry.verified,
-            touched: 0,
-        };
-        self.insert_snapshot(id, record);
+            transcript: entry.dialogue.into_transcript(),
+            learned: entry.learned,
+        });
     }
 
-    /// Inserts a snapshot record, enforcing the `max_snapshots` LRU cap:
-    /// past it the least-recently-touched record is dropped — it remains
+    /// Inserts a snapshot, enforcing the `max_snapshots` LRU cap: past it
+    /// the least-recently-touched snapshot is dropped — it remains
     /// recoverable from the durable store when one is configured, and is
     /// gone otherwise.
-    fn insert_snapshot(&self, id: u64, mut record: SnapshotRecord) {
-        record.touched = self.snap_clock.fetch_add(1, Ordering::Relaxed);
+    fn insert_snapshot(&self, session: PersistedSession) {
+        let touched = self.snap_clock.fetch_add(1, Ordering::Relaxed);
         let mut map = self.snapshots.lock_recover();
-        map.insert(id, record);
+        map.insert(session.id, (touched, session));
         if let Some(cap) = self.config.max_snapshots {
             while map.len() > cap {
                 let Some(oldest) = map
                     .iter()
-                    .min_by_key(|(_, r)| r.touched)
+                    .min_by_key(|(_, (touched, _))| *touched)
                     .map(|(&oldest, _)| oldest)
                 else {
                     break;
@@ -1315,11 +1294,18 @@ impl Registry {
 
     /// Rebuilds a live entry from a snapshot. Completed sessions come
     /// back `Done`; mid-learning sessions replay their transcript and
-    /// park on the first genuinely new question.
+    /// park on the first genuinely new question. The snapshot leaves the
+    /// map only once the live entry is built, so a restore that fails
+    /// (its dataset was dropped, say) fails the same way on every touch
+    /// and succeeds once the cause is gone.
     fn restore(&self, id: u64) -> Result<(), ServiceError> {
-        let cached = self.snapshots.lock_recover().remove(&id);
-        let record = match cached {
-            Some(record) => record,
+        let cached = self
+            .snapshots
+            .lock_recover()
+            .get(&id)
+            .map(|(_, s)| s.clone());
+        let session = match cached {
+            Some(session) => session,
             // Dropped past the LRU cap (or never cached): fall through to
             // the durable store and replay the session from the log.
             None => match &self.store {
@@ -1327,33 +1313,48 @@ impl Registry {
                     .lock()
                     .load_session(id)
                     .map_err(|e| ServiceError::Store(e.to_string()))?
-                    .map(snapshot_record_from_persisted)
                     .ok_or(ServiceError::UnknownSession(id))?,
                 None => return Err(ServiceError::UnknownSession(id)),
             },
         };
-        let snap = persist::session_from_json(&record.json)
-            .map_err(|e| ServiceError::Engine(e.to_string()))?;
+        let mut meta = session.meta;
+        // Logs written before explicit-zero validation encoded "default"
+        // as 0; normalize here so those sessions stay restorable (the
+        // catalog rejects 0 for new requests).
+        if meta.size == 0 {
+            meta.size = crate::dataset::DEFAULT_SIZE;
+        }
         // The catalog shares one built store per dataset: a restore no
         // longer pays a full `dataset::build` (measured in
         // `benches/service.rs`, `restore_from_snapshot`).
-        let built = self.catalog.get(&record.spec.dataset, record.spec.size)?;
-        // Only answered questions keep their index: the durable log
-        // records exactly those, so a question that was in flight at
-        // eviction is asked again under the index it had.
-        let mut asked = record.asked;
-        asked.truncate(record.answered);
+        let built = self.catalog.get(&meta.dataset, meta.size)?;
+        // The name may now stand for another dataset (dropped and
+        // uploaded again), and the log is outside data: every question
+        // and the learned query must have the dataset's arity.
+        let n = built.store.bridge().n();
+        let arities = session
+            .transcript
+            .iter()
+            .map(|e| e.question.arity())
+            .chain(session.asked.iter().map(Obj::arity))
+            .chain(session.learned.iter().map(Query::arity));
+        for arity in arities {
+            if arity != n {
+                return Err(ServiceError::Engine(format!(
+                    "session {id} has arity {arity} but dataset `{}` has arity {n}",
+                    meta.dataset
+                )));
+            }
+        }
         let mut entry = Entry {
             state: SessionState::Learning,
-            kind: record.kind,
-            spec: record.spec,
-            dialogue: Dialogue::new(built.store, built.synth, snap.transcript),
+            meta,
+            dialogue: Dialogue::new(built.store, built.synth, session.transcript),
             pending: None,
-            asked,
-            learned: snap.learned,
-            verified: record.verified,
+            asked: session.asked,
+            learned: session.learned,
+            verified: session.verified,
             failure: None,
-            answered: record.answered,
             last_touch: Instant::now(),
             resources: ResourceUsage::default(),
         };
@@ -1363,8 +1364,8 @@ impl Registry {
             // Replay the answered transcript; only new questions surface.
             entry
                 .dialogue
-                .relearn(entry.kind, &[], &learn_options(&entry.spec));
-            self.step(id, &mut entry, None)?;
+                .relearn(entry.meta.learner, &[], &learn_options(&entry.meta));
+            self.step(id, &mut entry, None, true)?;
         }
         crate::log::debug(
             "registry",
@@ -1372,6 +1373,7 @@ impl Registry {
             &[("session", Json::U64(id))],
         );
         self.restored.fetch_add(1, Ordering::Relaxed);
+        self.snapshots.lock_recover().remove(&id);
         self.shard(id).lock_recover().insert(
             id,
             Arc::new(OrderedMutex::new(LockClass::new("registry.entry"), entry)),
@@ -1398,12 +1400,15 @@ impl Registry {
     /// Resumes the session's dialogue — with the user's label for the
     /// pending question, or `None` to start its run — and applies where
     /// the learner or verifier stopped: at its next question or at its
-    /// result.
+    /// result. A restore's replay (`restoring`) can only reach a failure
+    /// the session had reached before: it is neither counted nor logged
+    /// again.
     fn step(
         &self,
         id: u64,
         entry: &mut Entry,
         answer: Option<Response>,
+        restoring: bool,
     ) -> Result<StepOutcome, ServiceError> {
         let step = {
             // The learner (with realization) computes right here, inside
@@ -1446,7 +1451,6 @@ impl Registry {
                     index: entry.asked.len(),
                 };
                 entry.resources.transcript_bytes += info.rendered.len() as u64;
-                entry.asked.push(info.question.clone());
                 entry.pending = Some(info.clone());
                 if entry.state != SessionState::Verifying {
                     entry.state = SessionState::AwaitingAnswer;
@@ -1478,7 +1482,7 @@ impl Registry {
                 );
                 Ok(StepOutcome::Learned {
                     query,
-                    questions: entry.answered,
+                    questions: entry.asked.len(),
                 })
             }
             Step::Verified(Ok(outcome)) => {
@@ -1503,15 +1507,17 @@ impl Registry {
                 let message = e.to_string();
                 entry.state = SessionState::Failed;
                 entry.failure = Some(message.clone());
-                self.failed.fetch_add(1, Ordering::Relaxed);
-                crate::log::warn(
-                    "registry",
-                    "session failed learning",
-                    &[
-                        ("session", Json::U64(id)),
-                        ("error", Json::Str(message.clone())),
-                    ],
-                );
+                if !restoring {
+                    self.failed.fetch_add(1, Ordering::Relaxed);
+                    crate::log::warn(
+                        "registry",
+                        "session failed learning",
+                        &[
+                            ("session", Json::U64(id)),
+                            ("error", Json::Str(message.clone())),
+                        ],
+                    );
+                }
                 Ok(StepOutcome::Failed { message })
             }
         }
@@ -1541,50 +1547,12 @@ fn health_verdict(s: &SaturationSnapshot) -> &'static str {
     verdict
 }
 
-fn learn_options(spec: &CreateSpec) -> LearnOptions {
+fn learn_options(meta: &SessionMeta) -> LearnOptions {
     LearnOptions {
-        max_questions: spec.max_questions,
+        max_questions: meta.max_questions,
         // Real users' intents need not mention every proposition; spend n
         // extra questions up front so incomplete targets learn exactly.
         detect_free_variables: true,
-    }
-}
-
-/// Converts a store-recovered session into the evicted-with-snapshot form
-/// the restore path consumes (`touched` is stamped at insert).
-fn snapshot_record_from_persisted(session: PersistedSession) -> SnapshotRecord {
-    let snap = SessionSnapshot::new(session.transcript, session.learned);
-    let json = persist::session_to_json(&snap).expect("snapshots always serialize");
-    SnapshotRecord {
-        json,
-        spec: CreateSpec {
-            dataset: session.meta.dataset,
-            // Logs written before explicit-zero validation encoded
-            // "default" as 0; normalize here so those sessions stay
-            // restorable (the catalog rejects 0 for new requests).
-            size: if session.meta.size == 0 {
-                crate::dataset::DEFAULT_SIZE
-            } else {
-                session.meta.size
-            },
-            learner: session.meta.learner,
-            max_questions: session.meta.max_questions,
-        },
-        kind: session.meta.learner,
-        asked: session.asked,
-        answered: session.answered,
-        verified: session.verified,
-        touched: 0,
-    }
-}
-
-/// The durable form of a session's construction parameters.
-fn session_meta(spec: &CreateSpec, kind: LearnerKind) -> SessionMeta {
-    SessionMeta {
-        dataset: spec.dataset.clone(),
-        size: spec.size,
-        learner: kind,
-        max_questions: spec.max_questions,
     }
 }
 
@@ -1598,38 +1566,20 @@ fn exchange_cache_bytes(e: &Exchange) -> u64 {
 fn persisted_from_entry(id: u64, entry: &Entry) -> PersistedSession {
     PersistedSession {
         id,
-        meta: session_meta(&entry.spec, entry.kind),
+        meta: entry.meta.clone(),
         asked: entry.asked.clone(),
-        answered: entry.answered,
+        answered: entry.asked.len(),
         verified: entry.verified,
         transcript: entry.dialogue.transcript().to_vec(),
         learned: entry.learned.clone(),
     }
 }
 
-/// Captures an in-memory snapshot record's state for a compaction
-/// snapshot.
-fn persisted_from_record(
-    id: u64,
-    record: &SnapshotRecord,
-) -> Result<PersistedSession, ServiceError> {
-    let snap = persist::session_from_json(&record.json)
-        .map_err(|e| ServiceError::Engine(e.to_string()))?;
-    Ok(PersistedSession {
-        id,
-        meta: session_meta(&record.spec, record.kind),
-        asked: record.asked.clone(),
-        answered: record.answered,
-        verified: record.verified,
-        transcript: snap.transcript,
-        learned: snap.learned,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use qhorn_core::query::equiv::equivalent;
+    use qhorn_engine::session::LearnerKind;
     use qhorn_lang::parse_with_arity;
 
     fn spec(learner: LearnerKind) -> CreateSpec {

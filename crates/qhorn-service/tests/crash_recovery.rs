@@ -12,8 +12,9 @@ use qhorn_relation::{
     NestedSchema, Proposition, Value,
 };
 use qhorn_service::proto::{Reply, Request, StepReply};
-use qhorn_service::registry::{Registry, RegistryConfig};
+use qhorn_service::registry::{CreateSpec, QuestionInfo, Registry, RegistryConfig, StepOutcome};
 use qhorn_service::store::{FsyncPolicy, StoreConfig};
+use qhorn_service::ServiceError;
 use qhorn_service::{Client, Server};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -638,4 +639,149 @@ fn lru_snapshot_cap_falls_through_to_the_durable_store() {
         assert!(equivalent(&registry.learned_query(id).unwrap(), &target));
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `garden_def` with its first two propositions only: the same name and
+/// relation, arity 2.
+fn narrow_garden_def() -> DatasetDef {
+    let mut def = garden_def();
+    def.propositions.truncate(2);
+    def
+}
+
+fn garden_spec() -> CreateSpec {
+    CreateSpec {
+        dataset: "garden".into(),
+        size: 10,
+        learner: LearnerKind::Qhorn1,
+        max_questions: Some(10_000),
+    }
+}
+
+/// A registry over the garden upload that evicts every idle session on
+/// a sweep: memory-only, or over a store in `dir`.
+fn evicting_registry(durable: bool, dir: &std::path::Path) -> Registry {
+    let registry = Registry::open(RegistryConfig {
+        ttl: Duration::ZERO,
+        store: durable.then(|| StoreConfig {
+            fsync: FsyncPolicy::Never,
+            ..StoreConfig::new(dir.to_path_buf())
+        }),
+        ..Default::default()
+    })
+    .unwrap();
+    registry.upload_dataset(garden_def()).unwrap();
+    registry
+}
+
+fn expect_question(outcome: StepOutcome) -> QuestionInfo {
+    match outcome {
+        StepOutcome::Question(q) => q,
+        other => panic!("expected a question, got {other:?}"),
+    }
+}
+
+/// A restore that fails must leave the session at rest: touching an
+/// evicted session whose dataset was dropped fails the same way every
+/// time, and once the dataset is back the session restores with its
+/// pending question under the index it had.
+#[test]
+fn a_failed_restore_keeps_the_session() {
+    let target = qhorn_lang::parse_with_arity("all x1; some x2 x3", 3).unwrap();
+    for durable in [false, true] {
+        let dir = temp_dir(&format!("failed-restore-{durable}"));
+        let registry = evicting_registry(durable, &dir);
+        let (id, step) = registry.create_session(garden_spec()).unwrap();
+        let first = expect_question(step);
+        let pending = expect_question(registry.answer(id, target.eval(&first.question)).unwrap());
+        assert_eq!(pending.index, 1);
+        std::thread::sleep(Duration::from_millis(1));
+        assert_eq!(registry.sweep().evicted, 1);
+        registry.drop_dataset("garden").unwrap();
+        for _ in 0..2 {
+            assert_eq!(
+                registry.next_question(id).unwrap_err(),
+                ServiceError::UnknownDataset("garden".into()),
+                "durable: {durable}"
+            );
+            assert_eq!(registry.stats().snapshots, 1, "durable: {durable}");
+        }
+        registry.upload_dataset(garden_def()).unwrap();
+        let restored = expect_question(registry.next_question(id).unwrap());
+        assert_eq!(
+            (restored.index, &restored.question),
+            (1, &pending.question),
+            "durable: {durable}"
+        );
+        let stats = registry.stats();
+        assert_eq!((stats.restored, stats.snapshots), (1, 0));
+        drop(registry);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A session at rest only restores over a dataset of its own arity. A
+/// dataset dropped and uploaded again under the same name with fewer
+/// propositions must not resume an arity-3 transcript with arity-2
+/// questions, nor serve an arity-3 learned query over an arity-2 store.
+#[test]
+fn restores_check_arity_against_the_dataset() {
+    let target = qhorn_lang::parse_with_arity("all x1; some x2 x3", 3).unwrap();
+    for durable in [false, true] {
+        let dir = temp_dir(&format!("arity-restore-{durable}"));
+        let mut registry = evicting_registry(durable, &dir);
+        // Mid-learning, one answer in.
+        let (mid, step) = registry.create_session(garden_spec()).unwrap();
+        let first = expect_question(step);
+        let pending = expect_question(registry.answer(mid, target.eval(&first.question)).unwrap());
+        // Learned.
+        let (done, mut step) = registry.create_session(garden_spec()).unwrap();
+        let learned = loop {
+            match step {
+                StepOutcome::Question(q) => {
+                    step = registry.answer(done, target.eval(&q.question)).unwrap();
+                }
+                StepOutcome::Learned { query, .. } => break query,
+                other => panic!("unexpected outcome {other:?}"),
+            }
+        };
+        std::thread::sleep(Duration::from_millis(1));
+        assert_eq!(registry.sweep().evicted, 2);
+        registry.drop_dataset("garden").unwrap();
+        registry.upload_dataset(narrow_garden_def()).unwrap();
+        let refused = |registry: &Registry| {
+            for id in [mid, done] {
+                match registry.next_question(id) {
+                    Err(ServiceError::Engine(msg)) => assert!(
+                        msg.contains("arity 3") && msg.contains("arity 2"),
+                        "durable: {durable}: {msg}"
+                    ),
+                    other => panic!("durable: {durable}: session {id} restored: {other:?}"),
+                }
+            }
+        };
+        refused(&registry);
+        if durable {
+            // The log brings both sessions back; the check still holds.
+            drop(registry);
+            registry = Registry::open(RegistryConfig {
+                ttl: Duration::ZERO,
+                store: Some(StoreConfig {
+                    fsync: FsyncPolicy::Never,
+                    ..StoreConfig::new(dir.clone())
+                }),
+                ..Default::default()
+            })
+            .unwrap();
+            refused(&registry);
+        }
+        // Back to the original definition: both restore as they were.
+        registry.drop_dataset("garden").unwrap();
+        registry.upload_dataset(garden_def()).unwrap();
+        let restored = expect_question(registry.next_question(mid).unwrap());
+        assert_eq!((restored.index, restored.question), (1, pending.question));
+        assert_eq!(registry.learned_query(done).unwrap(), learned);
+        drop(registry);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

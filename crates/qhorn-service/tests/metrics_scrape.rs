@@ -10,11 +10,12 @@ use qhorn_core::Query;
 use qhorn_engine::session::LearnerKind;
 use qhorn_service::metrics::render_prometheus;
 use qhorn_service::proto::{Reply, Request, StepReply};
-use qhorn_service::registry::{Registry, RegistryConfig};
+use qhorn_service::registry::{CreateSpec, Registry, RegistryConfig, StepOutcome};
+use qhorn_service::store::{FsyncPolicy, StoreConfig};
 use qhorn_service::{Client, HttpServer, Server};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One parsed exposition line: metric name, label pairs, value.
 type Row = (String, Vec<(String, String)>, f64);
@@ -435,4 +436,200 @@ fn a_stopped_frontend_leaves_health_and_metrics() {
     first.shutdown();
     second.shutdown();
     assert!(names(&registry).is_empty());
+}
+
+/// What the scripted history below expects each session counter to
+/// read, kept by the script itself as it goes.
+#[derive(Debug, Default)]
+struct Counts {
+    created: u64,
+    evicted: u64,
+    restored: u64,
+    completed: u64,
+    failed: u64,
+    answers: u64,
+    live: u64,
+    snapshots: u64,
+    records: u64,
+}
+
+/// Answers honestly, at most `max` times, until the session stops
+/// asking; counts every answer, completion and failure on the way.
+fn drive(
+    registry: &Registry,
+    id: u64,
+    mut outcome: StepOutcome,
+    max: usize,
+    counts: &mut Counts,
+) -> StepOutcome {
+    let target = qhorn_lang::parse_with_arity("all x1; some x2 x3", 3).unwrap();
+    let mut answered = 0;
+    loop {
+        match outcome {
+            StepOutcome::Question(q) if answered < max => {
+                outcome = registry.answer(id, target.eval(&q.question)).unwrap();
+                answered += 1;
+                counts.answers += 1;
+                counts.records += 1; // exchange_appended
+            }
+            StepOutcome::Learned { .. } => {
+                counts.completed += 1;
+                counts.records += 1; // query_learned
+                return outcome;
+            }
+            StepOutcome::Failed { .. } => {
+                counts.failed += 1;
+                return outcome;
+            }
+            other => return other,
+        }
+    }
+}
+
+/// One single-threaded history (create, answer, fail, evict, restore,
+/// close, compact) over a store; returns the counts it kept and the
+/// `(metric, value)` pairs `stats()` and the exposition report.
+fn scripted_history(dir: &std::path::Path) -> (Counts, Vec<(&'static str, u64, f64)>) {
+    let registry = Registry::open(RegistryConfig {
+        ttl: Duration::ZERO,
+        store: Some(StoreConfig {
+            fsync: FsyncPolicy::Never,
+            // Every sweep compacts.
+            compact_threshold_bytes: 1,
+            ..StoreConfig::new(dir.to_path_buf())
+        }),
+        ..RegistryConfig::default()
+    })
+    .unwrap();
+    let mut counts = Counts::default();
+    let create = |counts: &mut Counts, learner, max_questions| {
+        counts.created += 1;
+        counts.live += 1;
+        counts.records += 1; // session_created
+        registry
+            .create_session(CreateSpec {
+                dataset: "chocolates".into(),
+                size: 30,
+                learner,
+                max_questions,
+            })
+            .unwrap()
+    };
+    // A learns its query; B runs out of its two-question budget; C stops
+    // two answers in.
+    let (a, step) = create(&mut counts, LearnerKind::Qhorn1, None);
+    let a_step = drive(&registry, a, step, usize::MAX, &mut counts);
+    assert!(matches!(a_step, StepOutcome::Learned { .. }), "{a_step:?}");
+    let (b, step) = create(&mut counts, LearnerKind::Qhorn1, Some(2));
+    let b_step = drive(&registry, b, step, usize::MAX, &mut counts);
+    assert!(matches!(b_step, StepOutcome::Failed { .. }), "{b_step:?}");
+    let (c, step) = create(&mut counts, LearnerKind::RolePreserving, None);
+    let c_step = drive(&registry, c, step, 2, &mut counts);
+    assert!(matches!(c_step, StepOutcome::Question(_)), "{c_step:?}");
+
+    // Evict all three; the sweep compacts.
+    std::thread::sleep(Duration::from_millis(1));
+    let report = registry.sweep();
+    assert_eq!((report.evicted, report.compacted), (3, true), "{report:?}");
+    counts.evicted += 3;
+    counts.live -= 3;
+    counts.snapshots += 3;
+    counts.records += 1; // snapshot_written
+
+    // Touching each restores it; none re-learns or re-fails.
+    assert!(matches!(
+        registry.next_question(b).unwrap(),
+        StepOutcome::Failed { .. }
+    ));
+    assert!(registry.learned_query(a).is_ok());
+    let c_step = registry.next_question(c).unwrap();
+    counts.restored += 3;
+    counts.live += 3;
+    counts.snapshots -= 3;
+    drive(&registry, c, c_step, 1, &mut counts);
+    registry.close_session(a).unwrap();
+    counts.live -= 1;
+    counts.records += 1; // session_closed
+
+    // Evict the other two, compact again, close one while evicted.
+    std::thread::sleep(Duration::from_millis(1));
+    let report = registry.sweep();
+    assert_eq!((report.evicted, report.compacted), (2, true), "{report:?}");
+    counts.evicted += 2;
+    counts.live -= 2;
+    counts.snapshots += 2;
+    counts.records += 1; // snapshot_written
+    registry.close_session(c).unwrap();
+    counts.snapshots -= 1;
+    counts.records += 1; // session_closed
+
+    let stats = registry.stats();
+    let rows = parse_exposition(&render_prometheus(
+        &registry.metrics().snapshot(),
+        &stats,
+        &registry.tracer().stats(),
+        &registry.ops_snapshot(),
+    ));
+    let exported = |name: &str| {
+        let values: Vec<f64> = rows
+            .iter()
+            .filter(|(n, _, _)| n == name)
+            .map(|(_, _, v)| *v)
+            .collect();
+        assert_eq!(values.len(), 1, "{name}: {values:?}");
+        values[0]
+    };
+    let store = stats.store.expect("a store is configured");
+    let observed = [
+        ("qhorn_sessions_created_total", stats.created),
+        ("qhorn_sessions_evicted_total", stats.evicted),
+        ("qhorn_sessions_restored_total", stats.restored),
+        ("qhorn_sessions_completed_total", stats.completed),
+        ("qhorn_sessions_failed_total", stats.failed),
+        ("qhorn_sessions_live", stats.live),
+        ("qhorn_snapshots_held", stats.snapshots),
+        ("qhorn_answers_total", stats.answers),
+        ("qhorn_store_records_appended_total", store.records_appended),
+    ]
+    .into_iter()
+    .map(|(name, value)| (name, value, exported(name)))
+    .collect();
+    (counts, observed)
+}
+
+/// The session counters read exactly what a scripted history did, in
+/// `stats()` and in the exposition alike. The registry sweeps on its
+/// own once a second at TTL zero, which would evict behind the script's
+/// back: a run that outlasts that interval is discarded and run again.
+#[test]
+fn session_counters_match_a_scripted_history_exactly() {
+    for attempt in 0..3 {
+        let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+            .join(format!("metrics-history-{}-{attempt}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let started = Instant::now();
+        let (counts, observed) = scripted_history(&dir);
+        let in_time = started.elapsed() < Duration::from_millis(900);
+        let _ = std::fs::remove_dir_all(&dir);
+        if !in_time {
+            continue;
+        }
+        let want = [
+            ("qhorn_sessions_created_total", counts.created),
+            ("qhorn_sessions_evicted_total", counts.evicted),
+            ("qhorn_sessions_restored_total", counts.restored),
+            ("qhorn_sessions_completed_total", counts.completed),
+            ("qhorn_sessions_failed_total", counts.failed),
+            ("qhorn_sessions_live", counts.live),
+            ("qhorn_snapshots_held", counts.snapshots),
+            ("qhorn_answers_total", counts.answers),
+            ("qhorn_store_records_appended_total", counts.records),
+        ];
+        for ((name, want), (_, in_stats, exported)) in want.iter().zip(&observed) {
+            assert_eq!(*in_stats, *want, "{name} in stats(): {counts:?}");
+            assert_eq!(*exported, *want as f64, "{name} exported: {counts:?}");
+        }
+        return;
+    }
+    panic!("three runs in a row outlasted the registry's sweep interval");
 }

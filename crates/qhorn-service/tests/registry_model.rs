@@ -18,8 +18,16 @@
 //! learned query and its question count, the failure message, the
 //! verification outcome, error kinds, and the session's state.
 //!
-//! The tier-1 run covers a few dozen sequences in seconds;
-//! `registry_model_long` (ignored by default) runs many more.
+//! Three registries run the harness:
+//! - **durable**: over a store, every sweep evicting every idle session;
+//! - **memory-only**: no store, so `Restart` is skipped;
+//! - **compacting**: over a store with a one-byte compaction threshold
+//!   and a long TTL, so every sweep evicts nothing and compacts the live
+//!   entries and the snapshots recovered by the last restart into the
+//!   store's snapshot file, which the next restart recovers from.
+//!
+//! Each has a tier-1 pass of a few dozen sequences; the `_long` passes
+//! (ignored by default) run many more.
 
 use proptest::prelude::*;
 use qhorn_core::learn::{learn_qhorn1, learn_role_preserving, LearnError, LearnOptions};
@@ -73,6 +81,22 @@ const DATASETS: &[(&str, usize)] = &[("chocolates", 30), ("clash", 1)];
 /// once-a-second sweep never fires: every eviction is one the model
 /// ordered.
 const REGISTRY_LIFETIME: Duration = Duration::from_millis(700);
+
+/// The registry's own sweep interval at TTL zero (TTL/4, clamped to at
+/// least a second).
+const SWEEP_INTERVAL: Duration = Duration::from_secs(1);
+
+/// The compacting store's threshold: any appended record makes the next
+/// sweep compact.
+const COMPACT_THRESHOLD: u64 = 1;
+
+/// Which registry a history runs against (see the module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Variant {
+    Durable,
+    MemoryOnly,
+    Compacting,
+}
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -526,6 +550,7 @@ static CASE: AtomicU64 = AtomicU64::new(0);
 
 /// One generated history against a registry and the model.
 struct Harness {
+    variant: Variant,
     dir: PathBuf,
     registry: Option<Registry>,
     opened: Instant,
@@ -533,16 +558,17 @@ struct Harness {
 }
 
 impl Harness {
-    fn new(tag: &str) -> Self {
+    fn new(variant: Variant, tag: &str) -> Self {
         let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!(
             "registry-model-{tag}-{}-{}",
             std::process::id(),
             CASE.fetch_add(1, Ordering::Relaxed)
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let registry = open(&dir);
+        let registry = open(variant, &dir);
         registry.upload_dataset(clash_def()).expect("upload clash");
         Harness {
+            variant,
             dir,
             registry: Some(registry),
             opened: Instant::now(),
@@ -553,10 +579,30 @@ impl Harness {
     /// Restarts the registry when it has been open long enough for its
     /// own sweep to fire soon. Called before every operation, and before
     /// the model looks at a session to choose a label.
-    fn keep_fresh(&mut self) {
-        if self.opened.elapsed() >= REGISTRY_LIFETIME {
-            self.restart();
+    ///
+    /// A memory-only registry cannot restart without losing every
+    /// session: it waits out the sweep interval instead, and lets the
+    /// next request's own sweep evict every idle session, as the model
+    /// is told.
+    fn keep_fresh(&mut self) -> Result<(), TestCaseError> {
+        if self.opened.elapsed() < REGISTRY_LIFETIME {
+            return Ok(());
         }
+        if self.variant != Variant::MemoryOnly {
+            self.restart();
+            return Ok(());
+        }
+        // The margin covers the registry stamping its sweep clock just
+        // after `opened`.
+        let due = self.opened + SWEEP_INTERVAL + Duration::from_millis(50);
+        std::thread::sleep(due.saturating_duration_since(Instant::now()));
+        self.opened = Instant::now();
+        let stats = self.reg().stats();
+        prop_assert_eq!(stats.live, 0, "the registry's own sweep did not fire");
+        for s in &mut self.sessions {
+            s.evict();
+        }
+        self.check_evicted()
     }
 
     fn reg(&self) -> &Registry {
@@ -565,7 +611,7 @@ impl Harness {
 
     fn restart(&mut self) {
         drop(self.registry.take());
-        self.registry = Some(open(&self.dir));
+        self.registry = Some(open(self.variant, &self.dir));
         self.opened = Instant::now();
         for s in &mut self.sessions {
             s.evict();
@@ -608,7 +654,7 @@ impl Harness {
     }
 
     fn apply(&mut self, op: &Op) -> Result<(), TestCaseError> {
-        self.keep_fresh();
+        self.keep_fresh()?;
         match *op {
             Op::Create {
                 rp,
@@ -668,7 +714,7 @@ impl Harness {
                     return Ok(());
                 };
                 for k in 0..count {
-                    self.keep_fresh();
+                    self.keep_fresh()?;
                     let flip = flips & (1 << (k % 32)) != 0;
                     let id = self.sessions[i].id;
                     // The label is chosen from the model's pending question;
@@ -735,6 +781,20 @@ impl Harness {
                 prop_assert_eq!(got, want, "close of session {}", id);
                 self.sessions[i].closed = true;
             }
+            Op::Sweep if self.variant == Variant::Compacting => {
+                let due = self
+                    .reg()
+                    .stats()
+                    .store
+                    .is_some_and(|s| s.live_log_bytes > COMPACT_THRESHOLD);
+                let report = self.reg().sweep();
+                prop_assert_eq!(report.evicted, 0, "sweep evictions under a long TTL");
+                prop_assert_eq!(report.compact_error, None);
+                prop_assert_eq!(report.compacted, due, "sweep compaction");
+                for i in 0..self.sessions.len() {
+                    self.check_state(i)?;
+                }
+            }
             Op::Sweep => {
                 let live = self
                     .sessions
@@ -750,6 +810,8 @@ impl Harness {
                 }
                 self.check_evicted()?;
             }
+            // A restart would lose every session of a memory-only registry.
+            Op::Restart if self.variant == Variant::MemoryOnly => {}
             Op::Restart => {
                 self.restart();
                 self.check_evicted()?;
@@ -779,13 +841,25 @@ impl Drop for Harness {
     }
 }
 
-fn open(dir: &Path) -> Registry {
+fn open(variant: Variant, dir: &Path) -> Registry {
+    let store = StoreConfig {
+        fsync: FsyncPolicy::Never,
+        ..StoreConfig::new(dir.to_path_buf())
+    };
+    let (ttl, store) = match variant {
+        Variant::Durable => (Duration::ZERO, Some(store)),
+        Variant::MemoryOnly => (Duration::ZERO, None),
+        Variant::Compacting => (
+            Duration::from_secs(3600),
+            Some(StoreConfig {
+                compact_threshold_bytes: COMPACT_THRESHOLD,
+                ..store
+            }),
+        ),
+    };
     Registry::open(RegistryConfig {
-        ttl: Duration::ZERO,
-        store: Some(StoreConfig {
-            fsync: FsyncPolicy::Never,
-            ..StoreConfig::new(dir.to_path_buf())
-        }),
+        ttl,
+        store,
         ..RegistryConfig::default()
     })
     .expect("open registry")
@@ -801,21 +875,24 @@ fn compare(
     Ok(())
 }
 
-fn run_history(tag: &str, ops: &[Op]) -> Result<(), TestCaseError> {
-    let mut h = Harness::new(tag);
+fn run_history(variant: Variant, tag: &str, ops: &[Op]) -> Result<(), TestCaseError> {
+    let mut h = Harness::new(variant, tag);
     for (step, op) in ops.iter().enumerate() {
         h.apply(op)
             .map_err(|e| TestCaseError::fail(format!("step {step} ({op:?}): {e}\nops: {ops:?}")))?;
     }
     // Every surviving session still answers as the model says.
-    for i in 0..h.sessions.len() {
-        h.keep_fresh();
-        let id = h.sessions[i].id;
-        let got = h.reg().next_question(id);
-        let want = h.sessions[i].next();
-        compare(&format!("final next_question of session {id}"), got, want)?;
-    }
-    Ok(())
+    let mut check_final = || {
+        for i in 0..h.sessions.len() {
+            h.keep_fresh()?;
+            let id = h.sessions[i].id;
+            let got = h.reg().next_question(id);
+            let want = h.sessions[i].next();
+            compare(&format!("final next_question of session {id}"), got, want)?;
+        }
+        Ok(())
+    };
+    check_final().map_err(|e: TestCaseError| TestCaseError::fail(format!("{e}\nops: {ops:?}")))
 }
 
 /// Regression (found by the model): a question in flight when its
@@ -843,7 +920,7 @@ fn question_in_flight_keeps_its_index_across_eviction() {
         Op::Restart,
         Op::Next { slot: 1 },
     ];
-    if let Err(e) = run_history("in-flight", &ops) {
+    if let Err(e) = run_history(Variant::Durable, "in-flight", &ops) {
         panic!("{e}");
     }
 }
@@ -853,7 +930,25 @@ proptest! {
 
     #[test]
     fn registry_matches_the_reference_model(ops in prop::collection::vec(op_strategy(), 1..40)) {
-        run_history("quick", &ops)?;
+        run_history(Variant::Durable, "quick", &ops)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn memory_only_registry_matches_the_reference_model(
+        ops in prop::collection::vec(op_strategy(), 1..40)
+    ) {
+        run_history(Variant::MemoryOnly, "memory-quick", &ops)?;
+    }
+
+    #[test]
+    fn compacting_registry_matches_the_reference_model(
+        ops in prop::collection::vec(op_strategy(), 1..40)
+    ) {
+        run_history(Variant::Compacting, "compacting-quick", &ops)?;
     }
 }
 
@@ -863,6 +958,89 @@ proptest! {
     #[test]
     #[ignore = "long run; CI runs it with --ignored"]
     fn registry_model_long(ops in prop::collection::vec(op_strategy(), 1..80)) {
-        run_history("long", &ops)?;
+        run_history(Variant::Durable, "long", &ops)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    #[test]
+    #[ignore = "long run; CI runs it with --ignored"]
+    fn memory_only_registry_model_long(ops in prop::collection::vec(op_strategy(), 1..80)) {
+        run_history(Variant::MemoryOnly, "memory-long", &ops)?;
+    }
+
+    #[test]
+    #[ignore = "long run; CI runs it with --ignored"]
+    fn compacting_registry_model_long(ops in prop::collection::vec(op_strategy(), 1..80)) {
+        run_history(Variant::Compacting, "compacting-long", &ops)?;
+    }
+}
+
+/// Regression (found by the compacting variant): a compaction deleted
+/// every record of the closed session holding the highest id, so after
+/// a restart the registry issued that id again, and a request for the
+/// closed session reached the new one.
+#[test]
+fn a_closed_id_is_not_reissued_after_compaction() {
+    let ops = [
+        Op::Create {
+            rp: true,
+            target: 6,
+            dataset: 1,
+            budget: Some(19),
+        },
+        Op::Close { slot: 1 },
+        Op::Sweep,
+        Op::Restart,
+        Op::Create {
+            rp: true,
+            target: 5,
+            dataset: 1,
+            budget: Some(8),
+        },
+    ];
+    if let Err(e) = run_history(Variant::Compacting, "closed-id", &ops) {
+        panic!("{e}");
+    }
+}
+
+/// Regression (found by the compacting variant): a compaction recorded a
+/// session's question in flight among its asked questions, and the log
+/// record of its answer appended it again at recovery, so after a
+/// restart every later `Correct` index named the question before it.
+#[test]
+fn a_compacted_question_in_flight_keeps_correct_indices() {
+    let ops = [
+        Op::Create {
+            rp: true,
+            target: 2,
+            dataset: 0,
+            budget: Some(20),
+        },
+        Op::Sweep,
+        Op::Answer {
+            slot: 2,
+            count: 21,
+            flips: 290,
+        },
+        Op::Restart,
+        Op::Create {
+            rp: true,
+            target: 1,
+            dataset: 0,
+            budget: Some(4),
+        },
+        Op::Create {
+            rp: false,
+            target: 7,
+            dataset: 0,
+            budget: Some(22),
+        },
+        Op::Correct { slot: 3, index: 8 },
+    ];
+    if let Err(e) = run_history(Variant::Compacting, "compacted-in-flight", &ops) {
+        panic!("{e}");
     }
 }

@@ -380,6 +380,7 @@ impl SessionStore {
         // Everything currently on disk reflects records up to last_seq.
         let mut disk = self.replay_disk()?;
         let datasets = disk.take_datasets();
+        let max_id = disk.max_id();
         let through = self.last_seq();
         let mut merged: BTreeMap<u64, SnapshotEntry> = disk
             .finish_entries()
@@ -426,11 +427,20 @@ impl SessionStore {
         // post-boundary log *before* deleting the segments that held the
         // originals — a crash between the two steps must not lose any.
         // Replay is last-wins, so the duplicates a crash can leave behind
-        // are harmless.
-        for def in &datasets {
-            self.append(&LogRecord::DatasetRegistered { def: def.clone() })?;
+        // are harmless. Likewise the highest session id ever issued: when
+        // that session is closed, only log records remember its id, and
+        // recovery must resume id assignment above it.
+        let mut carried: Vec<LogRecord> = datasets
+            .into_iter()
+            .map(|def| LogRecord::DatasetRegistered { def })
+            .collect();
+        if max_id > 0 && !merged.contains_key(&max_id) {
+            carried.push(LogRecord::SessionClosed { id: max_id });
         }
-        if !datasets.is_empty() {
+        for record in &carried {
+            self.append(record)?;
+        }
+        if !carried.is_empty() {
             // The originals may have been durable for days; the
             // re-appends must hit disk before the files holding the
             // originals are unlinked, regardless of fsync policy —

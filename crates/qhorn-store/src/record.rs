@@ -18,9 +18,11 @@ use std::collections::BTreeMap;
 pub struct SessionMeta {
     /// Catalog dataset name.
     pub dataset: String,
-    /// Object count for generated datasets. Logs written before explicit
-    /// size validation may carry `0` (the old "default" encoding); the
-    /// service normalizes that to its default on recovery.
+    /// Object count for generated datasets (`1..=MAX_SIZE` of the
+    /// service's catalog; its wire layer substitutes the default for
+    /// absent fields). Logs written before explicit size validation may
+    /// carry `0` (the old "default" encoding); the service normalizes
+    /// that to its default when it restores such a session.
     pub size: usize,
     /// Which learner runs the session.
     pub learner: LearnerKind,
@@ -178,8 +180,10 @@ pub struct PersistedSession {
     pub id: u64,
     /// How to rebuild the dataset/learner.
     pub meta: SessionMeta,
-    /// Questions shown to the user, in order (the index space the
-    /// protocol's `Correct` uses).
+    /// Answered questions, in the order shown (the index space the
+    /// protocol's `Correct` uses). A question in flight is not part of
+    /// it: a resumed session asks it again, under the same index, and its
+    /// answer's `ExchangeAppended` appends it here.
     pub asked: Vec<Obj>,
     /// Questions answered.
     pub answered: usize,
@@ -256,9 +260,12 @@ impl Replayer {
         }
     }
 
-    /// Seeds the replayer from snapshot-file entries.
+    /// Seeds the replayer from snapshot-file entries. Older snapshot
+    /// files may list a question in flight in `asked`; it is dropped, or
+    /// its answer replayed on top would append it a second time.
     pub(crate) fn seed(&mut self, entries: Vec<SnapshotEntry>) {
-        for e in entries {
+        for mut e in entries {
+            e.session.asked.truncate(e.session.answered);
             self.max_id = self.max_id.max(e.session.id);
             self.sessions.insert(e.session.id, e);
         }
@@ -515,6 +522,32 @@ mod tests {
         let sessions = r.finish();
         assert_eq!(sessions[0].answered, 2);
         assert_eq!(sessions[0].transcript.len(), 2);
+    }
+
+    #[test]
+    fn a_question_in_flight_in_a_snapshot_is_not_asked_twice() {
+        let mut r = Replayer::new();
+        let mut snap = PersistedSession::new(7, meta());
+        snap.asked.push(Obj::from_bits("111"));
+        snap.asked.push(Obj::from_bits("000"));
+        snap.transcript.push(exchange("111", Response::Answer));
+        snap.answered = 1;
+        r.seed(vec![SnapshotEntry {
+            through_seq: 10,
+            session: snap,
+        }]);
+        r.apply(
+            11,
+            LogRecord::ExchangeAppended {
+                id: 7,
+                exchange: exchange("000", Response::NonAnswer),
+            },
+        );
+        let sessions = r.finish();
+        assert_eq!(
+            sessions[0].asked,
+            [Obj::from_bits("111"), Obj::from_bits("000")]
+        );
     }
 
     #[test]

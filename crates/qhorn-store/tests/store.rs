@@ -119,6 +119,30 @@ fn closed_sessions_are_not_recovered_but_their_ids_stay_reserved() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Compaction deletes every record of a closed session; when that
+/// session had the highest id, the id must still stay reserved, through
+/// any number of compactions.
+#[test]
+fn a_closed_top_id_stays_reserved_across_compactions() {
+    let dir = temp_dir("closed-compact");
+    let cfg = config(&dir);
+    {
+        let (mut store, _) = SessionStore::open(&cfg).unwrap();
+        drive_session(&mut store, 1);
+        drive_session(&mut store, 2);
+        store.append(&LogRecord::SessionClosed { id: 2 }).unwrap();
+        for _ in 0..2 {
+            let boundary = store.rotate().unwrap();
+            store.write_snapshot(&[], boundary).unwrap();
+        }
+    }
+    let (_, recovered) = SessionStore::open(&cfg).unwrap();
+    let ids: Vec<u64> = recovered.sessions.iter().map(|s| s.id).collect();
+    assert_eq!(ids, [1]);
+    assert_eq!(recovered.max_session_id, 2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn tiny_segments_rotate_and_still_recover() {
     let dir = temp_dir("rotate");
