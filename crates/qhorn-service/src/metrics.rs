@@ -775,7 +775,6 @@ pub fn render_prometheus(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::RegistryStats;
     use std::collections::BTreeMap;
 
     #[test]
@@ -862,276 +861,6 @@ mod tests {
         let line = qhorn_json::to_string(&snap);
         let back: MetricsSnapshot = qhorn_json::from_str(&line).unwrap();
         assert_eq!(back, snap);
-    }
-
-    /// One parsed exposition line: metric name, label pairs, value.
-    type Row = (String, Vec<(String, String)>, f64);
-
-    /// A minimal Prometheus text-format parser: every non-comment line
-    /// must be `name[{label="value",…}] number`, histograms must be
-    /// cumulative, and each histogram needs `_sum` and `_count`.
-    fn parse_exposition(text: &str) -> Vec<Row> {
-        let mut rows = Vec::new();
-        for line in text.lines() {
-            if line.starts_with('#') {
-                assert!(
-                    line.starts_with("# HELP ") || line.starts_with("# TYPE "),
-                    "bad comment: {line}"
-                );
-                continue;
-            }
-            assert!(!line.trim().is_empty(), "blank line in exposition");
-            let (series, value) = line.rsplit_once(' ').unwrap_or_else(|| {
-                panic!("no value separator in {line}");
-            });
-            let value: f64 = value.parse().unwrap_or_else(|_| {
-                panic!("unparseable value in {line}");
-            });
-            let (name, labels) = match series.split_once('{') {
-                None => (series.to_string(), Vec::new()),
-                Some((name, rest)) => {
-                    let body = rest.strip_suffix('}').expect("unterminated label set");
-                    let labels = body
-                        .split(',')
-                        .map(|pair| {
-                            let (k, v) = pair.split_once('=').expect("label without =");
-                            let v = v
-                                .strip_prefix('"')
-                                .and_then(|v| v.strip_suffix('"'))
-                                .expect("unquoted label value");
-                            (k.to_string(), v.to_string())
-                        })
-                        .collect();
-                    (name.to_string(), labels)
-                }
-            };
-            assert!(
-                name.chars()
-                    .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':'),
-                "bad metric name {name}"
-            );
-            rows.push((name, labels, value));
-        }
-        rows
-    }
-
-    #[test]
-    fn prometheus_exposition_parses_and_is_cumulative() {
-        let m = Metrics::new();
-        let answer = MESSAGE_KINDS.iter().position(|&k| k == "answer").unwrap();
-        for micros in [1u64, 5, 900, 40_000, 2_000_000] {
-            m.record_latency(answer, Duration::from_micros(micros));
-        }
-        let mut by_phase = BTreeMap::new();
-        by_phase.insert(Phase::UniversalBodies, 3usize);
-        m.record_learn(&LearnStats {
-            questions: 3,
-            tuples: 6,
-            max_tuples_per_question: 2,
-            by_phase,
-            ..Default::default()
-        });
-        let stats = RegistryStats {
-            created: 4,
-            live: 2,
-            compaction_errors: 1,
-            batch_threads_used: 7,
-            store: Some(qhorn_store::StoreStats {
-                records_appended: 9,
-                snapshot_sessions: 3,
-                ..Default::default()
-            }),
-            ..Default::default()
-        };
-        let trace = crate::trace::TraceStats {
-            journal_spans: 12,
-            journal_capacity: 8192,
-            spans_recorded: 40,
-            traces_committed: 5,
-            traces_sampled_out: 11,
-            slow_traces: 1,
-            overhead_nanos: 9_000,
-        };
-        let pool = PoolTelemetry::new("lines", 4);
-        pool.enqueue();
-        pool.worker_busy();
-        let mut logs = crate::log::LogStats::default();
-        logs.events[crate::log::Level::Warn as usize] = 6;
-        logs.suppressed = 2;
-        let ops = OpsSnapshot {
-            saturation: SaturationSnapshot {
-                pools: vec![pool.snapshot()],
-                lock_waits: 13,
-                lock_wait_nanos: 77_000,
-                store: Some(StoreOpsSnapshot {
-                    appends: 21,
-                    append_nanos: 1_000,
-                    append_bytes: 4_096,
-                    fsyncs: 2,
-                    fsync_nanos: 500,
-                    compactions: 0,
-                    compaction_nanos: 0,
-                }),
-            },
-            logs,
-            profile: vec![crate::trace::LayerProfile {
-                layer: "dispatch".to_string(),
-                spans: 9,
-                self_nanos: 1_234,
-                total_nanos: 5_678,
-            }],
-            uptime_seconds: 42,
-            start_unix_seconds: 1_700_000_000,
-        };
-        let text = render_prometheus(&m.snapshot(), &stats, &trace, &ops);
-        let rows = parse_exposition(&text);
-
-        // Build info carries the crate version as a label, value 1.
-        assert!(rows.iter().any(|(name, labels, v)| {
-            name == "qhorn_build_info"
-                && labels
-                    .iter()
-                    .any(|(k, val)| k == "version" && val == env!("CARGO_PKG_VERSION"))
-                && *v == 1.0
-        }));
-
-        // Histogram: one bucket series per bound per message kind, with
-        // cumulative counts ending at +Inf == _count.
-        for kind in MESSAGE_KINDS {
-            let buckets: Vec<f64> = rows
-                .iter()
-                .filter(|(name, labels, _)| {
-                    name == "qhorn_request_duration_seconds_bucket"
-                        && labels.iter().any(|(k, v)| k == "message" && v == kind)
-                })
-                .map(|(_, _, v)| *v)
-                .collect();
-            assert_eq!(buckets.len(), BUCKETS, "{kind}");
-            assert!(
-                buckets.windows(2).all(|w| w[0] <= w[1]),
-                "{kind} buckets not cumulative"
-            );
-            let count = rows
-                .iter()
-                .find(|(name, labels, _)| {
-                    name == "qhorn_request_duration_seconds_count"
-                        && labels.iter().any(|(k, v)| k == "message" && v == kind)
-                })
-                .map(|(_, _, v)| *v)
-                .expect("missing _count");
-            assert_eq!(*buckets.last().unwrap(), count, "{kind}");
-            assert!(
-                rows.iter().any(|(name, labels, _)| {
-                    name == "qhorn_request_duration_seconds_sum"
-                        && labels.iter().any(|(k, v)| k == "message" && v == kind)
-                }),
-                "missing _sum for {kind}"
-            );
-        }
-        // The recorded kind has the right total.
-        let answer_count = rows
-            .iter()
-            .find(|(name, labels, _)| {
-                name == "qhorn_request_duration_seconds_count"
-                    && labels.iter().any(|(k, v)| k == "message" && v == "answer")
-            })
-            .map(|(_, _, v)| *v)
-            .unwrap();
-        assert_eq!(answer_count, 5.0);
-
-        // Phase counters: one series per phase, with the recorded value.
-        let phases: Vec<&Row> = rows
-            .iter()
-            .filter(|(name, _, _)| name == "qhorn_learner_questions_total")
-            .collect();
-        assert_eq!(phases.len(), PHASE_NAMES.len());
-        assert!(phases.iter().any(|(_, labels, v)| labels
-            .iter()
-            .any(|(k, val)| k == "phase" && val == "universal_bodies")
-            && *v == 3.0));
-
-        // Registry + store counters surface.
-        assert!(rows
-            .iter()
-            .any(|(name, _, v)| name == "qhorn_sessions_created_total" && *v == 4.0));
-        assert!(rows
-            .iter()
-            .any(|(name, _, v)| name == "qhorn_store_records_appended_total" && *v == 9.0));
-        assert!(rows
-            .iter()
-            .any(|(name, _, v)| name == "qhorn_store_snapshot_sessions" && *v == 3.0));
-        assert!(rows
-            .iter()
-            .any(|(name, _, v)| name == "qhorn_store_last_compaction_seq" && *v == 0.0));
-        assert!(rows
-            .iter()
-            .any(|(name, _, v)| name == "qhorn_compaction_errors_total" && *v == 1.0));
-        assert!(rows
-            .iter()
-            .any(|(name, _, v)| name == "qhorn_batch_threads_used_total" && *v == 7.0));
-
-        // Tracer health gauges surface.
-        assert!(rows
-            .iter()
-            .any(|(name, _, v)| name == "qhorn_trace_journal_spans" && *v == 12.0));
-        assert!(rows
-            .iter()
-            .any(|(name, _, v)| name == "qhorn_trace_journal_capacity" && *v == 8192.0));
-        assert!(rows
-            .iter()
-            .any(|(name, _, v)| name == "qhorn_trace_traces_committed_total" && *v == 5.0));
-        assert!(rows
-            .iter()
-            .any(|(name, _, v)| name == "qhorn_trace_overhead_nanos_total" && *v == 9000.0));
-
-        // Uptime and start time near build info.
-        assert!(rows
-            .iter()
-            .any(|(name, _, v)| name == "qhorn_uptime_seconds" && *v == 42.0));
-        assert!(rows.iter().any(
-            |(name, _, v)| name == "qhorn_process_start_time_seconds" && *v == 1_700_000_000.0
-        ));
-
-        // Saturation series: per-pool gauges carry the pool label.
-        assert!(rows.iter().any(|(name, labels, v)| {
-            name == "qhorn_pool_queue_depth"
-                && labels.iter().any(|(k, val)| k == "pool" && val == "lines")
-                && *v == 1.0
-        }));
-        assert!(rows.iter().any(|(name, labels, v)| {
-            name == "qhorn_pool_busy_workers"
-                && labels.iter().any(|(k, val)| k == "pool" && val == "lines")
-                && *v == 1.0
-        }));
-        assert!(rows
-            .iter()
-            .any(|(name, _, v)| name == "qhorn_registry_lock_wait_nanos_total" && *v == 77_000.0));
-        assert!(rows
-            .iter()
-            .any(|(name, _, v)| name == "qhorn_store_op_appends_total" && *v == 21.0));
-        // The mailbox series went with the per-session threads.
-        assert!(!rows
-            .iter()
-            .any(|(name, _, _)| name.starts_with("qhorn_driver_")));
-
-        // Log counters: per-level series plus the suppression counter.
-        assert!(rows.iter().any(|(name, labels, v)| {
-            name == "qhorn_log_events_total"
-                && labels.iter().any(|(k, val)| k == "level" && val == "warn")
-                && *v == 6.0
-        }));
-        assert!(rows
-            .iter()
-            .any(|(name, _, v)| name == "qhorn_log_suppressed_total" && *v == 2.0));
-
-        // Always-on profile series carry the layer label.
-        assert!(rows.iter().any(|(name, labels, v)| {
-            name == "qhorn_profile_self_nanos_total"
-                && labels
-                    .iter()
-                    .any(|(k, val)| k == "layer" && val == "dispatch")
-                && *v == 1234.0
-        }));
     }
 
     #[test]

@@ -6,13 +6,21 @@
 //! formed. Lock-striped counters make this genuinely concurrent: a torn
 //! read would show up as a counter going backwards.
 
+use qhorn_core::learn::{LearnStats, Phase};
 use qhorn_core::Query;
 use qhorn_engine::session::LearnerKind;
-use qhorn_service::metrics::render_prometheus;
+use qhorn_service::log::{Level, LogStats};
+use qhorn_service::metrics::{
+    render_prometheus, HistogramSnapshot, Metrics, MetricsSnapshot, OpsSnapshot, PoolSnapshot,
+    PoolTelemetry, SaturationSnapshot, StoreOpsSnapshot, BUCKETS, MESSAGE_KINDS, PHASE_NAMES,
+};
 use qhorn_service::proto::{Reply, Request, StepReply};
-use qhorn_service::registry::{CreateSpec, Registry, RegistryConfig, StepOutcome};
+use qhorn_service::registry::{CreateSpec, Registry, RegistryConfig, RegistryStats, StepOutcome};
 use qhorn_service::store::{FsyncPolicy, StoreConfig};
+use qhorn_service::trace::{LayerProfile, TraceStats, PROFILE_LAYERS};
 use qhorn_service::{Client, HttpServer, Server};
+use qhorn_store::StoreStats;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -20,16 +28,33 @@ use std::time::{Duration, Instant};
 /// One parsed exposition line: metric name, label pairs, value.
 type Row = (String, Vec<(String, String)>, f64);
 
-/// A minimal Prometheus text-format parser: every non-comment line must
-/// be `name[{label="value",…}] number`.
-fn parse_exposition(text: &str) -> Vec<Row> {
+/// A Prometheus text-format parser that checks what the renderer must
+/// keep: every non-comment line is `name[{label="value",…}] number` with
+/// a valid metric name; each family has exactly one `# TYPE` line, ahead
+/// of its samples; a family's samples are contiguous; and no
+/// `(name, labels)` pair appears twice. Each row comes with its
+/// family's type.
+fn parse_typed(text: &str) -> Vec<(Row, String)> {
     let mut rows = Vec::new();
+    let mut typed = std::collections::BTreeSet::new();
+    let mut seen = std::collections::BTreeSet::new();
+    // The family the latest `# TYPE` line opened, and its type.
+    let mut family: Option<(String, String)> = None;
     for line in text.lines() {
-        if line.starts_with('#') {
+        if let Some(decl) = line.strip_prefix("# TYPE ") {
+            let (name, kind) = decl
+                .split_once(' ')
+                .unwrap_or_else(|| panic!("TYPE without a type: {line}"));
             assert!(
-                line.starts_with("# HELP ") || line.starts_with("# TYPE "),
-                "bad comment: {line}"
+                ["counter", "gauge", "histogram"].contains(&kind),
+                "unknown type in {line}"
             );
+            assert!(typed.insert(name.to_string()), "second TYPE for {name}");
+            family = Some((name.to_string(), kind.to_string()));
+            continue;
+        }
+        if line.starts_with('#') {
+            assert!(line.starts_with("# HELP "), "bad comment: {line}");
             continue;
         }
         assert!(!line.trim().is_empty(), "blank line in exposition");
@@ -57,9 +82,34 @@ fn parse_exposition(text: &str) -> Vec<Row> {
                 (name.to_string(), labels)
             }
         };
-        rows.push((name, labels, value));
+        assert!(
+            name.chars()
+                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':'),
+            "bad metric name {name}"
+        );
+        // A sample belongs to the family the latest TYPE line opened, so
+        // a family typed later, typed twice or interrupted fails here.
+        let (fam, kind) = family
+            .as_ref()
+            .unwrap_or_else(|| panic!("sample before any TYPE: {line}"));
+        let suffix = name.strip_prefix(fam.as_str());
+        let member = match kind.as_str() {
+            "histogram" => matches!(suffix, Some("_bucket" | "_sum" | "_count")),
+            _ => suffix == Some(""),
+        };
+        assert!(member, "{name} is outside the family {fam} it follows");
+        assert!(
+            seen.insert((name.clone(), labels.clone())),
+            "duplicate series {line}"
+        );
+        rows.push(((name, labels, value), kind.clone()));
     }
     rows
+}
+
+/// [`parse_typed`] without the family types.
+fn parse_exposition(text: &str) -> Vec<Row> {
+    parse_typed(text).into_iter().map(|(row, _)| row).collect()
 }
 
 fn label<'a>(labels: &'a [(String, String)], key: &str) -> Option<&'a str> {
@@ -632,4 +682,320 @@ fn session_counters_match_a_scripted_history_exactly() {
         return;
     }
     panic!("three runs in a row outlasted the registry's sweep interval");
+}
+
+#[test]
+fn prometheus_exposition_parses_and_is_cumulative() {
+    let m = Metrics::new();
+    let answer = MESSAGE_KINDS.iter().position(|&k| k == "answer").unwrap();
+    for micros in [1u64, 5, 900, 40_000, 2_000_000] {
+        m.record_latency(answer, Duration::from_micros(micros));
+    }
+    let mut by_phase = BTreeMap::new();
+    by_phase.insert(Phase::UniversalBodies, 3usize);
+    m.record_learn(&LearnStats {
+        questions: 3,
+        tuples: 6,
+        max_tuples_per_question: 2,
+        by_phase,
+        ..Default::default()
+    });
+    let stats = RegistryStats {
+        created: 4,
+        live: 2,
+        compaction_errors: 1,
+        batch_threads_used: 7,
+        uptime_seconds: 42,
+        store: Some(StoreStats {
+            records_appended: 9,
+            snapshot_sessions: 3,
+            ..Default::default()
+        }),
+        ..Default::default()
+    };
+    let trace = TraceStats {
+        journal_spans: 12,
+        journal_capacity: 8192,
+        spans_recorded: 40,
+        traces_committed: 5,
+        traces_sampled_out: 11,
+        slow_traces: 1,
+        overhead_nanos: 9_000,
+    };
+    let pool = PoolTelemetry::new("lines", 4);
+    pool.enqueue();
+    pool.worker_busy();
+    let mut logs = LogStats::default();
+    logs.events[Level::Warn as usize] = 6;
+    logs.suppressed = 2;
+    let ops = OpsSnapshot {
+        saturation: SaturationSnapshot {
+            pools: vec![pool.snapshot()],
+            lock_waits: 13,
+            lock_wait_nanos: 77_000,
+            store: Some(StoreOpsSnapshot {
+                appends: 21,
+                append_nanos: 1_000,
+                append_bytes: 4_096,
+                fsyncs: 2,
+                fsync_nanos: 500,
+                compactions: 0,
+                compaction_nanos: 0,
+            }),
+        },
+        logs,
+        profile: vec![LayerProfile {
+            layer: "dispatch".to_string(),
+            spans: 9,
+            self_nanos: 1_234,
+            total_nanos: 5_678,
+        }],
+        uptime_seconds: 42,
+        start_unix_seconds: 1_700_000_000,
+    };
+    let text = render_prometheus(&m.snapshot(), &stats, &trace, &ops);
+    let rows = parse_exposition(&text);
+    let has = |name: &str, value: f64| rows.iter().any(|(n, _, v)| n == name && *v == value);
+    let has_labelled = |name: &str, key: &str, val: &str, value: f64| {
+        rows.iter()
+            .any(|(n, labels, v)| n == name && label(labels, key) == Some(val) && *v == value)
+    };
+
+    // Build info carries the crate version as a label, value 1.
+    assert!(has_labelled(
+        "qhorn_build_info",
+        "version",
+        env!("CARGO_PKG_VERSION"),
+        1.0
+    ));
+
+    // Histogram: one bucket series per bound per message kind, with
+    // cumulative counts ending at +Inf == _count.
+    for kind in MESSAGE_KINDS {
+        let buckets: Vec<f64> = rows
+            .iter()
+            .filter(|(name, labels, _)| {
+                name == "qhorn_request_duration_seconds_bucket"
+                    && label(labels, "message") == Some(kind)
+            })
+            .map(|(_, _, v)| *v)
+            .collect();
+        assert_eq!(buckets.len(), BUCKETS, "{kind}");
+        assert!(
+            rows.iter().any(|(name, labels, _)| {
+                name == "qhorn_request_duration_seconds_sum"
+                    && label(labels, "message") == Some(kind)
+            }),
+            "missing _sum for {kind}"
+        );
+    }
+    bucket_cumulativity(&rows);
+    // The recorded kind has the right total.
+    assert!(has_labelled(
+        "qhorn_request_duration_seconds_count",
+        "message",
+        "answer",
+        5.0
+    ));
+
+    // Phase counters: one series per phase, with the recorded value.
+    let phases = rows
+        .iter()
+        .filter(|(name, _, _)| name == "qhorn_learner_questions_total")
+        .count();
+    assert_eq!(phases, PHASE_NAMES.len());
+    assert!(has_labelled(
+        "qhorn_learner_questions_total",
+        "phase",
+        "universal_bodies",
+        3.0
+    ));
+
+    // Registry + store counters surface.
+    assert!(has("qhorn_sessions_created_total", 4.0));
+    assert!(has("qhorn_store_records_appended_total", 9.0));
+    assert!(has("qhorn_store_snapshot_sessions", 3.0));
+    assert!(has("qhorn_store_last_compaction_seq", 0.0));
+    assert!(has("qhorn_compaction_errors_total", 1.0));
+    assert!(has("qhorn_batch_threads_used_total", 7.0));
+
+    // Tracer health gauges surface.
+    assert!(has("qhorn_trace_journal_spans", 12.0));
+    assert!(has("qhorn_trace_journal_capacity", 8192.0));
+    assert!(has("qhorn_trace_traces_committed_total", 5.0));
+    assert!(has("qhorn_trace_overhead_nanos_total", 9000.0));
+
+    // Uptime and start time near build info.
+    assert!(has("qhorn_uptime_seconds", 42.0));
+    assert!(has("qhorn_process_start_time_seconds", 1_700_000_000.0));
+
+    // Saturation series: per-pool gauges carry the pool label.
+    assert!(has_labelled("qhorn_pool_queue_depth", "pool", "lines", 1.0));
+    assert!(has_labelled(
+        "qhorn_pool_busy_workers",
+        "pool",
+        "lines",
+        1.0
+    ));
+    assert!(has("qhorn_registry_lock_wait_nanos_total", 77_000.0));
+    assert!(has("qhorn_store_op_appends_total", 21.0));
+    // The mailbox series went with the per-session threads.
+    assert!(!rows
+        .iter()
+        .any(|(name, _, _)| name.starts_with("qhorn_driver_")));
+
+    // Log counters: per-level series plus the suppression counter.
+    assert!(has_labelled("qhorn_log_events_total", "level", "warn", 6.0));
+    assert!(has("qhorn_log_suppressed_total", 2.0));
+
+    // Always-on profile series carry the layer label.
+    assert!(has_labelled(
+        "qhorn_profile_self_nanos_total",
+        "layer",
+        "dispatch",
+        1234.0
+    ));
+}
+
+/// Renders fixed, fully populated inputs: every message kind and phase,
+/// a store, two pools, every profile layer and every log level. Each
+/// number is distinct, so a series that reads another's field shows.
+fn fixed_exposition() -> String {
+    let snapshot = MetricsSnapshot {
+        histograms: MESSAGE_KINDS
+            .iter()
+            .zip(1u64..)
+            .map(|(kind, i)| {
+                let buckets: Vec<u64> = (0..BUCKETS as u64).map(|b| (i + b) % 3).collect();
+                HistogramSnapshot {
+                    message: (*kind).to_string(),
+                    count: buckets.iter().sum(),
+                    sum_nanos: 1_000 * i,
+                    buckets,
+                }
+            })
+            .collect(),
+        phases: PHASE_NAMES
+            .iter()
+            .zip(11u64..)
+            .map(|((_, name), n)| ((*name).to_string(), n))
+            .collect(),
+        learn_runs: 6,
+    };
+    let stats = RegistryStats {
+        created: 101,
+        live: 102,
+        evicted: 103,
+        restored: 104,
+        completed: 105,
+        failed: 106,
+        answers: 107,
+        batch_runs: 108,
+        batch_objects: 109,
+        batch_signatures: 110,
+        batch_answers: 111,
+        batch_threads_used: 112,
+        snapshots: 113,
+        compaction_errors: 114,
+        uptime_seconds: 42,
+        store: Some(StoreStats {
+            records_appended: 201,
+            bytes_appended: 202,
+            segments: 203,
+            live_log_bytes: 204,
+            compactions: 205,
+            last_compaction_seq: 206,
+            recovered_sessions: 207,
+            torn_truncations: 208,
+            snapshot_sessions: 209,
+        }),
+    };
+    let trace = TraceStats {
+        journal_spans: 301,
+        journal_capacity: 302,
+        spans_recorded: 303,
+        traces_committed: 304,
+        traces_sampled_out: 305,
+        slow_traces: 306,
+        overhead_nanos: 307,
+    };
+    let pools = [("lines", 410), ("http", 420)]
+        .into_iter()
+        .map(|(name, n)| PoolSnapshot {
+            name: name.to_string(),
+            workers: n + 1,
+            busy: n + 2,
+            queue_depth: n + 3,
+            queue_peak: n + 4,
+            enqueued: n + 5,
+            dequeued: n + 6,
+            queue_wait_nanos: n + 7,
+        })
+        .collect();
+    let logs = LogStats {
+        events: [501, 502, 503, 504, 505],
+        suppressed: 506,
+    };
+    let profile = PROFILE_LAYERS
+        .iter()
+        .zip((700u64..).step_by(10))
+        .map(|(layer, n)| LayerProfile {
+            layer: (*layer).to_string(),
+            spans: n + 1,
+            self_nanos: n + 2,
+            total_nanos: n + 3,
+        })
+        .collect();
+    let ops = OpsSnapshot {
+        saturation: SaturationSnapshot {
+            pools,
+            lock_waits: 401,
+            lock_wait_nanos: 402,
+            store: Some(StoreOpsSnapshot {
+                appends: 601,
+                append_nanos: 602,
+                append_bytes: 603,
+                fsyncs: 604,
+                fsync_nanos: 605,
+                compactions: 606,
+                compaction_nanos: 607,
+            }),
+        },
+        logs,
+        profile,
+        uptime_seconds: 42,
+        start_unix_seconds: 1_700_000_000,
+    };
+    render_prometheus(&snapshot, &stats, &trace, &ops)
+}
+
+/// The exposition of [`fixed_exposition`]'s inputs, pinned sample by
+/// sample against `exposition_golden.txt`: one `name{labels} TYPE value`
+/// line per sample, sorted. HELP text and sample order are not pinned;
+/// the family layout is checked by the parser.
+#[test]
+fn exposition_of_fixed_inputs_matches_the_golden_file() {
+    let mut got: Vec<String> = parse_typed(&fixed_exposition())
+        .into_iter()
+        .map(|((name, labels, value), kind)| {
+            let labels: Vec<String> = labels.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
+            if labels.is_empty() {
+                format!("{name} {kind} {value}")
+            } else {
+                format!("{name}{{{}}} {kind} {value}", labels.join(","))
+            }
+        })
+        .collect();
+    got.sort();
+    let want: Vec<&str> = include_str!("exposition_golden.txt").lines().collect();
+    let missing: Vec<&&str> = want
+        .iter()
+        .filter(|w| !got.iter().any(|g| g == *w))
+        .collect();
+    let extra: Vec<&String> = got.iter().filter(|g| !want.contains(&g.as_str())).collect();
+    assert!(
+        missing.is_empty() && extra.is_empty(),
+        "exposition differs from the golden file\nmissing: {missing:#?}\nextra: {extra:#?}"
+    );
+    assert_eq!(got, want, "same lines, different multiplicity");
 }
