@@ -65,7 +65,6 @@
 use crate::dispatch::try_dispatch_traced;
 use crate::error::ServiceError;
 use crate::frame::{FrameReader, Short};
-use crate::metrics::render_prometheus;
 use crate::pool::Frontend;
 use crate::proto::{Reply, Request, DEFAULT_TRACE_LIMIT};
 use crate::registry::Registry;
@@ -326,16 +325,10 @@ fn respond(registry: &Arc<Registry>, req: &HttpRequest) -> HttpResponse {
             return error_response(405, format!("method {} not allowed", req.method))
                 .with_allow("GET");
         }
-        let text = render_prometheus(
-            &registry.metrics().snapshot(),
-            &registry.stats(),
-            &registry.tracer().stats(),
-            &registry.ops_snapshot(),
-        );
         return HttpResponse {
             status: 200,
             content_type: "text/plain; version=0.0.4",
-            body: text,
+            body: crate::metrics::scrape(registry),
             allow: None,
             trace_id: None,
         };

@@ -27,10 +27,10 @@
 //!   a fixed worker pool, graceful shutdown) and read through one
 //!   buffered frame reader, which both clients use too;
 //! * [`metrics`] — lock-striped per-message latency histograms
-//!   (fixed log-scale buckets), learner question counts per phase, and
-//!   saturation telemetry (worker-pool queue depth, registry lock waits,
-//!   store append/fsync timings) behind the health verdict at
-//!   `GET /v1/health`;
+//!   (fixed log-scale buckets), learner question counts per phase,
+//!   saturation telemetry (worker-pool queue depth, registry lock waits)
+//!   behind the health verdict at `GET /v1/health`, and the Prometheus
+//!   exposition, written from the wire snapshots' encodings;
 //! * [`log`] — std-only structured logging: leveled JSON-lines events
 //!   correlated to trace ids, per-target runtime-adjustable levels, and
 //!   token-bucket rate limiting;

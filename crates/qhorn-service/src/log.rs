@@ -25,6 +25,7 @@
 //! when per-target overrides exist), so disabled log sites cost nanoseconds.
 
 use crate::trace;
+use qhorn_json::wire::map;
 use qhorn_json::Json;
 use qhorn_lockdep::{LockClass, OrderedMutex};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -108,12 +109,20 @@ struct Inner {
 }
 
 /// Cumulative emission counters, for Prometheus export.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LogStats {
-    /// Lines emitted, indexed by [`Level`] (`events[Level::Info as usize]`).
-    pub events: [u64; LEVELS],
+    /// `(level name, lines emitted)`, indexed by [`Level`]
+    /// (`events[Level::Info as usize]`).
+    pub events: Vec<(&'static str, u64)>,
     /// Lines dropped by the rate limiter.
     pub suppressed: u64,
+}
+
+qhorn_json::wire! {
+    encode struct LogStats {
+        events: Vec<(&'static str, u64)> [with = map],
+        suppressed: u64,
+    }
 }
 
 /// A structured logger instance. Most code uses the process-global one
@@ -228,12 +237,13 @@ impl Logger {
     /// Cumulative counters (emitted per level, suppressed).
     #[must_use]
     pub fn stats(&self) -> LogStats {
-        let mut events = [0u64; LEVELS];
-        for (slot, counter) in events.iter_mut().zip(&self.emitted) {
-            *slot = counter.load(Ordering::Relaxed);
-        }
         LogStats {
-            events,
+            events: self
+                .emitted
+                .iter()
+                .enumerate()
+                .map(|(i, n)| (Level::from_u8(i as u8).as_str(), n.load(Ordering::Relaxed)))
+                .collect(),
             suppressed: self.suppressed.load(Ordering::Relaxed),
         }
     }
@@ -414,7 +424,10 @@ mod tests {
         // sides instead of pinning exact counts.
         assert!(emitted >= Logger::BURST, "emitted {emitted}");
         assert!(stats.suppressed > 0, "nothing suppressed");
-        assert_eq!(stats.events[Level::Info as usize] + stats.suppressed, total);
+        assert_eq!(
+            stats.events[Level::Info as usize].1 + stats.suppressed,
+            total
+        );
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! The service's observability subsystem: per-message latency histograms
 //! and learner question counts per phase, exported as a [`MetricsSnapshot`]
 //! (the `Metrics` protocol message) and as Prometheus text exposition
-//! (`GET /metrics` on the HTTP frontend).
+//! (`GET /metrics` on the HTTP frontend). The exposition is written from
+//! the JSON encodings of the snapshots the protocol serves, so each
+//! exported number is named once, in its wire declaration (see
+//! [`render_prometheus`]).
 //!
 //! Latencies land in **lock-striped** histograms: each stripe is an
 //! independently locked array of per-message histograms and every thread
@@ -17,9 +20,15 @@
 //! split is what an operator watches to see *where* dialogues spend the
 //! user's patience.
 
+use crate::log::LogStats;
+use crate::registry::{Registry, RegistryStats};
+use crate::trace::{LayerProfile, TraceStats};
 use qhorn_core::learn::{LearnStats, Phase};
 use qhorn_json::wire::map;
+use qhorn_json::{Json, ToJson};
 use qhorn_lockdep::{LockClass, OrderedMutex};
+use std::collections::BTreeMap;
+use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -351,89 +360,10 @@ qhorn_json::wire! {
     }
 }
 
-/// Live append/fsync-path counters, fed by the store observer on every
-/// operation (traced or not).
-#[derive(Default)]
-pub struct StoreTelemetry {
-    appends: AtomicU64,
-    append_nanos: AtomicU64,
-    append_bytes: AtomicU64,
-    fsyncs: AtomicU64,
-    fsync_nanos: AtomicU64,
-    compactions: AtomicU64,
-    compaction_nanos: AtomicU64,
-}
-
-impl StoreTelemetry {
-    /// Folds one store operation in.
-    pub fn observe(&self, op: qhorn_store::StoreOp, duration: Duration, bytes: u64) {
-        let nanos = u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX);
-        match op {
-            qhorn_store::StoreOp::Append => {
-                self.appends.fetch_add(1, Ordering::Relaxed);
-                self.append_nanos.fetch_add(nanos, Ordering::Relaxed);
-                self.append_bytes.fetch_add(bytes, Ordering::Relaxed);
-            }
-            qhorn_store::StoreOp::Fsync => {
-                self.fsyncs.fetch_add(1, Ordering::Relaxed);
-                self.fsync_nanos.fetch_add(nanos, Ordering::Relaxed);
-            }
-            qhorn_store::StoreOp::Compaction => {
-                self.compactions.fetch_add(1, Ordering::Relaxed);
-                self.compaction_nanos.fetch_add(nanos, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// A point-in-time copy for export.
-    #[must_use]
-    pub fn snapshot(&self) -> StoreOpsSnapshot {
-        StoreOpsSnapshot {
-            appends: self.appends.load(Ordering::Relaxed),
-            append_nanos: self.append_nanos.load(Ordering::Relaxed),
-            append_bytes: self.append_bytes.load(Ordering::Relaxed),
-            fsyncs: self.fsyncs.load(Ordering::Relaxed),
-            fsync_nanos: self.fsync_nanos.load(Ordering::Relaxed),
-            compactions: self.compactions.load(Ordering::Relaxed),
-            compaction_nanos: self.compaction_nanos.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Observed store-operation timings, as carried by the `Health` reply.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StoreOpsSnapshot {
-    /// Appends observed.
-    pub appends: u64,
-    /// Total append wall time, nanoseconds.
-    pub append_nanos: u64,
-    /// Bytes appended (frame sizes as observed).
-    pub append_bytes: u64,
-    /// Fsyncs observed.
-    pub fsyncs: u64,
-    /// Total fsync wall time, nanoseconds.
-    pub fsync_nanos: u64,
-    /// Compactions observed.
-    pub compactions: u64,
-    /// Total compaction wall time, nanoseconds.
-    pub compaction_nanos: u64,
-}
-
-qhorn_json::wire! {
-    struct StoreOpsSnapshot {
-        appends: u64,
-        append_nanos: u64,
-        append_bytes: u64,
-        fsyncs: u64,
-        fsync_nanos: u64,
-        compactions: u64,
-        compaction_nanos: u64,
-    }
-}
-
-/// Every saturation signal at one instant: worker pools, registry stripe
-/// lock waits, and the store append/fsync path. The
-/// payload of the `Health` reply and the input to the health verdict.
+/// Every saturation signal at one instant: worker pools and registry
+/// stripe lock waits. The payload of the `Health` reply and the input to
+/// the health verdict. (The store path's timings are in
+/// [`qhorn_store::StoreStats`], served by `Stats`.)
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SaturationSnapshot {
     /// One entry per registered frontend pool.
@@ -442,8 +372,6 @@ pub struct SaturationSnapshot {
     pub lock_waits: u64,
     /// Total nanoseconds spent waiting on registry stripe locks.
     pub lock_wait_nanos: u64,
-    /// Store operation timings (absent when running storeless).
-    pub store: Option<StoreOpsSnapshot>,
 }
 
 qhorn_json::wire! {
@@ -451,29 +379,116 @@ qhorn_json::wire! {
         pools: Vec<PoolSnapshot>,
         lock_waits: u64,
         lock_wait_nanos: u64,
-        store: Option<StoreOpsSnapshot> [skip],
     }
-}
-
-/// The operational counters [`render_prometheus`] exports beyond request
-/// metrics: saturation, logging, the always-on profile, and uptime.
-/// Bundled so the exporter signature survives future additions.
-pub struct OpsSnapshot {
-    /// Saturation signals (pools, locks, store path).
-    pub saturation: SaturationSnapshot,
-    /// Structured-log emission counters.
-    pub logs: crate::log::LogStats,
-    /// Always-on per-layer profile, in `PROFILE_LAYERS` order.
-    pub profile: Vec<crate::trace::LayerProfile>,
-    /// Seconds since process start.
-    pub uptime_seconds: u64,
-    /// Process start time, seconds since the Unix epoch.
-    pub start_unix_seconds: u64,
 }
 
 // ---------------------------------------------------------------------------
 // Prometheus text exposition
 // ---------------------------------------------------------------------------
+
+/// Wire keys exported as gauges; every other integer is a counter.
+const GAUGE_KEYS: &[&str] = &[
+    "live",
+    "snapshots",
+    "uptime_seconds",
+    "segments",
+    "live_log_bytes",
+    "last_compaction_seq",
+    "recovered_sessions",
+    "snapshot_sessions",
+    "journal_spans",
+    "journal_capacity",
+    "workers",
+    "busy",
+    "queue_depth",
+    "queue_peak",
+];
+
+/// Names that predate [`render_prometheus`]'s naming rule:
+/// `(prefix + key, exported name)`, before any `_total`.
+const LEGACY_NAMES: &[(&str, &str)] = &[
+    ("qhorn_created", "qhorn_sessions_created"),
+    ("qhorn_live", "qhorn_sessions_live"),
+    ("qhorn_evicted", "qhorn_sessions_evicted"),
+    ("qhorn_restored", "qhorn_sessions_restored"),
+    ("qhorn_completed", "qhorn_sessions_completed"),
+    ("qhorn_failed", "qhorn_sessions_failed"),
+    ("qhorn_snapshots", "qhorn_snapshots_held"),
+    ("qhorn_pool_busy", "qhorn_pool_busy_workers"),
+    ("qhorn_phases", "qhorn_learner_questions"),
+];
+
+/// Arrays of objects: `(key, element prefix, label)`.
+const ARRAYS: &[(&str, &str, &str)] = &[
+    ("pools", "qhorn_pool_", "pool"),
+    ("layers", "qhorn_profile_", "layer"),
+];
+
+/// Objects of integers keyed by label value: `(key, label)`.
+const MAPS: &[(&str, &str)] = &[("phases", "phase"), ("events", "level")];
+
+/// Walked families by exported name: type and rendered samples. Keyed by
+/// name, so each family is typed once and its samples stay contiguous.
+type Families = BTreeMap<String, (&'static str, String)>;
+
+/// Walks one snapshot's encoding into `families` under `prefix`.
+fn walk(families: &mut Families, prefix: &str, label: Option<(&str, &str)>, json: &Json) {
+    let Json::Obj(pairs) = json else { return };
+    for (key, value) in pairs {
+        match value {
+            Json::Obj(entries) => match MAPS.iter().find(|(k, _)| k == key) {
+                Some((_, name)) => {
+                    for (tag, n) in entries {
+                        sample(families, prefix, key, Some((name, tag)), n);
+                    }
+                }
+                None => walk(families, &format!("{prefix}{key}_"), label, value),
+            },
+            Json::Arr(items) => {
+                let Some((_, item_prefix, name)) = ARRAYS.iter().find(|(k, ..)| k == key) else {
+                    continue;
+                };
+                for item in items {
+                    let tag = item
+                        .as_obj()
+                        .and_then(|fields| fields.iter().find_map(|(_, v)| v.as_str()));
+                    walk(families, item_prefix, tag.map(|t| (*name, t)), item);
+                }
+            }
+            _ => sample(families, prefix, key, label, value),
+        }
+    }
+}
+
+/// Adds one integer sample to the family the naming rule gives
+/// `prefix + key` (non-integers are skipped).
+fn sample(
+    families: &mut Families,
+    prefix: &str,
+    key: &str,
+    label: Option<(&str, &str)>,
+    value: &Json,
+) {
+    let Some(value) = value.as_u64() else { return };
+    let base = format!("{prefix}{key}");
+    let base = LEGACY_NAMES
+        .iter()
+        .find(|(rule, _)| *rule == base)
+        .map_or(base, |(_, legacy)| (*legacy).to_string());
+    let (name, kind) = if GAUGE_KEYS.contains(&key) {
+        (base, "gauge")
+    } else {
+        (base + "_total", "counter")
+    };
+    let (_, text) = families
+        .entry(name.clone())
+        .or_insert((kind, String::new()));
+    text.push_str(&name);
+    if let Some((k, v)) = label {
+        let _ = write!(text, "{{{k}=\"{v}\"}}");
+    }
+    let _ = writeln!(text, " {value}");
+}
 
 /// Formats a finite bucket bound as a Prometheus `le` value, in seconds.
 fn le_label(i: usize) -> String {
@@ -490,35 +505,41 @@ fn le_label(i: usize) -> String {
     s
 }
 
-/// Renders the snapshot plus the registry's cumulative counters, the
-/// tracer's health gauges, and the operational bundle (saturation, logs,
-/// profile, uptime) as Prometheus text exposition (format version 0.0.4).
+/// Renders the exported snapshots as Prometheus text exposition (format
+/// version 0.0.4).
+///
+/// The latency histogram, `qhorn_build_info` and the start time are
+/// written by hand. Every other number is read from a snapshot's
+/// [`ToJson`] encoding, walked under its group's prefix: an integer
+/// field becomes `{prefix}{key}`, with `_total` appended unless the key
+/// is a gauge. A nested object extends the prefix with `{key}_`. An
+/// array of objects (`pools`, `layers`) exports each element's integers
+/// under its own prefix, labelled with the element's string field, and
+/// an object keyed by label value (`phases`, `events`) is one labelled
+/// family. Other arrays, strings and booleans are skipped. A few names
+/// that predate the rule are mapped to their old form.
 #[must_use]
 pub fn render_prometheus(
     snapshot: &MetricsSnapshot,
-    stats: &crate::registry::RegistryStats,
-    trace: &crate::trace::TraceStats,
-    ops: &OpsSnapshot,
+    stats: &RegistryStats,
+    trace: &TraceStats,
+    saturation: &SaturationSnapshot,
+    logs: &LogStats,
+    profile: &[LayerProfile],
+    start_unix_seconds: u64,
 ) -> String {
     let mut out = String::with_capacity(16 * 1024);
-    out.push_str(&format!(
+    let _ = write!(
+        out,
         "# HELP qhorn_build_info Build metadata; the value is always 1.\n\
          # TYPE qhorn_build_info gauge\n\
-         qhorn_build_info{{version=\"{}\"}} 1\n",
-        env!("CARGO_PKG_VERSION")
-    ));
-    out.push_str(&format!(
-        "# HELP qhorn_process_start_time_seconds Unix time the process started.\n\
+         qhorn_build_info{{version=\"{}\"}} 1\n\
+         # HELP qhorn_process_start_time_seconds Unix time the process started.\n\
          # TYPE qhorn_process_start_time_seconds gauge\n\
-         qhorn_process_start_time_seconds {}\n\
-         # HELP qhorn_uptime_seconds Seconds since process start.\n\
-         # TYPE qhorn_uptime_seconds gauge\n\
-         qhorn_uptime_seconds {}\n",
-        ops.start_unix_seconds, ops.uptime_seconds
-    ));
-    out.push_str(
-        "# HELP qhorn_request_duration_seconds Wall-clock latency of served protocol messages.\n\
+         qhorn_process_start_time_seconds {start_unix_seconds}\n\
+         # HELP qhorn_request_duration_seconds Wall-clock latency of served protocol messages.\n\
          # TYPE qhorn_request_duration_seconds histogram\n",
+        env!("CARGO_PKG_VERSION")
     );
     for h in &snapshot.histograms {
         let mut cumulative = 0u64;
@@ -529,247 +550,55 @@ pub fn render_prometheus(
             } else {
                 le_label(i)
             };
-            out.push_str(&format!(
-                "qhorn_request_duration_seconds_bucket{{message=\"{}\",le=\"{le}\"}} {cumulative}\n",
+            let _ = writeln!(
+                out,
+                "qhorn_request_duration_seconds_bucket{{message=\"{}\",le=\"{le}\"}} {cumulative}",
                 h.message
-            ));
+            );
         }
-        out.push_str(&format!(
-            "qhorn_request_duration_seconds_sum{{message=\"{}\"}} {}\n",
+        let _ = writeln!(
+            out,
+            "qhorn_request_duration_seconds_sum{{message=\"{}\"}} {}\n\
+             qhorn_request_duration_seconds_count{{message=\"{}\"}} {}",
             h.message,
-            h.sum_nanos as f64 / 1e9
-        ));
-        out.push_str(&format!(
-            "qhorn_request_duration_seconds_count{{message=\"{}\"}} {}\n",
-            h.message, h.count
-        ));
-    }
-    out.push_str(
-        "# HELP qhorn_learner_questions_total Membership questions asked, by learning phase.\n\
-         # TYPE qhorn_learner_questions_total counter\n",
-    );
-    for (name, n) in &snapshot.phases {
-        out.push_str(&format!(
-            "qhorn_learner_questions_total{{phase=\"{name}\"}} {n}\n"
-        ));
-    }
-    out.push_str(
-        "# HELP qhorn_learn_runs_total Completed learner runs folded into the phase counters.\n\
-         # TYPE qhorn_learn_runs_total counter\n",
-    );
-    out.push_str(&format!("qhorn_learn_runs_total {}\n", snapshot.learn_runs));
-
-    let counters: &[(&str, &str, u64)] = &[
-        ("qhorn_sessions_created_total", "counter", stats.created),
-        ("qhorn_sessions_live", "gauge", stats.live),
-        ("qhorn_sessions_evicted_total", "counter", stats.evicted),
-        ("qhorn_sessions_restored_total", "counter", stats.restored),
-        ("qhorn_sessions_completed_total", "counter", stats.completed),
-        ("qhorn_sessions_failed_total", "counter", stats.failed),
-        ("qhorn_answers_total", "counter", stats.answers),
-        ("qhorn_batch_runs_total", "counter", stats.batch_runs),
-        ("qhorn_batch_objects_total", "counter", stats.batch_objects),
-        (
-            "qhorn_batch_signatures_total",
-            "counter",
-            stats.batch_signatures,
-        ),
-        ("qhorn_batch_answers_total", "counter", stats.batch_answers),
-        (
-            "qhorn_batch_threads_used_total",
-            "counter",
-            stats.batch_threads_used,
-        ),
-        ("qhorn_snapshots_held", "gauge", stats.snapshots),
-        (
-            "qhorn_compaction_errors_total",
-            "counter",
-            stats.compaction_errors,
-        ),
-        ("qhorn_trace_journal_spans", "gauge", trace.journal_spans),
-        (
-            "qhorn_trace_journal_capacity",
-            "gauge",
-            trace.journal_capacity,
-        ),
-        (
-            "qhorn_trace_spans_recorded_total",
-            "counter",
-            trace.spans_recorded,
-        ),
-        (
-            "qhorn_trace_traces_committed_total",
-            "counter",
-            trace.traces_committed,
-        ),
-        (
-            "qhorn_trace_traces_sampled_out_total",
-            "counter",
-            trace.traces_sampled_out,
-        ),
-        (
-            "qhorn_trace_slow_traces_total",
-            "counter",
-            trace.slow_traces,
-        ),
-        (
-            "qhorn_trace_overhead_nanos_total",
-            "counter",
-            trace.overhead_nanos,
-        ),
-    ];
-    for (name, kind, value) in counters {
-        out.push_str(&format!("# TYPE {name} {kind}\n{name} {value}\n"));
-    }
-    if let Some(store) = &stats.store {
-        let store_counters: &[(&str, &str, u64)] = &[
-            (
-                "qhorn_store_records_appended_total",
-                "counter",
-                store.records_appended,
-            ),
-            (
-                "qhorn_store_bytes_appended_total",
-                "counter",
-                store.bytes_appended,
-            ),
-            ("qhorn_store_segments", "gauge", store.segments),
-            ("qhorn_store_live_log_bytes", "gauge", store.live_log_bytes),
-            (
-                "qhorn_store_compactions_total",
-                "counter",
-                store.compactions,
-            ),
-            (
-                "qhorn_store_recovered_sessions",
-                "gauge",
-                store.recovered_sessions,
-            ),
-            (
-                "qhorn_store_torn_truncations_total",
-                "counter",
-                store.torn_truncations,
-            ),
-            (
-                "qhorn_store_last_compaction_seq",
-                "gauge",
-                store.last_compaction_seq,
-            ),
-            (
-                "qhorn_store_snapshot_sessions",
-                "gauge",
-                store.snapshot_sessions,
-            ),
-        ];
-        for (name, kind, value) in store_counters {
-            out.push_str(&format!("# TYPE {name} {kind}\n{name} {value}\n"));
-        }
+            h.sum_nanos as f64 / 1e9,
+            h.message,
+            h.count
+        );
     }
 
-    // Saturation: per-pool gauges/counters.
-    type PoolSeries = (&'static str, &'static str, fn(&PoolSnapshot) -> u64);
-    let pool_series: &[PoolSeries] = &[
-        ("qhorn_pool_workers", "gauge", |p| p.workers),
-        ("qhorn_pool_busy_workers", "gauge", |p| p.busy),
-        ("qhorn_pool_queue_depth", "gauge", |p| p.queue_depth),
-        ("qhorn_pool_queue_peak", "gauge", |p| p.queue_peak),
-        ("qhorn_pool_enqueued_total", "counter", |p| p.enqueued),
-        ("qhorn_pool_dequeued_total", "counter", |p| p.dequeued),
-        ("qhorn_pool_queue_wait_nanos_total", "counter", |p| {
-            p.queue_wait_nanos
-        }),
-    ];
-    for (name, kind, get) in pool_series {
-        if ops.saturation.pools.is_empty() {
-            continue;
-        }
-        out.push_str(&format!("# TYPE {name} {kind}\n"));
-        for pool in &ops.saturation.pools {
-            out.push_str(&format!("{name}{{pool=\"{}\"}} {}\n", pool.name, get(pool)));
-        }
+    let mut families = Families::new();
+    let layers = Json::Obj(vec![("layers".to_string(), profile.to_json())]);
+    for (prefix, json) in [
+        ("qhorn_", snapshot.to_json()),
+        ("qhorn_", stats.to_json()),
+        ("qhorn_trace_", trace.to_json()),
+        ("qhorn_registry_", saturation.to_json()),
+        ("qhorn_log_", logs.to_json()),
+        ("qhorn_", layers),
+    ] {
+        walk(&mut families, prefix, None, &json);
     }
-    let mut ops_counters: Vec<(&str, &str, u64)> = vec![
-        (
-            "qhorn_registry_lock_waits_total",
-            "counter",
-            ops.saturation.lock_waits,
-        ),
-        (
-            "qhorn_registry_lock_wait_nanos_total",
-            "counter",
-            ops.saturation.lock_wait_nanos,
-        ),
-        ("qhorn_log_suppressed_total", "counter", ops.logs.suppressed),
-    ];
-    if let Some(store) = &ops.saturation.store {
-        ops_counters.extend([
-            ("qhorn_store_op_appends_total", "counter", store.appends),
-            (
-                "qhorn_store_op_append_nanos_total",
-                "counter",
-                store.append_nanos,
-            ),
-            (
-                "qhorn_store_op_append_bytes_total",
-                "counter",
-                store.append_bytes,
-            ),
-            ("qhorn_store_op_fsyncs_total", "counter", store.fsyncs),
-            (
-                "qhorn_store_op_fsync_nanos_total",
-                "counter",
-                store.fsync_nanos,
-            ),
-            (
-                "qhorn_store_op_compactions_total",
-                "counter",
-                store.compactions,
-            ),
-            (
-                "qhorn_store_op_compaction_nanos_total",
-                "counter",
-                store.compaction_nanos,
-            ),
-        ]);
-    }
-    for (name, kind, value) in &ops_counters {
-        out.push_str(&format!("# TYPE {name} {kind}\n{name} {value}\n"));
-    }
-
-    // Structured-log emission counters, by level.
-    out.push_str(
-        "# HELP qhorn_log_events_total Structured log lines emitted, by level.\n\
-         # TYPE qhorn_log_events_total counter\n",
-    );
-    for (i, n) in ops.logs.events.iter().enumerate() {
-        let level = crate::log::Level::from_u8(i as u8);
-        out.push_str(&format!(
-            "qhorn_log_events_total{{level=\"{}\"}} {n}\n",
-            level.as_str()
-        ));
-    }
-
-    // Always-on profile: time by layer.
-    type ProfileSeries = (&'static str, fn(&crate::trace::LayerProfile) -> u64);
-    let profile_series: &[ProfileSeries] = &[
-        ("qhorn_profile_spans_total", |l| l.spans),
-        ("qhorn_profile_self_nanos_total", |l| l.self_nanos),
-        ("qhorn_profile_total_nanos_total", |l| l.total_nanos),
-    ];
-    for (name, get) in profile_series {
-        if ops.profile.is_empty() {
-            continue;
-        }
-        out.push_str(&format!("# TYPE {name} counter\n"));
-        for layer in &ops.profile {
-            out.push_str(&format!(
-                "{name}{{layer=\"{}\"}} {}\n",
-                layer.layer,
-                get(layer)
-            ));
-        }
+    for (name, (kind, samples)) in &families {
+        let _ = writeln!(out, "# TYPE {name} {kind}");
+        out.push_str(samples);
     }
     out
+}
+
+/// The exposition `GET /metrics` serves: [`render_prometheus`] over the
+/// registry's current snapshots and the global logger's counters.
+#[must_use]
+pub fn scrape(registry: &Registry) -> String {
+    render_prometheus(
+        &registry.metrics().snapshot(),
+        &registry.stats(),
+        &registry.tracer().stats(),
+        &registry.saturation(),
+        &crate::log::stats(),
+        &registry.tracer().profile(),
+        registry.start_unix_seconds(),
+    )
 }
 
 #[cfg(test)]
@@ -899,43 +728,9 @@ mod tests {
             }],
             lock_waits: 7,
             lock_wait_nanos: 9_999,
-            store: Some(StoreOpsSnapshot {
-                appends: 4,
-                append_nanos: 5,
-                append_bytes: 6,
-                fsyncs: 7,
-                fsync_nanos: 8,
-                compactions: 9,
-                compaction_nanos: 10,
-            }),
         };
         let line = qhorn_json::to_string(&snap);
         let back: SaturationSnapshot = qhorn_json::from_str(&line).unwrap();
         assert_eq!(back, snap);
-
-        // Storeless snapshots omit the key entirely and still decode.
-        let no_store = SaturationSnapshot {
-            store: None,
-            ..snap
-        };
-        let line = qhorn_json::to_string(&no_store);
-        assert!(!line.contains("\"store\""));
-        let back: SaturationSnapshot = qhorn_json::from_str(&line).unwrap();
-        assert_eq!(back, no_store);
-    }
-
-    #[test]
-    fn store_telemetry_buckets_by_operation() {
-        let t = StoreTelemetry::default();
-        t.observe(qhorn_store::StoreOp::Append, Duration::from_nanos(100), 64);
-        t.observe(qhorn_store::StoreOp::Append, Duration::from_nanos(200), 32);
-        t.observe(qhorn_store::StoreOp::Fsync, Duration::from_nanos(500), 0);
-        let snap = t.snapshot();
-        assert_eq!(snap.appends, 2);
-        assert_eq!(snap.append_nanos, 300);
-        assert_eq!(snap.append_bytes, 96);
-        assert_eq!(snap.fsyncs, 1);
-        assert_eq!(snap.fsync_nanos, 500);
-        assert_eq!(snap.compactions, 0);
     }
 }

@@ -905,15 +905,6 @@ mod tests {
                 }],
                 lock_waits: 240,
                 lock_wait_nanos: 1_500_000,
-                store: Some(crate::metrics::StoreOpsSnapshot {
-                    appends: 21,
-                    append_nanos: 84_000,
-                    append_bytes: 9_216,
-                    fsyncs: 2,
-                    fsync_nanos: 3_000_000,
-                    compactions: 1,
-                    compaction_nanos: 500_000,
-                }),
             },
         }));
         round_trip_reply(&Reply::Profile {
@@ -977,6 +968,10 @@ mod tests {
                 recovered_sessions: 3,
                 torn_truncations: 0,
                 snapshot_sessions: 4,
+                append_nanos: 84_000,
+                fsyncs: 2,
+                fsync_nanos: 3_000_000,
+                compaction_nanos: 500_000,
             }),
             ..Default::default()
         });

@@ -39,7 +39,7 @@
 use crate::dataset::{DatasetCatalog, DatasetInfo};
 use crate::error::ServiceError;
 use crate::metrics::PHASE_NAMES;
-use crate::metrics::{Metrics, OpsSnapshot, PoolTelemetry, SaturationSnapshot, StoreTelemetry};
+use crate::metrics::{Metrics, PoolTelemetry, SaturationSnapshot};
 use crate::trace::{self, AttrValue, TraceConfig, TraceStoreObserver, Tracer};
 use qhorn_core::learn::LearnOptions;
 use qhorn_core::{Obj, Query, Response};
@@ -328,8 +328,6 @@ pub struct Registry {
     /// (the `with_entry` stripe-wait measurement, made scrapeable).
     lock_waits: AtomicU64,
     lock_wait_nanos: AtomicU64,
-    /// Store append/fsync-path timings, fed by the store observer.
-    store_telemetry: Arc<StoreTelemetry>,
     /// Last health verdict (0 ok / 1 degraded / 2 saturated), for
     /// transition logging.
     last_verdict: AtomicU8,
@@ -375,7 +373,6 @@ impl Registry {
     pub fn open(config: RegistryConfig) -> Result<Self, ServiceError> {
         let shards = config.shards.max(1);
         let tracer = Arc::new(Tracer::new(&config.trace));
-        let store_telemetry = Arc::new(StoreTelemetry::default());
         let mut next_id = 1u64;
         let mut recovered = Vec::new();
         let mut recovered_datasets = Vec::new();
@@ -383,10 +380,7 @@ impl Registry {
             Some(cfg) => {
                 let (mut store, state) =
                     SessionStore::open(cfg).map_err(|e| ServiceError::Store(e.to_string()))?;
-                store.set_observer(Box::new(TraceStoreObserver::new(
-                    Arc::clone(&tracer),
-                    Arc::clone(&store_telemetry),
-                )));
+                store.set_observer(Box::new(TraceStoreObserver::new(Arc::clone(&tracer))));
                 next_id = state.max_session_id + 1;
                 recovered = state.sessions;
                 recovered_datasets = state.datasets;
@@ -417,7 +411,6 @@ impl Registry {
             pools: OrderedMutex::new(LockClass::new("registry.pools"), Vec::new()),
             lock_waits: AtomicU64::new(0),
             lock_wait_nanos: AtomicU64::new(0),
-            store_telemetry,
             last_verdict: AtomicU8::new(0),
             start: Instant::now(),
             start_unix_seconds: SystemTime::now()
@@ -838,7 +831,6 @@ impl Registry {
                 .collect(),
             lock_waits: self.lock_waits.load(Ordering::Relaxed),
             lock_wait_nanos: self.lock_wait_nanos.load(Ordering::Relaxed),
-            store: self.store.as_ref().map(|_| self.store_telemetry.snapshot()),
         }
     }
 
@@ -879,16 +871,10 @@ impl Registry {
         self.start.elapsed().as_secs()
     }
 
-    /// The operational bundle `/metrics` exports beyond request metrics.
+    /// Process start time, seconds since the Unix epoch.
     #[must_use]
-    pub fn ops_snapshot(&self) -> OpsSnapshot {
-        OpsSnapshot {
-            saturation: self.saturation(),
-            logs: crate::log::stats(),
-            profile: self.tracer.profile(),
-            uptime_seconds: self.uptime_seconds(),
-            start_unix_seconds: self.start_unix_seconds,
-        }
+    pub fn start_unix_seconds(&self) -> u64 {
+        self.start_unix_seconds
     }
 
     /// The session's resource accounting (see [`SessionResources`] for

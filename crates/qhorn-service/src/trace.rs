@@ -53,7 +53,6 @@
 //! and [`Tracer::reset_profile`] rewinds it — "where do the nanoseconds
 //! go" without attaching a profiler.
 
-use crate::metrics::StoreTelemetry;
 use qhorn_json::wire::map;
 use qhorn_json::{FromJson, Json, JsonError, ToJson};
 use qhorn_lockdep::{LockClass, OrderedMutex};
@@ -179,6 +178,18 @@ pub struct TraceStats {
     pub slow_traces: u64,
     /// Nanoseconds spent journaling committed traces (cumulative).
     pub overhead_nanos: u64,
+}
+
+qhorn_json::wire! {
+    encode struct TraceStats {
+        journal_spans: u64,
+        journal_capacity: u64,
+        spans_recorded: u64,
+        traces_committed: u64,
+        traces_sampled_out: u64,
+        slow_traces: u64,
+        overhead_nanos: u64,
+    }
 }
 
 /// Filters for [`Tracer::list`] / the `list_traces` request.
@@ -1211,22 +1222,20 @@ fn build_node(
 /// Forwards [`qhorn_store`] operation timings into the active trace as
 /// retro spans. Without an active trace, appends and fsyncs are dropped
 /// (too hot for standalone events) but compactions — rare and expensive —
-/// are journaled as standalone events. Every operation — traced or not —
-/// also feeds the store saturation telemetry.
+/// are journaled as standalone events. The store counts and times every
+/// operation itself ([`qhorn_store::StoreStats`]).
 pub(crate) struct TraceStoreObserver {
     tracer: Arc<Tracer>,
-    telemetry: Arc<StoreTelemetry>,
 }
 
 impl TraceStoreObserver {
-    pub(crate) fn new(tracer: Arc<Tracer>, telemetry: Arc<StoreTelemetry>) -> Self {
-        TraceStoreObserver { tracer, telemetry }
+    pub(crate) fn new(tracer: Arc<Tracer>) -> Self {
+        TraceStoreObserver { tracer }
     }
 }
 
 impl qhorn_store::StoreObserver for TraceStoreObserver {
     fn observe(&self, op: qhorn_store::StoreOp, duration: Duration, bytes: u64) {
-        self.telemetry.observe(op, duration, bytes);
         let name = match op {
             qhorn_store::StoreOp::Append => "store.append",
             qhorn_store::StoreOp::Fsync => "store.fsync",

@@ -14,7 +14,7 @@ use qhorn_engine::session::{Exchange, LearnerKind};
 use qhorn_json::{Json, ToJson};
 use qhorn_service::dataset::DatasetInfo;
 use qhorn_service::metrics::{
-    HistogramSnapshot, MetricsSnapshot, PoolSnapshot, SaturationSnapshot, StoreOpsSnapshot,
+    HistogramSnapshot, MetricsSnapshot, PoolSnapshot, SaturationSnapshot,
 };
 use qhorn_service::proto::{Reply, Request, StepReply};
 use qhorn_service::registry::{HealthReport, RegistryStats, SessionResources};
@@ -353,10 +353,6 @@ impl Gen {
                         ..PoolSnapshot::default()
                     }),
                     lock_waits: self.num(),
-                    store: self.opt(|g| StoreOpsSnapshot {
-                        appends: g.num(),
-                        ..StoreOpsSnapshot::default()
-                    }),
                     ..SaturationSnapshot::default()
                 },
             }),

@@ -7,20 +7,21 @@
 //! read would show up as a counter going backwards.
 
 use qhorn_core::learn::{LearnStats, Phase};
-use qhorn_core::Query;
+use qhorn_core::{Obj, Query, Response};
 use qhorn_engine::session::LearnerKind;
-use qhorn_service::log::{Level, LogStats};
+use qhorn_service::dispatch::dispatch;
+use qhorn_service::log::LogStats;
 use qhorn_service::metrics::{
-    render_prometheus, HistogramSnapshot, Metrics, MetricsSnapshot, OpsSnapshot, PoolSnapshot,
-    PoolTelemetry, SaturationSnapshot, StoreOpsSnapshot, BUCKETS, MESSAGE_KINDS, PHASE_NAMES,
+    render_prometheus, scrape, HistogramSnapshot, Metrics, MetricsSnapshot, PoolSnapshot,
+    PoolTelemetry, SaturationSnapshot, BUCKETS, MESSAGE_KINDS, PHASE_NAMES,
 };
 use qhorn_service::proto::{Reply, Request, StepReply};
 use qhorn_service::registry::{CreateSpec, Registry, RegistryConfig, RegistryStats, StepOutcome};
 use qhorn_service::store::{FsyncPolicy, StoreConfig};
-use qhorn_service::trace::{LayerProfile, TraceStats, PROFILE_LAYERS};
+use qhorn_service::trace::{LayerProfile, TraceConfig, TraceStats, PROFILE_LAYERS};
 use qhorn_service::{Client, HttpServer, Server};
 use qhorn_store::StoreStats;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -420,12 +421,7 @@ fn pool_telemetry_counts_every_connection_exactly() {
         .collect();
     assert_eq!(pools, [("lines", N, N, 0, 0), ("http", N, N, 0, 0)]);
 
-    let rows = parse_exposition(&render_prometheus(
-        &registry.metrics().snapshot(),
-        &registry.stats(),
-        &registry.tracer().stats(),
-        &registry.ops_snapshot(),
-    ));
+    let rows = parse_exposition(&scrape(&registry));
     for pool in ["lines", "http"] {
         for (name, want) in [
             ("qhorn_pool_workers", 2),
@@ -488,8 +484,8 @@ fn a_stopped_frontend_leaves_health_and_metrics() {
     assert!(names(&registry).is_empty());
 }
 
-/// What the scripted history below expects each session counter to
-/// read, kept by the script itself as it goes.
+/// What the scripted history below expects each counter to read, kept
+/// by the script itself as it goes.
 #[derive(Debug, Default)]
 struct Counts {
     created: u64,
@@ -501,6 +497,57 @@ struct Counts {
     live: u64,
     snapshots: u64,
     records: u64,
+    closed: u64,
+    /// Sweeps whose report says they compacted.
+    compactions: u64,
+    /// Sessions the latest compaction's snapshot holds.
+    snapshot_sessions: u64,
+    /// Records appended before the latest compaction began.
+    last_compaction_seq: u64,
+    /// Requests sent through the dispatcher: one trace each.
+    dispatched: u64,
+}
+
+/// One exported series: what the script counted, what the snapshot the
+/// series is read from holds, and what the exposition says.
+#[derive(Debug)]
+struct Check {
+    name: &'static str,
+    want: u64,
+    in_snapshot: u64,
+    exported: f64,
+}
+
+/// Pairs each `(series, want, snapshot value)` with the series' one
+/// sample in `rows`.
+fn checks(rows: &[Row], series: &[(&'static str, u64, u64)]) -> Vec<Check> {
+    series
+        .iter()
+        .map(|&(name, want, in_snapshot)| {
+            let values: Vec<f64> = rows
+                .iter()
+                .filter(|(n, _, _)| n == name)
+                .map(|(_, _, v)| *v)
+                .collect();
+            assert_eq!(values.len(), 1, "{name}: {values:?}");
+            Check {
+                name,
+                want,
+                in_snapshot,
+                exported: values[0],
+            }
+        })
+        .collect()
+}
+
+/// Bytes across the store's segment files, as the file system reports.
+fn segment_bytes(dir: &std::path::Path) -> u64 {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "qlog"))
+        .map(|path| std::fs::metadata(path).unwrap().len())
+        .sum()
 }
 
 /// Answers honestly, at most `max` times, until the session stops
@@ -536,21 +583,38 @@ fn drive(
     }
 }
 
-/// One single-threaded history (create, answer, fail, evict, restore,
-/// close, compact) over a store; returns the counts it kept and the
-/// `(metric, value)` pairs `stats()` and the exposition report.
-fn scripted_history(dir: &std::path::Path) -> (Counts, Vec<(&'static str, u64, f64)>) {
-    let registry = Registry::open(RegistryConfig {
-        ttl: Duration::ZERO,
-        store: Some(StoreConfig {
-            fsync: FsyncPolicy::Never,
-            // Every sweep compacts.
-            compact_threshold_bytes: 1,
-            ..StoreConfig::new(dir.to_path_buf())
-        }),
-        ..RegistryConfig::default()
-    })
-    .unwrap();
+/// Counts a sweep's compaction: its snapshot holds every session not
+/// closed, and covers every record appended before it.
+fn count_compaction(counts: &mut Counts) {
+    counts.compactions += 1;
+    counts.snapshot_sessions = counts.created - counts.closed;
+    counts.last_compaction_seq = counts.records;
+    counts.records += 1; // snapshot_written
+}
+
+/// One single-threaded history (create, answer, fail, batch-evaluate,
+/// evict, restore, close, compact) over a store that fsyncs every
+/// append and a tracer that keeps every trace; returns each checked
+/// series with the script's count, its snapshot's value and the
+/// exposition's.
+fn scripted_history(dir: &std::path::Path) -> Vec<Check> {
+    let registry = Arc::new(
+        Registry::open(RegistryConfig {
+            ttl: Duration::ZERO,
+            store: Some(StoreConfig {
+                fsync: FsyncPolicy::Always,
+                // Every sweep compacts.
+                compact_threshold_bytes: 1,
+                ..StoreConfig::new(dir.to_path_buf())
+            }),
+            trace: TraceConfig {
+                sample_every: 1,
+                ..TraceConfig::default()
+            },
+            ..RegistryConfig::default()
+        })
+        .unwrap(),
+    );
     let mut counts = Counts::default();
     let create = |counts: &mut Counts, learner, max_questions| {
         counts.created += 1;
@@ -577,6 +641,48 @@ fn scripted_history(dir: &std::path::Path) -> (Counts, Vec<(&'static str, u64, f
     let c_step = drive(&registry, c, step, 2, &mut counts);
     assert!(matches!(c_step, StepOutcome::Question(_)), "{c_step:?}");
 
+    // One batch evaluation through the dispatcher over 30 objects. The
+    // script counts distinct signatures and answers with the naive
+    // evaluator.
+    let query = "all x1";
+    let reply = dispatch(
+        &registry,
+        Request::EvaluateBatch {
+            session: None,
+            dataset: Some("chocolates".into()),
+            size: 30,
+            query: Some(query.into()),
+            workers: 1,
+        },
+    );
+    assert!(matches!(reply, Reply::Batch { .. }), "{reply:?}");
+    counts.dispatched += 1;
+    let goal: Query = qhorn_lang::parse_with_arity(query, 3).unwrap();
+    let (data, _) = registry.dataset("chocolates", 30).unwrap();
+    let objects: Vec<&Obj> = data.boolean().iter().map(|(_, o)| o).collect();
+    assert_eq!(objects.len(), 30);
+    let signatures = objects.iter().collect::<BTreeSet<_>>().len() as u64;
+    let answers = objects
+        .iter()
+        .filter(|o| goal.eval(o) == Response::Answer)
+        .count() as u64;
+
+    // Before the first compaction, every appended byte is in a segment.
+    let stats = registry.stats();
+    let store = stats.store.expect("a store is configured");
+    let on_disk = segment_bytes(dir);
+    let mut observed = checks(
+        &parse_exposition(&scrape(&registry)),
+        &[
+            (
+                "qhorn_store_bytes_appended_total",
+                on_disk,
+                store.bytes_appended,
+            ),
+            ("qhorn_store_live_log_bytes", on_disk, store.live_log_bytes),
+        ],
+    );
+
     // Evict all three; the sweep compacts.
     std::thread::sleep(Duration::from_millis(1));
     let report = registry.sweep();
@@ -584,7 +690,7 @@ fn scripted_history(dir: &std::path::Path) -> (Counts, Vec<(&'static str, u64, f
     counts.evicted += 3;
     counts.live -= 3;
     counts.snapshots += 3;
-    counts.records += 1; // snapshot_written
+    count_compaction(&mut counts);
 
     // Touching each restores it; none re-learns or re-fails.
     assert!(matches!(
@@ -599,6 +705,7 @@ fn scripted_history(dir: &std::path::Path) -> (Counts, Vec<(&'static str, u64, f
     drive(&registry, c, c_step, 1, &mut counts);
     registry.close_session(a).unwrap();
     counts.live -= 1;
+    counts.closed += 1;
     counts.records += 1; // session_closed
 
     // Evict the other two, compact again, close one while evicted.
@@ -608,49 +715,94 @@ fn scripted_history(dir: &std::path::Path) -> (Counts, Vec<(&'static str, u64, f
     counts.evicted += 2;
     counts.live -= 2;
     counts.snapshots += 2;
-    counts.records += 1; // snapshot_written
+    count_compaction(&mut counts);
     registry.close_session(c).unwrap();
     counts.snapshots -= 1;
+    counts.closed += 1;
     counts.records += 1; // session_closed
 
     let stats = registry.stats();
-    let rows = parse_exposition(&render_prometheus(
-        &registry.metrics().snapshot(),
-        &stats,
-        &registry.tracer().stats(),
-        &registry.ops_snapshot(),
-    ));
-    let exported = |name: &str| {
-        let values: Vec<f64> = rows
-            .iter()
-            .filter(|(n, _, _)| n == name)
-            .map(|(_, _, v)| *v)
-            .collect();
-        assert_eq!(values.len(), 1, "{name}: {values:?}");
-        values[0]
-    };
     let store = stats.store.expect("a store is configured");
-    let observed = [
-        ("qhorn_sessions_created_total", stats.created),
-        ("qhorn_sessions_evicted_total", stats.evicted),
-        ("qhorn_sessions_restored_total", stats.restored),
-        ("qhorn_sessions_completed_total", stats.completed),
-        ("qhorn_sessions_failed_total", stats.failed),
-        ("qhorn_sessions_live", stats.live),
-        ("qhorn_snapshots_held", stats.snapshots),
-        ("qhorn_answers_total", stats.answers),
-        ("qhorn_store_records_appended_total", store.records_appended),
-    ]
-    .into_iter()
-    .map(|(name, value)| (name, value, exported(name)))
-    .collect();
-    (counts, observed)
+    let trace = registry.tracer().stats();
+    // Each dispatched request is one trace, and so is each compaction
+    // outside a request; the journal holds every span recorded.
+    let journaled = registry.tracer().snapshot_spans().len() as u64;
+    observed.extend(checks(
+        &parse_exposition(&scrape(&registry)),
+        &[
+            (
+                "qhorn_sessions_created_total",
+                counts.created,
+                stats.created,
+            ),
+            (
+                "qhorn_sessions_evicted_total",
+                counts.evicted,
+                stats.evicted,
+            ),
+            (
+                "qhorn_sessions_restored_total",
+                counts.restored,
+                stats.restored,
+            ),
+            (
+                "qhorn_sessions_completed_total",
+                counts.completed,
+                stats.completed,
+            ),
+            ("qhorn_sessions_failed_total", counts.failed, stats.failed),
+            ("qhorn_sessions_live", counts.live, stats.live),
+            ("qhorn_snapshots_held", counts.snapshots, stats.snapshots),
+            ("qhorn_answers_total", counts.answers, stats.answers),
+            ("qhorn_batch_runs_total", 1, stats.batch_runs),
+            ("qhorn_batch_objects_total", 30, stats.batch_objects),
+            (
+                "qhorn_batch_signatures_total",
+                signatures,
+                stats.batch_signatures,
+            ),
+            ("qhorn_batch_answers_total", answers, stats.batch_answers),
+            (
+                "qhorn_store_records_appended_total",
+                counts.records,
+                store.records_appended,
+            ),
+            ("qhorn_store_fsyncs_total", counts.records, store.fsyncs),
+            (
+                "qhorn_store_compactions_total",
+                counts.compactions,
+                store.compactions,
+            ),
+            (
+                "qhorn_store_snapshot_sessions",
+                counts.snapshot_sessions,
+                store.snapshot_sessions,
+            ),
+            (
+                "qhorn_store_last_compaction_seq",
+                counts.last_compaction_seq,
+                store.last_compaction_seq,
+            ),
+            (
+                "qhorn_trace_traces_committed_total",
+                counts.dispatched + counts.compactions,
+                trace.traces_committed,
+            ),
+            (
+                "qhorn_trace_spans_recorded_total",
+                journaled,
+                trace.spans_recorded,
+            ),
+        ],
+    ));
+    observed
 }
 
-/// The session counters read exactly what a scripted history did, in
-/// `stats()` and in the exposition alike. The registry sweeps on its
-/// own once a second at TTL zero, which would evict behind the script's
-/// back: a run that outlasts that interval is discarded and run again.
+/// Every counter the scripted history touches reads exactly what the
+/// script counted, in its snapshot (`stats()`, the tracer's stats) and in
+/// the exposition alike. The registry sweeps on its own once a second at
+/// TTL zero, which would evict behind the script's back: a run that
+/// outlasts that interval is discarded and run again.
 #[test]
 fn session_counters_match_a_scripted_history_exactly() {
     for attempt in 0..3 {
@@ -658,26 +810,22 @@ fn session_counters_match_a_scripted_history_exactly() {
             .join(format!("metrics-history-{}-{attempt}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let started = Instant::now();
-        let (counts, observed) = scripted_history(&dir);
+        let observed = scripted_history(&dir);
         let in_time = started.elapsed() < Duration::from_millis(900);
         let _ = std::fs::remove_dir_all(&dir);
         if !in_time {
             continue;
         }
-        let want = [
-            ("qhorn_sessions_created_total", counts.created),
-            ("qhorn_sessions_evicted_total", counts.evicted),
-            ("qhorn_sessions_restored_total", counts.restored),
-            ("qhorn_sessions_completed_total", counts.completed),
-            ("qhorn_sessions_failed_total", counts.failed),
-            ("qhorn_sessions_live", counts.live),
-            ("qhorn_snapshots_held", counts.snapshots),
-            ("qhorn_answers_total", counts.answers),
-            ("qhorn_store_records_appended_total", counts.records),
-        ];
-        for ((name, want), (_, in_stats, exported)) in want.iter().zip(&observed) {
-            assert_eq!(*in_stats, *want, "{name} in stats(): {counts:?}");
-            assert_eq!(*exported, *want as f64, "{name} exported: {counts:?}");
+        for check in &observed {
+            let name = check.name;
+            assert_eq!(
+                check.in_snapshot, check.want,
+                "{name} in its snapshot: {observed:#?}"
+            );
+            assert_eq!(
+                check.exported, check.want as f64,
+                "{name} exported: {observed:#?}"
+            );
         }
         return;
     }
@@ -709,6 +857,9 @@ fn prometheus_exposition_parses_and_is_cumulative() {
         store: Some(StoreStats {
             records_appended: 9,
             snapshot_sessions: 3,
+            append_nanos: 1_000,
+            fsyncs: 2,
+            fsync_nanos: 500,
             ..Default::default()
         }),
         ..Default::default()
@@ -725,35 +876,30 @@ fn prometheus_exposition_parses_and_is_cumulative() {
     let pool = PoolTelemetry::new("lines", 4);
     pool.enqueue();
     pool.worker_busy();
-    let mut logs = LogStats::default();
-    logs.events[Level::Warn as usize] = 6;
-    logs.suppressed = 2;
-    let ops = OpsSnapshot {
-        saturation: SaturationSnapshot {
-            pools: vec![pool.snapshot()],
-            lock_waits: 13,
-            lock_wait_nanos: 77_000,
-            store: Some(StoreOpsSnapshot {
-                appends: 21,
-                append_nanos: 1_000,
-                append_bytes: 4_096,
-                fsyncs: 2,
-                fsync_nanos: 500,
-                compactions: 0,
-                compaction_nanos: 0,
-            }),
-        },
-        logs,
-        profile: vec![LayerProfile {
-            layer: "dispatch".to_string(),
-            spans: 9,
-            self_nanos: 1_234,
-            total_nanos: 5_678,
-        }],
-        uptime_seconds: 42,
-        start_unix_seconds: 1_700_000_000,
+    let logs = LogStats {
+        events: vec![("warn", 6)],
+        suppressed: 2,
     };
-    let text = render_prometheus(&m.snapshot(), &stats, &trace, &ops);
+    let saturation = SaturationSnapshot {
+        pools: vec![pool.snapshot()],
+        lock_waits: 13,
+        lock_wait_nanos: 77_000,
+    };
+    let profile = [LayerProfile {
+        layer: "dispatch".to_string(),
+        spans: 9,
+        self_nanos: 1_234,
+        total_nanos: 5_678,
+    }];
+    let text = render_prometheus(
+        &m.snapshot(),
+        &stats,
+        &trace,
+        &saturation,
+        &logs,
+        &profile,
+        1_700_000_000,
+    );
     let rows = parse_exposition(&text);
     let has = |name: &str, value: f64| rows.iter().any(|(n, _, v)| n == name && *v == value);
     let has_labelled = |name: &str, key: &str, val: &str, value: f64| {
@@ -838,7 +984,8 @@ fn prometheus_exposition_parses_and_is_cumulative() {
         1.0
     ));
     assert!(has("qhorn_registry_lock_wait_nanos_total", 77_000.0));
-    assert!(has("qhorn_store_op_appends_total", 21.0));
+    assert!(has("qhorn_store_append_nanos_total", 1_000.0));
+    assert!(has("qhorn_store_fsyncs_total", 2.0));
     // The mailbox series went with the per-session threads.
     assert!(!rows
         .iter()
@@ -908,6 +1055,10 @@ fn fixed_exposition() -> String {
             recovered_sessions: 207,
             torn_truncations: 208,
             snapshot_sessions: 209,
+            append_nanos: 602,
+            fsyncs: 604,
+            fsync_nanos: 605,
+            compaction_nanos: 607,
         }),
     };
     let trace = TraceStats {
@@ -933,10 +1084,16 @@ fn fixed_exposition() -> String {
         })
         .collect();
     let logs = LogStats {
-        events: [501, 502, 503, 504, 505],
+        events: vec![
+            ("trace", 501),
+            ("debug", 502),
+            ("info", 503),
+            ("warn", 504),
+            ("error", 505),
+        ],
         suppressed: 506,
     };
-    let profile = PROFILE_LAYERS
+    let profile: Vec<LayerProfile> = PROFILE_LAYERS
         .iter()
         .zip((700u64..).step_by(10))
         .map(|(layer, n)| LayerProfile {
@@ -946,27 +1103,20 @@ fn fixed_exposition() -> String {
             total_nanos: n + 3,
         })
         .collect();
-    let ops = OpsSnapshot {
-        saturation: SaturationSnapshot {
-            pools,
-            lock_waits: 401,
-            lock_wait_nanos: 402,
-            store: Some(StoreOpsSnapshot {
-                appends: 601,
-                append_nanos: 602,
-                append_bytes: 603,
-                fsyncs: 604,
-                fsync_nanos: 605,
-                compactions: 606,
-                compaction_nanos: 607,
-            }),
-        },
-        logs,
-        profile,
-        uptime_seconds: 42,
-        start_unix_seconds: 1_700_000_000,
+    let saturation = SaturationSnapshot {
+        pools,
+        lock_waits: 401,
+        lock_wait_nanos: 402,
     };
-    render_prometheus(&snapshot, &stats, &trace, &ops)
+    render_prometheus(
+        &snapshot,
+        &stats,
+        &trace,
+        &saturation,
+        &logs,
+        &profile,
+        1_700_000_000,
+    )
 }
 
 /// The exposition of [`fixed_exposition`]'s inputs, pinned sample by

@@ -20,7 +20,7 @@ use qhorn_relation::Proposition;
 use qhorn_relation::{Attr, AttrType, DatasetDef, NestedObject, NestedRelation, NestedSchema};
 use qhorn_service::dataset::DatasetInfo;
 use qhorn_service::metrics::{
-    HistogramSnapshot, MetricsSnapshot, PoolSnapshot, SaturationSnapshot, StoreOpsSnapshot,
+    HistogramSnapshot, MetricsSnapshot, PoolSnapshot, SaturationSnapshot,
 };
 use qhorn_service::proto::{Reply, Request, StepReply};
 use qhorn_service::registry::{HealthReport, RegistryStats, SessionResources};
@@ -71,7 +71,6 @@ fn reencode_line(ty: &str, json: &str) -> String {
         "NestedRelation" => reencode::<NestedRelation>(json),
         "DatasetDef" => reencode::<DatasetDef>(json),
         "DatasetInfo" => reencode::<DatasetInfo>(json),
-        "StoreOpsSnapshot" => reencode::<StoreOpsSnapshot>(json),
         "PoolSnapshot" => reencode::<PoolSnapshot>(json),
         "SaturationSnapshot" => reencode::<SaturationSnapshot>(json),
         "HealthReport" => reencode::<HealthReport>(json),
@@ -123,10 +122,10 @@ fn every_corpus_line_round_trips_to_identical_bytes() {
         );
         types.insert(ty);
     }
-    // 35 decodable types, the store payload and the store's frame codec
+    // 34 decodable types, the store payload and the store's frame codec
     // (the four load-harness report types are encode-only; qhorn-bench
     // checks them).
-    assert_eq!(types.len(), 37, "{types:?}");
+    assert_eq!(types.len(), 36, "{types:?}");
 }
 
 /// Every request and reply variant appears, so a variant whose codec

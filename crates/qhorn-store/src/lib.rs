@@ -189,6 +189,15 @@ pub struct StoreStats {
     pub torn_truncations: u64,
     /// Sessions captured in the current snapshot file (0 = no snapshot).
     pub snapshot_sessions: u64,
+    /// Wall time spent writing appended frames, nanoseconds (cumulative;
+    /// includes any rotation an append triggered).
+    pub append_nanos: u64,
+    /// Fsyncs the durability policy issued after appends (cumulative).
+    pub fsyncs: u64,
+    /// Wall time spent in those fsyncs, nanoseconds (cumulative).
+    pub fsync_nanos: u64,
+    /// Wall time spent compacting, nanoseconds (cumulative).
+    pub compaction_nanos: u64,
 }
 
 qhorn_json::wire! {
@@ -202,6 +211,10 @@ qhorn_json::wire! {
         recovered_sessions: u64,
         torn_truncations: u64,
         snapshot_sessions: u64,
+        append_nanos: u64 [default],
+        fsyncs: u64 [default],
+        fsync_nanos: u64 [default],
+        compaction_nanos: u64 [default],
     }
 }
 
@@ -221,10 +234,22 @@ mod tests {
             recovered_sessions: 5,
             torn_truncations: 1,
             snapshot_sessions: 4,
+            append_nanos: 6,
+            fsyncs: 7,
+            fsync_nanos: 8,
+            compaction_nanos: 9,
         };
         let json = qhorn_json::to_string(&stats);
         let back: StoreStats = qhorn_json::from_str(&json).unwrap();
         assert_eq!(back, stats);
+        // Documents written before the timings were counted still decode.
+        let older = r#"{"records_appended":41,"bytes_appended":9000,"segments":3,"live_log_bytes":4096,"compactions":2,"last_compaction_seq":37,"recovered_sessions":5,"torn_truncations":1,"snapshot_sessions":4}"#;
+        let back: StoreStats = qhorn_json::from_str(older).unwrap();
+        assert_eq!(
+            (back.append_nanos, back.fsyncs, back.fsync_nanos),
+            (0, 0, 0)
+        );
+        assert_eq!(back.compaction_nanos, 0);
     }
 
     #[test]

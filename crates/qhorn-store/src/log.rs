@@ -33,7 +33,7 @@ use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Largest accepted frame payload; a corrupt length field cannot make
 /// recovery attempt a multi-gigabyte allocation.
@@ -82,6 +82,10 @@ pub struct SessionStore {
     recovered_sessions: u64,
     torn_truncations: u64,
     snapshot_sessions: u64,
+    append_nanos: u64,
+    fsyncs: u64,
+    fsync_nanos: u64,
+    compaction_nanos: u64,
     observer: Option<Box<dyn StoreObserver>>,
     /// Per-session secondary index: for each session id, the
     /// `(segment index, frame start offset)` of every log frame that
@@ -213,6 +217,10 @@ impl SessionStore {
             recovered_sessions: sessions.len() as u64,
             torn_truncations,
             snapshot_sessions,
+            append_nanos: 0,
+            fsyncs: 0,
+            fsync_nanos: 0,
+            compaction_nanos: 0,
             observer: None,
             session_index,
         };
@@ -249,6 +257,7 @@ impl SessionStore {
         self.next_seq += 1;
         self.records_appended += 1;
         self.bytes_appended += frame.len() as u64;
+        self.append_nanos += nanos(write_elapsed);
         let mut fsync_elapsed = None;
         match self.fsync {
             FsyncPolicy::Always => {
@@ -266,6 +275,10 @@ impl SessionStore {
                 }
             }
             FsyncPolicy::Never => {}
+        }
+        if let Some(d) = fsync_elapsed {
+            self.fsyncs += 1;
+            self.fsync_nanos += nanos(d);
         }
         if let Some(obs) = &self.observer {
             obs.observe(StoreOp::Append, write_elapsed, frame.len() as u64);
@@ -351,6 +364,10 @@ impl SessionStore {
             recovered_sessions: self.recovered_sessions,
             torn_truncations: self.torn_truncations,
             snapshot_sessions: self.snapshot_sessions,
+            append_nanos: self.append_nanos,
+            fsyncs: self.fsyncs,
+            fsync_nanos: self.fsync_nanos,
+            compaction_nanos: self.compaction_nanos,
         }
     }
 
@@ -467,12 +484,10 @@ impl SessionStore {
             through_seq: through,
             sessions,
         })?;
+        let compact_elapsed = compact_started.elapsed();
+        self.compaction_nanos += nanos(compact_elapsed);
         if let Some(obs) = &self.observer {
-            obs.observe(
-                StoreOp::Compaction,
-                compact_started.elapsed(),
-                snapshot_bytes,
-            );
+            obs.observe(StoreOp::Compaction, compact_elapsed, snapshot_bytes);
         }
         Ok(())
     }
@@ -641,6 +656,11 @@ fn scan_frames(bytes: &[u8]) -> (Vec<(u64, Vec<u8>)>, bool) {
         frames.push((at as u64, payload.to_vec()));
     }
     (frames, false)
+}
+
+/// A duration in whole nanoseconds, saturating.
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 fn segment_path(dir: &Path, index: u64) -> PathBuf {
