@@ -69,12 +69,12 @@ impl RealizedQuestion {
         })
     }
 
-    /// Consumes the question, returning the data object's text (its
-    /// [`NestedObject`] `Display`), written without building a
+    /// Consumes the question, returning it with the data object's text
+    /// (its [`NestedObject`] `Display`), written without building a
     /// synthesized object.
     #[must_use]
-    pub fn into_text(self) -> String {
-        self.text
+    pub fn into_parts(self) -> (Obj, String) {
+        (self.question, self.text)
     }
 
     /// `true` if the example came from the store.
@@ -251,27 +251,48 @@ impl<S: Deref<Target = DataStore>> Dialogue<S> {
         self.run = Some(Box::pin(run));
     }
 
-    /// Advances the run: `answer` labels the pending question (`None`
-    /// to start a run, or to be shown the pending question again), and
-    /// the run computes until it asks a question a data object can
-    /// realize — questions none can are answered `NonAnswer` without
-    /// the user, as no object the user cares about has that pattern —
-    /// or until it finishes.
+    /// The question awaiting the user's label, if the run is suspended
+    /// on one. The dialogue holds the one copy of it.
+    #[must_use]
+    pub fn pending(&self) -> Option<&Obj> {
+        self.pending.as_ref().map(|(question, _)| question)
+    }
+
+    /// Takes the pending question out, labelled `response`: the exchange
+    /// [`Dialogue::resume`] appends to the transcript. [`Dialogue::put_back`]
+    /// makes it pending again, as if it had never been taken.
+    pub fn take_answered(&mut self, response: Response) -> Option<Exchange> {
+        let (question, from_store) = self.pending.take()?;
+        Some(Exchange {
+            question,
+            from_store,
+            response,
+        })
+    }
+
+    /// Makes an exchange [`Dialogue::take_answered`] took pending again,
+    /// its label dropped.
+    pub fn put_back(&mut self, answered: Exchange) {
+        self.pending = Some((answered.question, answered.from_store));
+    }
+
+    /// Advances the run: `answered` is the pending question with the
+    /// user's label, from [`Dialogue::take_answered`] (`None` to start a
+    /// run, or to be shown the pending question again), and the run
+    /// computes until it asks a question a data object can realize —
+    /// questions none can are answered `NonAnswer` without the user, as
+    /// no object the user cares about has that pattern — or until it
+    /// finishes.
     ///
     /// # Panics
     /// If no run was started, or the last one already finished.
-    pub fn resume(&mut self, answer: Option<Response>) -> Step {
-        let mut answer = match (answer, self.pending.take()) {
-            (Some(response), Some((question, from_store))) => {
-                self.transcript.push(Exchange {
-                    question,
-                    from_store,
-                    response,
-                });
-                Some(response)
-            }
-            _ => None,
-        };
+    pub fn resume(&mut self, answered: Option<Exchange>) -> Step {
+        self.pending = None;
+        let mut answer = answered.map(|exchange| {
+            let response = exchange.response;
+            self.transcript.push(exchange);
+            response
+        });
         let run = self
             .run
             .as_mut()
@@ -446,7 +467,8 @@ impl<'a> Session<'a> {
                 self.dialogue.pending = None;
                 return None;
             };
-            step = self.dialogue.resume(Some(answer));
+            let answered = self.dialogue.take_answered(answer);
+            step = self.dialogue.resume(answered);
         }
         Some(step)
     }
@@ -664,7 +686,10 @@ mod tests {
         for (q, from_store) in [(stored, true), (exotic, false)] {
             let realized = session.realize(&q).unwrap();
             assert_eq!(realized.is_stored(), from_store);
-            assert_eq!(realized.object().to_string(), realized.clone().into_text());
+            assert_eq!(
+                realized.object().to_string(),
+                realized.clone().into_parts().1
+            );
             assert_eq!(ds.bridge().booleanize_object(realized.object()).unwrap(), q);
         }
     }
@@ -829,7 +854,14 @@ mod tests {
                 Step::Question(r) => {
                     shown.push(r.question().clone());
                     assert!(dialogue.phase().is_some());
-                    step = dialogue.resume(Some(user(&r)));
+                    assert_eq!(dialogue.pending(), Some(r.question()));
+                    // A label taken and put back leaves the question pending.
+                    let taken = dialogue.take_answered(user(&r)).unwrap();
+                    dialogue.put_back(taken);
+                    assert_eq!(dialogue.pending(), Some(r.question()));
+                    let answered = dialogue.take_answered(user(&r));
+                    assert_eq!(dialogue.pending(), None);
+                    step = dialogue.resume(answered);
                 }
                 Step::Learned(outcome) => break outcome.unwrap(),
                 other => panic!("unexpected {other:?}"),

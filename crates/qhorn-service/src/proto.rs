@@ -214,7 +214,8 @@ pub enum StepReply {
         rendered: String,
         /// Whether the example came from the store.
         from_store: bool,
-        /// Transcript index the answer will occupy.
+        /// The question's place among the questions the user answers:
+        /// the index `Correct` names it by.
         index: usize,
     },
     /// Learning finished successfully.

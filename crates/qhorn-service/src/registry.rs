@@ -43,7 +43,7 @@ use crate::metrics::{Metrics, PoolTelemetry, SaturationSnapshot};
 use crate::trace::{self, AttrValue, TraceConfig, TraceStoreObserver, Tracer};
 use qhorn_core::learn::LearnOptions;
 use qhorn_core::{Obj, Query, Response};
-use qhorn_engine::session::{Dialogue, Exchange, Step};
+use qhorn_engine::session::{Dialogue, Exchange, RealizedQuestion, Step};
 use qhorn_engine::DataStore;
 use qhorn_json::{Json, ToJson};
 use qhorn_lockdep::{LockClass, OrderedMutex};
@@ -144,7 +144,10 @@ pub struct QuestionInfo {
     pub rendered: String,
     /// Whether the example came from the store.
     pub from_store: bool,
-    /// Transcript index the answer will occupy (for `Correct`).
+    /// The question's place among the questions the user answers, from
+    /// 0: the index `Correct` names it by. Auto-answered (unrealizable)
+    /// questions take no index, so it can be lower than the transcript
+    /// position the answer will occupy.
     pub index: usize,
 }
 
@@ -273,15 +276,16 @@ struct Entry {
     state: SessionState,
     meta: SessionMeta,
     /// The store, the transcript, and the learner or verifier suspended
-    /// at the pending question.
+    /// at the pending question (which the dialogue alone holds).
     dialogue: Dialogue,
-    pending: Option<QuestionInfo>,
-    /// Answered questions, in the order shown; `QuestionInfo::index` and
-    /// `Correct` indices refer to positions here (stable even when the
-    /// transcript gains auto-answered unrealizable questions). The
-    /// pending question takes the next index, as in the durable log, so
-    /// one in flight at eviction is asked again under the index it had.
-    asked: Vec<Obj>,
+    /// Answered questions, in the order shown, as their positions in the
+    /// dialogue's transcript, which only grows. `QuestionInfo::index`
+    /// and `Correct` indices refer to places in this list (stable even
+    /// when the transcript gains auto-answered unrealizable questions).
+    /// The pending question takes the next index, as in the durable log,
+    /// so one in flight at eviction is asked again under the index it
+    /// had.
+    asked: Vec<u32>,
     learned: Option<Query>,
     verified: Option<bool>,
     failure: Option<String>,
@@ -476,7 +480,6 @@ impl Registry {
             state: SessionState::Learning,
             meta: spec,
             dialogue,
-            pending: None,
             asked: Vec::new(),
             learned: None,
             verified: None,
@@ -521,8 +524,17 @@ impl Registry {
     pub fn next_question(&self, id: u64) -> Result<StepOutcome, ServiceError> {
         self.with_entry(id, |entry| {
             entry.last_touch = Instant::now();
-            if let Some(q) = &entry.pending {
-                return Ok(StepOutcome::Question(q.clone()));
+            if let Some(question) = entry.dialogue.pending() {
+                // The text is not kept between requests: realizing the
+                // question again writes the same text.
+                let realized = entry
+                    .dialogue
+                    .realize(question)
+                    .map_err(|e| ServiceError::Engine(e.to_string()))?;
+                return Ok(StepOutcome::Question(question_info(
+                    realized,
+                    entry.asked.len(),
+                )));
             }
             match entry.state {
                 SessionState::Done => {
@@ -556,35 +568,36 @@ impl Registry {
     /// Unknown session, wrong state, or store failure.
     pub fn answer(&self, id: u64, response: Response) -> Result<StepOutcome, ServiceError> {
         self.with_entry(id, |entry| {
-            let Some(pending) = entry.pending.take() else {
+            let position = u32::try_from(entry.dialogue.transcript().len())
+                .expect("a transcript holds fewer than 2^32 exchanges");
+            let Some(exchange) = entry.dialogue.take_answered(response) else {
                 return Err(ServiceError::WrongState {
                     state: entry.state.as_str(),
                     needed: "a pending question",
                 });
             };
             // Durable before acknowledged: once the answer is applied, the
-            // log has it (under `FsyncPolicy::Always`, on disk).
-            match self.log_append(&LogRecord::ExchangeAppended {
-                id,
-                exchange: Exchange {
-                    question: pending.question.clone(),
-                    from_store: pending.from_store,
-                    response,
-                },
-            }) {
+            // log has it (under `FsyncPolicy::Always`, on disk). The record
+            // borrows the question for the append and hands it back.
+            let record = LogRecord::ExchangeAppended { id, exchange };
+            let appended = self.log_append(&record);
+            let LogRecord::ExchangeAppended { exchange, .. } = record else {
+                unreachable!("the record was built as an exchange")
+            };
+            match appended {
                 Ok(bytes) => entry.resources.store_bytes += bytes,
                 Err(e) => {
-                    entry.pending = Some(pending);
+                    entry.dialogue.put_back(exchange);
                     return Err(e);
                 }
             }
-            entry.asked.push(pending.question);
+            entry.asked.push(position);
             entry.last_touch = Instant::now();
             if entry.state == SessionState::AwaitingAnswer {
                 entry.state = SessionState::Learning;
             }
             self.answers.fetch_add(1, Ordering::Relaxed);
-            self.step(id, entry, Some(response), false)
+            self.step(id, entry, Some(exchange), false)
         })
     }
 
@@ -611,31 +624,30 @@ impl Registry {
             // resolve them to questions so each fix reaches every
             // transcript entry of that question, regardless of
             // auto-answered entries.
-            let mut by_question: Vec<(Obj, Response)> = Vec::with_capacity(corrections.len());
+            let transcript = entry.dialogue.transcript();
+            let mut by_question: Vec<(&Obj, Response)> = Vec::with_capacity(corrections.len());
             for &(idx, r) in corrections {
-                let q = entry.asked.get(idx).ok_or(ServiceError::Parse(format!(
+                let &at = entry.asked.get(idx).ok_or(ServiceError::Parse(format!(
                     "correction index {idx} out of range ({} questions asked)",
                     entry.asked.len()
                 )))?;
-                by_question.push((q.clone(), r));
+                by_question.push((&transcript[at as usize].question, r));
             }
-            let bytes = self.log_append(&LogRecord::Corrected {
-                id,
-                corrections: corrections.to_vec(),
-            })?;
-            entry.resources.store_bytes += bytes;
-            let by_index: Vec<(usize, Response)> = entry
-                .dialogue
-                .transcript()
+            let by_index: Vec<(usize, Response)> = transcript
                 .iter()
                 .enumerate()
                 .filter_map(|(i, e)| {
                     by_question
                         .iter()
-                        .find(|(q, _)| *q == e.question)
+                        .find(|(q, _)| **q == e.question)
                         .map(|&(_, r)| (i, r))
                 })
                 .collect();
+            let bytes = self.log_append(&LogRecord::Corrected {
+                id,
+                corrections: corrections.to_vec(),
+            })?;
+            entry.resources.store_bytes += bytes;
             entry.state = SessionState::Learning;
             entry.learned = None;
             entry.verified = None;
@@ -911,12 +923,7 @@ impl Registry {
                 .map(|((_, name), &n)| ((*name).to_string(), n))
                 .collect(),
             transcript_bytes: entry.resources.transcript_bytes,
-            transcript_cache_bytes: entry
-                .dialogue
-                .transcript()
-                .iter()
-                .map(exchange_cache_bytes)
-                .sum(),
+            transcript_cache_bytes: transcript_cache_bytes(entry.dialogue.transcript()),
             store_bytes: entry.resources.store_bytes,
             eval_nanos: entry.resources.eval_nanos,
         })
@@ -1245,13 +1252,14 @@ impl Registry {
     /// Moves an entry's parts into the snapshot map. The suspended
     /// learner is dropped with the entry; restore replays the transcript.
     fn snapshot_entry(&self, id: u64, entry: Entry) {
+        let transcript = entry.dialogue.into_transcript();
         self.insert_snapshot(PersistedSession {
             id,
             meta: entry.meta,
             answered: entry.asked.len(),
-            asked: entry.asked,
+            asked: asked_questions(&entry.asked, &transcript),
             verified: entry.verified,
-            transcript: entry.dialogue.into_transcript(),
+            transcript,
             learned: entry.learned,
         });
     }
@@ -1318,11 +1326,12 @@ impl Registry {
         // uploaded again), and the log is outside data: every question
         // and the learned query must have the dataset's arity.
         let n = built.store.bridge().n();
+        // Every asked question is a transcript question, so checking the
+        // transcript covers them.
         let arities = session
             .transcript
             .iter()
             .map(|e| e.question.arity())
-            .chain(session.asked.iter().map(Obj::arity))
             .chain(session.learned.iter().map(Query::arity));
         for arity in arities {
             if arity != n {
@@ -1332,12 +1341,16 @@ impl Registry {
                 )));
             }
         }
+        let asked = asked_positions(&session.asked, &session.transcript).ok_or_else(|| {
+            ServiceError::Engine(format!(
+                "session {id} lists asked questions its transcript does not hold in that order"
+            ))
+        })?;
         let mut entry = Entry {
             state: SessionState::Learning,
             meta,
             dialogue: Dialogue::new(built.store, built.synth, session.transcript),
-            pending: None,
-            asked: session.asked,
+            asked,
             learned: session.learned,
             verified: session.verified,
             failure: None,
@@ -1383,8 +1396,8 @@ impl Registry {
         }
     }
 
-    /// Resumes the session's dialogue — with the user's label for the
-    /// pending question, or `None` to start its run — and applies where
+    /// Resumes the session's dialogue — with the pending question the
+    /// user labelled, or `None` to start its run — and applies where
     /// the learner or verifier stopped: at its next question or at its
     /// result. A restore's replay (`restoring`) can only reach a failure
     /// the session had reached before: it is neither counted nor logged
@@ -1393,7 +1406,7 @@ impl Registry {
         &self,
         id: u64,
         entry: &mut Entry,
-        answer: Option<Response>,
+        answered: Option<Exchange>,
         restoring: bool,
     ) -> Result<StepOutcome, ServiceError> {
         let step = {
@@ -1402,7 +1415,7 @@ impl Registry {
             let span = trace::span("learner.phase");
             span.set_session(id);
             let before = entry.dialogue.transcript().len();
-            let step = entry.dialogue.resume(answer);
+            let step = entry.dialogue.resume(answered);
             let phase = match entry.dialogue.phase() {
                 None => "verification",
                 Some(p) => PHASE_NAMES
@@ -1429,15 +1442,8 @@ impl Registry {
                     Ok(realized.question()),
                     "a realized object booleanizes to its question"
                 );
-                let info = QuestionInfo {
-                    question: realized.question().clone(),
-                    from_store: realized.is_stored(),
-                    rendered: realized.into_text(),
-                    // Index in user-visible question order.
-                    index: entry.asked.len(),
-                };
+                let info = question_info(realized, entry.asked.len());
                 entry.resources.transcript_bytes += info.rendered.len() as u64;
-                entry.pending = Some(info.clone());
                 if entry.state != SessionState::Verifying {
                     entry.state = SessionState::AwaitingAnswer;
                 }
@@ -1542,21 +1548,71 @@ fn learn_options(meta: &SessionMeta) -> LearnOptions {
     }
 }
 
-/// Serialized size of one transcript exchange — the unit
-/// [`SessionResources::transcript_cache_bytes`] counts in.
-fn exchange_cache_bytes(e: &Exchange) -> u64 {
-    e.to_json().to_string().len() as u64
+/// A realized question as the protocol ships it; `index` is its place
+/// in user-visible question order.
+fn question_info(realized: RealizedQuestion, index: usize) -> QuestionInfo {
+    let from_store = realized.is_stored();
+    let (question, rendered) = realized.into_parts();
+    QuestionInfo {
+        question,
+        rendered,
+        from_store,
+        index,
+    }
+}
+
+/// [`SessionResources::transcript_cache_bytes`]: the transcript's
+/// serialized size, exchange by exchange, each written into one reused
+/// buffer.
+fn transcript_cache_bytes(transcript: &[Exchange]) -> u64 {
+    let mut buf = String::new();
+    transcript
+        .iter()
+        .map(|e| {
+            buf.clear();
+            e.write_json(&mut buf);
+            buf.len() as u64
+        })
+        .sum()
+}
+
+/// The asked questions at `positions` of `transcript`, for a
+/// [`PersistedSession`].
+fn asked_questions(positions: &[u32], transcript: &[Exchange]) -> Vec<Obj> {
+    positions
+        .iter()
+        .map(|&at| transcript[at as usize].question.clone())
+        .collect()
+}
+
+/// The transcript positions of a persisted session's asked questions:
+/// each is matched, in order, to the first later transcript entry that
+/// holds it. `None` when `asked` is not a subsequence of the
+/// transcript's questions.
+fn asked_positions(asked: &[Obj], transcript: &[Exchange]) -> Option<Vec<u32>> {
+    let mut positions = Vec::with_capacity(asked.len());
+    let mut from = 0;
+    for question in asked {
+        let at = from
+            + transcript[from..]
+                .iter()
+                .position(|e| e.question == *question)?;
+        positions.push(u32::try_from(at).ok()?);
+        from = at + 1;
+    }
+    Some(positions)
 }
 
 /// Captures a live entry's full state for a compaction snapshot.
 fn persisted_from_entry(id: u64, entry: &Entry) -> PersistedSession {
+    let transcript = entry.dialogue.transcript();
     PersistedSession {
         id,
         meta: entry.meta.clone(),
-        asked: entry.asked.clone(),
+        asked: asked_questions(&entry.asked, transcript),
         answered: entry.asked.len(),
         verified: entry.verified,
-        transcript: entry.dialogue.transcript().to_vec(),
+        transcript: transcript.to_vec(),
         learned: entry.learned.clone(),
     }
 }
@@ -1937,6 +1993,66 @@ mod tests {
         ));
         // The survivor restores normally.
         assert!(equivalent(&reg.learned_query(second).unwrap(), &target));
+    }
+
+    /// The direct writer into one reused buffer counts the same bytes
+    /// as rendering each exchange's `Json` tree.
+    #[test]
+    fn transcript_cache_bytes_match_the_tree_encoding() {
+        let reg = Registry::open(RegistryConfig::default()).unwrap();
+        let target = parse_with_arity("all x1; some x2 x3", 3).unwrap();
+        let (id, first) = reg
+            .create_session(spec(LearnerKind::RolePreserving))
+            .unwrap();
+        drive_to_done(&reg, id, first, &target);
+        let tree: u64 = reg
+            .with_entry(id, |entry| {
+                Ok(entry
+                    .dialogue
+                    .transcript()
+                    .iter()
+                    .map(|e| e.to_json().to_string().len() as u64)
+                    .sum())
+            })
+            .unwrap();
+        assert!(tree > 0);
+        assert_eq!(
+            reg.session_resources(id).unwrap().transcript_cache_bytes,
+            tree
+        );
+    }
+
+    /// Asked questions map to the transcript entries that hold them, in
+    /// order and skipping auto-answered ones; a list that is not a
+    /// subsequence of the transcript's questions maps to nothing.
+    #[test]
+    fn asked_questions_map_to_transcript_positions_in_order() {
+        let exchange = |bits: &str| Exchange {
+            question: Obj::from_bits(bits),
+            from_store: false,
+            response: Response::Answer,
+        };
+        let transcript: Vec<Exchange> = ["011", "101", "110", "011"]
+            .into_iter()
+            .map(exchange)
+            .collect();
+        let asked =
+            |bits: &[&str]| -> Vec<Obj> { bits.iter().map(|b| Obj::from_bits(b)).collect() };
+        assert_eq!(
+            asked_positions(&asked(&["011", "110", "011"]), &transcript),
+            Some(vec![0, 2, 3])
+        );
+        assert_eq!(asked_positions(&[], &transcript), Some(vec![]));
+        assert_eq!(
+            asked_questions(&[0, 2, 3], &transcript),
+            asked(&["011", "110", "011"])
+        );
+        assert_eq!(
+            asked_positions(&asked(&["110", "101"]), &transcript),
+            None,
+            "out of order"
+        );
+        assert_eq!(asked_positions(&asked(&["111"]), &transcript), None);
     }
 
     #[test]

@@ -5,15 +5,20 @@
 //! session resumes with identical learned queries and answers.
 
 use qhorn_core::query::equiv::equivalent;
-use qhorn_core::{Obj, Query};
-use qhorn_engine::session::LearnerKind;
+use qhorn_core::{Obj, Query, Response};
+use qhorn_engine::session::{Exchange, LearnerKind};
+use qhorn_relation::datasets::chocolates;
 use qhorn_relation::{
     Attr, AttrType, DataTuple, DatasetDef, DomainHints, FlatSchema, NestedObject, NestedRelation,
     NestedSchema, Proposition, Value,
 };
 use qhorn_service::proto::{Reply, Request, StepReply};
-use qhorn_service::registry::{CreateSpec, QuestionInfo, Registry, RegistryConfig, StepOutcome};
-use qhorn_service::store::{FsyncPolicy, StoreConfig};
+use qhorn_service::registry::{
+    CreateSpec, QuestionInfo, Registry, RegistryConfig, StepOutcome, EVICTED_STATE,
+};
+use qhorn_service::store::{
+    FsyncPolicy, LogRecord, PersistedSession, SessionMeta, SessionStore, SnapshotEntry, StoreConfig,
+};
 use qhorn_service::ServiceError;
 use qhorn_service::{Client, Server};
 use std::path::PathBuf;
@@ -784,4 +789,221 @@ fn restores_check_arity_against_the_dataset() {
         drop(registry);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Chocolates with two propositions on one attribute: a question needing
+/// `origin = Madagascar` and `origin = Belgium` in one tuple cannot be
+/// realized, so the session answers it `NonAnswer` without the user and
+/// the transcript holds more entries than the user answered.
+fn clash_def() -> DatasetDef {
+    let mut def = chocolates::dataset_def("clash");
+    def.propositions = vec![
+        Proposition::eq("pm", "origin", Value::str("Madagascar")),
+        Proposition::is_true("dark", "isDark"),
+        Proposition::eq("pb", "origin", Value::str("Belgium")),
+    ];
+    def.hints = DomainHints::none();
+    def
+}
+
+/// A registry over the store in `dir` whose every sweep compacts, and
+/// evicts the sessions idle for longer than `ttl`.
+fn compacting_registry(dir: &std::path::Path, ttl: Duration) -> Registry {
+    Registry::open(RegistryConfig {
+        ttl,
+        store: Some(StoreConfig {
+            fsync: FsyncPolicy::Never,
+            compact_threshold_bytes: 1,
+            ..StoreConfig::new(dir.to_path_buf())
+        }),
+        ..Default::default()
+    })
+    .unwrap()
+}
+
+/// Answers each question with `target`'s label until the run ends,
+/// checking that each question takes the next index, and records it.
+fn answer_to_end(
+    registry: &Registry,
+    id: u64,
+    mut step: StepOutcome,
+    target: &Query,
+    shown: &mut Vec<Obj>,
+) -> StepOutcome {
+    loop {
+        match step {
+            StepOutcome::Question(q) => {
+                assert_eq!(q.index, shown.len(), "indices follow the order shown");
+                shown.push(q.question.clone());
+                step = registry.answer(id, target.eval(&q.question)).unwrap();
+            }
+            other => return other,
+        }
+    }
+}
+
+/// A `Correct` index names the question shown under it, whatever
+/// auto-answered questions sit between the asked ones in the transcript,
+/// through correction, eviction, restore, compaction and restart. The
+/// store, reopened at the end, holds exactly the labels the corrections
+/// gave those questions.
+///
+/// Every sweep compacts, so each registry's own view of the session
+/// (its transcript in the order asked, and its asked questions) is what
+/// the next one recovers; a log replay alone would rebuild the
+/// transcript from the user's answers, with the auto-answered entries
+/// appended after them.
+#[test]
+fn correct_indices_name_the_same_question_through_eviction_and_restart() {
+    let target = qhorn_lang::parse_with_arity("all x1; some x2 x3", 3).unwrap();
+    let dir = temp_dir("asked-positions");
+    let spec = CreateSpec {
+        dataset: "clash".into(),
+        size: 1,
+        learner: LearnerKind::RolePreserving,
+        max_questions: Some(10_000),
+    };
+    let mut shown: Vec<Obj> = Vec::new();
+    let mut corrections: Vec<(Obj, Response)> = Vec::new();
+    let mut correct =
+        |registry: &Registry, id: u64, index: usize, flip: bool, shown: &mut Vec<Obj>| {
+            let honest = target.eval(&shown[index]);
+            let label = if flip { honest.negate() } else { honest };
+            corrections.push((shown[index].clone(), label));
+            let step = registry.correct(id, &[(index, label)]).unwrap();
+            let end = answer_to_end(registry, id, step, &target, shown);
+            assert!(
+                matches!(
+                    end,
+                    StepOutcome::Learned { .. } | StepOutcome::Failed { .. }
+                ),
+                "{end:?}"
+            );
+        };
+
+    // Asked at index 0 and 1, with an auto-answered question between.
+    let registry = compacting_registry(&dir, Duration::ZERO);
+    registry.upload_dataset(clash_def()).unwrap();
+    let (id, step) = registry.create_session(spec).unwrap();
+    let end = answer_to_end(&registry, id, step, &target, &mut shown);
+    assert!(matches!(end, StepOutcome::Learned { .. }), "{end:?}");
+    assert!(shown.len() >= 2, "{shown:?}");
+    correct(&registry, id, 1, true, &mut shown);
+    // Evicted, and compacted from the snapshot the eviction made.
+    std::thread::sleep(Duration::from_millis(1));
+    let report = registry.sweep();
+    assert_eq!((report.evicted, report.compacted), (1, true), "{report:?}");
+    // The correction restores the session first.
+    correct(&registry, id, 0, true, &mut shown);
+    assert_eq!(registry.stats().restored, 1);
+    drop(registry);
+
+    // Restart: the snapshot and the correction after it bring the
+    // session back; the sweep compacts its live entry.
+    let registry = compacting_registry(&dir, Duration::from_secs(300));
+    registry.next_question(id).unwrap();
+    let report = registry.sweep();
+    assert_eq!((report.evicted, report.compacted), (0, true), "{report:?}");
+    drop(registry);
+
+    // Restart again: the first correction is undone by index, and a
+    // compaction captures the result.
+    let registry = compacting_registry(&dir, Duration::from_secs(300));
+    correct(&registry, id, 1, false, &mut shown);
+    assert!(registry.sweep().compacted);
+    drop(registry);
+
+    let (_, recovered) = SessionStore::open(&StoreConfig::new(dir.clone())).unwrap();
+    let session = recovered.sessions.iter().find(|s| s.id == id).unwrap();
+    assert_eq!(
+        session.asked, shown,
+        "the asked questions, in the order shown"
+    );
+    let label = |q: &Obj| {
+        corrections
+            .iter()
+            .rev()
+            .find(|(c, _)| c == q)
+            .map_or_else(|| target.eval(q), |&(_, r)| r)
+    };
+    for e in &session.transcript {
+        let want = if shown.contains(&e.question) {
+            label(&e.question)
+        } else {
+            Response::NonAnswer
+        };
+        assert_eq!(e.response, want, "{:?}", e.question);
+    }
+    // Auto-answered questions sit between asked ones, so an index and a
+    // transcript position differ.
+    let is_asked = |e: &Exchange| shown.contains(&e.question);
+    let first_auto = session.transcript.iter().position(|e| !is_asked(e));
+    let last_asked = session.transcript.iter().rposition(is_asked);
+    assert!(
+        first_auto.unwrap() < last_asked.unwrap(),
+        "auto-answered entries at {first_auto:?}, last asked at {last_asked:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A session at rest whose asked questions are not, in order, questions
+/// of its transcript cannot be given `Correct` indices: its restore
+/// fails with an error naming that, every time, and it stays at rest.
+#[test]
+fn asked_questions_missing_from_the_transcript_fail_the_restore() {
+    let dir = temp_dir("asked-missing");
+    let config = StoreConfig {
+        fsync: FsyncPolicy::Never,
+        ..StoreConfig::new(dir.clone())
+    };
+    {
+        let (mut store, _) = SessionStore::open(&config).unwrap();
+        let meta = SessionMeta {
+            dataset: "chocolates".into(),
+            size: 30,
+            learner: LearnerKind::Qhorn1,
+            max_questions: Some(10_000),
+        };
+        store
+            .append(&LogRecord::SessionCreated {
+                id: 1,
+                meta: meta.clone(),
+            })
+            .unwrap();
+        let mut session = PersistedSession::new(1, meta);
+        session.transcript.push(Exchange {
+            question: Obj::from_bits("110"),
+            from_store: false,
+            response: Response::Answer,
+        });
+        session.asked.push(Obj::from_bits("011"));
+        session.answered = 1;
+        let boundary = store.rotate().unwrap();
+        let through_seq = store.last_seq();
+        store
+            .write_snapshot(
+                &[SnapshotEntry {
+                    through_seq,
+                    session,
+                }],
+                boundary,
+            )
+            .unwrap();
+    }
+    let registry = Registry::open(RegistryConfig {
+        store: Some(config),
+        ..Default::default()
+    })
+    .unwrap();
+    for _ in 0..2 {
+        match registry.next_question(1) {
+            Err(ServiceError::Engine(msg)) => assert!(msg.contains("asked"), "{msg}"),
+            other => panic!("restored: {other:?}"),
+        }
+        let stats = registry.stats();
+        assert_eq!((stats.live, stats.snapshots, stats.restored), (0, 1, 0));
+    }
+    assert_eq!(registry.session_resources(1).unwrap().state, EVICTED_STATE);
+    drop(registry);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -192,7 +192,11 @@ pub struct StoreStats {
     /// Wall time spent writing appended frames, nanoseconds (cumulative;
     /// includes any rotation an append triggered).
     pub append_nanos: u64,
-    /// Fsyncs the durability policy issued after appends (cumulative).
+    /// Fsyncs the store completed (cumulative): the durability policy's
+    /// after appends, and also those at rotation, on
+    /// [`SessionStore::sync`], of a snapshot's data and of its directory
+    /// at compaction, and of a torn tail truncated at open (counted in
+    /// the store that open returns).
     pub fsyncs: u64,
     /// Wall time spent in those fsyncs, nanoseconds (cumulative).
     pub fsync_nanos: u64,

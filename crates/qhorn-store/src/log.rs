@@ -86,6 +86,11 @@ pub struct SessionStore {
     fsyncs: u64,
     fsync_nanos: u64,
     compaction_nanos: u64,
+    /// Set when a failed append left part of a frame in the active
+    /// segment and cutting it off failed too: every later append and
+    /// rotation is refused, as a record written behind the torn bytes
+    /// would be lost at recovery. Reopening truncates the torn tail.
+    torn: bool,
     observer: Option<Box<dyn StoreObserver>>,
     /// Per-session secondary index: for each session id, the
     /// `(segment index, frame start offset)` of every log frame that
@@ -129,6 +134,7 @@ impl SessionStore {
     pub fn open(config: &StoreConfig) -> Result<(SessionStore, RecoveredState), StoreError> {
         fs::create_dir_all(&config.dir)?;
         let mut torn_truncations = 0u64;
+        let (mut fsyncs, mut fsync_nanos) = (0u64, 0u64);
 
         let (snapshot_entries, snapshot_torn) = read_snapshot(&config.dir.join(SNAPSHOT_FILE))?;
         if snapshot_torn {
@@ -167,7 +173,8 @@ impl SessionStore {
             }
             if torn {
                 torn_truncations += 1;
-                truncate_file(path, valid_len)?;
+                fsync_nanos += nanos(truncate_file(path, valid_len)?);
+                fsyncs += 1;
                 scanned.push((index, valid_len));
                 // Later segments postdate a torn tail; a crash cannot
                 // produce that, so treat them as garbage.
@@ -218,9 +225,10 @@ impl SessionStore {
             torn_truncations,
             snapshot_sessions,
             append_nanos: 0,
-            fsyncs: 0,
-            fsync_nanos: 0,
+            fsyncs,
+            fsync_nanos,
             compaction_nanos: 0,
+            torn: false,
             observer: None,
             session_index,
         };
@@ -236,11 +244,15 @@ impl SessionStore {
 
     /// Appends one record, returning its assigned sequence number. The
     /// frame is written with a single `write`, then synced per the
-    /// configured [`FsyncPolicy`].
+    /// configured [`FsyncPolicy`]. A write that fails partway is cut
+    /// back off the segment, so the next record lands where the index
+    /// says it does.
     ///
     /// # Errors
-    /// I/O failures; oversized records.
+    /// I/O failures; oversized records; every append after a torn write
+    /// that could not be cut back, until the store is reopened.
     pub fn append(&mut self, rec: &LogRecord) -> Result<u64, StoreError> {
+        self.check_untorn()?;
         let seq = self.next_seq;
         let frame = frame(&rec.to_payload(seq))?;
         let write_started = Instant::now();
@@ -248,7 +260,16 @@ impl SessionStore {
             self.rotate()?;
         }
         let (frame_segment, frame_start) = (self.active_index, self.active_len);
-        self.active.write_all(&frame)?;
+        if let Err(e) = self.active.write_all(&frame) {
+            // Part of the frame may have reached the file (a full disk,
+            // a file size limit). Left there, it would sit between the
+            // last indexed frame and the next one, and recovery would
+            // cut the segment at it, losing every later record.
+            if self.active.set_len(self.active_len).is_err() {
+                self.torn = true;
+            }
+            return Err(e.into());
+        }
         // Index only after the write succeeds — a failed append must not
         // leave the index pointing at bytes that never reached the file.
         index_record(&mut self.session_index, rec, frame_segment, frame_start);
@@ -258,28 +279,18 @@ impl SessionStore {
         self.records_appended += 1;
         self.bytes_appended += frame.len() as u64;
         self.append_nanos += nanos(write_elapsed);
-        let mut fsync_elapsed = None;
-        match self.fsync {
-            FsyncPolicy::Always => {
-                let started = Instant::now();
-                self.active.sync_data()?;
-                fsync_elapsed = Some(started.elapsed());
-            }
+        let fsync_elapsed = match self.fsync {
+            FsyncPolicy::Always => Some(self.sync_active()?),
             FsyncPolicy::EveryN(n) => {
                 self.unsynced += 1;
                 if self.unsynced >= n.max(1) {
-                    let started = Instant::now();
-                    self.active.sync_data()?;
-                    fsync_elapsed = Some(started.elapsed());
-                    self.unsynced = 0;
+                    Some(self.sync_active()?)
+                } else {
+                    None
                 }
             }
-            FsyncPolicy::Never => {}
-        }
-        if let Some(d) = fsync_elapsed {
-            self.fsyncs += 1;
-            self.fsync_nanos += nanos(d);
-        }
+            FsyncPolicy::Never => None,
+        };
         if let Some(obs) = &self.observer {
             obs.observe(StoreOp::Append, write_elapsed, frame.len() as u64);
             if let Some(d) = fsync_elapsed {
@@ -305,10 +316,11 @@ impl SessionStore {
     /// snapshot does not cover).
     ///
     /// # Errors
-    /// I/O failures.
+    /// I/O failures; a torn write [`append`](Self::append) could not cut
+    /// back, until the store is reopened.
     pub fn rotate(&mut self) -> Result<u64, StoreError> {
-        self.active.sync_data()?;
-        self.unsynced = 0;
+        self.check_untorn()?;
+        self.sync_active()?;
         self.sealed.push((self.active_index, self.active_len));
         self.active_index += 1;
         self.active = OpenOptions::new()
@@ -324,8 +336,34 @@ impl SessionStore {
     /// # Errors
     /// I/O failures.
     pub fn sync(&mut self) -> Result<(), StoreError> {
-        self.active.sync_data()?;
+        self.sync_active()?;
+        Ok(())
+    }
+
+    /// Fsyncs the active segment's data, counting it; returns how long
+    /// the fsync took.
+    fn sync_active(&mut self) -> Result<Duration, StoreError> {
+        let elapsed = timed(|| self.active.sync_data())?;
         self.unsynced = 0;
+        self.count_fsync(elapsed);
+        Ok(elapsed)
+    }
+
+    /// Counts one completed fsync in [`StoreStats::fsyncs`] and its time
+    /// in [`StoreStats::fsync_nanos`].
+    fn count_fsync(&mut self, elapsed: Duration) {
+        self.fsyncs += 1;
+        self.fsync_nanos += nanos(elapsed);
+    }
+
+    /// Refuses to write once a torn append could not be cut back.
+    fn check_untorn(&self) -> Result<(), StoreError> {
+        if self.torn {
+            return Err(StoreError::Io(std::io::Error::other(
+                "the active segment holds a torn frame that could not be cut off; \
+                 reopen the store to recover",
+            )));
+        }
         Ok(())
     }
 
@@ -430,13 +468,16 @@ impl SessionStore {
                 snapshot_bytes += entry_frame.len() as u64;
                 f.write_all(&entry_frame)?;
             }
-            f.sync_data()?;
+            let elapsed = timed(|| f.sync_data())?;
+            self.count_fsync(elapsed);
         }
         fs::rename(&tmp, self.dir.join(SNAPSHOT_FILE))?;
         // Make the rename durable; best-effort (not all platforms support
         // fsync on directories).
         if let Ok(d) = File::open(&self.dir) {
-            let _ = d.sync_all();
+            if let Ok(elapsed) = timed(|| d.sync_all()) {
+                self.count_fsync(elapsed);
+            }
         }
 
         // Dataset registrations live only in the log (session snapshots do
@@ -658,6 +699,13 @@ fn scan_frames(bytes: &[u8]) -> (Vec<(u64, Vec<u8>)>, bool) {
     (frames, false)
 }
 
+/// Runs one fsync, returning how long it took.
+fn timed(fsync: impl FnOnce() -> std::io::Result<()>) -> std::io::Result<Duration> {
+    let started = Instant::now();
+    fsync()?;
+    Ok(started.elapsed())
+}
+
 /// A duration in whole nanoseconds, saturating.
 fn nanos(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
@@ -686,11 +734,12 @@ fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, StoreError> {
     Ok(segments)
 }
 
-fn truncate_file(path: &Path, len: u64) -> Result<(), StoreError> {
+/// Cuts `path` to `len` bytes and fsyncs it; returns how long the fsync
+/// took.
+fn truncate_file(path: &Path, len: u64) -> Result<Duration, StoreError> {
     let f = OpenOptions::new().write(true).open(path)?;
     f.set_len(len)?;
-    f.sync_data()?;
-    Ok(())
+    Ok(timed(|| f.sync_data())?)
 }
 
 /// Reads the snapshot file: `(entries, torn)`. A missing file is an empty

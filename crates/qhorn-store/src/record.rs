@@ -183,7 +183,11 @@ pub struct PersistedSession {
     /// Answered questions, in the order shown (the index space the
     /// protocol's `Correct` uses). A question in flight is not part of
     /// it: a resumed session asks it again, under the same index, and its
-    /// answer's `ExchangeAppended` appends it here.
+    /// answer's `ExchangeAppended` appends it here. Every one is a
+    /// question of `transcript`, in the same order, with the
+    /// auto-answered entries between them; a live session holds only
+    /// their transcript positions and rebuilds this list from them, and
+    /// a restore refuses a session whose list does not match.
     pub asked: Vec<Obj>,
     /// Questions answered.
     pub answered: usize,

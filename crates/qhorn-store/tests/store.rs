@@ -348,3 +348,48 @@ fn snapshot_written_marker_lands_in_the_log() {
     assert_eq!(recovered.sessions.len(), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `fsyncs` counts every fsync the store completes, not only the
+/// policy's after appends: with `FsyncPolicy::Never` a compaction still
+/// fsyncs at rotation and for the snapshot's data and directory, and an
+/// open that truncates a torn tail fsyncs the cut segment.
+#[test]
+fn fsyncs_outside_the_append_policy_are_counted() {
+    let dir = temp_dir("fsyncs");
+    let cfg = StoreConfig {
+        fsync: FsyncPolicy::Never,
+        ..config(&dir)
+    };
+    {
+        let (mut store, _) = SessionStore::open(&cfg).unwrap();
+        drive_session(&mut store, 1);
+        assert_eq!(store.stats().fsyncs, 0, "the policy never fsyncs");
+        let boundary = store.rotate().unwrap();
+        assert_eq!(store.stats().fsyncs, 1, "rotation syncs the sealed segment");
+        store.write_snapshot(&[], boundary).unwrap();
+        assert_eq!(
+            store.stats().fsyncs,
+            3,
+            "the snapshot's data and its directory"
+        );
+        store.sync().unwrap();
+        assert_eq!(store.stats().fsyncs, 4);
+        let fsync_nanos = store.stats().fsync_nanos;
+        assert!(fsync_nanos > 0, "{fsync_nanos}");
+    }
+    // A torn tail: half a frame header at the end of the newest segment.
+    let newest = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "qlog"))
+        .max()
+        .unwrap();
+    let mut bytes = std::fs::read(&newest).unwrap();
+    bytes.extend_from_slice(&[7, 0]);
+    std::fs::write(&newest, bytes).unwrap();
+    let (store, recovered) = SessionStore::open(&cfg).unwrap();
+    assert_eq!(recovered.sessions.len(), 1);
+    let stats = store.stats();
+    assert_eq!((stats.torn_truncations, stats.fsyncs), (1, 1));
+    let _ = std::fs::remove_dir_all(&dir);
+}
