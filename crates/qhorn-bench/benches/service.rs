@@ -10,6 +10,7 @@ use qhorn_engine::session::LearnerKind;
 use qhorn_engine::storage::Store;
 use qhorn_service::batch::{execute_parallel, execute_parallel_with_stats};
 use qhorn_service::registry::{CreateSpec, Registry, RegistryConfig, StepOutcome};
+use qhorn_service::store::{FsyncPolicy, StoreConfig};
 use qhorn_sim::genobject::random_dense_object;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -63,19 +64,26 @@ fn bench_registry_sessions(c: &mut Criterion) {
     group.finish();
 }
 
-/// Restore-from-snapshot cost: a completed session over a large catalog
-/// dataset is evicted (TTL 0 sweep) and touched back to life on every
-/// iteration. The dominant term is how the registry obtains the dataset's
-/// built store — rebuilding it from scratch per restore vs sharing one
-/// catalog-cached `Arc<DataStore>`.
+/// Restore-from-store cost: a completed session over a large catalog
+/// dataset is evicted (TTL 0 sweep) to a temporary store and touched back
+/// to life on every iteration. The dominant term is how the registry
+/// obtains the dataset's built store — rebuilding it from scratch per
+/// restore vs sharing one catalog-cached `Arc<DataStore>`.
 fn bench_restore_from_snapshot(c: &mut Criterion) {
     let target = qhorn_lang::parse_with_arity("all x1; some x2 x3", 3).unwrap();
     let mut group = c.benchmark_group("restore_from_snapshot");
     group.sample_size(10);
     for size in [1_000usize, 20_000] {
         group.bench_with_input(BenchmarkId::new("chocolates", size), &size, |b, &size| {
+            let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+                .join(format!("bench-restore-{size}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
             let registry = Registry::open(RegistryConfig {
                 ttl: std::time::Duration::from_millis(0),
+                store: Some(StoreConfig {
+                    fsync: FsyncPolicy::Never,
+                    ..StoreConfig::new(dir.clone())
+                }),
                 ..RegistryConfig::default()
             })
             .expect("open registry");
@@ -98,11 +106,13 @@ fn bench_restore_from_snapshot(c: &mut Criterion) {
                 }
             }
             b.iter(|| {
-                // TTL 0: the sweep evicts the (idle) session to a
-                // snapshot; the learned_query touch restores it.
+                // TTL 0: the sweep evicts the (idle) session to the
+                // store; the learned_query touch restores it.
                 registry.sweep();
                 black_box(registry.learned_query(id).expect("restore"))
             });
+            drop(registry);
+            let _ = std::fs::remove_dir_all(&dir);
         });
     }
     group.finish();

@@ -14,8 +14,10 @@
 //! * dialogue outcome tallies per scripted population (`populations`);
 //! * store append throughput and the restore-scaling series
 //!   (`store.restore_scaling`): indexed `load_session` vs the full-scan
-//!   reference as *other* sessions' volume grows, demonstrating that
-//!   restore cost no longer scales with unrelated history;
+//!   reference as *other* sessions' volume grows, and the indexed load
+//!   again once a compaction has moved every session into the snapshot
+//!   file (`indexed_compacted_ns`), demonstrating that restore cost no
+//!   longer scales with unrelated history in either file;
 //! * soak accounting (`soak`): zero leaked sessions after the run and
 //!   `enqueued == dequeued` on both frontend pools — asserted, not just
 //!   recorded.
@@ -85,7 +87,8 @@ fn time_ns<F: FnMut()>(iters: u64, mut f: F) -> f64 {
 
 /// Store section: append throughput plus the satellite restore-scaling
 /// series — one target session restored (indexed and via the full-scan
-/// reference) while the volume of *other* sessions grows around it.
+/// reference, then indexed from the snapshot file after a compaction)
+/// while the volume of *other* sessions grows around it.
 fn bench_store(quick: bool) -> Json {
     let iters = if quick { 20 } else { 200 };
 
@@ -111,13 +114,19 @@ fn bench_store(quick: bool) -> Json {
 
     // Restore scaling: target session 1 stays fixed (8 exchanges);
     // other-session volume sweeps upward. The indexed path should stay
-    // flat while the full-scan reference grows with total volume.
+    // flat, before and after a compaction, while the full-scan reference
+    // grows with total volume.
     let volumes: &[u64] = if quick { &[4, 16] } else { &[8, 32, 128] };
+    // An indexed load takes tens of microseconds: even a quick run
+    // times enough of them that one preemption does not set the factor.
+    let indexed_iters = 200;
     let mut series = Vec::new();
     let mut indexed_first = 0.0f64;
     let mut indexed_last = 0.0f64;
     let mut unindexed_first = 0.0f64;
     let mut unindexed_last = 0.0f64;
+    let mut compacted_first = 0.0f64;
+    let mut compacted_last = 0.0f64;
     for (vi, &others) in volumes.iter().enumerate() {
         let dir = temp_dir(&format!("restore-{others}"));
         let _ = std::fs::remove_dir_all(&dir);
@@ -139,7 +148,7 @@ fn bench_store(quick: bool) -> Json {
                     .expect("other exchange");
             }
         }
-        let indexed_ns = time_ns(iters, || {
+        let indexed_ns = time_ns(indexed_iters, || {
             assert!(store.load_session(1).expect("indexed load").is_some());
         });
         let unindexed_ns = time_ns(iters.min(40), || {
@@ -148,33 +157,48 @@ fn bench_store(quick: bool) -> Json {
                 .expect("full-scan load")
                 .is_some());
         });
+        // Every session's frames now predate the boundary: the target
+        // restores from the snapshot file alone.
+        let boundary = store.rotate().expect("rotate");
+        store.write_snapshot(&[], boundary).expect("compact");
+        let compacted_ns = time_ns(indexed_iters, || {
+            assert!(store.load_session(1).expect("compacted load").is_some());
+        });
         eprintln!(
-            "store restore @ {others} other sessions: indexed {indexed_ns:.0} ns, full-scan {unindexed_ns:.0} ns"
+            "store restore @ {others} other sessions: indexed {indexed_ns:.0} ns, full-scan {unindexed_ns:.0} ns, indexed after compaction {compacted_ns:.0} ns"
         );
         if vi == 0 {
             indexed_first = indexed_ns;
             unindexed_first = unindexed_ns;
+            compacted_first = compacted_ns;
         }
         indexed_last = indexed_ns;
         unindexed_last = unindexed_ns;
+        compacted_last = compacted_ns;
         series.push(Json::object([
             ("other_sessions", Json::U64(others)),
             ("indexed_ns", Json::F64(indexed_ns)),
             ("unindexed_ns", Json::F64(unindexed_ns)),
+            ("indexed_compacted_ns", Json::F64(compacted_ns)),
         ]));
         drop(store);
         let _ = std::fs::remove_dir_all(&dir);
     }
     let indexed_growth = indexed_last / indexed_first.max(1.0);
     let unindexed_growth = unindexed_last / unindexed_first.max(1.0);
+    let compacted_growth = compacted_last / compacted_first.max(1.0);
     eprintln!(
-        "restore growth across volume sweep: indexed {indexed_growth:.2}x, full-scan {unindexed_growth:.2}x"
+        "restore growth across volume sweep: indexed {indexed_growth:.2}x, full-scan {unindexed_growth:.2}x, indexed after compaction {compacted_growth:.2}x"
     );
     Json::object([
         ("append_ops_per_sec", Json::F64(append_ops_per_sec)),
         ("restore_scaling", Json::Arr(series)),
         ("indexed_growth_factor", Json::F64(indexed_growth)),
         ("unindexed_growth_factor", Json::F64(unindexed_growth)),
+        (
+            "indexed_compacted_growth_factor",
+            Json::F64(compacted_growth),
+        ),
     ])
 }
 
@@ -367,7 +391,8 @@ fn main() {
 /// schema tag, the `load_p50`/`load_p95`/`load_p99` transport pairs,
 /// non-empty `questions_by_phase`, all three `populations`, two
 /// `transports` entries each carrying `errors_by_class` with the `429`
-/// key, the `store.restore_scaling` series, and the `soak` block.
+/// key, the `store.restore_scaling` series with its compacted column and
+/// growth factor, and the `soak` block.
 /// Panics (failing the smoke step) on any missing piece.
 fn validate_artifact(text: &str) {
     let json: Json = qhorn_json::from_str(text).expect("artifact must parse");
@@ -431,8 +456,20 @@ fn validate_artifact(text: &str) {
         panic!("store.restore_scaling must be an array");
     };
     assert!(scaling.len() >= 2, "restore scaling needs >= 2 volumes");
+    assert!(
+        store
+            .get("indexed_compacted_growth_factor")
+            .and_then(Json::as_f64)
+            .is_some(),
+        "store.indexed_compacted_growth_factor missing"
+    );
     for entry in scaling {
-        for key in ["other_sessions", "indexed_ns", "unindexed_ns"] {
+        for key in [
+            "other_sessions",
+            "indexed_ns",
+            "unindexed_ns",
+            "indexed_compacted_ns",
+        ] {
             assert!(
                 entry.get(key).is_some(),
                 "restore_scaling entry missing `{key}`"

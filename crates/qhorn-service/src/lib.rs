@@ -5,13 +5,13 @@
 //! long-lived server mediating many interactive question/answer dialogues
 //! at once, each learning (and verifying) a user's intended query.
 //!
-//! * [`registry`] — a sharded, lock-striped session registry: TTL
-//!   eviction to snapshots (LRU-capped via `max_snapshots`), transparent
-//!   restore with transcript replay, a per-session state machine
-//!   (`AwaitingAnswer → Learning → Verifying → Done/Failed`), and
-//!   optional **durability** through `qhorn-store` — every exchange is
-//!   appended to a checksummed log before the request returns, and
-//!   [`Registry::open`] recovers all sessions after a crash;
+//! * [`registry`] — a sharded, lock-striped session registry: a
+//!   per-session state machine (`AwaitingAnswer → Learning → Verifying →
+//!   Done/Failed`) and optional **durability** through `qhorn-store` —
+//!   every exchange is appended to a checksummed log before the request
+//!   returns, idle sessions are evicted to that log alone and restored
+//!   with transcript replay on next touch, and [`Registry::open`]
+//!   recovers all sessions after a crash;
 //! * [`proto`] — the request/reply protocol (`CreateSession`,
 //!   `NextQuestion`, `Answer`, `Correct` + replay, `Verify`,
 //!   `EvaluateBatch`, `ExportQuery`, `CloseSession`, `UploadDataset` /

@@ -18,23 +18,20 @@
 //! ```
 //!
 //! `Done`/`Failed` sessions accept `Correct` (replay with corrected
-//! responses, §5's noisy-user workflow). Idle sessions past the TTL are
-//! **evicted to a snapshot**: the store's [`PersistedSession`] (answered
-//! transcript, asked questions, learned query, last verdict), the one
-//! form a session at rest takes in memory, in the log's snapshot file
-//! and in recovery alike. Touching an evicted id restores it —
-//! completed sessions come back whole, mid-learning sessions replay
-//! their answered transcript so the user is only re-asked the question
-//! that was in flight, under the index it had.
+//! responses, §5's noisy-user workflow).
 //!
 //! With a [`StoreConfig`], the registry is **durable** (`qhorn-store`):
 //! every created session, answered exchange, correction, and learned
-//! query is appended to the log before the request returns, and
-//! [`Registry::open`] recovers all of it after a crash — recovered
-//! sessions start as evicted-with-snapshot and lazily replay on first
-//! touch, exactly like TTL-evicted ones. In-memory snapshots are bounded
-//! by `max_snapshots` (LRU); drops past the cap fall through to the
-//! durable store when configured.
+//! query is appended to the log before the request returns. A session
+//! at rest lives in the store alone: a sweep **evicts** a session idle
+//! past the TTL by dropping its live entry, since the log already holds
+//! everything it acknowledged, and [`Registry::open`] recovers sessions
+//! at rest after a crash without loading any. Touching a session at
+//! rest restores it from the store's [`PersistedSession`] — completed
+//! sessions come back whole, mid-learning sessions replay their
+//! answered transcript so the user is only re-asked the question that
+//! was in flight, under the index it had. Without a store nothing is
+//! evicted: a session stays live until it is closed.
 
 use crate::dataset::{DatasetCatalog, DatasetInfo};
 use crate::error::ServiceError;
@@ -63,12 +60,9 @@ use std::time::{Duration, Instant, SystemTime};
 pub struct RegistryConfig {
     /// Number of lock stripes (maps) sessions are sharded over.
     pub shards: usize,
-    /// Idle time after which a session is evicted to a snapshot.
+    /// Idle time after which a sweep evicts a session to the durable
+    /// store. Acts only with a `store`: without one, sessions stay live.
     pub ttl: Duration,
-    /// LRU cap on in-memory snapshots. Past it the least-recently-touched
-    /// snapshot is dropped — recoverable from the durable store when one
-    /// is configured, gone otherwise. `None` = unbounded.
-    pub max_snapshots: Option<usize>,
     /// Durable session store. `None` keeps the registry memory-only (a
     /// restart loses every session).
     pub store: Option<StoreConfig>,
@@ -81,7 +75,6 @@ impl Default for RegistryConfig {
         RegistryConfig {
             shards: 16,
             ttl: Duration::from_secs(15 * 60),
-            max_snapshots: None,
             store: None,
             trace: TraceConfig::default(),
         }
@@ -91,7 +84,7 @@ impl Default for RegistryConfig {
 /// What one [`Registry::sweep`] pass did.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SweepReport {
-    /// Idle sessions evicted to snapshots.
+    /// Idle sessions evicted to the durable store.
     pub evicted: usize,
     /// Whether the pass compacted the durable log (live log over
     /// `compact_threshold_bytes`).
@@ -182,9 +175,9 @@ pub struct RegistryStats {
     pub created: u64,
     /// Sessions currently live in the registry.
     pub live: u64,
-    /// Sessions evicted to snapshots (cumulative).
+    /// Sessions evicted to the durable store (cumulative).
     pub evicted: u64,
-    /// Sessions restored from snapshots (cumulative).
+    /// Sessions restored from the durable store (cumulative).
     pub restored: u64,
     /// Sessions that reached `Done` (cumulative).
     pub completed: u64,
@@ -207,7 +200,9 @@ pub struct RegistryStats {
     /// out of this wire object. Optional on decode for mixed-version
     /// replay.
     pub batch_threads_used: u64,
-    /// Snapshots currently held.
+    /// Sessions at rest: in the durable store with no live entry
+    /// (recovered at open or evicted since, and not yet restored or
+    /// closed). Always 0 without a store.
     pub snapshots: u64,
     /// Compactions that failed (cumulative; see
     /// [`SweepReport::compact_error`]).
@@ -220,14 +215,14 @@ pub struct RegistryStats {
 }
 
 /// The [`SessionResources::state`] of a session that has no live entry:
-/// it sits in a snapshot or in the durable log, and reading its
-/// accounting does not restore it.
+/// it is at rest in the durable store, and reading its accounting does
+/// not restore it.
 pub const EVICTED_STATE: &str = "evicted";
 
 /// Per-session resource accounting, as served by the `SessionResources`
 /// protocol message. Counters accumulate on the **live entry only**:
-/// eviction-and-restore resets them (snapshots deliberately do not carry
-/// accounting state), so treat them as since-last-restore figures. An
+/// eviction-and-restore resets them (the store deliberately does not
+/// carry accounting state), so treat them as since-last-restore figures. An
 /// evicted session reports [`EVICTED_STATE`], its answer count, and
 /// zero counters.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -297,28 +292,20 @@ struct Entry {
 pub struct Registry {
     config: RegistryConfig,
     shards: Vec<OrderedMutex<HashMap<u64, Arc<OrderedMutex<Entry>>>>>,
-    /// Evicted and recovered sessions, each with its LRU stamp (from
-    /// `snap_clock`) for the `max_snapshots` cap. `asked` keeps the
-    /// answered questions in the order shown, so `Correct` indices stay
-    /// valid across eviction/restore (the transcript alone cannot
-    /// rebuild it: it may contain auto-answered entries).
-    snapshots: OrderedMutex<HashMap<u64, (u64, PersistedSession)>>,
     /// Built-in and uploaded datasets behind shared `Arc<DataStore>`s —
-    /// sessions and snapshot restores resolve names here instead of
-    /// rebuilding stores per restore.
+    /// sessions and restores resolve names here instead of rebuilding
+    /// stores per restore.
     catalog: DatasetCatalog,
     /// Serializes dataset uploads/drops with their durable log appends,
     /// so catalog state and log order cannot disagree.
     catalog_lock: OrderedMutex<()>,
-    /// Serializes snapshot restores per stripe so concurrent touches of
-    /// one evicted id all land on the single restored entry, without
+    /// Serializes restores per stripe so concurrent touches of one
+    /// evicted id all land on the single restored entry, without
     /// unrelated sessions' restores queueing behind each other.
     restore_locks: Vec<OrderedMutex<()>>,
     /// The durable log (`qhorn-store`); appends happen under the entry
     /// lock, so per-session record order matches per-session state order.
     store: Option<SyncSessionStore>,
-    /// Monotonic clock stamping snapshot touches for the LRU cap.
-    snap_clock: AtomicU64,
     /// Latency histograms + per-phase question counters; the dispatch
     /// layer times every request into it, both frontends share it.
     metrics: Arc<Metrics>,
@@ -345,6 +332,8 @@ pub struct Registry {
     created: AtomicU64,
     evicted: AtomicU64,
     restored: AtomicU64,
+    /// Sessions at rest (see [`RegistryStats::snapshots`]).
+    at_rest: AtomicU64,
     completed: AtomicU64,
     failed: AtomicU64,
     answers: AtomicU64,
@@ -356,13 +345,12 @@ pub struct Registry {
 }
 
 impl Registry {
-    /// Builds a registry. With `config.store` set, opens the durable log,
-    /// recovers every live session, and parks each as an
-    /// evicted-with-snapshot entry — the first touch restores it (replaying
-    /// the transcript for mid-learning sessions), the same mechanism TTL
-    /// eviction uses. Uploaded datasets re-register with the catalog, so
-    /// sessions created over them restore too. Session id assignment
-    /// resumes above every id the log has ever seen.
+    /// Builds a registry. With `config.store` set, opens the durable log
+    /// and leaves every recovered session at rest there — the first touch
+    /// restores it (replaying the transcript for mid-learning sessions),
+    /// as it does a TTL-evicted one. Uploaded datasets re-register with
+    /// the catalog, so sessions created over them restore too. Session id
+    /// assignment resumes above every id the log has ever seen.
     ///
     /// (There is deliberately no panicking constructor: with durability
     /// configured, construction does I/O and recovery, and every caller
@@ -378,7 +366,7 @@ impl Registry {
         let shards = config.shards.max(1);
         let tracer = Arc::new(Tracer::new(&config.trace));
         let mut next_id = 1u64;
-        let mut recovered = Vec::new();
+        let mut recovered = 0u64;
         let mut recovered_datasets = Vec::new();
         let store = match &config.store {
             Some(cfg) => {
@@ -386,7 +374,7 @@ impl Registry {
                     SessionStore::open(cfg).map_err(|e| ServiceError::Store(e.to_string()))?;
                 store.set_observer(Box::new(TraceStoreObserver::new(Arc::clone(&tracer))));
                 next_id = state.max_session_id + 1;
-                recovered = state.sessions;
+                recovered = state.sessions.len() as u64;
                 recovered_datasets = state.datasets;
                 Some(SyncSessionStore::new(store))
             }
@@ -402,14 +390,12 @@ impl Registry {
             shards: (0..shards)
                 .map(|_| OrderedMutex::new(LockClass::new("registry.shard"), HashMap::new()))
                 .collect(),
-            snapshots: OrderedMutex::new(LockClass::new("registry.snapshots"), HashMap::new()),
             catalog,
             catalog_lock: OrderedMutex::new(LockClass::new("registry.catalog_order"), ()),
             restore_locks: (0..shards)
                 .map(|_| OrderedMutex::new(LockClass::new("registry.restore"), ()))
                 .collect(),
             store,
-            snap_clock: AtomicU64::new(0),
             metrics: Arc::new(Metrics::new()),
             tracer,
             pools: OrderedMutex::new(LockClass::new("registry.pools"), Vec::new()),
@@ -426,6 +412,7 @@ impl Registry {
             created: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
             restored: AtomicU64::new(0),
+            at_rest: AtomicU64::new(recovered),
             completed: AtomicU64::new(0),
             failed: AtomicU64::new(0),
             answers: AtomicU64::new(0),
@@ -435,15 +422,11 @@ impl Registry {
             batch_answers: AtomicU64::new(0),
             batch_threads: AtomicU64::new(0),
         };
-        let recovered_count = recovered.len();
-        for session in recovered {
-            registry.insert_snapshot(session);
-        }
-        if recovered_count > 0 {
+        if recovered > 0 {
             crate::log::info(
                 "registry",
                 "recovered sessions from the durable store",
-                &[("sessions", Json::U64(recovered_count as u64))],
+                &[("sessions", Json::U64(recovered))],
             );
         }
         Ok(registry)
@@ -494,8 +477,11 @@ impl Registry {
             Ok(outcome) => outcome,
             Err(e) => {
                 // The client never learns this id; compensate so recovery
-                // does not resurrect an ownerless phantom session.
-                let _ = self.log_append(&LogRecord::SessionClosed { id });
+                // does not resurrect an ownerless phantom session. If that
+                // fails too, the session is at rest in the log.
+                if self.log_append(&LogRecord::SessionClosed { id }).is_err() {
+                    self.at_rest.fetch_add(1, Ordering::Relaxed);
+                }
                 crate::log::warn(
                     "registry",
                     "session creation failed after its first step",
@@ -519,8 +505,8 @@ impl Registry {
     /// result.
     ///
     /// # Errors
-    /// [`ServiceError::UnknownSession`] for ids with neither a live entry
-    /// nor a snapshot.
+    /// [`ServiceError::UnknownSession`] for ids neither live nor at rest
+    /// in the durable store.
     pub fn next_question(&self, id: u64) -> Result<StepOutcome, ServiceError> {
         self.with_entry(id, |entry| {
             entry.last_touch = Instant::now();
@@ -892,7 +878,7 @@ impl Registry {
     /// The session's resource accounting (see [`SessionResources`] for
     /// reset semantics). A read never restores an evicted session: it is
     /// reported as [`EVICTED_STATE`] with its answer count, from the
-    /// snapshot or the durable log, and zero counters.
+    /// durable store, and zero counters.
     ///
     /// # Errors
     /// [`ServiceError::UnknownSession`]; [`ServiceError::Store`] when
@@ -931,29 +917,25 @@ impl Registry {
 
     /// [`Registry::session_resources`] of a session with no live entry.
     fn evicted_resources(&self, id: u64) -> Result<SessionResources, ServiceError> {
-        let cached = self
-            .snapshots
-            .lock_recover()
-            .get(&id)
-            .map(|(_, s)| s.answered);
-        let answered = match (cached, &self.store) {
-            (Some(answered), _) => answered,
-            (None, Some(store)) => {
-                store
-                    .lock()
-                    .load_session(id)
-                    .map_err(|e| ServiceError::Store(e.to_string()))?
-                    .ok_or(ServiceError::UnknownSession(id))?
-                    .answered
-            }
-            (None, None) => return Err(ServiceError::UnknownSession(id)),
-        };
         Ok(SessionResources {
             session: id,
             state: EVICTED_STATE.to_string(),
-            questions: answered as u64,
+            questions: self.stored_session(id)?.answered as u64,
             ..SessionResources::default()
         })
+    }
+
+    /// A session at rest, read from the durable store.
+    fn stored_session(&self, id: u64) -> Result<PersistedSession, ServiceError> {
+        let store = self
+            .store
+            .as_ref()
+            .ok_or(ServiceError::UnknownSession(id))?;
+        store
+            .lock()
+            .load_session(id)
+            .map_err(|e| ServiceError::Store(e.to_string()))?
+            .ok_or(ServiceError::UnknownSession(id))
     }
 
     /// The session's live entry, if it has one.
@@ -1010,42 +992,36 @@ impl Registry {
         self.sweep();
     }
 
-    /// Evicts every session idle longer than the TTL, snapshotting each,
-    /// then compacts the durable log if it has outgrown its threshold.
+    /// Evicts every session idle longer than the TTL to the durable
+    /// store, then compacts the log if it has outgrown its threshold.
+    /// Without a store it does neither: a session kept live costs less
+    /// memory than any copy of it at rest.
     pub fn sweep(&self) -> SweepReport {
         let ttl = self.config.ttl;
         let mut evicted = 0usize;
-        for shard in &self.shards {
-            let mut map = shard.lock_recover();
-            let expired: Vec<u64> = map
-                .iter()
-                .filter(|(_, h)| {
+        // The log already holds everything a live entry acknowledged, so
+        // evicting drops the entry.
+        if self.store.is_some() {
+            for shard in &self.shards {
+                shard.lock_recover().retain(|_, h| {
                     // Skip entries some request currently holds; both the
                     // clone in `with_entry` and this check happen under
                     // the shard lock, so the count is trustworthy.
-                    Arc::strong_count(h) == 1 && h.lock_recover().last_touch.elapsed() > ttl
-                })
-                .map(|(&id, _)| id)
-                .collect();
-            for id in expired {
-                if let Some(handle) = map.remove(&id) {
-                    match Arc::try_unwrap(handle) {
-                        Ok(mutex) => {
-                            self.snapshot_entry(id, mutex.into_inner_recover());
-                            evicted += 1;
-                        }
-                        Err(handle) => {
-                            map.insert(id, handle); // raced with a borrower
-                        }
+                    let idle =
+                        Arc::strong_count(h) == 1 && h.lock_recover().last_touch.elapsed() > ttl;
+                    if idle {
+                        evicted += 1;
+                        self.at_rest.fetch_add(1, Ordering::Relaxed);
                     }
-                }
+                    !idle
+                });
             }
         }
         self.evicted.fetch_add(evicted as u64, Ordering::Relaxed);
         if evicted > 0 {
             crate::log::debug(
                 "registry",
-                "idle sessions evicted to snapshots",
+                "idle sessions evicted to the store",
                 &[("sessions", Json::U64(evicted as u64))],
             );
         }
@@ -1093,8 +1069,9 @@ impl Registry {
         }
     }
 
-    /// Snapshots every session to the store's snapshot file and truncates
-    /// wholly-covered log segments.
+    /// Writes every live session to the store's snapshot file, which
+    /// carries forward the sessions at rest, and truncates wholly-covered
+    /// log segments.
     ///
     /// Rotation happens first, so each captured state (taken under its
     /// entry lock, with the store's sequence cursor read inside that
@@ -1121,52 +1098,40 @@ impl Registry {
                 });
             }
         }
-        {
-            let snaps = self.snapshots.lock_recover();
-            for (_, session) in snaps.values() {
-                let through_seq = store.lock().last_seq();
-                captured.push(SnapshotEntry {
-                    through_seq,
-                    session: session.clone(),
-                });
-            }
-        }
         store
             .lock()
             .write_snapshot(&captured, boundary)
             .map_err(store_err)
     }
 
-    /// Closes a session for good: the live entry and snapshot are
-    /// dropped, and (with a store) a `SessionClosed` record makes the
-    /// removal durable — recovery will not resurrect it.
+    /// Closes a session for good: the live entry is dropped, and (with a
+    /// store) a `SessionClosed` record makes the removal durable —
+    /// recovery will not resurrect it. A close whose record fails to
+    /// append leaves the session where it was.
     ///
     /// # Errors
-    /// [`ServiceError::UnknownSession`] if the id is nowhere (live,
-    /// snapshot, or durable store); store append failures.
+    /// [`ServiceError::UnknownSession`] if the id is neither live nor
+    /// at rest in the durable store; store failures.
     pub fn close_session(&self, id: u64) -> Result<(), ServiceError> {
         // Serialize against restores on this stripe: without it, a
-        // concurrent `with_entry` could be mid-restore (snapshot already
-        // taken, entry not yet inserted), and the close would durably log
-        // `SessionClosed` while the restore resurrects the session live.
-        let stripe = (id as usize) % self.restore_locks.len();
-        let _closing = self.restore_locks[stripe].lock_recover();
-        let live = self.shard(id).lock_recover().remove(&id).is_some();
-        let snapshotted = self.snapshots.lock_recover().remove(&id).is_some();
-        if !live && !snapshotted {
-            let in_store = match &self.store {
-                Some(store) => store
-                    .lock()
-                    .load_session(id)
-                    .map_err(|e| ServiceError::Store(e.to_string()))?
-                    .is_some(),
-                None => false,
-            };
-            if !in_store {
-                return Err(ServiceError::UnknownSession(id));
-            }
+        // concurrent `with_entry` could be mid-restore (session already
+        // read from the store, entry not yet inserted), and the close
+        // would durably log `SessionClosed` while the restore resurrects
+        // the session live.
+        let _closing = self.restore_lock(id).lock_recover();
+        let live = self.shard(id).lock_recover().remove(&id);
+        if live.is_none() {
+            self.stored_session(id)?;
         }
-        self.log_append(&LogRecord::SessionClosed { id })?;
+        if let Err(e) = self.log_append(&LogRecord::SessionClosed { id }) {
+            if let Some(handle) = live {
+                self.shard(id).lock_recover().insert(id, handle);
+            }
+            return Err(e);
+        }
+        if live.is_none() {
+            self.at_rest.fetch_sub(1, Ordering::Relaxed);
+        }
         crate::log::info("registry", "session closed", &[("session", Json::U64(id))]);
         Ok(())
     }
@@ -1192,7 +1157,7 @@ impl Registry {
             batch_signatures: self.batch_signatures.load(Ordering::Relaxed),
             batch_answers: self.batch_answers.load(Ordering::Relaxed),
             batch_threads_used: self.batch_threads.load(Ordering::Relaxed),
-            snapshots: self.snapshots.lock_recover().len() as u64,
+            snapshots: self.at_rest.load(Ordering::Relaxed),
             compaction_errors: self.compaction_errors.load(Ordering::Relaxed),
             uptime_seconds: self.uptime_seconds(),
             store: self.store.as_ref().map(|s| s.lock().stats()),
@@ -1201,7 +1166,8 @@ impl Registry {
 
     // -- internals ---------------------------------------------------------
 
-    /// Runs `f` on the live entry, restoring from a snapshot if needed.
+    /// Runs `f` on the live entry, restoring it from the durable store if
+    /// needed.
     ///
     /// The shard lock is held only for the map lookup; `f` runs under the
     /// entry's own mutex, so a long learner step in one session never
@@ -1249,68 +1215,14 @@ impl Registry {
         result
     }
 
-    /// Moves an entry's parts into the snapshot map. The suspended
-    /// learner is dropped with the entry; restore replays the transcript.
-    fn snapshot_entry(&self, id: u64, entry: Entry) {
-        let transcript = entry.dialogue.into_transcript();
-        self.insert_snapshot(PersistedSession {
-            id,
-            meta: entry.meta,
-            answered: entry.asked.len(),
-            asked: asked_questions(&entry.asked, &transcript),
-            verified: entry.verified,
-            transcript,
-            learned: entry.learned,
-        });
-    }
-
-    /// Inserts a snapshot, enforcing the `max_snapshots` LRU cap: past it
-    /// the least-recently-touched snapshot is dropped — it remains
-    /// recoverable from the durable store when one is configured, and is
-    /// gone otherwise.
-    fn insert_snapshot(&self, session: PersistedSession) {
-        let touched = self.snap_clock.fetch_add(1, Ordering::Relaxed);
-        let mut map = self.snapshots.lock_recover();
-        map.insert(session.id, (touched, session));
-        if let Some(cap) = self.config.max_snapshots {
-            while map.len() > cap {
-                let Some(oldest) = map
-                    .iter()
-                    .min_by_key(|(_, (touched, _))| *touched)
-                    .map(|(&oldest, _)| oldest)
-                else {
-                    break;
-                };
-                map.remove(&oldest);
-            }
-        }
-    }
-
-    /// Rebuilds a live entry from a snapshot. Completed sessions come
-    /// back `Done`; mid-learning sessions replay their transcript and
-    /// park on the first genuinely new question. The snapshot leaves the
-    /// map only once the live entry is built, so a restore that fails
-    /// (its dataset was dropped, say) fails the same way on every touch
-    /// and succeeds once the cause is gone.
+    /// Rebuilds a live entry from the durable store. Completed sessions
+    /// come back `Done`; mid-learning sessions replay their transcript
+    /// and park on the first genuinely new question. A restore that fails
+    /// (its dataset was dropped, say) leaves the session at rest, so it
+    /// fails the same way on every touch and succeeds once the cause is
+    /// gone.
     fn restore(&self, id: u64) -> Result<(), ServiceError> {
-        let cached = self
-            .snapshots
-            .lock_recover()
-            .get(&id)
-            .map(|(_, s)| s.clone());
-        let session = match cached {
-            Some(session) => session,
-            // Dropped past the LRU cap (or never cached): fall through to
-            // the durable store and replay the session from the log.
-            None => match &self.store {
-                Some(store) => store
-                    .lock()
-                    .load_session(id)
-                    .map_err(|e| ServiceError::Store(e.to_string()))?
-                    .ok_or(ServiceError::UnknownSession(id))?,
-                None => return Err(ServiceError::UnknownSession(id)),
-            },
-        };
+        let session = self.stored_session(id)?;
         let mut meta = session.meta;
         // Logs written before explicit-zero validation encoded "default"
         // as 0; normalize here so those sessions stay restorable (the
@@ -1368,11 +1280,11 @@ impl Registry {
         }
         crate::log::debug(
             "registry",
-            "session restored from snapshot",
+            "session restored from the store",
             &[("session", Json::U64(id))],
         );
         self.restored.fetch_add(1, Ordering::Relaxed);
-        self.snapshots.lock_recover().remove(&id);
+        self.at_rest.fetch_sub(1, Ordering::Relaxed);
         self.shard(id).lock_recover().insert(
             id,
             Arc::new(OrderedMutex::new(LockClass::new("registry.entry"), entry)),
@@ -1623,6 +1535,24 @@ mod tests {
     use qhorn_core::query::equiv::equivalent;
     use qhorn_engine::session::LearnerKind;
     use qhorn_lang::parse_with_arity;
+    use std::path::PathBuf;
+
+    /// A registry over a fresh store in a temporary directory, whose every
+    /// sweep evicts each idle session; the caller removes the directory.
+    fn evicting_registry(tag: &str) -> (Registry, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("qhorn-registry-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let reg = Registry::open(RegistryConfig {
+            ttl: Duration::ZERO,
+            store: Some(StoreConfig {
+                fsync: qhorn_store::FsyncPolicy::Never,
+                ..StoreConfig::new(dir.clone())
+            }),
+            ..Default::default()
+        })
+        .unwrap();
+        (reg, dir)
+    }
 
     fn spec(learner: LearnerKind) -> CreateSpec {
         CreateSpec {
@@ -1699,11 +1629,7 @@ mod tests {
 
     #[test]
     fn eviction_snapshots_and_restores_completed_sessions() {
-        let config = RegistryConfig {
-            ttl: Duration::from_millis(0),
-            ..Default::default()
-        };
-        let reg = Registry::open(config).unwrap();
+        let (reg, dir) = evicting_registry("completed");
         let target = parse_with_arity("some x1 x2", 3).unwrap();
         let (id, first) = reg.create_session(spec(LearnerKind::Qhorn1)).unwrap();
         let learned = drive_to_done(&reg, id, first, &target);
@@ -1717,17 +1643,16 @@ mod tests {
         let restored = reg.learned_query(id).unwrap();
         assert!(equivalent(&restored, &target));
         assert_eq!(reg.stats().restored, 1);
+        assert_eq!(reg.stats().snapshots, 0);
+        drop(reg);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Reading an evicted session's accounting answers from the snapshot
+    /// Reading an evicted session's accounting answers from the store
     /// and leaves it evicted: no restore, no replay, no reset.
     #[test]
     fn resources_of_an_evicted_session_do_not_restore_it() {
-        let config = RegistryConfig {
-            ttl: Duration::from_millis(0),
-            ..Default::default()
-        };
-        let reg = Registry::open(config).unwrap();
+        let (reg, dir) = evicting_registry("resources");
         let target = parse_with_arity("all x1; some x2 x3", 3).unwrap();
         let (id, mut outcome) = reg.create_session(spec(LearnerKind::Qhorn1)).unwrap();
         for _ in 0..3 {
@@ -1759,15 +1684,13 @@ mod tests {
             StepOutcome::Question(_)
         ));
         assert_eq!(reg.stats().restored, before.restored + 1);
+        drop(reg);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn eviction_mid_learning_replays_on_restore() {
-        let config = RegistryConfig {
-            ttl: Duration::from_millis(0),
-            ..Default::default()
-        };
-        let reg = Registry::open(config).unwrap();
+        let (reg, dir) = evicting_registry("mid-learning");
         let target = parse_with_arity("all x1; some x2 x3", 3).unwrap();
         let (id, mut outcome) = reg
             .create_session(spec(LearnerKind::RolePreserving))
@@ -1804,6 +1727,37 @@ mod tests {
                 other => panic!("unexpected outcome {other:?}"),
             }
         }
+        drop(reg);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Without a store a session has nowhere to rest: a sweep past the
+    /// TTL evicts nothing, and every session answers on.
+    #[test]
+    fn a_sweep_without_a_store_evicts_nothing() {
+        let reg = Registry::open(RegistryConfig {
+            ttl: Duration::ZERO,
+            ..Default::default()
+        })
+        .unwrap();
+        let target = parse_with_arity("all x1; some x2 x3", 3).unwrap();
+        let mut sessions = Vec::new();
+        for learner in [LearnerKind::Qhorn1, LearnerKind::RolePreserving] {
+            let (id, step) = reg.create_session(spec(learner)).unwrap();
+            let StepOutcome::Question(q) = step else {
+                panic!("expected a question, got {step:?}");
+            };
+            sessions.push((id, reg.answer(id, target.eval(&q.question)).unwrap()));
+        }
+        std::thread::sleep(Duration::from_millis(5));
+        let report = reg.sweep();
+        assert_eq!((report.evicted, report.compacted), (0, false));
+        let stats = reg.stats();
+        assert_eq!((stats.live, stats.evicted, stats.snapshots), (2, 0, 0));
+        for (id, step) in sessions {
+            assert!(equivalent(&drive_to_done(&reg, id, step, &target), &target));
+        }
+        assert_eq!(reg.stats().restored, 0);
     }
 
     #[test]
@@ -1967,32 +1921,6 @@ mod tests {
         }
         let learned = reg.learned_query(id).unwrap();
         assert!(equivalent(&learned, &target), "learned {learned}");
-    }
-
-    #[test]
-    fn snapshot_lru_cap_drops_the_oldest_without_a_store() {
-        let config = RegistryConfig {
-            ttl: Duration::from_millis(0),
-            max_snapshots: Some(1),
-            ..Default::default()
-        };
-        let reg = Registry::open(config).unwrap();
-        let target = parse_with_arity("some x1 x2", 3).unwrap();
-        let (first, step) = reg.create_session(spec(LearnerKind::Qhorn1)).unwrap();
-        drive_to_done(&reg, first, step, &target);
-        let (second, step) = reg.create_session(spec(LearnerKind::Qhorn1)).unwrap();
-        drive_to_done(&reg, second, step, &target);
-        std::thread::sleep(Duration::from_millis(5));
-        assert_eq!(reg.sweep().evicted, 2);
-        // Cap 1: only the most recently snapshotted survives in memory.
-        assert_eq!(reg.stats().snapshots, 1);
-        // No durable store to fall through to: the dropped session is gone.
-        assert!(matches!(
-            reg.learned_query(first),
-            Err(ServiceError::UnknownSession(_))
-        ));
-        // The survivor restores normally.
-        assert!(equivalent(&reg.learned_query(second).unwrap(), &target));
     }
 
     /// The direct writer into one reused buffer counts the same bytes

@@ -600,13 +600,14 @@ fn sweep_compacts_an_oversized_log_and_recovery_survives_it() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Eviction keeps no copy in memory: every evicted session is at rest
+/// in the store alone, and restores from the log.
 #[test]
-fn lru_snapshot_cap_falls_through_to_the_durable_store() {
-    let dir = temp_dir("lru");
+fn every_evicted_session_restores_from_the_log() {
+    let dir = temp_dir("evicted");
     let target = qhorn_lang::parse_with_arity("some x1 x2", 3).unwrap();
     let config = RegistryConfig {
         ttl: Duration::from_millis(0),
-        max_snapshots: Some(1),
         store: Some(StoreConfig {
             fsync: FsyncPolicy::Always,
             ..StoreConfig::new(dir.to_path_buf())
@@ -637,13 +638,56 @@ fn lru_snapshot_cap_falls_through_to_the_durable_store() {
     }
     std::thread::sleep(Duration::from_millis(5));
     assert_eq!(registry.sweep().evicted, 2);
-    // Cap 1: one snapshot was dropped from memory…
-    assert_eq!(registry.stats().snapshots, 1);
-    // …but both sessions restore, the dropped one straight from the log.
+    assert_eq!(registry.stats().snapshots, 2);
     for id in ids {
         assert!(equivalent(&registry.learned_query(id).unwrap(), &target));
     }
+    let stats = registry.stats();
+    assert_eq!((stats.restored, stats.snapshots), (2, 0));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `Registry::open` loads no recovered session: each is at rest in the
+/// store until its first touch restores it.
+#[test]
+fn open_leaves_every_recovered_session_at_rest() {
+    const SESSIONS: u64 = 4;
+    let dir = temp_dir("open-at-rest");
+    let target = qhorn_lang::parse_with_arity("some x1 x2", 3).unwrap();
+    let mut ids = Vec::new();
+    {
+        let registry = Registry::open(durable_config(&dir)).unwrap();
+        for _ in 0..SESSIONS {
+            let (id, step) = registry.create_session(chocolates_spec()).unwrap();
+            // Half learn their query, half stop at their first question.
+            if id % 2 == 0 {
+                answer_to_end(&registry, id, step, &target, &mut Vec::new());
+            }
+            ids.push(id);
+        }
+    }
+    let registry = Registry::open(durable_config(&dir)).unwrap();
+    let stats = registry.stats();
+    assert_eq!((stats.live, stats.snapshots), (0, SESSIONS));
+    for &id in &ids {
+        registry.next_question(id).unwrap();
+    }
+    let stats = registry.stats();
+    assert_eq!(
+        (stats.live, stats.restored, stats.snapshots),
+        (SESSIONS, SESSIONS, 0)
+    );
+    drop(registry);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn chocolates_spec() -> CreateSpec {
+    CreateSpec {
+        dataset: "chocolates".into(),
+        size: 30,
+        learner: LearnerKind::Qhorn1,
+        max_questions: Some(10_000),
+    }
 }
 
 /// `garden_def` with its first two propositions only: the same name and
@@ -663,12 +707,12 @@ fn garden_spec() -> CreateSpec {
     }
 }
 
-/// A registry over the garden upload that evicts every idle session on
-/// a sweep: memory-only, or over a store in `dir`.
-fn evicting_registry(durable: bool, dir: &std::path::Path) -> Registry {
+/// A registry over the garden upload and a store in `dir` that evicts
+/// every idle session on a sweep.
+fn evicting_registry(dir: &std::path::Path) -> Registry {
     let registry = Registry::open(RegistryConfig {
         ttl: Duration::ZERO,
-        store: durable.then(|| StoreConfig {
+        store: Some(StoreConfig {
             fsync: FsyncPolicy::Never,
             ..StoreConfig::new(dir.to_path_buf())
         }),
@@ -693,36 +737,29 @@ fn expect_question(outcome: StepOutcome) -> QuestionInfo {
 #[test]
 fn a_failed_restore_keeps_the_session() {
     let target = qhorn_lang::parse_with_arity("all x1; some x2 x3", 3).unwrap();
-    for durable in [false, true] {
-        let dir = temp_dir(&format!("failed-restore-{durable}"));
-        let registry = evicting_registry(durable, &dir);
-        let (id, step) = registry.create_session(garden_spec()).unwrap();
-        let first = expect_question(step);
-        let pending = expect_question(registry.answer(id, target.eval(&first.question)).unwrap());
-        assert_eq!(pending.index, 1);
-        std::thread::sleep(Duration::from_millis(1));
-        assert_eq!(registry.sweep().evicted, 1);
-        registry.drop_dataset("garden").unwrap();
-        for _ in 0..2 {
-            assert_eq!(
-                registry.next_question(id).unwrap_err(),
-                ServiceError::UnknownDataset("garden".into()),
-                "durable: {durable}"
-            );
-            assert_eq!(registry.stats().snapshots, 1, "durable: {durable}");
-        }
-        registry.upload_dataset(garden_def()).unwrap();
-        let restored = expect_question(registry.next_question(id).unwrap());
+    let dir = temp_dir("failed-restore");
+    let registry = evicting_registry(&dir);
+    let (id, step) = registry.create_session(garden_spec()).unwrap();
+    let first = expect_question(step);
+    let pending = expect_question(registry.answer(id, target.eval(&first.question)).unwrap());
+    assert_eq!(pending.index, 1);
+    std::thread::sleep(Duration::from_millis(1));
+    assert_eq!(registry.sweep().evicted, 1);
+    registry.drop_dataset("garden").unwrap();
+    for _ in 0..2 {
         assert_eq!(
-            (restored.index, &restored.question),
-            (1, &pending.question),
-            "durable: {durable}"
+            registry.next_question(id).unwrap_err(),
+            ServiceError::UnknownDataset("garden".into())
         );
-        let stats = registry.stats();
-        assert_eq!((stats.restored, stats.snapshots), (1, 0));
-        drop(registry);
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(registry.stats().snapshots, 1);
     }
+    registry.upload_dataset(garden_def()).unwrap();
+    let restored = expect_question(registry.next_question(id).unwrap());
+    assert_eq!((restored.index, &restored.question), (1, &pending.question));
+    let stats = registry.stats();
+    assert_eq!((stats.restored, stats.snapshots), (1, 0));
+    drop(registry);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A session at rest only restores over a dataset of its own arity. A
@@ -732,63 +769,59 @@ fn a_failed_restore_keeps_the_session() {
 #[test]
 fn restores_check_arity_against_the_dataset() {
     let target = qhorn_lang::parse_with_arity("all x1; some x2 x3", 3).unwrap();
-    for durable in [false, true] {
-        let dir = temp_dir(&format!("arity-restore-{durable}"));
-        let mut registry = evicting_registry(durable, &dir);
-        // Mid-learning, one answer in.
-        let (mid, step) = registry.create_session(garden_spec()).unwrap();
-        let first = expect_question(step);
-        let pending = expect_question(registry.answer(mid, target.eval(&first.question)).unwrap());
-        // Learned.
-        let (done, mut step) = registry.create_session(garden_spec()).unwrap();
-        let learned = loop {
-            match step {
-                StepOutcome::Question(q) => {
-                    step = registry.answer(done, target.eval(&q.question)).unwrap();
-                }
-                StepOutcome::Learned { query, .. } => break query,
-                other => panic!("unexpected outcome {other:?}"),
+    let dir = temp_dir("arity-restore");
+    let mut registry = evicting_registry(&dir);
+    // Mid-learning, one answer in.
+    let (mid, step) = registry.create_session(garden_spec()).unwrap();
+    let first = expect_question(step);
+    let pending = expect_question(registry.answer(mid, target.eval(&first.question)).unwrap());
+    // Learned.
+    let (done, mut step) = registry.create_session(garden_spec()).unwrap();
+    let learned = loop {
+        match step {
+            StepOutcome::Question(q) => {
+                step = registry.answer(done, target.eval(&q.question)).unwrap();
             }
-        };
-        std::thread::sleep(Duration::from_millis(1));
-        assert_eq!(registry.sweep().evicted, 2);
-        registry.drop_dataset("garden").unwrap();
-        registry.upload_dataset(narrow_garden_def()).unwrap();
-        let refused = |registry: &Registry| {
-            for id in [mid, done] {
-                match registry.next_question(id) {
-                    Err(ServiceError::Engine(msg)) => assert!(
-                        msg.contains("arity 3") && msg.contains("arity 2"),
-                        "durable: {durable}: {msg}"
-                    ),
-                    other => panic!("durable: {durable}: session {id} restored: {other:?}"),
-                }
-            }
-        };
-        refused(&registry);
-        if durable {
-            // The log brings both sessions back; the check still holds.
-            drop(registry);
-            registry = Registry::open(RegistryConfig {
-                ttl: Duration::ZERO,
-                store: Some(StoreConfig {
-                    fsync: FsyncPolicy::Never,
-                    ..StoreConfig::new(dir.clone())
-                }),
-                ..Default::default()
-            })
-            .unwrap();
-            refused(&registry);
+            StepOutcome::Learned { query, .. } => break query,
+            other => panic!("unexpected outcome {other:?}"),
         }
-        // Back to the original definition: both restore as they were.
-        registry.drop_dataset("garden").unwrap();
-        registry.upload_dataset(garden_def()).unwrap();
-        let restored = expect_question(registry.next_question(mid).unwrap());
-        assert_eq!((restored.index, restored.question), (1, pending.question));
-        assert_eq!(registry.learned_query(done).unwrap(), learned);
-        drop(registry);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    };
+    std::thread::sleep(Duration::from_millis(1));
+    assert_eq!(registry.sweep().evicted, 2);
+    registry.drop_dataset("garden").unwrap();
+    registry.upload_dataset(narrow_garden_def()).unwrap();
+    let refused = |registry: &Registry| {
+        for id in [mid, done] {
+            match registry.next_question(id) {
+                Err(ServiceError::Engine(msg)) => {
+                    assert!(msg.contains("arity 3") && msg.contains("arity 2"), "{msg}")
+                }
+                other => panic!("session {id} restored: {other:?}"),
+            }
+        }
+    };
+    refused(&registry);
+    // A restart brings both sessions back from the log; the check still
+    // holds.
+    drop(registry);
+    registry = Registry::open(RegistryConfig {
+        ttl: Duration::ZERO,
+        store: Some(StoreConfig {
+            fsync: FsyncPolicy::Never,
+            ..StoreConfig::new(dir.clone())
+        }),
+        ..Default::default()
+    })
+    .unwrap();
+    refused(&registry);
+    // Back to the original definition: both restore as they were.
+    registry.drop_dataset("garden").unwrap();
+    registry.upload_dataset(garden_def()).unwrap();
+    let restored = expect_question(registry.next_question(mid).unwrap());
+    assert_eq!((restored.index, restored.question), (1, pending.question));
+    assert_eq!(registry.learned_query(done).unwrap(), learned);
+    drop(registry);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Chocolates with two propositions on one attribute: a question needing
@@ -848,11 +881,12 @@ fn answer_to_end(
 /// store, reopened at the end, holds exactly the labels the corrections
 /// gave those questions.
 ///
-/// Every sweep compacts, so each registry's own view of the session
-/// (its transcript in the order asked, and its asked questions) is what
-/// the next one recovers; a log replay alone would rebuild the
-/// transcript from the user's answers, with the auto-answered entries
-/// appended after them.
+/// Every sweep compacts. The first one captures the live session, so the
+/// snapshot holds its transcript in the order asked, auto-answered
+/// entries between asked ones; later evictions, restores and compactions
+/// carry that order forward. (A log replay alone rebuilds the transcript
+/// from the user's answers, with the auto-answered entries appended
+/// after them.)
 #[test]
 fn correct_indices_name_the_same_question_through_eviction_and_restart() {
     let target = qhorn_lang::parse_with_arity("all x1; some x2 x3", 3).unwrap();
@@ -881,29 +915,29 @@ fn correct_indices_name_the_same_question_through_eviction_and_restart() {
             );
         };
 
-    // Asked at index 0 and 1, with an auto-answered question between.
-    let registry = compacting_registry(&dir, Duration::ZERO);
+    // Asked at index 0 and 1, with an auto-answered question between;
+    // the sweep compacts the live entry.
+    let registry = compacting_registry(&dir, Duration::from_secs(300));
     registry.upload_dataset(clash_def()).unwrap();
     let (id, step) = registry.create_session(spec).unwrap();
     let end = answer_to_end(&registry, id, step, &target, &mut shown);
     assert!(matches!(end, StepOutcome::Learned { .. }), "{end:?}");
     assert!(shown.len() >= 2, "{shown:?}");
     correct(&registry, id, 1, true, &mut shown);
-    // Evicted, and compacted from the snapshot the eviction made.
+    let report = registry.sweep();
+    assert_eq!((report.evicted, report.compacted), (0, true), "{report:?}");
+    drop(registry);
+
+    // Restart: the correction restores the session from the snapshot;
+    // then it is evicted, compacted from the store, and restored again.
+    let registry = compacting_registry(&dir, Duration::ZERO);
+    correct(&registry, id, 0, true, &mut shown);
+    assert_eq!(registry.stats().restored, 1);
     std::thread::sleep(Duration::from_millis(1));
     let report = registry.sweep();
     assert_eq!((report.evicted, report.compacted), (1, true), "{report:?}");
-    // The correction restores the session first.
-    correct(&registry, id, 0, true, &mut shown);
-    assert_eq!(registry.stats().restored, 1);
-    drop(registry);
-
-    // Restart: the snapshot and the correction after it bring the
-    // session back; the sweep compacts its live entry.
-    let registry = compacting_registry(&dir, Duration::from_secs(300));
     registry.next_question(id).unwrap();
-    let report = registry.sweep();
-    assert_eq!((report.evicted, report.compacted), (0, true), "{report:?}");
+    assert_eq!(registry.stats().restored, 2);
     drop(registry);
 
     // Restart again: the first correction is undone by index, and a

@@ -1,8 +1,8 @@
-//! Lock-order contention stress: drives sweep/compaction, snapshot
-//! eviction + restore, and parallel batch evaluation concurrently over
-//! one registry. Under `--features lockdep` every acquisition feeds the
-//! witness graph, so this doubles as the acceptance test for the
-//! documented hierarchy (`shard < entry < store`, `shard < snapshots <
+//! Lock-order contention stress: drives sweep/compaction, eviction to
+//! the store + restore from it, and parallel batch evaluation
+//! concurrently over one registry. Under `--features lockdep` every
+//! acquisition feeds the witness graph, so this doubles as the
+//! acceptance test for the documented hierarchy (`shard < entry <
 //! store`): any order inversion panics inside a worker thread and the
 //! join below fails the test. Without the feature it is still a useful
 //! plain stress test over the same interleavings.

@@ -20,11 +20,13 @@
 //!
 //! Three registries run the harness:
 //! - **durable**: over a store, every sweep evicting every idle session;
-//! - **memory-only**: no store, so `Restart` is skipped;
+//! - **memory-only**: no store, so `Restart` is skipped and a sweep
+//!   evicts nothing: every session stays live until it is closed;
 //! - **compacting**: over a store with a one-byte compaction threshold
 //!   and a long TTL, so every sweep evicts nothing and compacts the live
-//!   entries and the snapshots recovered by the last restart into the
-//!   store's snapshot file, which the next restart recovers from.
+//!   entries into the store's snapshot file (carrying forward the
+//!   sessions at rest since the last restart), which the next restart
+//!   recovers from.
 //!
 //! Each has a tier-1 pass of a few dozen sequences; the `_long` passes
 //! (ignored by default) run many more.
@@ -81,10 +83,6 @@ const DATASETS: &[(&str, usize)] = &[("chocolates", 30), ("clash", 1)];
 /// once-a-second sweep never fires: every eviction is one the model
 /// ordered.
 const REGISTRY_LIFETIME: Duration = Duration::from_millis(700);
-
-/// The registry's own sweep interval at TTL zero (TTL/4, clamped to at
-/// least a second).
-const SWEEP_INTERVAL: Duration = Duration::from_secs(1);
 
 /// The compacting store's threshold: any appended record makes the next
 /// sweep compact.
@@ -580,29 +578,13 @@ impl Harness {
     /// own sweep to fire soon. Called before every operation, and before
     /// the model looks at a session to choose a label.
     ///
-    /// A memory-only registry cannot restart without losing every
-    /// session: it waits out the sweep interval instead, and lets the
-    /// next request's own sweep evict every idle session, as the model
-    /// is told.
-    fn keep_fresh(&mut self) -> Result<(), TestCaseError> {
-        if self.opened.elapsed() < REGISTRY_LIFETIME {
-            return Ok(());
-        }
-        if self.variant != Variant::MemoryOnly {
+    /// A memory-only registry's own sweep evicts nothing, so it stays
+    /// open: any session it lost would answer `unknown_session`, which
+    /// the model never expects of an open one.
+    fn keep_fresh(&mut self) {
+        if self.variant != Variant::MemoryOnly && self.opened.elapsed() >= REGISTRY_LIFETIME {
             self.restart();
-            return Ok(());
         }
-        // The margin covers the registry stamping its sweep clock just
-        // after `opened`.
-        let due = self.opened + SWEEP_INTERVAL + Duration::from_millis(50);
-        std::thread::sleep(due.saturating_duration_since(Instant::now()));
-        self.opened = Instant::now();
-        let stats = self.reg().stats();
-        prop_assert_eq!(stats.live, 0, "the registry's own sweep did not fire");
-        for s in &mut self.sessions {
-            s.evict();
-        }
-        self.check_evicted()
     }
 
     fn reg(&self) -> &Registry {
@@ -654,7 +636,7 @@ impl Harness {
     }
 
     fn apply(&mut self, op: &Op) -> Result<(), TestCaseError> {
-        self.keep_fresh()?;
+        self.keep_fresh();
         match *op {
             Op::Create {
                 rp,
@@ -714,7 +696,7 @@ impl Harness {
                     return Ok(());
                 };
                 for k in 0..count {
-                    self.keep_fresh()?;
+                    self.keep_fresh();
                     let flip = flips & (1 << (k % 32)) != 0;
                     let id = self.sessions[i].id;
                     // The label is chosen from the model's pending question;
@@ -781,14 +763,16 @@ impl Harness {
                 prop_assert_eq!(got, want, "close of session {}", id);
                 self.sessions[i].closed = true;
             }
-            Op::Sweep if self.variant == Variant::Compacting => {
+            // A long TTL, or no store to evict to: the sweep evicts nothing
+            // and compacts when the store's log is over its threshold.
+            Op::Sweep if self.variant != Variant::Durable => {
                 let due = self
                     .reg()
                     .stats()
                     .store
                     .is_some_and(|s| s.live_log_bytes > COMPACT_THRESHOLD);
                 let report = self.reg().sweep();
-                prop_assert_eq!(report.evicted, 0, "sweep evictions under a long TTL");
+                prop_assert_eq!(report.evicted, 0, "sweep evictions");
                 prop_assert_eq!(report.compact_error, None);
                 prop_assert_eq!(report.compacted, due, "sweep compaction");
                 for i in 0..self.sessions.len() {
@@ -884,7 +868,7 @@ fn run_history(variant: Variant, tag: &str, ops: &[Op]) -> Result<(), TestCaseEr
     // Every surviving session still answers as the model says.
     let mut check_final = || {
         for i in 0..h.sessions.len() {
-            h.keep_fresh()?;
+            h.keep_fresh();
             let id = h.sessions[i].id;
             let got = h.reg().next_question(id);
             let want = h.sessions[i].next();

@@ -103,6 +103,13 @@ pub struct SessionStore {
     /// (earlier frames can no longer change the outcome), keeping the
     /// index bounded for long-gone sessions.
     session_index: BTreeMap<u64, Vec<(u64, u64)>>,
+    /// The snapshot file's counterpart: for each session it holds, the
+    /// start offset of that session's frame. Built by
+    /// [`SessionStore::open`] and rebuilt by
+    /// [`SessionStore::write_snapshot`] from the offsets it writes, so
+    /// [`SessionStore::load_session`] reads one snapshot frame, not the
+    /// whole file.
+    snapshot_index: BTreeMap<u64, u64>,
 }
 
 /// Records `frame` (spanning `[start, start+len)` of segment `segment`)
@@ -143,11 +150,15 @@ impl SessionStore {
         let snapshot_sessions = snapshot_entries.len() as u64;
         let mut max_seq = snapshot_entries
             .iter()
-            .map(|e| e.through_seq)
+            .map(|(_, e)| e.through_seq)
             .max()
             .unwrap_or(0);
+        let snapshot_index = snapshot_entries
+            .iter()
+            .map(|(start, e)| (e.session.id, *start))
+            .collect();
         let mut replayer = Replayer::new();
-        replayer.seed(snapshot_entries);
+        replayer.seed(snapshot_entries.into_iter().map(|(_, e)| e));
 
         let mut segments = list_segments(&config.dir)?;
         let mut scanned: Vec<(u64, u64)> = Vec::new(); // (index, valid bytes)
@@ -231,6 +242,7 @@ impl SessionStore {
             torn: false,
             observer: None,
             session_index,
+            snapshot_index,
         };
         Ok((
             store,
@@ -412,13 +424,14 @@ impl SessionStore {
     /// Writes a full snapshot and truncates the log: `captured` holds the
     /// caller's freshly captured session states (each with the sequence
     /// number its capture reflects); any live session on disk that the
-    /// caller did *not* capture (e.g. one dropped from every in-memory
-    /// cache) is carried forward from the current disk state, so
-    /// compaction never loses a session. Sealed segments **below
-    /// `boundary`** — now wholly covered — are deleted; segments sealed
-    /// after the boundary rotation (an append racing with the capture
-    /// window can auto-rotate) hold records the captures may not reflect
-    /// and survive until the next compaction.
+    /// caller did *not* capture (every session at rest) is carried
+    /// forward from the current disk state, so compaction never loses a
+    /// session. Sealed segments **below `boundary`** — now wholly
+    /// covered — are deleted; segments sealed after the boundary rotation
+    /// (an append racing with the capture window can auto-rotate) hold
+    /// records the captures may not reflect and survive until the next
+    /// compaction. The snapshot index is rebuilt from the offsets the new
+    /// file is written at.
     ///
     /// Call [`SessionStore::rotate`] before capturing states and pass its
     /// returned boundary here: that guarantees every record in a deleted
@@ -453,6 +466,7 @@ impl SessionStore {
         // the complete old one or the complete new one.
         let tmp = self.dir.join(SNAPSHOT_TMP);
         let mut snapshot_bytes = 0u64;
+        let mut snapshot_index = BTreeMap::new();
         {
             let mut f = File::create(&tmp)?;
             let header = Json::object([
@@ -463,8 +477,9 @@ impl SessionStore {
             let header_frame = frame(header.to_string().as_bytes())?;
             snapshot_bytes += header_frame.len() as u64;
             f.write_all(&header_frame)?;
-            for entry in merged.values() {
+            for (&id, entry) in &merged {
                 let entry_frame = frame(entry.to_json().to_string().as_bytes())?;
+                snapshot_index.insert(id, snapshot_bytes);
                 snapshot_bytes += entry_frame.len() as u64;
                 f.write_all(&entry_frame)?;
             }
@@ -472,6 +487,7 @@ impl SessionStore {
             self.count_fsync(elapsed);
         }
         fs::rename(&tmp, self.dir.join(SNAPSHOT_FILE))?;
+        self.snapshot_index = snapshot_index;
         // Make the rename durable; best-effort (not all platforms support
         // fsync on directories).
         if let Ok(d) = File::open(&self.dir) {
@@ -533,26 +549,38 @@ impl SessionStore {
         Ok(())
     }
 
-    /// Rebuilds one session's state from disk, for restore paths whose
-    /// in-memory caches have dropped it. Returns `None` for unknown or
+    /// Rebuilds one session's state from disk: every restore of a
+    /// session at rest reads it here. Returns `None` for unknown or
     /// closed ids.
     ///
-    /// Uses the per-session secondary index: only the snapshot entry for
-    /// `id` (if any) plus that session's own log frames are read, so
-    /// restore cost scales with the session's history, not with every
-    /// other session's log volume.
+    /// Uses the two indexes: only `id`'s snapshot frame (if any) plus
+    /// that session's own log frames are read, so restore cost scales
+    /// with the session's history, not with every other session's log
+    /// or snapshot volume.
     /// [`load_session_unindexed`](Self::load_session_unindexed) is the
     /// reference full-scan path; the differential suite pins the two
     /// equal.
     ///
     /// # Errors
     /// I/O failures; [`StoreError::Corrupt`] when an indexed frame fails
-    /// its checksum or does not decode (appends only ever frame decodable
-    /// payloads, so that means in-place file corruption).
+    /// its checksum or does not decode (appends and snapshots only ever
+    /// frame decodable payloads, so that means in-place file corruption).
     pub fn load_session(&self, id: u64) -> Result<Option<PersistedSession>, StoreError> {
-        let (entries, _) = read_snapshot(&self.dir.join(SNAPSHOT_FILE))?;
         let mut replayer = Replayer::new();
-        replayer.seed(entries.into_iter().filter(|e| e.session.id == id).collect());
+        if let Some(&start) = self.snapshot_index.get(&id) {
+            let path = self.dir.join(SNAPSHOT_FILE);
+            let entry = read_frame_at(&mut File::open(&path)?, start)
+                .and_then(|payload| {
+                    decode_snapshot_entry(&payload).ok_or_else(|| "undecodable entry".to_string())
+                })
+                .map_err(|e| {
+                    StoreError::Corrupt(format!(
+                        "indexed snapshot frame at byte {start} of {}: {e}",
+                        path.display()
+                    ))
+                })?;
+            replayer.seed([entry]);
+        }
         let mut records: Vec<(u64, LogRecord)> = Vec::new();
         if let Some(slots) = self.session_index.get(&id) {
             // Group by segment so each file is opened once; offsets
@@ -616,7 +644,7 @@ impl SessionStore {
     fn replay_disk(&self) -> Result<Replayer, StoreError> {
         let (entries, _) = read_snapshot(&self.dir.join(SNAPSHOT_FILE))?;
         let mut replayer = Replayer::new();
-        replayer.seed(entries);
+        replayer.seed(entries.into_iter().map(|(_, e)| e));
         let mut indices: Vec<u64> = self.sealed.iter().map(|&(i, _)| i).collect();
         indices.push(self.active_index);
         for index in indices {
@@ -742,10 +770,11 @@ fn truncate_file(path: &Path, len: u64) -> Result<Duration, StoreError> {
     Ok(timed(|| f.sync_data())?)
 }
 
-/// Reads the snapshot file: `(entries, torn)`. A missing file is an empty
-/// snapshot; a torn or corrupt one degrades to its valid prefix (the
-/// atomic-rename protocol makes that unreachable short of media errors).
-fn read_snapshot(path: &Path) -> Result<(Vec<SnapshotEntry>, bool), StoreError> {
+/// Reads the snapshot file: `(entries, torn)`, each entry with the
+/// offset its frame starts at. A missing file is an empty snapshot; a
+/// torn or corrupt one degrades to its valid prefix (the atomic-rename
+/// protocol makes that unreachable short of media errors).
+fn read_snapshot(path: &Path) -> Result<(Vec<(u64, SnapshotEntry)>, bool), StoreError> {
     let bytes = match fs::read(path) {
         Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), false)),
@@ -753,30 +782,33 @@ fn read_snapshot(path: &Path) -> Result<(Vec<SnapshotEntry>, bool), StoreError> 
     };
     let (frames, mut torn) = scan_frames(&bytes);
     let mut entries = Vec::new();
-    for (i, (_, payload)) in frames.iter().enumerate() {
-        let parsed = std::str::from_utf8(payload)
-            .ok()
-            .and_then(|t| Json::parse(t).ok());
-        let Some(j) = parsed else {
+    let mut start = 0u64;
+    for (i, (end, payload)) in frames.into_iter().enumerate() {
+        let valid = if i == 0 {
+            // Header frame; validated loosely (version 1 only).
+            parse_json(&payload).is_some_and(|j| {
+                j.get("kind").and_then(Json::as_str) == Some("snapshot_header")
+                    && j.get("version").and_then(Json::as_u64) == Some(1)
+            })
+        } else {
+            decode_snapshot_entry(&payload)
+                .map(|e| entries.push((start, e)))
+                .is_some()
+        };
+        if !valid {
             torn = true;
             break;
-        };
-        if i == 0 {
-            // Header frame; validated loosely (version 1 only).
-            let version = j.get("version").and_then(Json::as_u64).unwrap_or(0);
-            if j.get("kind").and_then(Json::as_str) != Some("snapshot_header") || version != 1 {
-                torn = true;
-                break;
-            }
-            continue;
         }
-        match SnapshotEntry::from_json(&j) {
-            Ok(e) => entries.push(e),
-            Err(_) => {
-                torn = true;
-                break;
-            }
-        }
+        start = end;
     }
     Ok((entries, torn))
+}
+
+fn parse_json(payload: &[u8]) -> Option<Json> {
+    Json::parse(std::str::from_utf8(payload).ok()?).ok()
+}
+
+/// Decodes one snapshot-file session frame.
+fn decode_snapshot_entry(payload: &[u8]) -> Option<SnapshotEntry> {
+    SnapshotEntry::from_json(&parse_json(payload)?).ok()
 }

@@ -267,7 +267,7 @@ impl Replayer {
     /// Seeds the replayer from snapshot-file entries. Older snapshot
     /// files may list a question in flight in `asked`; it is dropped, or
     /// its answer replayed on top would append it a second time.
-    pub(crate) fn seed(&mut self, entries: Vec<SnapshotEntry>) {
+    pub(crate) fn seed(&mut self, entries: impl IntoIterator<Item = SnapshotEntry>) {
         for mut e in entries {
             e.session.asked.truncate(e.session.answered);
             self.max_id = self.max_id.max(e.session.id);

@@ -1,14 +1,18 @@
-//! Differential suite for the per-session secondary index: for every
-//! session id (live, closed, snapshot-only, or unknown) and across
-//! rotation, reopen, and compaction, the indexed
-//! [`SessionStore::load_session`] must return exactly what the full-scan
-//! reference path [`SessionStore::load_session_unindexed`] returns.
+//! Differential suite for the per-session secondary indexes, of the log
+//! and of the snapshot file: for every session id (live, closed,
+//! snapshot-only, or unknown) and across rotation, reopen, and
+//! compaction, the indexed [`SessionStore::load_session`] must return
+//! exactly what the full-scan reference path
+//! [`SessionStore::load_session_unindexed`] returns. An indexed load
+//! reads its session's own snapshot frame, so in-place corruption of
+//! another session's frame neither hides it nor goes unreported.
 
 use qhorn_core::{Obj, Response};
 use qhorn_engine::session::{Exchange, LearnerKind};
 use qhorn_lang::parse_with_arity;
 use qhorn_store::{
-    FsyncPolicy, LogRecord, PersistedSession, SessionMeta, SessionStore, SnapshotEntry, StoreConfig,
+    FsyncPolicy, LogRecord, PersistedSession, SessionMeta, SessionStore, SnapshotEntry,
+    StoreConfig, StoreError,
 };
 use std::path::PathBuf;
 
@@ -187,7 +191,69 @@ fn index_survives_compaction_and_snapshot_only_sessions() {
 
     // And a reopen after compaction rebuilds the pruned index correctly.
     drop(store);
+    let (mut store, _) = SessionStore::open(&cfg).unwrap();
+    assert_paths_agree(&store, &probe);
+
+    // Close a snapshot-only session and compact again: the snapshot
+    // index is rebuilt from the offsets the new file was written at.
+    store.append(&LogRecord::SessionClosed { id: 2 }).unwrap();
+    let boundary = store.rotate().unwrap();
+    store.write_snapshot(&[], boundary).unwrap();
+    assert_paths_agree(&store, &probe);
+    assert!(store.load_session(2).unwrap().is_none(), "closed is gone");
+    assert_eq!(store.load_session(1).unwrap().unwrap().answered, 99);
+    drop(store);
     let (store, _) = SessionStore::open(&cfg).unwrap();
     assert_paths_agree(&store, &probe);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The start offsets of the snapshot file's frames, header first.
+fn snapshot_frames(bytes: &[u8]) -> Vec<usize> {
+    let mut starts = Vec::new();
+    let mut at = 0;
+    while at < bytes.len() {
+        starts.push(at);
+        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+        at += 8 + len;
+    }
+    starts
+}
+
+/// A load reads its own session's snapshot frame: corrupting session 2's
+/// frame in place leaves session 3 intact, and loading session 2 reports
+/// the corruption rather than a missing session.
+#[test]
+fn a_corrupt_snapshot_frame_spares_the_sessions_after_it() {
+    let dir = temp_dir("corrupt-snapshot-frame");
+    let cfg = StoreConfig {
+        fsync: FsyncPolicy::Never,
+        ..StoreConfig::new(dir.clone())
+    };
+    let (mut store, _) = SessionStore::open(&cfg).unwrap();
+    for id in 1..=3u64 {
+        drive(&mut store, id, 3);
+    }
+    // Every session becomes snapshot-only.
+    let boundary = store.rotate().unwrap();
+    store.write_snapshot(&[], boundary).unwrap();
+    let third = store.load_session(3).unwrap().expect("session 3");
+    assert_paths_agree(&store, &[1, 2, 3]);
+
+    let path = dir.join("snapshot.qsnap");
+    let mut bytes = std::fs::read(&path).unwrap();
+    let starts = snapshot_frames(&bytes);
+    assert_eq!(starts.len(), 4, "a header and three sessions");
+    // Sessions are written in id order: frame 2 is session 2's. Flip a
+    // payload byte so its checksum fails.
+    bytes[starts[2] + 8] ^= 0xff;
+    std::fs::write(&path, &bytes).unwrap();
+
+    assert_eq!(store.load_session(3).unwrap(), Some(third));
+    assert!(store.load_session(1).unwrap().is_some());
+    match store.load_session(2) {
+        Err(StoreError::Corrupt(msg)) => assert!(msg.contains("snapshot"), "{msg}"),
+        other => panic!("a corrupt frame loaded as {other:?}"),
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
