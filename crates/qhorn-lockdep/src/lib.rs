@@ -2,7 +2,7 @@
 //!
 //! A std-only, feature-gated runtime lock-order detector in the spirit of
 //! Linux lockdep. The workspace documents its lock hierarchy as prose
-//! (`shard < entry < store`, `shard < snapshots < store`); this crate
+//! (`shard < entry < store`); this crate
 //! turns that prose into a machine-checked invariant.
 //!
 //! Every lock in the workspace is an [`OrderedMutex`] (or

@@ -37,7 +37,7 @@ use crate::dataset::{DatasetCatalog, DatasetInfo};
 use crate::error::ServiceError;
 use crate::metrics::PHASE_NAMES;
 use crate::metrics::{Metrics, PoolTelemetry, SaturationSnapshot};
-use crate::trace::{self, AttrValue, TraceConfig, TraceStoreObserver, Tracer};
+use crate::trace::{self, AttrValue, TraceConfig, Tracer};
 use qhorn_core::learn::LearnOptions;
 use qhorn_core::{Obj, Query, Response};
 use qhorn_engine::session::{Dialogue, Exchange, RealizedQuestion, Step};
@@ -47,7 +47,7 @@ use qhorn_lockdep::{LockClass, OrderedMutex};
 use qhorn_relation::synthesize::DomainHints;
 use qhorn_relation::DatasetDef;
 use qhorn_store::{
-    LogRecord, PersistedSession, SessionMeta, SessionStore, SnapshotEntry, StoreConfig, StoreStats,
+    LogRecord, PersistedSession, SessionMeta, SessionStore, StoreConfig, StoreStats,
     SyncSessionStore,
 };
 use std::collections::HashMap;
@@ -370,9 +370,8 @@ impl Registry {
         let mut recovered_datasets = Vec::new();
         let store = match &config.store {
             Some(cfg) => {
-                let (mut store, state) =
+                let (store, state) =
                     SessionStore::open(cfg).map_err(|e| ServiceError::Store(e.to_string()))?;
-                store.set_observer(Box::new(TraceStoreObserver::new(Arc::clone(&tracer))));
                 next_id = state.max_session_id + 1;
                 recovered = state.sessions.len() as u64;
                 recovered_datasets = state.datasets;
@@ -952,11 +951,7 @@ impl Registry {
     /// Best-effort: sessions evicted between the batch run and this call
     /// simply miss the charge (live-entry-only semantics).
     pub fn add_session_eval(&self, id: u64, eval_nanos: u64) {
-        let handle = {
-            let map = self.shard(id).lock_recover();
-            map.get(&id).cloned()
-        };
-        if let Some(h) = handle {
+        if let Some(h) = self.live_handle(id) {
             h.lock_recover().resources.eval_nanos += eval_nanos;
         }
     }
@@ -1052,56 +1047,34 @@ impl Registry {
     /// Compacts the durable log when its live size exceeds the configured
     /// `compact_threshold_bytes`. Returns whether a compaction ran, and
     /// the error when one was due but failed.
+    ///
+    /// The compaction runs under the store lock and opens a
+    /// `store.compact` span; outside a traced request it is journaled as
+    /// a standalone event instead.
     fn maybe_compact(&self) -> (bool, Option<String>) {
         let (Some(store), Some(cfg)) = (&self.store, &self.config.store) else {
             return (false, None);
         };
-        let over = {
-            let s = store.lock();
-            s.live_log_bytes() > cfg.compact_threshold_bytes
-        };
-        if !over {
+        let mut store = store.lock();
+        if store.live_log_bytes() <= cfg.compact_threshold_bytes {
             return (false, None);
         }
-        match self.compact_store() {
-            Ok(()) => (true, None),
-            Err(e) => (false, Some(e.to_string())),
+        let span = trace::span("store.compact");
+        let started = Instant::now();
+        let bytes = match store.compact() {
+            Ok(bytes) => bytes,
+            Err(e) => return (false, Some(e.to_string())),
+        };
+        span.attr_u64("bytes", bytes);
+        if !trace::has_active() {
+            self.tracer.record_event(
+                "store.compact",
+                started.elapsed(),
+                None,
+                vec![("bytes", AttrValue::U64(bytes))],
+            );
         }
-    }
-
-    /// Writes every live session to the store's snapshot file, which
-    /// carries forward the sessions at rest, and truncates wholly-covered
-    /// log segments.
-    ///
-    /// Rotation happens first, so each captured state (taken under its
-    /// entry lock, with the store's sequence cursor read inside that
-    /// critical section) provably covers every record in the sealed
-    /// segments the snapshot replaces; records racing in behind a capture
-    /// land in the surviving active segment and replay on top at
-    /// recovery.
-    fn compact_store(&self) -> Result<(), ServiceError> {
-        let store = self.store.as_ref().expect("caller checked store");
-        let store_err = |e: qhorn_store::StoreError| ServiceError::Store(e.to_string());
-        let boundary = store.lock().rotate().map_err(store_err)?;
-        let mut captured = Vec::new();
-        for shard in &self.shards {
-            let handles: Vec<(u64, Arc<OrderedMutex<Entry>>)> = {
-                let map = shard.lock_recover();
-                map.iter().map(|(&id, h)| (id, Arc::clone(h))).collect()
-            };
-            for (id, handle) in handles {
-                let entry = handle.lock_recover();
-                let through_seq = store.lock().last_seq();
-                captured.push(SnapshotEntry {
-                    through_seq,
-                    session: persisted_from_entry(id, &entry),
-                });
-            }
-        }
-        store
-            .lock()
-            .write_snapshot(&captured, boundary)
-            .map_err(store_err)
+        (true, None)
     }
 
     /// Closes a session for good: the live entry is dropped, and (with a
@@ -1298,11 +1271,16 @@ impl Registry {
     fn log_append(&self, record: &LogRecord) -> Result<u64, ServiceError> {
         if let Some(store) = &self.store {
             let mut store = store.lock();
+            // Opened under the lock: the span times the write and any
+            // fsync the policy asks for, not the wait for the store.
+            let span = trace::span("store.append");
             let before = store.bytes_appended();
             store
                 .append(record)
                 .map_err(|e| ServiceError::Store(e.to_string()))?;
-            Ok(store.bytes_appended() - before)
+            let bytes = store.bytes_appended() - before;
+            span.attr_u64("bytes", bytes);
+            Ok(bytes)
         } else {
             Ok(0)
         }
@@ -1488,15 +1466,6 @@ fn transcript_cache_bytes(transcript: &[Exchange]) -> u64 {
         .sum()
 }
 
-/// The asked questions at `positions` of `transcript`, for a
-/// [`PersistedSession`].
-fn asked_questions(positions: &[u32], transcript: &[Exchange]) -> Vec<Obj> {
-    positions
-        .iter()
-        .map(|&at| transcript[at as usize].question.clone())
-        .collect()
-}
-
 /// The transcript positions of a persisted session's asked questions:
 /// each is matched, in order, to the first later transcript entry that
 /// holds it. `None` when `asked` is not a subsequence of the
@@ -1513,20 +1482,6 @@ fn asked_positions(asked: &[Obj], transcript: &[Exchange]) -> Option<Vec<u32>> {
         from = at + 1;
     }
     Some(positions)
-}
-
-/// Captures a live entry's full state for a compaction snapshot.
-fn persisted_from_entry(id: u64, entry: &Entry) -> PersistedSession {
-    let transcript = entry.dialogue.transcript();
-    PersistedSession {
-        id,
-        meta: entry.meta.clone(),
-        asked: asked_questions(&entry.asked, transcript),
-        answered: entry.asked.len(),
-        verified: entry.verified,
-        transcript: transcript.to_vec(),
-        learned: entry.learned.clone(),
-    }
 }
 
 #[cfg(test)]
@@ -1971,10 +1926,6 @@ mod tests {
             Some(vec![0, 2, 3])
         );
         assert_eq!(asked_positions(&[], &transcript), Some(vec![]));
-        assert_eq!(
-            asked_questions(&[0, 2, 3], &transcript),
-            asked(&["011", "110", "011"])
-        );
         assert_eq!(
             asked_positions(&asked(&["110", "101"]), &transcript),
             None,

@@ -7,23 +7,24 @@
 //! Every request dispatched through [`crate::dispatch`] gets a **trace**:
 //! a root `dispatch` span plus child spans recorded by the layers it
 //! crosses (`registry`, `learner.phase`, `kernel.batch_eval`,
-//! `store.append`, `store.fsync`, `store.compact`). A `learner.phase`
-//! span is one step of a session's learner or verifier: resuming it
-//! with the request's answer, computing, and realizing its next
-//! question. It is labelled with the learning phase of the session's
-//! latest question and the questions the step answered; the name is
-//! kept from when the span timed a whole phase, because trace
-//! consumers filter on it. Spans carry a parent link, a monotonic start
-//! offset and duration, an optional session id, and typed attributes
-//! ([`AttrValue`]).
+//! `store.append`, `store.compact`). A `store.append` span covers the
+//! store lock's critical section: the write and any fsync the store's
+//! policy asks for. A `learner.phase` span is one step of a session's
+//! learner or verifier: resuming it with the request's answer,
+//! computing, and realizing its next question. It is labelled with the
+//! learning phase of the session's latest question and the questions
+//! the step answered; the name is kept from when the span timed a whole
+//! phase, because trace consumers filter on it. Spans carry a parent
+//! link, a monotonic start offset and duration, an optional session id,
+//! and typed attributes ([`AttrValue`]).
 //!
 //! The recording side is a **thread-local context**: [`Tracer::begin`]
-//! installs the context on the request thread, [`span`] opens a child on
-//! whatever context is active (a cheap no-op when none is), and
-//! [`retro_span`] back-fills spans whose timing was measured elsewhere
-//! (store operations, through the store's observer). This works because
-//! all request-path work — dispatch, registry locking, the learner step,
-//! store appends — runs on the request thread itself.
+//! installs the context on the request thread, and [`span`] opens a
+//! child on whatever context is active (a cheap no-op when none is).
+//! This works because all request-path work — dispatch, registry
+//! locking, the learner step, store appends — runs on the request thread
+//! itself, and spans close in the order they opened, so a child lies
+//! within its parent and siblings never overlap.
 //!
 //! ## Retention and overhead
 //!
@@ -286,9 +287,9 @@ struct OpenSpan {
     start: Instant,
     session: Option<u64>,
     attrs: Vec<(&'static str, AttrValue)>,
-    /// Wall nanoseconds already attributed to closed children (and retro
-    /// spans) of this span — subtracted at close so the profile records
-    /// this span's *self* time.
+    /// Wall nanoseconds already attributed to closed children of this
+    /// span — subtracted at close so the profile records this span's
+    /// *self* time.
     child_nanos: u64,
 }
 
@@ -355,45 +356,6 @@ pub fn span(name: &'static str) -> SpanGuard {
         });
         SpanGuard { id: Some(id) }
     })
-}
-
-/// Back-fills a completed span onto the active trace: it occupied
-/// `[ended - duration, ended]` and becomes a child of the innermost open
-/// span. Used where the timing was measured elsewhere (store
-/// operations). No-op without an active trace.
-pub fn retro_span(
-    name: &'static str,
-    ended: Instant,
-    duration: Duration,
-    session: Option<u64>,
-    attrs: Vec<(&'static str, AttrValue)>,
-) {
-    ACTIVE.with(|a| {
-        let mut a = a.borrow_mut();
-        let Some(at) = a.as_mut() else { return };
-        let id = at.tracer.next_span.fetch_add(1, Ordering::Relaxed) + 1;
-        let parent = at.open.last().map(|o| o.id);
-        let end_nanos = nanos_since(at.tracer.epoch, ended);
-        let duration_nanos = duration_as_nanos(duration);
-        at.done.push(SpanRecord {
-            trace: at.trace,
-            span: id,
-            parent,
-            name,
-            start_nanos: end_nanos.saturating_sub(duration_nanos),
-            duration_nanos,
-            session,
-            attrs,
-        });
-        // The retro span's time belongs to its layer, not the enclosing
-        // span's self time (a store append inside `registry` is store
-        // work). Saturation keeps the parent's self time at zero rather
-        // than wrapping should a reported duration exceed it.
-        if let Some(parent) = at.open.last_mut() {
-            parent.child_nanos = parent.child_nanos.saturating_add(duration_nanos);
-        }
-        at.tracer.profile_add(name, duration_nanos, duration_nanos);
-    });
 }
 
 fn nanos_since(epoch: Instant, at: Instant) -> u64 {
@@ -982,8 +944,7 @@ fn root_kind(root: &SpanRecord) -> String {
 // ---------------------------------------------------------------------
 
 /// One node of a span tree, as served on the wire. Start offsets are
-/// relative to the trace start (the earliest span — a retro-recorded
-/// span can predate the request's own dispatch span).
+/// relative to the trace start (its earliest span).
 #[derive(Clone, Debug, PartialEq)]
 pub struct SpanNode {
     /// Layer name.
@@ -1215,41 +1176,6 @@ fn build_node(
     }
 }
 
-// ---------------------------------------------------------------------
-// Store observer bridge
-// ---------------------------------------------------------------------
-
-/// Forwards [`qhorn_store`] operation timings into the active trace as
-/// retro spans. Without an active trace, appends and fsyncs are dropped
-/// (too hot for standalone events) but compactions — rare and expensive —
-/// are journaled as standalone events. The store counts and times every
-/// operation itself ([`qhorn_store::StoreStats`]).
-pub(crate) struct TraceStoreObserver {
-    tracer: Arc<Tracer>,
-}
-
-impl TraceStoreObserver {
-    pub(crate) fn new(tracer: Arc<Tracer>) -> Self {
-        TraceStoreObserver { tracer }
-    }
-}
-
-impl qhorn_store::StoreObserver for TraceStoreObserver {
-    fn observe(&self, op: qhorn_store::StoreOp, duration: Duration, bytes: u64) {
-        let name = match op {
-            qhorn_store::StoreOp::Append => "store.append",
-            qhorn_store::StoreOp::Fsync => "store.fsync",
-            qhorn_store::StoreOp::Compaction => "store.compact",
-        };
-        let attrs = vec![("bytes", AttrValue::U64(bytes))];
-        if has_active() {
-            retro_span(name, Instant::now(), duration, None, attrs);
-        } else if matches!(op, qhorn_store::StoreOp::Compaction) {
-            self.tracer.record_event(name, duration, None, attrs);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1311,32 +1237,6 @@ mod tests {
             .attrs
             .iter()
             .any(|(k, v)| k == "stripe_wait_nanos" && *v == AttrValue::U64(12)));
-    }
-
-    #[test]
-    fn retro_spans_attach_under_the_innermost_open_span() {
-        let t = tracer(&always_sample());
-        let id;
-        {
-            let root = t.begin("dispatch", None);
-            id = root.id();
-            let _reg = span("registry");
-            retro_span(
-                "store.append",
-                Instant::now(),
-                Duration::from_micros(30),
-                Some(3),
-                vec![("bytes", AttrValue::U64(64))],
-            );
-        }
-        let tree = t.trace_tree(id).expect("committed");
-        let reg = &tree.root.children[0];
-        assert_eq!(reg.name, "registry");
-        assert_eq!(reg.children.len(), 1);
-        let append = &reg.children[0];
-        assert_eq!(append.name, "store.append");
-        assert_eq!(append.session, Some(3));
-        assert_eq!(append.duration_nanos, 30_000);
     }
 
     #[test]
@@ -1467,33 +1367,29 @@ mod tests {
     }
 
     #[test]
-    fn retro_spans_and_events_charge_their_layer() {
+    fn spans_and_events_charge_their_layer() {
         let t = tracer(&always_sample());
         {
             let _root = t.begin("dispatch", None);
-            retro_span(
-                "learner.phase",
-                Instant::now(),
-                Duration::from_micros(30),
-                None,
-                vec![("phase", AttrValue::Str("matrix".into()))],
-            );
+            let step = span("learner.phase");
+            step.attr_str("phase", "matrix");
+            std::thread::sleep(Duration::from_micros(30));
         }
         t.record_event("store.append", Duration::from_micros(5), None, vec![]);
         let profile = t.profile();
         let learner = profile.iter().find(|p| p.layer == "learner").unwrap();
         assert_eq!(learner.spans, 1);
-        assert_eq!(learner.total_nanos, 30_000);
-        assert_eq!(learner.self_nanos, 30_000);
+        assert!(learner.total_nanos >= 30_000, "{learner:?}");
+        assert_eq!(learner.self_nanos, learner.total_nanos);
         let store = profile.iter().find(|p| p.layer == "store").unwrap();
         assert_eq!(store.spans, 1);
         assert_eq!(store.total_nanos, 5_000);
-        // The dispatch root's self time nets out the retro-recorded
-        // learner span it encloses.
+        // The dispatch root's self time nets out the learner span it
+        // encloses.
         let dispatch = profile.iter().find(|p| p.layer == "dispatch").unwrap();
         assert_eq!(
             dispatch.self_nanos,
-            dispatch.total_nanos.saturating_sub(30_000)
+            dispatch.total_nanos - learner.total_nanos
         );
         // A span with an unknown prefix lands in the catch-all layer.
         t.record_event("mystery.op", Duration::from_micros(1), None, vec![]);
@@ -1584,16 +1480,10 @@ mod tests {
             root.attr_str("kind", "answer");
             root.attr_str("outcome", "question");
             root.set_session(9);
-            retro_span(
-                "learner.phase",
-                Instant::now(),
-                Duration::from_nanos(10),
-                Some(9),
-                vec![
-                    ("phase", AttrValue::Str("classify heads".into())),
-                    ("questions", AttrValue::U64(3)),
-                ],
-            );
+            let step = span("learner.phase");
+            step.set_session(9);
+            step.attr_str("phase", "classify heads");
+            step.attr_u64("questions", 3);
         }
         {
             let root = t.begin("dispatch", None);
@@ -1745,13 +1635,8 @@ mod tests {
                             let reg = span("registry");
                             reg.attr_u64("n", n);
                             let _step = span("learner.phase");
-                            retro_span(
-                                "store.append",
-                                Instant::now(),
-                                Duration::from_nanos(5),
-                                None,
-                                vec![("bytes", AttrValue::U64(64))],
-                            );
+                            let append = span("store.append");
+                            append.attr_u64("bytes", 64);
                         }
                         if n % 16 == 0 {
                             let _ = t.list(&TraceFilter::default());

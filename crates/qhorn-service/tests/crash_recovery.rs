@@ -4,13 +4,14 @@
 //! fresh registry/server on the same store directory, and assert every
 //! session resumes with identical learned queries and answers.
 
+use qhorn_core::learn::LearnOptions;
 use qhorn_core::query::equiv::equivalent;
 use qhorn_core::{Obj, Query, Response};
-use qhorn_engine::session::{Exchange, LearnerKind};
+use qhorn_engine::session::{Dialogue, Exchange, LearnerKind, Step};
 use qhorn_relation::datasets::chocolates;
 use qhorn_relation::{
     Attr, AttrType, DataTuple, DatasetDef, DomainHints, FlatSchema, NestedObject, NestedRelation,
-    NestedSchema, Proposition, Value,
+    NestedSchema, Proposition, Synthesizer, Value,
 };
 use qhorn_service::proto::{Reply, Request, StepReply};
 use qhorn_service::registry::{
@@ -24,6 +25,10 @@ use qhorn_service::{Client, Server};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
+
+#[path = "../../qhorn-store/tests/support/snapshot_file.rs"]
+mod snapshot_file;
+use snapshot_file::plant_snapshot;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
@@ -876,17 +881,14 @@ fn answer_to_end(
 }
 
 /// A `Correct` index names the question shown under it, whatever
-/// auto-answered questions sit between the asked ones in the transcript,
-/// through correction, eviction, restore, compaction and restart. The
-/// store, reopened at the end, holds exactly the labels the corrections
-/// gave those questions.
+/// auto-answered questions sit between the asked ones in the live
+/// transcript, through correction, eviction, restore, compaction and
+/// restart. The store, reopened at the end, holds exactly the labels the
+/// corrections gave those questions.
 ///
-/// Every sweep compacts. The first one captures the live session, so the
-/// snapshot holds its transcript in the order asked, auto-answered
-/// entries between asked ones; later evictions, restores and compactions
-/// carry that order forward. (A log replay alone rebuilds the transcript
-/// from the user's answers, with the auto-answered entries appended
-/// after them.)
+/// Every sweep compacts, and a compaction replays the log: the snapshot
+/// holds the user's answers alone, and a restore's replay appends the
+/// auto-answered entries after them.
 #[test]
 fn correct_indices_name_the_same_question_through_eviction_and_restart() {
     let target = qhorn_lang::parse_with_arity("all x1; some x2 x3", 3).unwrap();
@@ -916,7 +918,7 @@ fn correct_indices_name_the_same_question_through_eviction_and_restart() {
         };
 
     // Asked at index 0 and 1, with an auto-answered question between;
-    // the sweep compacts the live entry.
+    // the sweep compacts while the session is live.
     let registry = compacting_registry(&dir, Duration::from_secs(300));
     registry.upload_dataset(clash_def()).unwrap();
     let (id, step) = registry.create_session(spec).unwrap();
@@ -968,15 +970,6 @@ fn correct_indices_name_the_same_question_through_eviction_and_restart() {
         };
         assert_eq!(e.response, want, "{:?}", e.question);
     }
-    // Auto-answered questions sit between asked ones, so an index and a
-    // transcript position differ.
-    let is_asked = |e: &Exchange| shown.contains(&e.question);
-    let first_auto = session.transcript.iter().position(|e| !is_asked(e));
-    let last_asked = session.transcript.iter().rposition(is_asked);
-    assert!(
-        first_auto.unwrap() < last_asked.unwrap(),
-        "auto-answered entries at {first_auto:?}, last asked at {last_asked:?}"
-    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -1012,17 +1005,13 @@ fn asked_questions_missing_from_the_transcript_fail_the_restore() {
         });
         session.asked.push(Obj::from_bits("011"));
         session.answered = 1;
-        let boundary = store.rotate().unwrap();
-        let through_seq = store.last_seq();
-        store
-            .write_snapshot(
-                &[SnapshotEntry {
-                    through_seq,
-                    session,
-                }],
-                boundary,
-            )
-            .unwrap();
+        plant_snapshot(
+            &dir,
+            &[SnapshotEntry {
+                through_seq: store.last_seq(),
+                session,
+            }],
+        );
     }
     let registry = Registry::open(RegistryConfig {
         store: Some(config),
@@ -1040,4 +1029,139 @@ fn asked_questions_missing_from_the_transcript_fail_the_restore() {
     assert_eq!(registry.session_resources(1).unwrap().state, EVICTED_STATE);
     drop(registry);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Before compaction replayed the log, it wrote each live session as the
+/// registry held it: auto-answered exchanges between the asked ones in
+/// the transcript and, in older versions, a question in flight listed in
+/// `asked`. Such a snapshot entry, with the in-flight question's answer
+/// in the log after its `through_seq`, still restores: every `Correct`
+/// index names the question shown under it before the restart, as in a
+/// session that never left memory.
+#[test]
+fn a_snapshot_captured_from_a_live_session_keeps_its_correct_indices() {
+    let target = qhorn_lang::parse_with_arity("all x1; some x2 x3", 3).unwrap();
+    let spec = CreateSpec {
+        dataset: "clash".into(),
+        size: 1,
+        learner: LearnerKind::RolePreserving,
+        max_questions: Some(10_000),
+    };
+    let opts = LearnOptions {
+        max_questions: spec.max_questions,
+        detect_free_variables: true,
+    };
+    let reference = Registry::open(RegistryConfig::default()).unwrap();
+    reference.upload_dataset(clash_def()).unwrap();
+
+    // The live session, as the registry runs it: answered until an
+    // auto-answered exchange follows an asked one, with the next question
+    // in flight.
+    let (data, hints) = reference.dataset("clash", 1).unwrap();
+    let synth = Arc::new(Synthesizer::new(data.bridge(), &hints));
+    let mut dialogue = Dialogue::new(Arc::clone(&data), synth, Vec::new());
+    dialogue.learn(spec.learner, &opts);
+    let mut asked: Vec<Obj> = Vec::new();
+    let mut positions: Vec<usize> = Vec::new();
+    let mut step = dialogue.resume(None);
+    let in_flight = loop {
+        let Step::Question(realized) = step else {
+            panic!("the run ended after {asked:?}");
+        };
+        let label = target.eval(realized.question());
+        let answered = dialogue.take_answered(label).unwrap();
+        let auto_after_asked = positions.first().is_some_and(|&first| {
+            (first..dialogue.transcript().len()).any(|p| !positions.contains(&p))
+        });
+        if auto_after_asked {
+            break answered;
+        }
+        positions.push(dialogue.transcript().len());
+        asked.push(answered.question.clone());
+        step = dialogue.resume(Some(answered));
+    };
+
+    // The same session in a registry that never restores it, answered
+    // the same way, the question in flight included.
+    let shown: Vec<Obj> = asked.iter().chain([&in_flight.question]).cloned().collect();
+    let live = |registry: &Registry| -> u64 {
+        let (id, mut step) = registry.create_session(spec.clone()).unwrap();
+        for (index, question) in shown.iter().enumerate() {
+            let q = expect_question(step);
+            assert_eq!((q.index, &q.question), (index, question));
+            step = registry.answer(id, target.eval(question)).unwrap();
+        }
+        id
+    };
+
+    for index in 0..shown.len() {
+        // The snapshot covers the upload and the creation in the log; the
+        // answer to the question in flight follows it.
+        let dir = temp_dir(&format!("live-capture-{index}"));
+        let config = StoreConfig {
+            fsync: FsyncPolicy::Never,
+            ..StoreConfig::new(dir.clone())
+        };
+        {
+            let (mut store, _) = SessionStore::open(&config).unwrap();
+            let meta = SessionMeta {
+                dataset: spec.dataset.clone(),
+                size: spec.size,
+                learner: spec.learner,
+                max_questions: spec.max_questions,
+            };
+            store
+                .append(&LogRecord::DatasetRegistered { def: clash_def() })
+                .unwrap();
+            store
+                .append(&LogRecord::SessionCreated {
+                    id: 1,
+                    meta: meta.clone(),
+                })
+                .unwrap();
+            let mut session = PersistedSession::new(1, meta);
+            session.transcript = dialogue.transcript().to_vec();
+            session.asked = asked.clone();
+            session.asked.push(in_flight.question.clone());
+            session.answered = asked.len();
+            plant_snapshot(
+                &dir,
+                &[SnapshotEntry {
+                    through_seq: store.last_seq(),
+                    session,
+                }],
+            );
+            store
+                .append(&LogRecord::ExchangeAppended {
+                    id: 1,
+                    exchange: in_flight.clone(),
+                })
+                .unwrap();
+        }
+        let restored = Registry::open(RegistryConfig {
+            store: Some(config),
+            ..Default::default()
+        })
+        .unwrap();
+        // Both run to the end, then correct the answer at `index` and run
+        // to the end again.
+        let flipped = [(index, target.eval(&shown[index]).negate())];
+        let run = |registry: &Registry, id: u64| {
+            let mut seen = shown.clone();
+            let step = registry.next_question(id).unwrap();
+            let honest = answer_to_end(registry, id, step, &target, &mut seen);
+            let step = registry.correct(id, &flipped).unwrap();
+            let corrected = answer_to_end(registry, id, step, &target, &mut seen);
+            (seen, format!("{honest:?}"), format!("{corrected:?}"))
+        };
+        let reference_id = live(&reference);
+        assert_eq!(
+            run(&restored, 1),
+            run(&reference, reference_id),
+            "Correct at index {index}"
+        );
+        assert_eq!(restored.stats().restored, 1);
+        drop(restored);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

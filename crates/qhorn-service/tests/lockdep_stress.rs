@@ -157,8 +157,8 @@ fn contended_sweep_restore_and_batch_hold_the_lock_order() {
         })
     };
 
-    // Stats poller: reads every telemetry lock (shards, snapshots,
-    // pools, metrics stripes) against the writers above.
+    // Stats poller: reads every telemetry lock (shards, store, pools,
+    // metrics stripes) against the writers above.
     let poller = {
         let registry = Arc::clone(&registry);
         let stop = Arc::clone(&stop);

@@ -23,10 +23,10 @@
 //! - **memory-only**: no store, so `Restart` is skipped and a sweep
 //!   evicts nothing: every session stays live until it is closed;
 //! - **compacting**: over a store with a one-byte compaction threshold
-//!   and a long TTL, so every sweep evicts nothing and compacts the live
-//!   entries into the store's snapshot file (carrying forward the
-//!   sessions at rest since the last restart), which the next restart
-//!   recovers from.
+//!   and a long TTL, so every sweep evicts nothing and compacts the log
+//!   (live sessions and sessions at rest alike, replayed from the log)
+//!   into the store's snapshot file, which the next restart recovers
+//!   from.
 //!
 //! Each has a tier-1 pass of a few dozen sequences; the `_long` passes
 //! (ignored by default) run many more.

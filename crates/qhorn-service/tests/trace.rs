@@ -151,6 +151,61 @@ fn traced_answer_crosses_every_layer() {
     server.shutdown();
 }
 
+/// Every child span lies within its parent, and siblings do not overlap.
+fn assert_nested(node: &SpanNode) {
+    let end = |n: &SpanNode| n.start_nanos + n.duration_nanos;
+    for child in &node.children {
+        assert!(
+            child.start_nanos >= node.start_nanos && end(child) <= end(node),
+            "`{}` [{}, {}] outside its parent `{}` [{}, {}]",
+            child.name,
+            child.start_nanos,
+            end(child),
+            node.name,
+            node.start_nanos,
+            end(node)
+        );
+        assert_nested(child);
+    }
+    for pair in node.children.windows(2) {
+        assert!(
+            end(&pair[0]) <= pair[1].start_nanos,
+            "siblings `{}` (ends {}) and `{}` (starts {}) under `{}` overlap",
+            pair[0].name,
+            end(&pair[0]),
+            pair[1].name,
+            pair[1].start_nanos,
+            node.name
+        );
+    }
+}
+
+/// Store spans nest like every other: over a store that fsyncs every
+/// append, each traced request's tree has each child within its parent
+/// and disjoint siblings. A `store.append` span covers its fsync.
+#[test]
+fn traced_spans_nest_within_their_parents() {
+    let dir = temp_dir("nesting");
+    let registry = Arc::new(Registry::open(durable_config(&dir)).unwrap());
+    let server = Server::start("127.0.0.1:0", Arc::clone(&registry), 2).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let (session, step) = create(&mut client);
+    drive_to_learned_traced(&mut client, session, step);
+
+    let traces = registry.tracer().list(&TraceFilter::default());
+    assert!(traces.len() > 1, "{traces:?}");
+    let mut appends = 0;
+    for summary in traces {
+        let tree = registry.tracer().trace_tree(summary.id).unwrap();
+        let mut spans = Vec::new();
+        flatten(&tree.root, &mut spans);
+        appends += spans.iter().filter(|s| s.name == "store.append").count();
+        assert_nested(&tree.root);
+    }
+    assert!(appends > 0, "no store.append span was traced");
+    server.shutdown();
+}
+
 /// The timeline reconstructs the dialogue: request events in time order
 /// interleaved with learner-phase events, all tied to the session.
 #[test]

@@ -7,7 +7,9 @@
 //! *is* the membership-query transcript, so **recovery is replay**.
 //!
 //! Std-only, no external dependencies (consistent with the workspace's
-//! vendored-deps constraint). Three pieces:
+//! vendored-deps constraint). Records go in; sessions and [`StoreStats`]
+//! come out. The store calls nothing back into its embedder, which times
+//! and traces store calls from its own side. Three pieces:
 //!
 //! * **Append-only log** ([`SessionStore::append`]) — segmented files of
 //!   length-prefixed, CRC-32-checksummed JSON records ([`LogRecord`]:
@@ -19,12 +21,13 @@
 //!   durability across concurrent dialogues, and compaction/recovery scan
 //!   one directory; the cost — recovery reads other sessions' records —
 //!   is bounded by snapshotting.
-//! * **Snapshot + compaction** ([`SessionStore::write_snapshot`]) — a full
-//!   [`PersistedSession`] per live session is written to a snapshot file
-//!   (write-tmp → fsync → atomic rename), then wholly-covered sealed
-//!   segments are deleted. Each entry records the log sequence number its
-//!   capture reflects, so snapshot + replay is exact even with records
-//!   landing concurrently.
+//! * **Snapshot + compaction** ([`SessionStore::compact`]) — the store
+//!   seals its active segment, replays the snapshot and segments, writes
+//!   every live [`PersistedSession`] to a new snapshot file (write-tmp →
+//!   fsync → atomic rename), and deletes the segments it sealed. It holds
+//!   the store exclusively throughout, so no record lands during it; each
+//!   entry records the log sequence number it covers, and recovery
+//!   replays only the records after it.
 //! * **Recovery** ([`SessionStore::open`]) — scan the snapshot and
 //!   segments, truncate torn tails (bad checksum / short frame ⇒ cut at
 //!   the last valid record), and rebuild a [`RecoveredState`] of live
@@ -66,28 +69,6 @@ pub use sync::SyncSessionStore;
 use qhorn_json::JsonError;
 use std::fmt;
 use std::path::PathBuf;
-use std::time::Duration;
-
-/// Which store operation a [`StoreObserver`] is being told about.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StoreOp {
-    /// One record framed and written to the active segment (rotation, if
-    /// any, is included in the reported duration).
-    Append,
-    /// An `fsync` issued by the durability policy after an append.
-    Fsync,
-    /// A snapshot written and covered segments deleted.
-    Compaction,
-}
-
-/// A callback invoked synchronously after timed store operations — the
-/// hook the service layer uses to attach store spans to request traces.
-/// Implementations must be cheap and must not call back into the store.
-pub trait StoreObserver: Send {
-    /// Reports one completed operation: what ran, how long it took, and
-    /// how many payload bytes it moved (0 for [`StoreOp::Fsync`]).
-    fn observe(&self, op: StoreOp, duration: Duration, bytes: u64);
-}
 
 /// When appended records reach disk.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -27,7 +27,7 @@
 
 use crate::crc::crc32;
 use crate::record::{LogRecord, PersistedSession, Replayer, SnapshotEntry};
-use crate::{FsyncPolicy, StoreConfig, StoreError, StoreObserver, StoreOp, StoreStats};
+use crate::{FsyncPolicy, StoreConfig, StoreError, StoreStats};
 use qhorn_json::{FromJson, Json, ToJson};
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
@@ -91,7 +91,6 @@ pub struct SessionStore {
     /// rotation is refused, as a record written behind the torn bytes
     /// would be lost at recovery. Reopening truncates the torn tail.
     torn: bool,
-    observer: Option<Box<dyn StoreObserver>>,
     /// Per-session secondary index: for each session id, the
     /// `(segment index, frame start offset)` of every log frame that
     /// belongs to it, in append (= sequence) order. Maintained on
@@ -106,7 +105,7 @@ pub struct SessionStore {
     /// The snapshot file's counterpart: for each session it holds, the
     /// start offset of that session's frame. Built by
     /// [`SessionStore::open`] and rebuilt by
-    /// [`SessionStore::write_snapshot`] from the offsets it writes, so
+    /// [`SessionStore::compact`] from the offsets it writes, so
     /// [`SessionStore::load_session`] reads one snapshot frame, not the
     /// whole file.
     snapshot_index: BTreeMap<u64, u64>,
@@ -240,7 +239,6 @@ impl SessionStore {
             fsync_nanos,
             compaction_nanos: 0,
             torn: false,
-            observer: None,
             session_index,
             snapshot_index,
         };
@@ -285,52 +283,32 @@ impl SessionStore {
         // Index only after the write succeeds — a failed append must not
         // leave the index pointing at bytes that never reached the file.
         index_record(&mut self.session_index, rec, frame_segment, frame_start);
-        let write_elapsed = write_started.elapsed();
         self.active_len += frame.len() as u64;
         self.next_seq += 1;
         self.records_appended += 1;
         self.bytes_appended += frame.len() as u64;
-        self.append_nanos += nanos(write_elapsed);
-        let fsync_elapsed = match self.fsync {
-            FsyncPolicy::Always => Some(self.sync_active()?),
+        self.append_nanos += nanos(write_started.elapsed());
+        let policy_fsync = match self.fsync {
+            FsyncPolicy::Always => true,
             FsyncPolicy::EveryN(n) => {
                 self.unsynced += 1;
-                if self.unsynced >= n.max(1) {
-                    Some(self.sync_active()?)
-                } else {
-                    None
-                }
+                self.unsynced >= n.max(1)
             }
-            FsyncPolicy::Never => None,
+            FsyncPolicy::Never => false,
         };
-        if let Some(obs) = &self.observer {
-            obs.observe(StoreOp::Append, write_elapsed, frame.len() as u64);
-            if let Some(d) = fsync_elapsed {
-                obs.observe(StoreOp::Fsync, d, 0);
-            }
+        if policy_fsync {
+            self.sync_active()?;
         }
         Ok(seq)
     }
 
-    /// Installs an [`StoreObserver`] notified after each timed operation
-    /// (replacing any previous one). The service layer uses this to feed
-    /// store spans into request traces.
-    pub fn set_observer(&mut self, observer: Box<dyn StoreObserver>) {
-        self.observer = Some(observer);
-    }
-
     /// Seals the active segment and starts a new one, returning the new
-    /// active segment's index — the **compaction boundary**. Compaction
-    /// calls this first so every record that predates the rotation lands
-    /// in a segment the snapshot will cover; only segments *below* the
-    /// boundary may be deleted afterwards (appends racing with the
-    /// capture window can auto-rotate and seal newer segments, which the
-    /// snapshot does not cover).
+    /// active segment's index. Every segment below it is sealed.
     ///
     /// # Errors
     /// I/O failures; a torn write [`append`](Self::append) could not cut
     /// back, until the store is reopened.
-    pub fn rotate(&mut self) -> Result<u64, StoreError> {
+    fn rotate(&mut self) -> Result<u64, StoreError> {
         self.check_untorn()?;
         self.sync_active()?;
         self.sealed.push((self.active_index, self.active_len));
@@ -348,17 +326,15 @@ impl SessionStore {
     /// # Errors
     /// I/O failures.
     pub fn sync(&mut self) -> Result<(), StoreError> {
-        self.sync_active()?;
-        Ok(())
+        self.sync_active()
     }
 
-    /// Fsyncs the active segment's data, counting it; returns how long
-    /// the fsync took.
-    fn sync_active(&mut self) -> Result<Duration, StoreError> {
+    /// Fsyncs the active segment's data, counting it.
+    fn sync_active(&mut self) -> Result<(), StoreError> {
         let elapsed = timed(|| self.active.sync_data())?;
         self.unsynced = 0;
         self.count_fsync(elapsed);
-        Ok(elapsed)
+        Ok(())
     }
 
     /// Counts one completed fsync in [`StoreStats::fsyncs`] and its time
@@ -421,46 +397,28 @@ impl SessionStore {
         }
     }
 
-    /// Writes a full snapshot and truncates the log: `captured` holds the
-    /// caller's freshly captured session states (each with the sequence
-    /// number its capture reflects); any live session on disk that the
-    /// caller did *not* capture (every session at rest) is carried
-    /// forward from the current disk state, so compaction never loses a
-    /// session. Sealed segments **below `boundary`** — now wholly
-    /// covered — are deleted; segments sealed after the boundary rotation
-    /// (an append racing with the capture window can auto-rotate) hold
-    /// records the captures may not reflect and survive until the next
-    /// compaction. The snapshot index is rebuilt from the offsets the new
-    /// file is written at.
+    /// Compacts the log: seals the active segment, replays the snapshot
+    /// and every segment, writes each live session to a new snapshot file
+    /// covering every record so far, and deletes every segment sealed
+    /// before the call. The snapshot index is rebuilt from the offsets
+    /// the new file is written at. Returns the snapshot file's size in
+    /// bytes.
     ///
-    /// Call [`SessionStore::rotate`] before capturing states and pass its
-    /// returned boundary here: that guarantees every record in a deleted
-    /// segment predates every capture.
+    /// The uploaded datasets and a closed top session id live only in
+    /// the log, so they are appended again (and synced, whatever the
+    /// fsync policy) before the segments holding the originals go.
     ///
     /// # Errors
-    /// I/O failures (the old snapshot and log stay intact on error).
-    pub fn write_snapshot(
-        &mut self,
-        captured: &[SnapshotEntry],
-        boundary: u64,
-    ) -> Result<(), StoreError> {
+    /// I/O failures (the old snapshot and log stay intact on error);
+    /// [`StoreError::Corrupt`] when a segment was corrupted in place.
+    pub fn compact(&mut self) -> Result<u64, StoreError> {
         let compact_started = Instant::now();
-        // Everything currently on disk reflects records up to last_seq.
+        let boundary = self.rotate()?;
         let mut disk = self.replay_disk()?;
         let datasets = disk.take_datasets();
         let max_id = disk.max_id();
-        let through = self.last_seq();
-        let mut merged: BTreeMap<u64, SnapshotEntry> = disk
-            .finish_entries()
-            .into_iter()
-            .map(|mut e| {
-                e.through_seq = through;
-                (e.session.id, e)
-            })
-            .collect();
-        for e in captured {
-            merged.insert(e.session.id, e.clone());
-        }
+        let through_seq = self.last_seq();
+        let sessions = disk.finish();
 
         // Write-tmp → fsync → rename: the snapshot file is always either
         // the complete old one or the complete new one.
@@ -472,14 +430,18 @@ impl SessionStore {
             let header = Json::object([
                 ("kind", Json::Str("snapshot_header".into())),
                 ("version", 1u64.to_json()),
-                ("sessions", (merged.len() as u64).to_json()),
+                ("sessions", (sessions.len() as u64).to_json()),
             ]);
             let header_frame = frame(header.to_string().as_bytes())?;
             snapshot_bytes += header_frame.len() as u64;
             f.write_all(&header_frame)?;
-            for (&id, entry) in &merged {
+            for session in sessions {
+                snapshot_index.insert(session.id, snapshot_bytes);
+                let entry = SnapshotEntry {
+                    through_seq,
+                    session,
+                };
                 let entry_frame = frame(entry.to_json().to_string().as_bytes())?;
-                snapshot_index.insert(id, snapshot_bytes);
                 snapshot_bytes += entry_frame.len() as u64;
                 f.write_all(&entry_frame)?;
             }
@@ -496,19 +458,17 @@ impl SessionStore {
             }
         }
 
-        // Dataset registrations live only in the log (session snapshots do
-        // not carry them), so re-append the current registrations into the
-        // post-boundary log *before* deleting the segments that held the
-        // originals — a crash between the two steps must not lose any.
-        // Replay is last-wins, so the duplicates a crash can leave behind
-        // are harmless. Likewise the highest session id ever issued: when
-        // that session is closed, only log records remember its id, and
+        // Re-append what only the log remembers *before* deleting the
+        // segments that held the originals — a crash between the two
+        // steps must not lose any. Replay is last-wins, so the duplicates
+        // a crash can leave behind are harmless. When the highest session
+        // id ever issued is closed, only a log record remembers it, and
         // recovery must resume id assignment above it.
         let mut carried: Vec<LogRecord> = datasets
             .into_iter()
             .map(|def| LogRecord::DatasetRegistered { def })
             .collect();
-        if max_id > 0 && !merged.contains_key(&max_id) {
+        if max_id > 0 && !self.snapshot_index.contains_key(&max_id) {
             carried.push(LogRecord::SessionClosed { id: max_id });
         }
         for record in &carried {
@@ -522,6 +482,8 @@ impl SessionStore {
             self.sync()?;
         }
 
+        // A re-append can seal segments of its own (tiny segments); they
+        // hold only records after `through_seq` and stay.
         for &(index, _) in self.sealed.iter().filter(|&&(index, _)| index < boundary) {
             let _ = fs::remove_file(segment_path(&self.dir, index));
         }
@@ -534,19 +496,14 @@ impl SessionStore {
             !slots.is_empty()
         });
         self.compactions += 1;
-        self.last_compaction_seq = through;
-        self.snapshot_sessions = merged.len() as u64;
-        let sessions = merged.len() as u64;
+        self.last_compaction_seq = through_seq;
+        self.snapshot_sessions = self.snapshot_index.len() as u64;
         self.append(&LogRecord::SnapshotWritten {
-            through_seq: through,
-            sessions,
+            through_seq,
+            sessions: self.snapshot_sessions,
         })?;
-        let compact_elapsed = compact_started.elapsed();
-        self.compaction_nanos += nanos(compact_elapsed);
-        if let Some(obs) = &self.observer {
-            obs.observe(StoreOp::Compaction, compact_elapsed, snapshot_bytes);
-        }
-        Ok(())
+        self.compaction_nanos += nanos(compact_started.elapsed());
+        Ok(snapshot_bytes)
     }
 
     /// Rebuilds one session's state from disk: every restore of a

@@ -184,10 +184,10 @@ pub struct PersistedSession {
     /// protocol's `Correct` uses). A question in flight is not part of
     /// it: a resumed session asks it again, under the same index, and its
     /// answer's `ExchangeAppended` appends it here. Every one is a
-    /// question of `transcript`, in the same order, with the
-    /// auto-answered entries between them; a live session holds only
-    /// their transcript positions and rebuilds this list from them, and
-    /// a restore refuses a session whose list does not match.
+    /// question of `transcript`, in the same order (snapshots written
+    /// from live sessions by earlier versions hold auto-answered entries
+    /// between them); a restore refuses a session whose list does not
+    /// match.
     pub asked: Vec<Obj>,
     /// Questions answered.
     pub answered: usize,
@@ -230,8 +230,8 @@ qhorn_json::wire! {
 
 /// One snapshot-file entry: a session's state plus the last log sequence
 /// number that state reflects. Recovery applies a log record to a session
-/// iff `record.seq > through_seq`, which makes snapshot + replay exact
-/// even when records land concurrently with snapshot capture.
+/// iff `record.seq > through_seq`, so snapshot + replay applies each
+/// record once, whichever segments a compaction left behind.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SnapshotEntry {
     /// Last record sequence number reflected in `session`.
@@ -365,12 +365,6 @@ impl Replayer {
     /// Finishes replay: live sessions in id order.
     pub(crate) fn finish(self) -> Vec<PersistedSession> {
         self.sessions.into_values().map(|e| e.session).collect()
-    }
-
-    /// Finishes replay keeping per-session coverage (compaction carries
-    /// forward sessions the caller did not re-capture).
-    pub(crate) fn finish_entries(self) -> Vec<SnapshotEntry> {
-        self.sessions.into_values().collect()
     }
 }
 

@@ -7,8 +7,7 @@
 //! here so the `store.session_store` lock class is owned by the crate
 //! that owns the data: every embedder shares one class, and with the
 //! `lockdep` feature on, any acquisition that contradicts the documented
-//! `shard < entry < store` / `shard < snapshots < store` hierarchy
-//! panics at the acquiring site.
+//! `shard < entry < store` hierarchy panics at the acquiring site.
 
 use crate::log::SessionStore;
 use qhorn_lockdep::{LockClass, OrderedMutex, OrderedMutexGuard};

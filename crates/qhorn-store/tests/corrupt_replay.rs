@@ -1,10 +1,12 @@
 //! Regression: a CRC-valid but undecodable frame **mid-segment** must
 //! surface as [`StoreError::Corrupt`] from the replay paths
 //! (`load_session` when the session's own frames are affected,
-//! `load_session_unindexed` and `write_snapshot` always), not silently
+//! `load_session_unindexed` and `compact` always), not silently
 //! discard every record behind it. Since the per-session index, a
 //! session whose own frames are intact restores completely even when an
-//! unrelated frame is corrupt — isolation, not silence. (A torn physical
+//! unrelated frame is corrupt — isolation, not silence. Compaction
+//! replays the whole log to write its snapshot, so it refuses to run and
+//! deletes nothing until the corruption is dealt with. (A torn physical
 //! tail — incomplete or checksum-failing trailing bytes — is different:
 //! crashes produce those legitimately, and recovery truncates them.)
 //!
@@ -103,6 +105,11 @@ fn valid_crc_garbage_mid_segment_is_corrupt_not_silent_truncation() {
         store.load_session_unindexed(1),
         Err(StoreError::Corrupt(_))
     ));
+    // Compaction replays the whole log, so it refuses too, and deletes
+    // nothing.
+    assert!(matches!(store.compact(), Err(StoreError::Corrupt(_))));
+    assert!(dir.join("seg-000001.qlog").exists());
+    assert_eq!(store.stats().compactions, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

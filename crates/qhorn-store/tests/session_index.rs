@@ -16,6 +16,10 @@ use qhorn_store::{
 };
 use std::path::PathBuf;
 
+#[path = "support/snapshot_file.rs"]
+mod snapshot_file;
+use snapshot_file::plant_snapshot;
+
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
         .join(format!("session-index-{tag}-{}", std::process::id()));
@@ -158,21 +162,23 @@ fn index_survives_compaction_and_snapshot_only_sessions() {
     }
     store.append(&LogRecord::SessionClosed { id: 4 }).unwrap();
 
-    // Compact: capture a freshened state for session 1, let the others
-    // be carried forward from disk. Sessions 2, 3, 5 become
-    // snapshot-only (all their frames predate the boundary).
-    let boundary = store.rotate().unwrap();
-    let mut captured = PersistedSession::new(1, meta("chocolates"));
-    captured.answered = 99; // visibly distinct captured state
-    store
-        .write_snapshot(
-            &[SnapshotEntry {
-                through_seq: store.last_seq(),
-                session: captured,
-            }],
-            boundary,
-        )
-        .unwrap();
+    // Plant a snapshot state for session 1 that its log frames do not
+    // show, covering every record so far, as a registry once captured a
+    // live session; then compact, which carries it forward. Sessions 2,
+    // 3, 5 become snapshot-only (all their frames predate the
+    // compaction).
+    let mut planted = PersistedSession::new(1, meta("chocolates"));
+    planted.answered = 99; // visibly distinct planted state
+    plant_snapshot(
+        &dir,
+        &[SnapshotEntry {
+            through_seq: store.last_seq(),
+            session: planted,
+        }],
+    );
+    drop(store);
+    let (mut store, _) = SessionStore::open(&cfg).unwrap();
+    store.compact().unwrap();
 
     let probe: Vec<u64> = (0..=7).collect();
     assert_paths_agree(&store, &probe);
@@ -197,8 +203,7 @@ fn index_survives_compaction_and_snapshot_only_sessions() {
     // Close a snapshot-only session and compact again: the snapshot
     // index is rebuilt from the offsets the new file was written at.
     store.append(&LogRecord::SessionClosed { id: 2 }).unwrap();
-    let boundary = store.rotate().unwrap();
-    store.write_snapshot(&[], boundary).unwrap();
+    store.compact().unwrap();
     assert_paths_agree(&store, &probe);
     assert!(store.load_session(2).unwrap().is_none(), "closed is gone");
     assert_eq!(store.load_session(1).unwrap().unwrap().answered, 99);
@@ -235,8 +240,7 @@ fn a_corrupt_snapshot_frame_spares_the_sessions_after_it() {
         drive(&mut store, id, 3);
     }
     // Every session becomes snapshot-only.
-    let boundary = store.rotate().unwrap();
-    store.write_snapshot(&[], boundary).unwrap();
+    store.compact().unwrap();
     let third = store.load_session(3).unwrap().expect("session 3");
     assert_paths_agree(&store, &[1, 2, 3]);
 

@@ -4,7 +4,9 @@
 use qhorn_core::{Obj, Response};
 use qhorn_engine::session::{Exchange, LearnerKind};
 use qhorn_lang::parse_with_arity;
-use qhorn_store::{FsyncPolicy, LogRecord, SessionMeta, SessionStore, SnapshotEntry, StoreConfig};
+use qhorn_store::{
+    FsyncPolicy, LogRecord, PersistedSession, SessionMeta, SessionStore, StoreConfig,
+};
 use std::path::PathBuf;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -132,8 +134,7 @@ fn a_closed_top_id_stays_reserved_across_compactions() {
         drive_session(&mut store, 2);
         store.append(&LogRecord::SessionClosed { id: 2 }).unwrap();
         for _ in 0..2 {
-            let boundary = store.rotate().unwrap();
-            store.write_snapshot(&[], boundary).unwrap();
+            store.compact().unwrap();
         }
     }
     let (_, recovered) = SessionStore::open(&cfg).unwrap();
@@ -175,10 +176,7 @@ fn compaction_truncates_the_log_and_preserves_state() {
             drive_session(&mut store, id);
         }
         let before = store.live_log_bytes();
-        let boundary = store.rotate().unwrap();
-        // No states re-captured by the caller: every session is carried
-        // forward from disk.
-        store.write_snapshot(&[], boundary).unwrap();
+        store.compact().unwrap();
         assert!(store.live_log_bytes() < before);
         assert_eq!(store.stats().compactions, 1);
     }
@@ -205,71 +203,130 @@ fn compaction_truncates_the_log_and_preserves_state() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn caller_captured_states_override_disk_state() {
-    let dir = temp_dir("captured");
-    let cfg = config(&dir);
-    let (mut store, _) = SessionStore::open(&cfg).unwrap();
-    drive_session(&mut store, 1);
-    let boundary = store.rotate().unwrap();
-    // Capture a richer state than the log shows (as the registry does for
-    // live sessions whose transcripts contain auto-answered entries).
-    let mut session = store.load_session(1).unwrap().unwrap();
-    session.verified = Some(true);
-    let through = store.last_seq();
-    store
-        .write_snapshot(
-            &[SnapshotEntry {
-                through_seq: through,
-                session,
-            }],
-            boundary,
-        )
-        .unwrap();
-    drop(store);
-    let (_, recovered) = SessionStore::open(&cfg).unwrap();
-    assert_eq!(recovered.sessions[0].verified, Some(true));
-    let _ = std::fs::remove_dir_all(&dir);
+/// The segment files in `dir`, by index.
+fn segment_indices(dir: &std::path::Path) -> Vec<u64> {
+    let mut indices: Vec<u64> = std::fs::read_dir(dir)
+        .unwrap()
+        .filter_map(|e| {
+            let name = e.unwrap().file_name().into_string().unwrap();
+            name.strip_prefix("seg-")?
+                .strip_suffix(".qlog")?
+                .parse()
+                .ok()
+        })
+        .collect();
+    indices.sort_unstable();
+    indices
 }
 
+/// Every session id's state in `ids`, as the indexed load returns it;
+/// the full-scan load must return the same.
+fn states(
+    store: &SessionStore,
+    ids: std::ops::RangeInclusive<u64>,
+) -> Vec<Option<PersistedSession>> {
+    ids.map(|id| {
+        let indexed = store.load_session(id).unwrap();
+        assert_eq!(
+            indexed,
+            store.load_session_unindexed(id).unwrap(),
+            "session {id}"
+        );
+        indexed
+    })
+    .collect()
+}
+
+/// Compaction is a replay of the log. Over segments small enough that
+/// most records seal one, each session (open, corrected, learned and
+/// verified, closed under the top id) reads the same before and after
+/// two compactions with appends between them, and after a reopen; a
+/// dropped dataset stays dropped and a registered one registered. No
+/// segment sealed before a compaction survives it.
 #[test]
-fn records_racing_past_the_compaction_boundary_survive() {
-    // The compaction window: rotate → capture states → write snapshot.
-    // An append landing between capture and write can itself auto-rotate
-    // (tiny segments force it here); the segment it seals postdates the
-    // boundary, so the snapshot must NOT delete it — otherwise an
-    // acknowledged record vanishes.
-    let dir = temp_dir("race");
+fn compaction_replays_every_session_and_deletes_what_it_sealed() {
+    let def = qhorn_relation::datasets::chocolates::dataset_def;
+    let dir = temp_dir("replay");
     let cfg = StoreConfig {
-        segment_max_bytes: 128, // every exchange record forces a rotation
+        segment_max_bytes: 128,
         ..config(&dir)
     };
     let (mut store, _) = SessionStore::open(&cfg).unwrap();
-    drive_session(&mut store, 1);
-    let boundary = store.rotate().unwrap();
-    // "Capture" session 1 now…
-    let stale = SnapshotEntry {
-        through_seq: store.last_seq(),
-        session: store.load_session(1).unwrap().unwrap(),
-    };
-    // …then three more answers race in, auto-rotating past the boundary.
-    for _ in 0..3 {
+    store
+        .append(&LogRecord::DatasetRegistered { def: def("shop-a") })
+        .unwrap();
+    store
+        .append(&LogRecord::DatasetRegistered { def: def("shop-b") })
+        .unwrap();
+    // 1: open, one exchange.
+    store
+        .append(&LogRecord::SessionCreated {
+            id: 1,
+            meta: meta("chocolates"),
+        })
+        .unwrap();
+    store
+        .append(&LogRecord::ExchangeAppended {
+            id: 1,
+            exchange: exchange("111", Response::Answer),
+        })
+        .unwrap();
+    // 2: learned, then corrected.
+    drive_session(&mut store, 2);
+    store
+        .append(&LogRecord::Corrected {
+            id: 2,
+            corrections: vec![(1, Response::Answer)],
+        })
+        .unwrap();
+    // 3: learned and verified.
+    drive_session(&mut store, 3);
+    store
+        .append(&LogRecord::Verified {
+            id: 3,
+            verified: true,
+        })
+        .unwrap();
+    // 4: the top id, closed.
+    drive_session(&mut store, 4);
+    store.append(&LogRecord::SessionClosed { id: 4 }).unwrap();
+    store
+        .append(&LogRecord::DatasetDropped {
+            name: "shop-b".into(),
+        })
+        .unwrap();
+
+    let mut expected = states(&store, 0..=5);
+    assert!(expected[1].is_some() && expected[4].is_none());
+    assert_eq!(expected[2].as_ref().unwrap().learned, None);
+    assert_eq!(expected[3].as_ref().unwrap().verified, Some(true));
+    for round in 0..2 {
+        let sealed = segment_indices(&dir);
+        assert!(sealed.len() > 1, "{sealed:?}");
+        store.compact().unwrap();
+        let left = segment_indices(&dir);
+        assert!(
+            left.iter().all(|i| i > sealed.last().unwrap()),
+            "round {round}: {sealed:?} before, {left:?} after"
+        );
+        assert_eq!(states(&store, 0..=5), expected, "round {round}");
+        // An append after a compaction applies on top of its snapshot.
         store
             .append(&LogRecord::ExchangeAppended {
                 id: 1,
-                exchange: exchange("111", Response::Answer),
+                exchange: exchange("000", Response::NonAnswer),
             })
             .unwrap();
+        expected = states(&store, 0..=5);
+        assert_eq!(expected[1].as_ref().unwrap().answered, round + 2);
     }
-    store.write_snapshot(&[stale], boundary).unwrap();
+    assert_eq!(store.stats().compactions, 2);
     drop(store);
-    let (_, recovered) = SessionStore::open(&cfg).unwrap();
-    let s1 = recovered.sessions.iter().find(|s| s.id == 1).unwrap();
-    assert_eq!(
-        s1.transcript.len(),
-        5,
-        "the 2 captured + 3 racing exchanges must all survive compaction"
-    );
+    let (store, recovered) = SessionStore::open(&cfg).unwrap();
+    assert_eq!(states(&store, 0..=5), expected);
+    assert_eq!(recovered.max_session_id, 4);
+    let names: Vec<&str> = recovered.datasets.iter().map(|d| d.name.as_str()).collect();
+    assert_eq!(names, ["shop-a"]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -305,8 +362,7 @@ fn dataset_registrations_survive_restart_and_compaction() {
         // Compaction deletes the segments holding the original
         // registration records; the definitions must be re-appended into
         // the fresh log, not lost with them.
-        let boundary = store.rotate().unwrap();
-        store.write_snapshot(&[], boundary).unwrap();
+        store.compact().unwrap();
         assert_eq!(store.stats().compactions, 1);
     }
     let (_, recovered) = SessionStore::open(&cfg).unwrap();
@@ -339,8 +395,7 @@ fn snapshot_written_marker_lands_in_the_log() {
     let cfg = config(&dir);
     let (mut store, _) = SessionStore::open(&cfg).unwrap();
     drive_session(&mut store, 1);
-    let boundary = store.rotate().unwrap();
-    store.write_snapshot(&[], boundary).unwrap();
+    store.compact().unwrap();
     assert_eq!(store.stats().last_compaction_seq, 4);
     // The marker is informational; recovery ignores it.
     drop(store);
@@ -351,7 +406,7 @@ fn snapshot_written_marker_lands_in_the_log() {
 
 /// `fsyncs` counts every fsync the store completes, not only the
 /// policy's after appends: with `FsyncPolicy::Never` a compaction still
-/// fsyncs at rotation and for the snapshot's data and directory, and an
+/// fsyncs the segment it seals and the snapshot's data and directory, and an
 /// open that truncates a torn tail fsyncs the cut segment.
 #[test]
 fn fsyncs_outside_the_append_policy_are_counted() {
@@ -364,13 +419,11 @@ fn fsyncs_outside_the_append_policy_are_counted() {
         let (mut store, _) = SessionStore::open(&cfg).unwrap();
         drive_session(&mut store, 1);
         assert_eq!(store.stats().fsyncs, 0, "the policy never fsyncs");
-        let boundary = store.rotate().unwrap();
-        assert_eq!(store.stats().fsyncs, 1, "rotation syncs the sealed segment");
-        store.write_snapshot(&[], boundary).unwrap();
+        store.compact().unwrap();
         assert_eq!(
             store.stats().fsyncs,
             3,
-            "the snapshot's data and its directory"
+            "the sealed segment, the snapshot's data and its directory"
         );
         store.sync().unwrap();
         assert_eq!(store.stats().fsyncs, 4);
