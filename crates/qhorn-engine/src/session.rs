@@ -203,11 +203,11 @@ impl<S: Deref<Target = DataStore>> Dialogue<S> {
         self.start(async move { Step::Learned(kind.learn(n, &mut Suspend, &opts).await) });
     }
 
-    /// Corrects the responses of the transcript entries at the given
-    /// indices, then re-learns with `kind` over a [`ReplayOracle`] of the
-    /// corrected transcript: only questions it does not answer go to
-    /// the user (§5). With no corrections this restores a session from
-    /// its transcript.
+    /// Corrects the transcript by [`apply_corrections`] (an index is a
+    /// transcript position), then re-learns with `kind` over a
+    /// [`ReplayOracle`] of the corrected transcript: only questions it
+    /// does not answer go to the user (§5). With no corrections this
+    /// restores a session from its transcript.
     pub fn relearn(
         &mut self,
         kind: LearnerKind,
@@ -217,11 +217,7 @@ impl<S: Deref<Target = DataStore>> Dialogue<S> {
         // Corrections become part of the authoritative transcript, so a
         // later replay (another correction round, a snapshot restore)
         // starts from the corrected history rather than reverting it.
-        for &(idx, r) in corrections {
-            if let Some(entry) = self.transcript.get_mut(idx) {
-                entry.response = r;
-            }
-        }
+        apply_corrections(&mut self.transcript, corrections);
         let replay: Vec<(Obj, Response)> = self
             .transcript
             .iter()
@@ -279,10 +275,11 @@ impl<S: Deref<Target = DataStore>> Dialogue<S> {
     /// Advances the run: `answered` is the pending question with the
     /// user's label, from [`Dialogue::take_answered`] (`None` to start a
     /// run, or to be shown the pending question again), and the run
-    /// computes until it asks a question a data object can realize —
-    /// questions none can are answered `NonAnswer` without the user, as
-    /// no object the user cares about has that pattern — or until it
-    /// finishes.
+    /// computes until it asks a question a data object can realize, or
+    /// until it finishes. A question none can realize is answered
+    /// `NonAnswer` without the user, as no object the user cares about
+    /// has that pattern, and is not recorded: realization is
+    /// deterministic, so a replay answers it the same way again.
     ///
     /// # Panics
     /// If no run was started, or the last one already finished.
@@ -321,14 +318,7 @@ impl<S: Deref<Target = DataStore>> Dialogue<S> {
                     self.pending = Some((question, realized.is_stored()));
                     return Step::Question(realized);
                 }
-                Err(_) => {
-                    self.transcript.push(Exchange {
-                        question,
-                        from_store: false,
-                        response: Response::NonAnswer,
-                    });
-                    answer = Some(Response::NonAnswer);
-                }
+                Err(_) => answer = Some(Response::NonAnswer),
             }
         }
     }
@@ -348,8 +338,9 @@ impl<S: Deref<Target = DataStore>> Dialogue<S> {
         &self.store
     }
 
-    /// The transcript: every answered question in order, including the
-    /// ones answered `NonAnswer` because they could not be realized.
+    /// The transcript: the questions the user answered, in order. A
+    /// position here is the index `Correct` names an answer by;
+    /// unrealizable questions, answered without the user, take none.
     #[must_use]
     pub fn transcript(&self) -> &[Exchange] {
         &self.transcript
@@ -549,8 +540,9 @@ impl<'a> Session<'a> {
     }
 
     /// Re-learns after the user corrects earlier responses: entries of the
-    /// current transcript (with `corrections` applied by index) are
-    /// replayed; only genuinely new questions reach the user (§5).
+    /// current transcript (with `corrections` applied by
+    /// [`apply_corrections`]) are replayed; only genuinely new questions
+    /// reach the user (§5).
     ///
     /// Uses the role-preserving learner; see
     /// [`Session::relearn_with_corrections_as`] to pick the learner.
@@ -615,6 +607,23 @@ impl std::fmt::Display for VerifyError {
 }
 
 impl std::error::Error for VerifyError {}
+
+/// Applies `Correct` pairs to a transcript, the one rule a live session
+/// and a replay of its log share. Every index is a transcript position
+/// and is resolved to its question first; the label then goes to every
+/// entry holding that question, so a question asked twice keeps one
+/// label, and a later pair wins. An index past the end is skipped (a
+/// service rejects those before it logs them).
+pub fn apply_corrections(transcript: &mut [Exchange], corrections: &[(usize, Response)]) {
+    for &(idx, response) in corrections {
+        let Some(question) = transcript.get(idx).map(|e| e.question.clone()) else {
+            continue;
+        };
+        for entry in transcript.iter_mut().filter(|e| e.question == question) {
+            entry.response = response;
+        }
+    }
+}
 
 /// The object attributes of a synthesized example.
 fn example_box() -> DataTuple {
@@ -789,6 +798,32 @@ mod tests {
         }
     }
 
+    /// An index names its question: every entry holding it takes the
+    /// label, a later pair wins, and an index past the end is skipped.
+    #[test]
+    fn corrections_reach_every_entry_of_a_question_and_the_last_pair_wins() {
+        let exchange = |bits: &str| Exchange {
+            question: Obj::from_bits(bits),
+            from_store: false,
+            response: Response::Answer,
+        };
+        let mut transcript: Vec<Exchange> = ["011", "101", "011"].map(exchange).to_vec();
+        apply_corrections(
+            &mut transcript,
+            &[
+                (2, Response::NonAnswer),
+                (1, Response::NonAnswer),
+                (0, Response::Answer),
+                (3, Response::NonAnswer),
+            ],
+        );
+        let labels: Vec<Response> = transcript.iter().map(|e| e.response).collect();
+        assert_eq!(
+            labels,
+            [Response::Answer, Response::NonAnswer, Response::Answer]
+        );
+    }
+
     #[test]
     fn unrealizable_patterns_answered_non_answer() {
         // Bind two interfering propositions; the learner's questions that
@@ -805,26 +840,26 @@ mod tests {
         let clash = Obj::from_bits("11");
         assert!(session.realize(&clash).is_err());
         // The session answers such questions NonAnswer itself rather than
-        // failing: the user only ever sees realizable ones.
+        // failing: the user only ever sees realizable ones, and the
+        // transcript holds only what the user answered.
         let mut shown = 0;
-        let _ = session.learn_role_preserving(&LearnOptions::default(), |r| {
-            shown += 1;
-            assert!(r.question().tuples().iter().all(|t| t.true_set().len() < 2));
-            Response::Answer
-        });
-        let auto: Vec<&Exchange> = session
-            .transcript()
-            .iter()
-            .filter(|e| e.question.tuples().iter().any(|t| t.true_set().len() == 2))
-            .collect();
+        let outcome = session
+            .learn_role_preserving(&LearnOptions::default(), |r| {
+                shown += 1;
+                assert!(r.question().tuples().iter().all(|t| t.true_set().len() < 2));
+                Response::Answer
+            })
+            .unwrap();
         assert!(
-            !auto.is_empty(),
+            outcome.stats().questions > shown,
             "the learner asked an unrealizable question"
         );
-        assert!(auto
+        assert_eq!(session.transcript().len(), shown);
+        assert!(session.transcript().iter().all(|e| e
+            .question
+            .tuples()
             .iter()
-            .all(|e| e.response == Response::NonAnswer && !e.from_store));
-        assert_eq!(session.transcript().len(), shown + auto.len());
+            .all(|t| t.true_set().len() < 2)));
     }
 
     #[test]

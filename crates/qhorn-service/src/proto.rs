@@ -214,8 +214,9 @@ pub enum StepReply {
         rendered: String,
         /// Whether the example came from the store.
         from_store: bool,
-        /// The question's place among the questions the user answers:
-        /// the index `Correct` names it by.
+        /// The transcript position the answer will take (the session's
+        /// transcript holds the user's answers alone): the index
+        /// `Correct` names it by.
         index: usize,
     },
     /// Learning finished successfully.

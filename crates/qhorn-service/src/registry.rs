@@ -18,7 +18,14 @@
 //! ```
 //!
 //! `Done`/`Failed` sessions accept `Correct` (replay with corrected
-//! responses, §5's noisy-user workflow).
+//! responses, §5's noisy-user workflow). A session's transcript holds
+//! the exchanges the user answered and nothing else, so a question's
+//! index, the one `Correct` names it by, is its transcript position: the
+//! same number live, in the durable log and after a restore. The
+//! registry checks each index is in range and hands the pairs to the
+//! engine's one correction rule,
+//! [`apply_corrections`](qhorn_engine::session::apply_corrections),
+//! which the log's replay applies too.
 //!
 //! With a [`StoreConfig`], the registry is **durable** (`qhorn-store`):
 //! every created session, answered exchange, correction, and learned
@@ -137,10 +144,9 @@ pub struct QuestionInfo {
     pub rendered: String,
     /// Whether the example came from the store.
     pub from_store: bool,
-    /// The question's place among the questions the user answers, from
-    /// 0: the index `Correct` names it by. Auto-answered (unrealizable)
-    /// questions take no index, so it can be lower than the transcript
-    /// position the answer will occupy.
+    /// The transcript position the answer will take, from 0: the index
+    /// `Correct` names it by. Unrealizable questions, answered without
+    /// the user, take no position.
     pub index: usize,
 }
 
@@ -271,16 +277,11 @@ struct Entry {
     state: SessionState,
     meta: SessionMeta,
     /// The store, the transcript, and the learner or verifier suspended
-    /// at the pending question (which the dialogue alone holds).
+    /// at the pending question (which the dialogue alone holds). The
+    /// pending question takes the next transcript position, as in the
+    /// durable log, so one in flight at eviction is asked again under
+    /// the index it had.
     dialogue: Dialogue,
-    /// Answered questions, in the order shown, as their positions in the
-    /// dialogue's transcript, which only grows. `QuestionInfo::index`
-    /// and `Correct` indices refer to places in this list (stable even
-    /// when the transcript gains auto-answered unrealizable questions).
-    /// The pending question takes the next index, as in the durable log,
-    /// so one in flight at eviction is asked again under the index it
-    /// had.
-    asked: Vec<u32>,
     learned: Option<Query>,
     verified: Option<bool>,
     failure: Option<String>,
@@ -462,7 +463,6 @@ impl Registry {
             state: SessionState::Learning,
             meta: spec,
             dialogue,
-            asked: Vec::new(),
             learned: None,
             verified: None,
             failure: None,
@@ -516,10 +516,8 @@ impl Registry {
                     .dialogue
                     .realize(question)
                     .map_err(|e| ServiceError::Engine(e.to_string()))?;
-                return Ok(StepOutcome::Question(question_info(
-                    realized,
-                    entry.asked.len(),
-                )));
+                let index = entry.dialogue.transcript().len();
+                return Ok(StepOutcome::Question(question_info(realized, index)));
             }
             match entry.state {
                 SessionState::Done => {
@@ -528,7 +526,7 @@ impl Registry {
                     } else {
                         Ok(StepOutcome::Learned {
                             query: entry.learned.clone().expect("done implies learned"),
-                            questions: entry.asked.len(),
+                            questions: entry.dialogue.transcript().len(),
                         })
                     }
                 }
@@ -553,8 +551,6 @@ impl Registry {
     /// Unknown session, wrong state, or store failure.
     pub fn answer(&self, id: u64, response: Response) -> Result<StepOutcome, ServiceError> {
         self.with_entry(id, |entry| {
-            let position = u32::try_from(entry.dialogue.transcript().len())
-                .expect("a transcript holds fewer than 2^32 exchanges");
             let Some(exchange) = entry.dialogue.take_answered(response) else {
                 return Err(ServiceError::WrongState {
                     state: entry.state.as_str(),
@@ -576,7 +572,6 @@ impl Registry {
                     return Err(e);
                 }
             }
-            entry.asked.push(position);
             entry.last_touch = Instant::now();
             if entry.state == SessionState::AwaitingAnswer {
                 entry.state = SessionState::Learning;
@@ -588,7 +583,10 @@ impl Registry {
 
     /// Applies transcript corrections and replays: cached answers are
     /// served silently, so only invalidated questions come back to the
-    /// user. Legal once a session is `Done` or `Failed`.
+    /// user. An index is a transcript position; the pairs are applied by
+    /// [`apply_corrections`](qhorn_engine::session::apply_corrections),
+    /// as the log's replay applies them. Legal once a session is `Done`
+    /// or `Failed`.
     ///
     /// # Errors
     /// Unknown session, wrong state, an index out of range, or store
@@ -605,29 +603,12 @@ impl Registry {
                     needed: "a completed session (done or failed)",
                 });
             }
-            // Indices refer to `asked` (user-visible question order);
-            // resolve them to questions so each fix reaches every
-            // transcript entry of that question, regardless of
-            // auto-answered entries.
-            let transcript = entry.dialogue.transcript();
-            let mut by_question: Vec<(&Obj, Response)> = Vec::with_capacity(corrections.len());
-            for &(idx, r) in corrections {
-                let &at = entry.asked.get(idx).ok_or(ServiceError::Parse(format!(
-                    "correction index {idx} out of range ({} questions asked)",
-                    entry.asked.len()
-                )))?;
-                by_question.push((&transcript[at as usize].question, r));
+            let asked = entry.dialogue.transcript().len();
+            if let Some(&(idx, _)) = corrections.iter().find(|&&(idx, _)| idx >= asked) {
+                return Err(ServiceError::Parse(format!(
+                    "correction index {idx} out of range ({asked} questions asked)"
+                )));
             }
-            let by_index: Vec<(usize, Response)> = transcript
-                .iter()
-                .enumerate()
-                .filter_map(|(i, e)| {
-                    by_question
-                        .iter()
-                        .find(|(q, _)| **q == e.question)
-                        .map(|&(_, r)| (i, r))
-                })
-                .collect();
             let bytes = self.log_append(&LogRecord::Corrected {
                 id,
                 corrections: corrections.to_vec(),
@@ -640,7 +621,7 @@ impl Registry {
             entry.last_touch = Instant::now();
             entry
                 .dialogue
-                .relearn(entry.meta.learner, &by_index, &learn_options(&entry.meta));
+                .relearn(entry.meta.learner, corrections, &learn_options(&entry.meta));
             self.step(id, entry, None, false)
         })
     }
@@ -900,7 +881,7 @@ impl Registry {
         Ok(SessionResources {
             session: id,
             state: entry.state.as_str().to_string(),
-            questions: entry.asked.len() as u64,
+            questions: entry.dialogue.transcript().len() as u64,
             questions_by_phase: PHASE_NAMES
                 .iter()
                 .zip(entry.resources.questions_by_phase.iter())
@@ -919,7 +900,7 @@ impl Registry {
         Ok(SessionResources {
             session: id,
             state: EVICTED_STATE.to_string(),
-            questions: self.stored_session(id)?.answered as u64,
+            questions: self.stored_session(id)?.transcript.len() as u64,
             ..SessionResources::default()
         })
     }
@@ -1211,8 +1192,6 @@ impl Registry {
         // uploaded again), and the log is outside data: every question
         // and the learned query must have the dataset's arity.
         let n = built.store.bridge().n();
-        // Every asked question is a transcript question, so checking the
-        // transcript covers them.
         let arities = session
             .transcript
             .iter()
@@ -1226,16 +1205,17 @@ impl Registry {
                 )));
             }
         }
-        let asked = asked_positions(&session.asked, &session.transcript).ok_or_else(|| {
-            ServiceError::Engine(format!(
+        // The store folds an older snapshot's asked list into the
+        // transcript; one left in place did not fold.
+        if session.asked.is_some() {
+            return Err(ServiceError::Engine(format!(
                 "session {id} lists asked questions its transcript does not hold in that order"
-            ))
-        })?;
+            )));
+        }
         let mut entry = Entry {
             state: SessionState::Learning,
             meta,
             dialogue: Dialogue::new(built.store, built.synth, session.transcript),
-            asked,
             learned: session.learned,
             verified: session.verified,
             failure: None,
@@ -1304,7 +1284,9 @@ impl Registry {
             // the request: one live span per step.
             let span = trace::span("learner.phase");
             span.set_session(id);
-            let before = entry.dialogue.transcript().len();
+            // The transcript holds the user's answers alone: the step
+            // records this one, if it brings one.
+            let answers = u64::from(answered.is_some());
             let step = entry.dialogue.resume(answered);
             let phase = match entry.dialogue.phase() {
                 None => "verification",
@@ -1314,8 +1296,7 @@ impl Registry {
                     .map_or("other", |(_, label)| label),
             };
             span.attr_str("phase", phase);
-            let answered = entry.dialogue.transcript().len() - before;
-            span.attr_u64("questions", answered as u64);
+            span.attr_u64("questions", answers);
             step
         };
         match step {
@@ -1332,7 +1313,7 @@ impl Registry {
                     Ok(realized.question()),
                     "a realized object booleanizes to its question"
                 );
-                let info = question_info(realized, entry.asked.len());
+                let info = question_info(realized, entry.dialogue.transcript().len());
                 entry.resources.transcript_bytes += info.rendered.len() as u64;
                 if entry.state != SessionState::Verifying {
                     entry.state = SessionState::AwaitingAnswer;
@@ -1364,7 +1345,7 @@ impl Registry {
                 );
                 Ok(StepOutcome::Learned {
                     query,
-                    questions: entry.asked.len(),
+                    questions: entry.dialogue.transcript().len(),
                 })
             }
             Step::Verified(Ok(outcome)) => {
@@ -1438,8 +1419,8 @@ fn learn_options(meta: &SessionMeta) -> LearnOptions {
     }
 }
 
-/// A realized question as the protocol ships it; `index` is its place
-/// in user-visible question order.
+/// A realized question as the protocol ships it; `index` is the
+/// transcript position its answer will take.
 fn question_info(realized: RealizedQuestion, index: usize) -> QuestionInfo {
     let from_store = realized.is_stored();
     let (question, rendered) = realized.into_parts();
@@ -1464,24 +1445,6 @@ fn transcript_cache_bytes(transcript: &[Exchange]) -> u64 {
             buf.len() as u64
         })
         .sum()
-}
-
-/// The transcript positions of a persisted session's asked questions:
-/// each is matched, in order, to the first later transcript entry that
-/// holds it. `None` when `asked` is not a subsequence of the
-/// transcript's questions.
-fn asked_positions(asked: &[Obj], transcript: &[Exchange]) -> Option<Vec<u32>> {
-    let mut positions = Vec::with_capacity(asked.len());
-    let mut from = 0;
-    for question in asked {
-        let at = from
-            + transcript[from..]
-                .iter()
-                .position(|e| e.question == *question)?;
-        positions.push(u32::try_from(at).ok()?);
-        from = at + 1;
-    }
-    Some(positions)
 }
 
 #[cfg(test)]
@@ -1903,35 +1866,6 @@ mod tests {
             reg.session_resources(id).unwrap().transcript_cache_bytes,
             tree
         );
-    }
-
-    /// Asked questions map to the transcript entries that hold them, in
-    /// order and skipping auto-answered ones; a list that is not a
-    /// subsequence of the transcript's questions maps to nothing.
-    #[test]
-    fn asked_questions_map_to_transcript_positions_in_order() {
-        let exchange = |bits: &str| Exchange {
-            question: Obj::from_bits(bits),
-            from_store: false,
-            response: Response::Answer,
-        };
-        let transcript: Vec<Exchange> = ["011", "101", "110", "011"]
-            .into_iter()
-            .map(exchange)
-            .collect();
-        let asked =
-            |bits: &[&str]| -> Vec<Obj> { bits.iter().map(|b| Obj::from_bits(b)).collect() };
-        assert_eq!(
-            asked_positions(&asked(&["011", "110", "011"]), &transcript),
-            Some(vec![0, 2, 3])
-        );
-        assert_eq!(asked_positions(&[], &transcript), Some(vec![]));
-        assert_eq!(
-            asked_positions(&asked(&["110", "101"]), &transcript),
-            None,
-            "out of order"
-        );
-        assert_eq!(asked_positions(&asked(&["111"]), &transcript), None);
     }
 
     #[test]

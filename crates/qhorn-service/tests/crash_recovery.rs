@@ -4,10 +4,11 @@
 //! fresh registry/server on the same store directory, and assert every
 //! session resumes with identical learned queries and answers.
 
-use qhorn_core::learn::LearnOptions;
+use qhorn_core::learn::{learn_role_preserving, LearnOptions};
+use qhorn_core::oracle::FnOracle;
 use qhorn_core::query::equiv::equivalent;
 use qhorn_core::{Obj, Query, Response};
-use qhorn_engine::session::{Dialogue, Exchange, LearnerKind, Step};
+use qhorn_engine::session::{Dialogue, Exchange, LearnerKind};
 use qhorn_relation::datasets::chocolates;
 use qhorn_relation::{
     Attr, AttrType, DataTuple, DatasetDef, DomainHints, FlatSchema, NestedObject, NestedRelation,
@@ -880,15 +881,13 @@ fn answer_to_end(
     }
 }
 
-/// A `Correct` index names the question shown under it, whatever
-/// auto-answered questions sit between the asked ones in the live
-/// transcript, through correction, eviction, restore, compaction and
-/// restart. The store, reopened at the end, holds exactly the labels the
-/// corrections gave those questions.
+/// A `Correct` index names the question shown under it, through
+/// correction, eviction, restore, compaction and restart, in a session
+/// whose learner asks unrealizable questions the user never sees. The
+/// store, reopened at the end, holds the questions shown, in order, with
+/// exactly the labels the corrections gave them.
 ///
-/// Every sweep compacts, and a compaction replays the log: the snapshot
-/// holds the user's answers alone, and a restore's replay appends the
-/// auto-answered entries after them.
+/// Every sweep compacts, and a compaction replays the log.
 #[test]
 fn correct_indices_name_the_same_question_through_eviction_and_restart() {
     let target = qhorn_lang::parse_with_arity("all x1; some x2 x3", 3).unwrap();
@@ -951,31 +950,72 @@ fn correct_indices_name_the_same_question_through_eviction_and_restart() {
 
     let (_, recovered) = SessionStore::open(&StoreConfig::new(dir.clone())).unwrap();
     let session = recovered.sessions.iter().find(|s| s.id == id).unwrap();
-    assert_eq!(
-        session.asked, shown,
-        "the asked questions, in the order shown"
-    );
-    let label = |q: &Obj| {
-        corrections
+    let questions: Vec<Obj> = session
+        .transcript
+        .iter()
+        .map(|e| e.question.clone())
+        .collect();
+    assert_eq!(questions, shown, "the questions, in the order shown");
+    for e in &session.transcript {
+        let want = corrections
             .iter()
             .rev()
-            .find(|(c, _)| c == q)
-            .map_or_else(|| target.eval(q), |&(_, r)| r)
-    };
-    for e in &session.transcript {
-        let want = if shown.contains(&e.question) {
-            label(&e.question)
-        } else {
-            Response::NonAnswer
-        };
+            .find(|(c, _)| *c == e.question)
+            .map_or_else(|| target.eval(&e.question), |&(_, r)| r);
         assert_eq!(e.response, want, "{:?}", e.question);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A session at rest whose asked questions are not, in order, questions
-/// of its transcript cannot be given `Correct` indices: its restore
-/// fails with an error naming that, every time, and it stays at rest.
+/// Two pairs of one `Correct` that name one question: the later pair
+/// wins, in the live session and in the log's replay alike, so a session
+/// restarted after the correction learns what it would have learned
+/// without the restart.
+#[test]
+fn a_correction_naming_one_question_twice_replays_as_it_ran() {
+    let target = qhorn_lang::parse_with_arity("all x1; some x2 x3", 3).unwrap();
+    let open = |dir: &std::path::Path| {
+        Registry::open(RegistryConfig {
+            store: Some(StoreConfig {
+                fsync: FsyncPolicy::Never,
+                ..StoreConfig::new(dir.to_path_buf())
+            }),
+            ..Default::default()
+        })
+        .unwrap()
+    };
+    let run = |restart: bool| {
+        let dir = temp_dir(&format!("one-question-twice-{restart}"));
+        let mut registry = open(&dir);
+        let (id, step) = registry.create_session(chocolates_spec()).unwrap();
+        let mut shown = Vec::new();
+        let first = answer_to_end(&registry, id, step, &target, &mut shown);
+        let honest = target.eval(&shown[0]);
+        let step = registry
+            .correct(id, &[(0, honest), (0, honest.negate())])
+            .unwrap();
+        let corrected = answer_to_end(&registry, id, step, &target, &mut shown);
+        if restart {
+            drop(registry);
+            registry = open(&dir);
+        }
+        let step = registry.correct(id, &[]).unwrap();
+        let replayed = answer_to_end(&registry, id, step, &target, &mut shown);
+        drop(registry);
+        let _ = std::fs::remove_dir_all(&dir);
+        (
+            shown,
+            [first, corrected, replayed].map(|o| format!("{o:?}")),
+        )
+    };
+    assert_eq!(run(true), run(false));
+}
+
+/// A snapshot entry written with an asked list (see
+/// `PersistedSession::asked`) whose questions are not, in order,
+/// questions of its transcript cannot be given `Correct` indices: its
+/// restore fails with an error naming that, every time, and it stays at
+/// rest.
 #[test]
 fn asked_questions_missing_from_the_transcript_fail_the_restore() {
     let dir = temp_dir("asked-missing");
@@ -1003,8 +1043,8 @@ fn asked_questions_missing_from_the_transcript_fail_the_restore() {
             from_store: false,
             response: Response::Answer,
         });
-        session.asked.push(Obj::from_bits("011"));
-        session.answered = 1;
+        session.asked = Some(vec![Obj::from_bits("011")]);
+        session.answered = Some(1);
         plant_snapshot(
             &dir,
             &[SnapshotEntry {
@@ -1054,32 +1094,53 @@ fn a_snapshot_captured_from_a_live_session_keeps_its_correct_indices() {
     let reference = Registry::open(RegistryConfig::default()).unwrap();
     reference.upload_dataset(clash_def()).unwrap();
 
-    // The live session, as the registry runs it: answered until an
-    // auto-answered exchange follows an asked one, with the next question
-    // in flight.
+    // The transcript as those versions recorded it: every question the
+    // learner asked, an unrealizable one answered `NonAnswer` without the
+    // user.
     let (data, hints) = reference.dataset("clash", 1).unwrap();
     let synth = Arc::new(Synthesizer::new(data.bridge(), &hints));
-    let mut dialogue = Dialogue::new(Arc::clone(&data), synth, Vec::new());
-    dialogue.learn(spec.learner, &opts);
-    let mut asked: Vec<Obj> = Vec::new();
-    let mut positions: Vec<usize> = Vec::new();
-    let mut step = dialogue.resume(None);
-    let in_flight = loop {
-        let Step::Question(realized) = step else {
-            panic!("the run ended after {asked:?}");
-        };
-        let label = target.eval(realized.question());
-        let answered = dialogue.take_answered(label).unwrap();
-        let auto_after_asked = positions.first().is_some_and(|&first| {
-            (first..dialogue.transcript().len()).any(|p| !positions.contains(&p))
-        });
-        if auto_after_asked {
-            break answered;
-        }
-        positions.push(dialogue.transcript().len());
-        asked.push(answered.question.clone());
-        step = dialogue.resume(Some(answered));
-    };
+    let dialogue = Dialogue::new(Arc::clone(&data), synth, Vec::new());
+    let mut recorded: Vec<(Exchange, bool)> = Vec::new();
+    learn_role_preserving(
+        data.bridge().n(),
+        &mut FnOracle(|question: &Obj| {
+            let (response, from_store, shown) = match dialogue.realize(question) {
+                Ok(realized) => (target.eval(question), realized.is_stored(), true),
+                Err(_) => (Response::NonAnswer, false, false),
+            };
+            recorded.push((
+                Exchange {
+                    question: question.clone(),
+                    from_store,
+                    response,
+                },
+                shown,
+            ));
+            response
+        }),
+        &opts,
+    )
+    .unwrap();
+    // The live session: answered until an auto-answered exchange follows
+    // an asked one, with the next question in flight.
+    let first_shown = recorded.iter().position(|&(_, shown)| shown).unwrap();
+    let auto_after = first_shown
+        + recorded[first_shown..]
+            .iter()
+            .position(|&(_, shown)| !shown)
+            .expect("an auto-answered exchange follows an asked one");
+    let flight = auto_after
+        + recorded[auto_after..]
+            .iter()
+            .position(|&(_, shown)| shown)
+            .expect("a question follows it");
+    let transcript: Vec<Exchange> = recorded[..flight].iter().map(|(e, _)| e.clone()).collect();
+    let asked: Vec<Obj> = recorded[..flight]
+        .iter()
+        .filter(|&&(_, shown)| shown)
+        .map(|(e, _)| e.question.clone())
+        .collect();
+    let in_flight = recorded[flight].0.clone();
 
     // The same session in a registry that never restores it, answered
     // the same way, the question in flight included.
@@ -1120,10 +1181,9 @@ fn a_snapshot_captured_from_a_live_session_keeps_its_correct_indices() {
                 })
                 .unwrap();
             let mut session = PersistedSession::new(1, meta);
-            session.transcript = dialogue.transcript().to_vec();
-            session.asked = asked.clone();
-            session.asked.push(in_flight.question.clone());
-            session.answered = asked.len();
+            session.transcript = transcript.clone();
+            session.asked = Some(shown.clone());
+            session.answered = Some(asked.len());
             plant_snapshot(
                 &dir,
                 &[SnapshotEntry {

@@ -409,8 +409,9 @@ impl SessionStore {
     /// fsync policy) before the segments holding the originals go.
     ///
     /// # Errors
-    /// I/O failures (the old snapshot and log stay intact on error);
-    /// [`StoreError::Corrupt`] when a segment was corrupted in place.
+    /// I/O failures, a segment that cannot be read among them (the old
+    /// snapshot and log stay intact on error); [`StoreError::Corrupt`]
+    /// when a segment or the snapshot was corrupted in place.
     pub fn compact(&mut self) -> Result<u64, StoreError> {
         let compact_started = Instant::now();
         let boundary = self.rotate()?;
@@ -590,27 +591,35 @@ impl SessionStore {
     /// Replays the full current disk state (snapshot + every segment)
     /// into a fresh [`Replayer`].
     ///
-    /// An incomplete or checksum-failing **physical tail** is skipped, as
-    /// at recovery — a crash can legitimately leave one. A CRC-valid
-    /// frame whose payload does not decode is a different animal: appends
-    /// only ever frame decodable payloads, so one of these means the file
-    /// was corrupted in place, and silently dropping every record behind
-    /// it (as this method once did) would serve readers a truncated
-    /// history as if it were complete. Surfaced as
-    /// [`StoreError::Corrupt`] instead.
+    /// An incomplete or checksum-failing **physical tail** of a segment
+    /// is skipped, as at recovery — a crash can legitimately leave one.
+    /// A CRC-valid frame whose payload does not decode is a different
+    /// animal: appends only ever frame decodable payloads, so one of
+    /// these means the file was corrupted in place, and silently dropping
+    /// every record behind it (as this method once did) would serve
+    /// readers a truncated history as if it were complete. Surfaced as
+    /// [`StoreError::Corrupt`] instead. So is a snapshot that does not
+    /// read to its end: the atomic rename never leaves one, and the
+    /// sessions behind the damage exist nowhere else. A file that cannot
+    /// be read is an error too, never an empty segment, since compaction
+    /// deletes the segments it replayed.
     fn replay_disk(&self) -> Result<Replayer, StoreError> {
-        let (entries, _) = read_snapshot(&self.dir.join(SNAPSHOT_FILE))?;
+        let path = self.dir.join(SNAPSHOT_FILE);
+        let (entries, torn) = read_snapshot(&path)?;
+        if torn {
+            return Err(StoreError::Corrupt(format!(
+                "{} does not read to its end; {} entries are intact",
+                path.display(),
+                entries.len()
+            )));
+        }
         let mut replayer = Replayer::new();
         replayer.seed(entries.into_iter().map(|(_, e)| e));
         let mut indices: Vec<u64> = self.sealed.iter().map(|&(i, _)| i).collect();
         indices.push(self.active_index);
         for index in indices {
             let path = segment_path(&self.dir, index);
-            let bytes = match fs::read(&path) {
-                Ok(b) => b,
-                Err(_) => continue,
-            };
-            let (frames, _) = scan_frames(&bytes);
+            let (frames, _) = scan_frames(&fs::read(&path)?);
             for (end, payload) in frames {
                 let (seq, rec) = LogRecord::from_payload(&payload).map_err(|e| {
                     StoreError::Corrupt(format!(

@@ -7,7 +7,7 @@
 
 use qhorn_core::{Obj, Query, Response};
 use qhorn_engine::persist::corrections;
-use qhorn_engine::session::{Exchange, LearnerKind};
+use qhorn_engine::session::{apply_corrections, Exchange, LearnerKind};
 use qhorn_json::{FromJson, Json, JsonError, ToJson};
 use qhorn_relation::DatasetDef;
 use std::collections::BTreeMap;
@@ -58,8 +58,8 @@ pub enum LogRecord {
         /// The answered exchange.
         exchange: Exchange,
     },
-    /// The user corrected earlier answers (indices into the user-visible
-    /// question order, as the protocol ships them).
+    /// The user corrected earlier answers (indices are transcript
+    /// positions, as the protocol ships them).
     Corrected {
         /// The session id.
         id: u64,
@@ -180,21 +180,21 @@ pub struct PersistedSession {
     pub id: u64,
     /// How to rebuild the dataset/learner.
     pub meta: SessionMeta,
-    /// Answered questions, in the order shown (the index space the
-    /// protocol's `Correct` uses). A question in flight is not part of
-    /// it: a resumed session asks it again, under the same index, and its
-    /// answer's `ExchangeAppended` appends it here. Every one is a
-    /// question of `transcript`, in the same order (snapshots written
-    /// from live sessions by earlier versions hold auto-answered entries
-    /// between them); a restore refuses a session whose list does not
-    /// match.
-    pub asked: Vec<Obj>,
-    /// Questions answered.
-    pub answered: usize,
+    /// Snapshots written before a `Correct` index became a transcript
+    /// position list here the questions the user was shown, in order
+    /// (with a question in flight past `answered`), and may hold
+    /// auto-answered exchanges between them in `transcript`. The store
+    /// folds such an entry into the current form when it reads the
+    /// snapshot; `Some` only on an entry whose list does not fold, which
+    /// a restore refuses. New entries never write it.
+    pub asked: Option<Vec<Obj>>,
+    /// How many of `asked` the user answered, on such an entry.
+    pub answered: Option<usize>,
     /// Verification result, when one ran (replayed from
     /// [`LogRecord::Verified`] and preserved by snapshots).
     pub verified: Option<bool>,
-    /// The answered transcript, corrections applied.
+    /// The exchanges the user answered, in order, corrections applied.
+    /// A `Correct` index is a position here.
     pub transcript: Vec<Exchange>,
     /// The learned query, when learning completed.
     pub learned: Option<Query>,
@@ -207,12 +207,34 @@ impl PersistedSession {
         PersistedSession {
             id,
             meta,
-            asked: Vec::new(),
-            answered: 0,
+            asked: None,
+            answered: None,
             verified: None,
             transcript: Vec::new(),
             learned: None,
         }
+    }
+
+    /// Folds an entry written with an `asked` list into the current form:
+    /// the list is cut to the answered questions, each is matched in
+    /// order to the first later transcript entry holding it, and only
+    /// the matched entries are kept. The auto-answered ones in between
+    /// go, since a replay answers them again. An entry whose list is not
+    /// a subsequence of its transcript's questions is left as it is.
+    fn fold_asked(&mut self) {
+        let Some(asked) = &self.asked else { return };
+        let answered = asked.len().min(self.answered.unwrap_or(asked.len()));
+        let mut kept = Vec::with_capacity(answered);
+        let mut rest = self.transcript.iter();
+        for question in &asked[..answered] {
+            match rest.by_ref().find(|e| e.question == *question) {
+                Some(e) => kept.push(e.clone()),
+                None => return,
+            }
+        }
+        self.transcript = kept;
+        self.asked = None;
+        self.answered = None;
     }
 }
 
@@ -220,8 +242,8 @@ qhorn_json::wire! {
     struct PersistedSession {
         id: u64,
         meta: SessionMeta,
-        asked: Vec<Obj>,
-        answered: usize,
+        asked: Option<Vec<Obj>> [skip],
+        answered: Option<usize> [skip],
         verified: Option<bool>,
         transcript: Vec<Exchange>,
         learned: Option<Query>,
@@ -264,12 +286,11 @@ impl Replayer {
         }
     }
 
-    /// Seeds the replayer from snapshot-file entries. Older snapshot
-    /// files may list a question in flight in `asked`; it is dropped, or
-    /// its answer replayed on top would append it a second time.
+    /// Seeds the replayer from snapshot-file entries, folding any
+    /// written with an `asked` list (see [`PersistedSession::asked`]).
     pub(crate) fn seed(&mut self, entries: impl IntoIterator<Item = SnapshotEntry>) {
         for mut e in entries {
-            e.session.asked.truncate(e.session.answered);
+            e.session.fold_asked();
             self.max_id = self.max_id.max(e.session.id);
             self.sessions.insert(e.session.id, e);
         }
@@ -294,23 +315,13 @@ impl Replayer {
             }
             LogRecord::ExchangeAppended { id, exchange } => {
                 if let Some(entry) = self.fresh(id, seq) {
-                    entry.session.asked.push(exchange.question.clone());
                     entry.session.transcript.push(exchange);
-                    entry.session.answered += 1;
                 }
             }
             LogRecord::Corrected { id, corrections } => {
                 if let Some(entry) = self.fresh(id, seq) {
                     let s = &mut entry.session;
-                    for &(idx, r) in &corrections {
-                        let Some(q) = s.asked.get(idx) else { continue };
-                        let q = q.clone();
-                        for e in &mut s.transcript {
-                            if e.question == q {
-                                e.response = r;
-                            }
-                        }
-                    }
+                    apply_corrections(&mut s.transcript, &corrections);
                     // A correction restarts learning; the replayed learner
                     // writes a fresh `QueryLearned` when it completes.
                     s.learned = None;
@@ -484,7 +495,7 @@ mod tests {
         let sessions = r.finish();
         assert_eq!(sessions.len(), 1);
         let s = &sessions[0];
-        assert_eq!(s.answered, 2);
+        assert_eq!(s.transcript.len(), 2);
         assert_eq!(s.transcript[0].response, Response::NonAnswer);
         assert_eq!(s.transcript[1].response, Response::NonAnswer);
         assert_eq!(s.learned.as_ref(), Some(&q));
@@ -494,9 +505,7 @@ mod tests {
     fn replay_skips_records_covered_by_the_snapshot() {
         let mut r = Replayer::new();
         let mut snap = PersistedSession::new(7, meta());
-        snap.asked.push(Obj::from_bits("111"));
         snap.transcript.push(exchange("111", Response::Answer));
-        snap.answered = 1;
         r.seed(vec![SnapshotEntry {
             through_seq: 10,
             session: snap,
@@ -518,22 +527,37 @@ mod tests {
             },
         );
         let sessions = r.finish();
-        assert_eq!(sessions[0].answered, 2);
         assert_eq!(sessions[0].transcript.len(), 2);
+    }
+
+    /// A snapshot entry written with an `asked` list: `transcript` over
+    /// `asked` questions, `answered` of them answered.
+    fn legacy(transcript: &[(&str, Response)], asked: &[&str], answered: usize) -> SnapshotEntry {
+        let mut session = PersistedSession::new(7, meta());
+        session.transcript = transcript
+            .iter()
+            .map(|&(bits, r)| exchange(bits, r))
+            .collect();
+        session.asked = Some(asked.iter().map(|b| Obj::from_bits(b)).collect());
+        session.answered = Some(answered);
+        SnapshotEntry {
+            through_seq: 10,
+            session,
+        }
+    }
+
+    fn questions(session: &PersistedSession) -> Vec<Obj> {
+        session
+            .transcript
+            .iter()
+            .map(|e| e.question.clone())
+            .collect()
     }
 
     #[test]
     fn a_question_in_flight_in_a_snapshot_is_not_asked_twice() {
         let mut r = Replayer::new();
-        let mut snap = PersistedSession::new(7, meta());
-        snap.asked.push(Obj::from_bits("111"));
-        snap.asked.push(Obj::from_bits("000"));
-        snap.transcript.push(exchange("111", Response::Answer));
-        snap.answered = 1;
-        r.seed(vec![SnapshotEntry {
-            through_seq: 10,
-            session: snap,
-        }]);
+        r.seed([legacy(&[("111", Response::Answer)], &["111", "000"], 1)]);
         r.apply(
             11,
             LogRecord::ExchangeAppended {
@@ -543,9 +567,58 @@ mod tests {
         );
         let sessions = r.finish();
         assert_eq!(
-            sessions[0].asked,
+            questions(&sessions[0]),
             [Obj::from_bits("111"), Obj::from_bits("000")]
         );
+        assert_eq!((&sessions[0].asked, sessions[0].answered), (&None, None));
+    }
+
+    /// Folding keeps the transcript entries the answered questions name,
+    /// in order, and drops the auto-answered ones between them.
+    #[test]
+    fn a_legacy_snapshot_folds_to_the_answered_exchanges() {
+        let mut r = Replayer::new();
+        r.seed([legacy(
+            &[
+                ("011", Response::Answer),
+                ("110", Response::NonAnswer),
+                ("101", Response::NonAnswer),
+                ("110", Response::Answer),
+                ("011", Response::Answer),
+            ],
+            &["011", "101", "011"],
+            3,
+        )]);
+        // Index 1 named the second asked question, `101`; after the fold
+        // it is transcript position 1.
+        r.apply(
+            11,
+            LogRecord::Corrected {
+                id: 7,
+                corrections: vec![(1, Response::Answer)],
+            },
+        );
+        let s = &r.finish()[0];
+        let bits = |b: &[&str]| -> Vec<Obj> { b.iter().map(|b| Obj::from_bits(b)).collect() };
+        assert_eq!(questions(s), bits(&["011", "101", "011"]));
+        assert_eq!(s.transcript[1].response, Response::Answer);
+        assert_eq!((&s.asked, s.answered), (&None, None));
+    }
+
+    /// A list that is not, in order, a subsequence of the transcript's
+    /// questions keeps its fields and its transcript.
+    #[test]
+    fn a_legacy_list_that_does_not_fold_is_kept() {
+        for (asked, answered) in [(&["110", "011"][..], 2), (&["111"][..], 1)] {
+            let entry = legacy(
+                &[("011", Response::Answer), ("110", Response::Answer)],
+                asked,
+                answered,
+            );
+            let mut r = Replayer::new();
+            r.seed([entry.clone()]);
+            assert_eq!(r.finish(), [entry.session]);
+        }
     }
 
     #[test]

@@ -12,7 +12,11 @@
 //!
 //! The bug this pins: `replay_disk` used to `break` out of a segment on
 //! the first undecodable frame, so `load_session` reported sessions whose
-//! later exchanges existed on disk as missing or stale.
+//! later exchanges existed on disk as missing or stale. The same replay
+//! once took a snapshot that does not read to its end for its readable
+//! part, and a segment it could not read for an empty one; compaction
+//! then wrote the partial state and deleted the segments. It now refuses
+//! both and deletes nothing.
 
 use qhorn_engine::session::LearnerKind;
 use qhorn_store::crc::crc32;
@@ -174,5 +178,95 @@ fn torn_physical_tail_stays_recoverable_in_replay_paths() {
     }
     let loaded = store.load_session(1).unwrap().expect("session readable");
     assert_eq!(loaded.id, 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The start offsets of the snapshot file's frames, header first.
+fn snapshot_frames(bytes: &[u8]) -> Vec<usize> {
+    let mut starts = Vec::new();
+    let mut at = 0;
+    while at < bytes.len() {
+        starts.push(at);
+        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+        at += 8 + len;
+    }
+    starts
+}
+
+/// A snapshot whose middle frame was corrupted in place does not read to
+/// its end. Compaction must not rewrite it from the part that reads:
+/// the sessions behind the damage are in no segment any more, so they
+/// would be gone for good. It refuses, and leaves the file as it was.
+#[test]
+fn compaction_refuses_a_torn_snapshot_and_keeps_it() {
+    let dir = temp_dir("torn-snapshot");
+    let (mut store, _) = SessionStore::open(&config(&dir)).unwrap();
+    for id in 1..=3 {
+        store
+            .append(&LogRecord::SessionCreated { id, meta: meta() })
+            .unwrap();
+    }
+    // Every session becomes snapshot-only.
+    store.compact().unwrap();
+    let third = store.load_session(3).unwrap().expect("session 3");
+
+    let path = dir.join("snapshot.qsnap");
+    let mut bytes = std::fs::read(&path).unwrap();
+    let starts = snapshot_frames(&bytes);
+    assert_eq!(starts.len(), 4, "a header and three sessions");
+    // Sessions are written in id order: frame 2 is session 2's. Flip a
+    // payload byte so its checksum fails.
+    bytes[starts[2] + 8] ^= 0xff;
+    std::fs::write(&path, &bytes).unwrap();
+
+    assert!(matches!(store.compact(), Err(StoreError::Corrupt(_))));
+    assert_eq!(store.load_session(3).unwrap(), Some(third));
+    assert_eq!(std::fs::read(&path).unwrap(), bytes, "the snapshot is kept");
+    assert_eq!(store.stats().compactions, 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The segment files in `dir`, by name.
+fn segment_names(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|n| n.starts_with("seg-"))
+        .collect();
+    names.sort();
+    names
+}
+
+/// A sealed segment that cannot be read is not an empty one: compaction
+/// deletes the segments it replayed, so it refuses, and every segment
+/// stays. (A directory in the segment's place gives a read error even to
+/// a user whom file modes do not stop.)
+#[test]
+fn compaction_refuses_an_unreadable_segment_and_deletes_nothing() {
+    let dir = temp_dir("unreadable-segment");
+    let cfg = StoreConfig {
+        segment_max_bytes: 128,
+        ..config(&dir)
+    };
+    let (mut store, _) = SessionStore::open(&cfg).unwrap();
+    for id in 1..=4 {
+        store
+            .append(&LogRecord::SessionCreated { id, meta: meta() })
+            .unwrap();
+    }
+    let before = segment_names(&dir);
+    assert!(before.len() > 2, "{before:?}");
+    let sealed = dir.join(&before[0]);
+    std::fs::remove_file(&sealed).unwrap();
+    std::fs::create_dir(&sealed).unwrap();
+
+    assert!(matches!(store.compact(), Err(StoreError::Io(_))));
+    let after = segment_names(&dir);
+    assert!(
+        before.iter().all(|name| after.contains(name)),
+        "{before:?} before, {after:?} after"
+    );
+    assert!(sealed.is_dir());
+    assert_eq!(store.stats().compactions, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }

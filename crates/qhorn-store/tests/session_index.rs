@@ -168,7 +168,8 @@ fn index_survives_compaction_and_snapshot_only_sessions() {
     // 3, 5 become snapshot-only (all their frames predate the
     // compaction).
     let mut planted = PersistedSession::new(1, meta("chocolates"));
-    planted.answered = 99; // visibly distinct planted state
+    // Visibly distinct planted state: 99 exchanges.
+    planted.transcript = vec![exchange("111", Response::Answer); 99];
     plant_snapshot(
         &dir,
         &[SnapshotEntry {
@@ -182,7 +183,7 @@ fn index_survives_compaction_and_snapshot_only_sessions() {
 
     let probe: Vec<u64> = (0..=7).collect();
     assert_paths_agree(&store, &probe);
-    assert_eq!(store.load_session(1).unwrap().unwrap().answered, 99);
+    assert_eq!(store.load_session(1).unwrap().unwrap().transcript.len(), 99);
     assert!(store.load_session(4).unwrap().is_none());
 
     // New history after compaction lands in the index and still agrees.
@@ -206,7 +207,7 @@ fn index_survives_compaction_and_snapshot_only_sessions() {
     store.compact().unwrap();
     assert_paths_agree(&store, &probe);
     assert!(store.load_session(2).unwrap().is_none(), "closed is gone");
-    assert_eq!(store.load_session(1).unwrap().unwrap().answered, 99);
+    assert_eq!(store.load_session(1).unwrap().unwrap().transcript.len(), 99);
     drop(store);
     let (store, _) = SessionStore::open(&cfg).unwrap();
     assert_paths_agree(&store, &probe);
